@@ -1,6 +1,10 @@
-//! Criterion benchmarks of the pipeline simulator: dependent chains and
-//! independent sequences of various lengths on a 6-port and an 8-port
-//! microarchitecture.
+//! Criterion benchmarks of the pipeline simulator: dependent chains,
+//! independent ALU sequences, and a body that saturates a single port, each
+//! at two lengths on a 6-port and an 8-port microarchitecture.
+//!
+//! The single-port body is what Algorithm 1's blocking sequences look like:
+//! every µop competes for the same port, so the scheduler's search for a free
+//! cycle is the cost that grows with the body length.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -34,6 +38,14 @@ fn independent_alu(catalog: &Catalog, len: usize) -> CodeSequence {
     uops_core::codegen::independent_copies(&desc, len, &mut pool).unwrap().into_iter().collect()
 }
 
+/// `len` independent copies of `PSHUFD XMM, XMM, I8`, whose only µop runs on
+/// the shuffle port (p5).
+fn single_port(catalog: &Catalog, len: usize) -> CodeSequence {
+    let desc = variant_arc(catalog, "PSHUFD", "XMM, XMM, I8").unwrap();
+    let mut pool = RegisterPool::new();
+    uops_core::codegen::independent_copies(&desc, len, &mut pool).unwrap().into_iter().collect()
+}
+
 fn bench_simulator(c: &mut Criterion) {
     let catalog = Catalog::intel_core();
     let mut group = c.benchmark_group("simulator");
@@ -42,6 +54,7 @@ fn bench_simulator(c: &mut Criterion) {
     for &len in &[64usize, 512] {
         let chain = dependent_chain(&catalog, len);
         let independent = independent_alu(&catalog, len);
+        let saturating = single_port(&catalog, len);
         for arch in [MicroArch::Nehalem, MicroArch::Skylake] {
             let sim = Pipeline::new(arch);
             group.bench_with_input(
@@ -52,6 +65,11 @@ fn bench_simulator(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("independent_alu_{}", arch.name()), len),
                 &independent,
+                |b, seq| b.iter(|| sim.execute(seq)),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("single_port_{}", arch.name()), len),
+                &saturating,
                 |b, seq| b.iter(|| sim.execute(seq)),
             );
         }

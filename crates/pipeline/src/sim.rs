@@ -16,14 +16,44 @@
 //!
 //! The observable output is a set of [`PerfCounters`]: elapsed core cycles
 //! and µops executed per port — exactly what the real hardware exposes.
+//!
+//! ## One pass over flat arrays
+//!
+//! [`Pipeline::execute`] walks the code sequence once. Each µop is renamed
+//! and scheduled as soon as its instruction is decoded; since µops are
+//! scheduled in program order, every producer's completion cycle is known by
+//! the time a consumer reads it.
+//!
+//! * **Decode once per static instruction.** An unrolled benchmark body
+//!   repeats a few static instructions many times. Each distinct one, keyed
+//!   by its descriptor and operands, goes through the ground truth once per
+//!   run. The decode also settles everything that does not depend on the
+//!   dynamic state: the divider occupancy, the move-elimination source,
+//!   intra-instruction temporaries (as indices of earlier µops of the same
+//!   instruction), and every register, flag and memory cell a µop reads or
+//!   writes, interned into a dense *slot* index.
+//! * **Flat renamer.** The renamer state is a vector indexed by slot. For
+//!   each resource it holds the cycle at which the latest value is
+//!   available, the width written and the producer's bypass domain.
+//! * **Port frontier.** Each port records the cycles in which it accepted a
+//!   µop, plus a frontier `dense[p]` below which every cycle is taken. Cycles
+//!   are only ever marked busy, and the frontier only advances over busy
+//!   cycles, so the invariant holds for the whole run. The search for a
+//!   port's first free cycle therefore starts at `max(ready, dense[p])`
+//!   rather than at `ready`; a body that saturates one port (what the
+//!   blocking sequences of Algorithm 1 are built to do) stays linear instead
+//!   of quadratic. A µop goes to the earliest free cycle over its ports,
+//!   then to the least-loaded of the ports free in that cycle, then to the
+//!   first of those in port order.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use uops_asm::{CodeSequence, Inst, Op, Resource};
-use uops_isa::{OperandKind, RegFile, Width};
+use uops_isa::{InstructionDesc, OperandKind, RegFile, Width};
 use uops_uarch::{
-    characterize, Domain, FuKind, MicroArch, TruthOptions, UarchConfig, UopInput, UopOutput,
-    MAX_PORTS,
+    characterize, Domain, FuKind, MicroArch, PortSet, TruthOptions, UarchConfig, UopInput,
+    UopOutput, MAX_PORTS,
 };
 
 use crate::counters::PerfCounters;
@@ -68,39 +98,338 @@ pub struct Pipeline {
     opts: SimOptions,
 }
 
-/// Where the value of a renamed resource comes from.
-#[derive(Debug, Clone, Copy)]
-enum Producer {
-    /// Produced by the dynamic µop with this index.
-    Uop(usize),
-    /// Available at the given cycle without an execution µop (eliminated
-    /// instructions, initial register state).
-    Ready(u64),
-}
-
+/// The renamer's view of a resource's latest value.
 #[derive(Debug, Clone, Copy)]
 struct WriterInfo {
-    producer: Producer,
+    /// Cycle at which the value is available.
+    ready: u64,
     /// Width of the written register portion (for partial-register stalls).
     width: Option<Width>,
     /// Bypass domain of the producing µop.
     domain: Domain,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Dep {
-    producer: Producer,
-    extra_latency: u32,
+impl WriterInfo {
+    /// A value produced without an execution µop (eliminated instructions),
+    /// available at `cycle`.
+    fn at(cycle: u64) -> WriterInfo {
+        WriterInfo { ready: cycle, width: None, domain: Domain::Int }
+    }
 }
 
+/// A resource read by a µop.
+#[derive(Debug, Clone, Copy)]
+struct SlotRead {
+    slot: usize,
+    /// Width of the read (for partial-register stalls).
+    width: Option<Width>,
+    /// Delay charged if the value crosses between the vector domains.
+    bypass_delay: u32,
+}
+
+impl SlotRead {
+    /// The extra latency on this edge from `writer` into a µop of
+    /// `consumer` domain: bypass delays between vector domains and
+    /// partial-register stalls.
+    fn extra_latency(&self, writer: &WriterInfo, consumer: Domain) -> u32 {
+        let mut extra = 0;
+        let cross_domain = matches!(
+            (writer.domain, consumer),
+            (Domain::VecInt, Domain::VecFp) | (Domain::VecFp, Domain::VecInt)
+        );
+        if cross_domain {
+            extra += self.bypass_delay;
+        }
+        if let (Some(written), Some(read)) = (writer.width, self.width) {
+            if written.bits() < 32 && read.bits() > written.bits() {
+                extra += PARTIAL_REGISTER_STALL;
+            }
+        }
+        extra
+    }
+}
+
+/// One µop of a decoded instruction.
 #[derive(Debug, Clone)]
-struct DynUop {
-    ports: uops_uarch::PortSet,
-    fu: FuKind,
+struct DecodedUop {
+    /// The allowed ports that exist on the microarchitecture (never empty).
+    ports: PortSet,
+    domain: Domain,
     latency: u32,
-    divider_occupancy: u32,
-    deps: Vec<Dep>,
-    issue_cycle: u64,
+    /// Cycles the divider stays busy, for µops on the divider.
+    divider_occupancy: Option<u32>,
+    reads: Vec<SlotRead>,
+    /// Earlier µops of the same instruction whose temporaries this one reads.
+    temps: Vec<usize>,
+    /// Written slots and widths.
+    writes: Vec<(usize, Option<Width>)>,
+}
+
+/// A static instruction as the renamer needs it.
+#[derive(Debug, Clone)]
+struct Decoded {
+    /// Handled entirely by the renamer.
+    eliminated: bool,
+    /// A move the renamer may eliminate.
+    mov_elim_candidate: bool,
+    /// The register a move elimination renames the destination to.
+    mov_source: Option<usize>,
+    /// Every slot the instruction writes, for the two renamer-only paths.
+    writes: Vec<usize>,
+    uops: Vec<DecodedUop>,
+}
+
+/// A multiply-rotate hasher for the per-run maps. Their keys are small and
+/// come from the simulated code, so SipHash's flooding resistance would only
+/// cost time on every dynamic instruction.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// Decodes each static instruction of one run once and interns the
+/// resources it touches into dense slots.
+struct Decoder<'a> {
+    cfg: &'a UarchConfig,
+    truth_opts: TruthOptions,
+    /// The ports that exist on the microarchitecture.
+    usable: PortSet,
+    memo: FxMap<(*const InstructionDesc, &'a [Op]), usize>,
+    decoded: Vec<Decoded>,
+    slots: FxMap<Resource, usize>,
+}
+
+impl<'a> Decoder<'a> {
+    fn new(cfg: &'a UarchConfig, opts: SimOptions) -> Decoder<'a> {
+        let ports: Vec<u8> = (0..cfg.port_count).collect();
+        Decoder {
+            cfg,
+            truth_opts: TruthOptions { divider_low_latency: opts.divider_low_latency },
+            usable: PortSet::of(&ports),
+            memo: FxMap::default(),
+            decoded: Vec::new(),
+            slots: FxMap::default(),
+        }
+    }
+
+    fn slot(&mut self, res: Resource) -> usize {
+        let next = self.slots.len();
+        *self.slots.entry(res).or_insert(next)
+    }
+
+    /// The index in `decoded` of `inst`, decoding it on first sight.
+    fn decode(&mut self, inst: &'a Inst) -> usize {
+        let key = (std::ptr::from_ref(inst.desc()), inst.operands());
+        if let Some(&index) = self.memo.get(&key) {
+            return index;
+        }
+        let decoded = self.decode_new(inst);
+        self.decoded.push(decoded);
+        self.memo.insert(key, self.decoded.len() - 1);
+        self.decoded.len() - 1
+    }
+
+    fn decode_new(&mut self, inst: &Inst) -> Decoded {
+        let truth = characterize(inst, self.cfg, self.truth_opts);
+        let mov_source = if truth.mov_elim_candidate && !truth.eliminated {
+            inst.reads().into_iter().find(|r| matches!(r, Resource::Reg(..))).map(|r| self.slot(r))
+        } else {
+            None
+        };
+        let writes = if truth.eliminated || truth.mov_elim_candidate {
+            inst.writes().into_iter().map(|r| self.slot(r)).collect()
+        } else {
+            Vec::new()
+        };
+        let divider_cycles = truth
+            .divider_occupancy
+            .map(|(low, high)| if self.truth_opts.divider_low_latency { low } else { high })
+            .unwrap_or(0);
+
+        // The µops of an eliminated instruction never execute.
+        let specs = if truth.eliminated { &[][..] } else { &truth.uops[..] };
+        let mut temp_producer: HashMap<u8, usize> = HashMap::new();
+        let mut uops = Vec::with_capacity(specs.len());
+        for (index, spec) in specs.iter().enumerate() {
+            let ports = spec.ports & self.usable;
+            if ports.is_empty() {
+                panic!(
+                    "{} has a µop with no execution port on {}; it could never be dispatched",
+                    inst.mnemonic(),
+                    self.cfg.arch.name()
+                );
+            }
+            let mut reads = Vec::new();
+            let mut temps = Vec::new();
+            for input in &spec.inputs {
+                match *input {
+                    UopInput::Temp(t) => temps.extend(temp_producer.get(&t)),
+                    UopInput::Addr(i) => {
+                        if let Some(mem) = inst.operand(i).memory() {
+                            reads.push(SlotRead {
+                                slot: self.slot(Resource::of_register(mem.base)),
+                                width: None,
+                                bypass_delay: self.cfg.bypass_delay,
+                            });
+                        }
+                    }
+                    UopInput::Op(i) => {
+                        for (res, width) in operand_read_resources(inst, i) {
+                            let slot = self.slot(res);
+                            reads.push(SlotRead {
+                                slot,
+                                width,
+                                bypass_delay: self.cfg.bypass_delay,
+                            });
+                        }
+                    }
+                }
+            }
+            // Store-to-load forwarding: a load additionally depends on the
+            // most recent store to the same memory cell.
+            if spec.fu == FuKind::Load {
+                for input in &spec.inputs {
+                    if let UopInput::Addr(i) = *input {
+                        if let Some(mem) = inst.operand(i).memory() {
+                            let slot = self.slot(Resource::Mem(mem.cell()));
+                            reads.push(SlotRead { slot, width: None, bypass_delay: 0 });
+                        }
+                    }
+                }
+            }
+            let mut writes = Vec::new();
+            for output in &spec.outputs {
+                match *output {
+                    UopOutput::Temp(t) => {
+                        temp_producer.insert(t, index);
+                    }
+                    UopOutput::Op(i) => {
+                        for (res, width) in operand_write_resources(inst, i) {
+                            writes.push((self.slot(res), width));
+                        }
+                    }
+                }
+            }
+            uops.push(DecodedUop {
+                ports,
+                domain: spec.fu.domain(),
+                latency: spec.latency,
+                divider_occupancy: (spec.fu == FuKind::Div)
+                    .then(|| divider_cycles.max(spec.latency).max(1)),
+                reads,
+                temps,
+                writes,
+            });
+        }
+        Decoded {
+            eliminated: truth.eliminated,
+            mov_elim_candidate: truth.mov_elim_candidate,
+            mov_source,
+            writes,
+            uops,
+        }
+    }
+}
+
+/// Which port accepted a µop in which cycle.
+struct PortFrontier {
+    /// `busy[p][c]`: port `p` accepted a µop in cycle `c`.
+    busy: Vec<Vec<bool>>,
+    /// Port `p` is busy in every cycle from the dispatch floor (the earliest
+    /// cycle any µop still to come can be ready in) up to `dense[p]`.
+    dense: [u64; MAX_PORTS as usize],
+    /// µops dispatched to each port.
+    counts: [u64; MAX_PORTS as usize],
+}
+
+impl PortFrontier {
+    fn new(port_count: u8) -> PortFrontier {
+        PortFrontier {
+            busy: vec![Vec::new(); usize::from(port_count)],
+            dense: [0; MAX_PORTS as usize],
+            counts: [0; MAX_PORTS as usize],
+        }
+    }
+
+    /// The first cycle at or after `ready` in which port `p` is free, for a
+    /// µop of the instruction that sets the dispatch `floor` (`floor <=
+    /// ready`, and no later µop is ready before `floor` either).
+    fn first_free(&mut self, p: usize, ready: u64, floor: u64) -> u64 {
+        let busy = &self.busy[p];
+        let is_busy = |cycle: u64| busy.get(cycle as usize).copied().unwrap_or(false);
+        let mut dense = self.dense[p].max(floor);
+        while is_busy(dense) {
+            dense += 1;
+        }
+        self.dense[p] = dense;
+        let mut cycle = ready.max(dense);
+        while is_busy(cycle) {
+            cycle += 1;
+        }
+        cycle
+    }
+
+    /// Dispatches a µop that is ready in cycle `ready` to one of `ports`
+    /// (not empty): the earliest free cycle, then the least-loaded port, then
+    /// the first in port order. Returns the dispatch cycle.
+    fn dispatch(&mut self, ports: PortSet, ready: u64, floor: u64) -> u64 {
+        let mut best: Option<(u64, usize)> = None;
+        for p in ports.iter().map(usize::from) {
+            let cycle = self.first_free(p, ready, floor);
+            best = match best {
+                Some((c, b)) if c < cycle || (c == cycle && self.counts[b] <= self.counts[p]) => {
+                    Some((c, b))
+                }
+                _ => Some((cycle, p)),
+            };
+        }
+        let (cycle, p) = best.expect("decoded µops have at least one port");
+        let busy = &mut self.busy[p];
+        if busy.len() <= cycle as usize {
+            busy.resize(cycle as usize + 1, false);
+        }
+        busy[cycle as usize] = true;
+        self.counts[p] += 1;
+        cycle
+    }
 }
 
 impl Pipeline {
@@ -130,262 +459,89 @@ impl Pipeline {
     }
 
     /// Executes a code sequence once and returns the performance counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an instruction has a µop that no port of the
+    /// microarchitecture can execute; such a µop would never be dispatched.
     #[must_use]
     pub fn execute(&self, code: &CodeSequence) -> PerfCounters {
-        let truth_opts = TruthOptions { divider_low_latency: self.opts.divider_low_latency };
+        let issue_width = u64::from(self.cfg.issue_width);
         let mut rng = SplitMix64::new(self.opts.seed);
-
-        let mut writers: HashMap<Resource, WriterInfo> = HashMap::new();
-        let mut uops: Vec<DynUop> = Vec::new();
+        let mut decoder = Decoder::new(&self.cfg, self.opts);
+        let mut writers: Vec<Option<WriterInfo>> = Vec::new();
+        let mut ports = PortFrontier::new(self.cfg.port_count);
+        // Completion cycles of the current instruction's µops.
+        let mut done: Vec<u64> = Vec::new();
+        let mut divider_free: u64 = 0;
+        let mut last_cycle: u64 = 0;
         let mut issue_slots: u64 = 0;
-        let mut instructions_retired: u64 = 0;
+        let mut executed: u64 = 0;
 
         for inst in code.iter() {
-            instructions_retired += 1;
-            let char_ = characterize(inst, &self.cfg, truth_opts);
-            let issue_cycle = issue_slots / u64::from(self.cfg.issue_width);
+            let index = decoder.decode(inst);
+            writers.resize(decoder.slots.len(), None);
+            let d = &decoder.decoded[index];
+            let issue_cycle = issue_slots / issue_width;
 
-            if char_.eliminated {
-                // The instruction is handled by the renamer; its results are
-                // available as soon as it issues.
-                for res in inst.writes() {
-                    writers.insert(
-                        res,
-                        WriterInfo {
-                            producer: Producer::Ready(issue_cycle),
-                            width: None,
-                            domain: Domain::Int,
-                        },
-                    );
+            // Eliminated instructions and eliminated moves are handled by the
+            // renamer: no µop executes, and the results are available as soon
+            // as the instruction issues (or, for a move, whenever the source
+            // is, since the destination is renamed to it).
+            if d.eliminated
+                || (d.mov_elim_candidate && rng.next_f64() < self.cfg.mov_elimination_rate)
+            {
+                let info =
+                    d.mov_source.and_then(|s| writers[s]).unwrap_or(WriterInfo::at(issue_cycle));
+                for &slot in &d.writes {
+                    writers[slot] = Some(info);
                 }
                 issue_slots += 1;
                 continue;
             }
 
-            if char_.mov_elim_candidate && rng.next_f64() < self.cfg.mov_elimination_rate {
-                // Move elimination: the destination is renamed to the
-                // source's physical register; no µop executes.
-                let source = inst
-                    .reads()
-                    .into_iter()
-                    .find(|r| matches!(r, Resource::Reg(..)))
-                    .and_then(|r| writers.get(&r).copied());
-                let info = source.unwrap_or(WriterInfo {
-                    producer: Producer::Ready(issue_cycle),
-                    width: None,
-                    domain: Domain::Int,
-                });
-                for res in inst.writes() {
-                    writers.insert(res, info);
-                }
-                issue_slots += 1;
-                continue;
-            }
-
-            // Expand the instruction's µops.
-            let mut temp_producer: HashMap<u8, usize> = HashMap::new();
-            let divider_occ = char_
-                .divider_occupancy
-                .map(|(low, high)| if self.opts.divider_low_latency { low } else { high })
-                .unwrap_or(0);
-            for spec in &char_.uops {
-                let dyn_idx = uops.len();
-                let mut deps: Vec<Dep> = Vec::new();
-
-                for input in &spec.inputs {
-                    match input {
-                        UopInput::Temp(t) => {
-                            if let Some(&producer) = temp_producer.get(t) {
-                                deps.push(Dep {
-                                    producer: Producer::Uop(producer),
-                                    extra_latency: 0,
-                                });
-                            }
-                        }
-                        UopInput::Addr(i) => {
-                            if let Some(mem) = inst.operand(*i).memory() {
-                                let res = Resource::of_register(mem.base);
-                                if let Some(info) = writers.get(&res) {
-                                    deps.push(dep_from_writer(
-                                        info,
-                                        spec.fu.domain(),
-                                        None,
-                                        self.cfg.bypass_delay,
-                                    ));
-                                }
-                            }
-                        }
-                        UopInput::Op(i) => {
-                            for (res, read_width) in operand_read_resources(inst, *i) {
-                                if let Some(info) = writers.get(&res) {
-                                    deps.push(dep_from_writer(
-                                        info,
-                                        spec.fu.domain(),
-                                        read_width,
-                                        self.cfg.bypass_delay,
-                                    ));
-                                }
-                            }
-                        }
+            done.clear();
+            for uop in &d.uops {
+                let mut ready = issue_cycle + 1;
+                for read in &uop.reads {
+                    if let Some(w) = &writers[read.slot] {
+                        ready = ready.max(w.ready + u64::from(read.extra_latency(w, uop.domain)));
                     }
                 }
-
-                // Store-to-load forwarding: a load additionally depends on
-                // the most recent store to the same memory cell.
-                if spec.fu == FuKind::Load {
-                    for input in &spec.inputs {
-                        if let UopInput::Addr(i) = input {
-                            if let Some(mem) = inst.operand(*i).memory() {
-                                let res = Resource::Mem(mem.cell());
-                                if let Some(info) = writers.get(&res) {
-                                    deps.push(dep_from_writer(info, spec.fu.domain(), None, 0));
-                                }
-                            }
-                        }
-                    }
+                for &t in &uop.temps {
+                    ready = ready.max(done[t]);
+                }
+                if uop.divider_occupancy.is_some() {
+                    ready = ready.max(divider_free);
                 }
 
-                uops.push(DynUop {
-                    ports: spec.ports,
-                    fu: spec.fu,
-                    latency: spec.latency,
-                    divider_occupancy: divider_occ.max(spec.latency),
-                    deps,
-                    issue_cycle,
-                });
-
-                // Record outputs.
-                for output in &spec.outputs {
-                    match output {
-                        UopOutput::Temp(t) => {
-                            temp_producer.insert(*t, dyn_idx);
-                        }
-                        UopOutput::Op(i) => {
-                            for (res, width) in operand_write_resources(inst, *i) {
-                                writers.insert(
-                                    res,
-                                    WriterInfo {
-                                        producer: Producer::Uop(dyn_idx),
-                                        width,
-                                        domain: spec.fu.domain(),
-                                    },
-                                );
-                            }
-                        }
-                    }
+                let cycle = ports.dispatch(uop.ports, ready, issue_cycle + 1);
+                if let Some(occupancy) = uop.divider_occupancy {
+                    divider_free = cycle + u64::from(occupancy);
+                }
+                let finish = cycle + u64::from(uop.latency);
+                done.push(finish);
+                last_cycle = last_cycle.max(finish);
+                for &(slot, width) in &uop.writes {
+                    writers[slot] = Some(WriterInfo { ready: finish, width, domain: uop.domain });
                 }
                 issue_slots += 1;
             }
-        }
-
-        self.schedule(&uops, issue_slots, instructions_retired)
-    }
-
-    /// Schedules the dynamic µops onto ports and produces the counters.
-    fn schedule(
-        &self,
-        uops: &[DynUop],
-        issue_slots: u64,
-        instructions_retired: u64,
-    ) -> PerfCounters {
-        let port_count = self.cfg.port_count as usize;
-        let mut port_busy: Vec<Vec<bool>> = vec![Vec::new(); port_count];
-        let mut port_counts = [0u64; MAX_PORTS as usize];
-        let mut completion: Vec<u64> = Vec::with_capacity(uops.len());
-        let mut divider_free: u64 = 0;
-        let mut last_cycle: u64 = issue_slots / u64::from(self.cfg.issue_width);
-
-        for uop in uops {
-            // Earliest cycle at which the µop's operands are ready.
-            let mut ready = uop.issue_cycle + 1;
-            for dep in &uop.deps {
-                let avail = match dep.producer {
-                    Producer::Uop(idx) => completion[idx],
-                    Producer::Ready(cycle) => cycle,
-                };
-                ready = ready.max(avail + u64::from(dep.extra_latency));
-            }
-            if uop.fu == FuKind::Div {
-                ready = ready.max(divider_free);
-            }
-
-            // Find the first cycle at which one of the allowed ports is free;
-            // among free ports prefer the least-loaded one (the hardware
-            // balances equally capable ports).
-            let mut cycle = ready;
-            let port = loop {
-                let mut best: Option<u8> = None;
-                for p in uop.ports.iter() {
-                    let p_usize = p as usize;
-                    if p_usize >= port_count {
-                        continue;
-                    }
-                    let busy = port_busy[p_usize].get(cycle as usize).copied().unwrap_or(false);
-                    if !busy {
-                        best = match best {
-                            None => Some(p),
-                            Some(b) if port_counts[p_usize] < port_counts[b as usize] => Some(p),
-                            other => other,
-                        };
-                    }
-                }
-                if let Some(p) = best {
-                    break p;
-                }
-                cycle += 1;
-            };
-
-            let p_usize = port as usize;
-            if port_busy[p_usize].len() <= cycle as usize {
-                port_busy[p_usize].resize(cycle as usize + 1, false);
-            }
-            port_busy[p_usize][cycle as usize] = true;
-            port_counts[p_usize] += 1;
-
-            if uop.fu == FuKind::Div {
-                divider_free = cycle + u64::from(uop.divider_occupancy.max(1));
-            }
-
-            let done = cycle + u64::from(uop.latency);
-            completion.push(done);
-            last_cycle = last_cycle.max(done);
+            executed += d.uops.len() as u64;
         }
 
         let mut counters = PerfCounters::zero();
-        counters.core_cycles = last_cycle + self.opts.overhead_cycles;
-        counters.uops_port = port_counts;
-        counters.uops_total = uops.len() as u64 + self.opts.overhead_uops;
+        counters.core_cycles =
+            last_cycle.max(issue_slots / issue_width) + self.opts.overhead_cycles;
+        counters.uops_port = ports.counts;
+        counters.uops_total = executed + self.opts.overhead_uops;
         // The overhead µops of the measurement code land on the load ports.
         if let Some(p) = self.cfg.load.first() {
             counters.uops_port[p as usize] += self.opts.overhead_uops;
         }
-        counters.instructions_retired = instructions_retired;
+        counters.instructions_retired = code.len() as u64;
         counters
     }
-}
-
-/// Builds a dependency edge from a writer, applying bypass delays between
-/// vector domains and partial-register stalls.
-fn dep_from_writer(
-    info: &WriterInfo,
-    consumer_domain: Domain,
-    read_width: Option<Width>,
-    bypass_delay: u32,
-) -> Dep {
-    let mut extra = 0;
-    let cross_domain = matches!(
-        (info.domain, consumer_domain),
-        (Domain::VecInt, Domain::VecFp) | (Domain::VecFp, Domain::VecInt)
-    );
-    if cross_domain {
-        extra += bypass_delay;
-    }
-    if let (Some(written), Some(read)) = (info.width, read_width) {
-        if written.bits() < 32 && read.bits() > written.bits() {
-            extra += PARTIAL_REGISTER_STALL;
-        }
-    }
-    Dep { producer: info.producer, extra_latency: extra }
 }
 
 /// The architectural resources (and access widths) read through operand `i`.
@@ -718,6 +874,16 @@ mod tests {
         let mixed_cycles = mixed.core_cycles - 42;
         assert!(mixed_cycles > 200, "mixed chain too fast: {mixed_cycles}");
         assert!(pure.core_cycles - 42 >= 290);
+    }
+
+    #[test]
+    #[should_panic(expected = "PAUSE has a µop with no execution port on Skylake")]
+    fn portless_uop_panics_instead_of_spinning() {
+        let c = catalog();
+        let pause = variant_arc(&c, "PAUSE", "").unwrap();
+        let mut pool = RegisterPool::new();
+        let inst = Inst::bind(&pause, &BTreeMap::new(), &mut pool).unwrap();
+        let _ = Pipeline::new(MicroArch::Skylake).execute(&[inst].into_iter().collect());
     }
 
     #[test]

@@ -130,8 +130,11 @@ fn snapshot_digest(catalog: &Catalog, arch: MicroArch) -> u64 {
         )
     };
     let engine = CharacterizationEngine::with_config(catalog, arch, EngineConfig::fast());
-    let report =
-        engine.characterize_matching_parallel(&SimBackend::new(arch), in_slice, Parallelism::Serial);
+    let report = engine.characterize_matching_parallel(
+        &SimBackend::new(arch),
+        in_slice,
+        Parallelism::Serial,
+    );
     let mut snapshot = reports_to_snapshot(&[report]);
     snapshot.canonicalize();
     let mut h = Fnv::new();
