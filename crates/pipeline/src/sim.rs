@@ -36,15 +36,23 @@
 //!   each resource it holds the cycle at which the latest value is
 //!   available, the width written and the producer's bypass domain.
 //! * **Port frontier.** Each port records the cycles in which it accepted a
-//!   µop, plus a frontier `dense[p]` below which every cycle is taken. Cycles
-//!   are only ever marked busy, and the frontier only advances over busy
-//!   cycles, so the invariant holds for the whole run. The search for a
-//!   port's first free cycle therefore starts at `max(ready, dense[p])`
-//!   rather than at `ready`; a body that saturates one port (what the
-//!   blocking sequences of Algorithm 1 are built to do) stays linear instead
-//!   of quadratic. A µop goes to the earliest free cycle over its ports,
+//!   µop, plus a frontier `dense[p]`. Invariant: port `p` is busy in every
+//!   cycle from the *dispatch floor* up to `dense[p]`. The floor is the
+//!   cycle after the current instruction issues; issue is in order and a
+//!   µop is ready one cycle after issue at the earliest, so no µop still to
+//!   come can use a cycle below it. The floor only rises and cycles are only
+//!   ever marked busy, so raising the frontier to the floor and then over
+//!   busy cycles keeps the invariant (free cycles below the floor, such as
+//!   cycle 0, can no longer stall it). The search for a port's first free
+//!   cycle therefore starts at `max(ready, dense[p])` rather than at
+//!   `ready`: a body that saturates one port (what the blocking sequences of
+//!   Algorithm 1 are built to do) is scheduled in linear rather than
+//!   quadratic time. A µop goes to the earliest free cycle over its ports,
 //!   then to the least-loaded of the ports free in that cycle, then to the
 //!   first of those in port order.
+//!
+//! A µop none of whose ports exists on the microarchitecture could never be
+//! dispatched; decoding it panics with the mnemonic and uarch.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -196,14 +204,6 @@ impl Hasher for FxHasher {
         for &b in bytes {
             self.add(u64::from(b));
         }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u16(&mut self, i: u16) {
-        self.add(u64::from(i));
     }
 
     fn write_u32(&mut self, i: u32) {
@@ -408,8 +408,9 @@ impl PortFrontier {
     }
 
     /// Dispatches a µop that is ready in cycle `ready` to one of `ports`
-    /// (not empty): the earliest free cycle, then the least-loaded port, then
-    /// the first in port order. Returns the dispatch cycle.
+    /// (not empty): the earliest free cycle, then the least-loaded port (the
+    /// hardware balances equally capable ports), then the first in port
+    /// order. Returns the dispatch cycle.
     fn dispatch(&mut self, ports: PortSet, ready: u64, floor: u64) -> u64 {
         let mut best: Option<(u64, usize)> = None;
         for p in ports.iter().map(usize::from) {

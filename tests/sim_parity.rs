@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 
 use uops_info::core_::codegen::independent_copies;
-use uops_info::core_::{reports_to_snapshot, Parallelism};
 use uops_info::pipeline::SimOptions;
 use uops_info::prelude::*;
 use uops_info::uarch::{characterize, FuKind, TruthOptions};
@@ -142,6 +141,12 @@ fn snapshot_digest(catalog: &Catalog, arch: MicroArch) -> u64 {
     h.0
 }
 
+/// `digest` for every microarchitecture, one worker per core.
+fn per_arch(digest: impl Fn(MicroArch) -> u64 + Sync) -> [u64; 9] {
+    let digests = parallel_map(Parallelism::Auto, &MicroArch::ALL, |&arch| digest(arch));
+    digests.try_into().expect("one digest per microarchitecture")
+}
+
 fn check(what: &str, expected: &[u64; 9], actual: &[u64; 9]) {
     let table: Vec<String> = MicroArch::ALL
         .iter()
@@ -154,13 +159,13 @@ fn check(what: &str, expected: &[u64; 9], actual: &[u64; 9]) {
 #[test]
 fn simulator_counters_match_reference_digests() {
     let catalog = Catalog::intel_core();
-    let actual = MicroArch::ALL.map(|arch| counter_digest(&catalog, arch));
+    let actual = per_arch(|arch| counter_digest(&catalog, arch));
     check("counter", &COUNTER_DIGESTS, &actual);
 }
 
 #[test]
 fn sweep_snapshots_match_reference_digests() {
     let catalog = Catalog::intel_core();
-    let actual = MicroArch::ALL.map(|arch| snapshot_digest(&catalog, arch));
+    let actual = per_arch(|arch| snapshot_digest(&catalog, arch));
     check("snapshot", &SNAPSHOT_DIGESTS, &actual);
 }
