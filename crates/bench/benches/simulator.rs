@@ -32,16 +32,9 @@ fn dependent_chain(catalog: &Catalog, len: usize) -> CodeSequence {
     seq
 }
 
-fn independent_alu(catalog: &Catalog, len: usize) -> CodeSequence {
-    let desc = variant_arc(catalog, "ADD", "R64, R64").unwrap();
-    let mut pool = RegisterPool::new();
-    uops_core::codegen::independent_copies(&desc, len, &mut pool).unwrap().into_iter().collect()
-}
-
-/// `len` independent copies of `PSHUFD XMM, XMM, I8`, whose only µop runs on
-/// the shuffle port (p5).
-fn single_port(catalog: &Catalog, len: usize) -> CodeSequence {
-    let desc = variant_arc(catalog, "PSHUFD", "XMM, XMM, I8").unwrap();
+/// `len` independent copies of one variant.
+fn independent(catalog: &Catalog, mnemonic: &str, variant: &str, len: usize) -> CodeSequence {
+    let desc = variant_arc(catalog, mnemonic, variant).unwrap();
     let mut pool = RegisterPool::new();
     uops_core::codegen::independent_copies(&desc, len, &mut pool).unwrap().into_iter().collect()
 }
@@ -53,8 +46,9 @@ fn bench_simulator(c: &mut Criterion) {
 
     for &len in &[64usize, 512] {
         let chain = dependent_chain(&catalog, len);
-        let independent = independent_alu(&catalog, len);
-        let saturating = single_port(&catalog, len);
+        let independent_alu = independent(&catalog, "ADD", "R64, R64", len);
+        // PSHUFD's only µop runs on the shuffle port (p5).
+        let single_port = independent(&catalog, "PSHUFD", "XMM, XMM, I8", len);
         for arch in [MicroArch::Nehalem, MicroArch::Skylake] {
             let sim = Pipeline::new(arch);
             group.bench_with_input(
@@ -64,12 +58,12 @@ fn bench_simulator(c: &mut Criterion) {
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("independent_alu_{}", arch.name()), len),
-                &independent,
+                &independent_alu,
                 |b, seq| b.iter(|| sim.execute(seq)),
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("single_port_{}", arch.name()), len),
-                &saturating,
+                &single_port,
                 |b, seq| b.iter(|| sim.execute(seq)),
             );
         }
