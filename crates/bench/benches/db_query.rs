@@ -11,8 +11,9 @@
 //! * **merge**: k-way merging of per-uarch segment shards.
 //!
 //! Besides the human-readable report, the run writes a machine-readable
-//! summary to `BENCH_db.json` (override the path with the `BENCH_DB_JSON`
-//! environment variable) for CI artifact upload, and asserts the headline
+//! summary, with the machine's core count, to `BENCH_db.json` (override
+//! the path with the `BENCH_DB_JSON` environment variable) for CI
+//! artifact upload, and asserts the headline
 //! acceptance numbers: segment open ≥ 10x faster than TLV open, and the
 //! galloping multi-filter query no slower than the legacy strategy.
 
@@ -235,11 +236,12 @@ fn bench_db_query(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"records\": {},\n  \"open_tlv_ns\": {:.0},\n  \"open_segment_ns\": {:.0},\n  \
+        "{{\n  \"cores\": {},\n  \"records\": {},\n  \"open_tlv_ns\": {:.0},\n  \"open_segment_ns\": {:.0},\n  \
          \"open_speedup\": {:.1},\n  \"query_multi_filter_ns\": {{\n    \"gallop\": {:.0},\n    \
          \"gallop_segment\": {:.0},\n    \"legacy_single_index\": {:.0}\n  }},\n  \"merge\": {{\n    \
          \"shards\": {},\n    \"records\": {},\n    \"ns\": {:.0},\n    \"records_per_sec\": {:.0}\n  \
          }}\n}}\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         db.len(),
         open_tlv_ns,
         open_segment_ns,

@@ -21,13 +21,11 @@
 //!   telemetry-off throughput. The report also extracts `/v1/query`
 //!   p50/p99 from the server's own latency histograms — the numbers a
 //!   scrape of `/metrics` would serve.
-//! * **reactor** (Linux only): the epoll transport against the
-//!   thread-per-connection fast lane, measured in interleaved paired
-//!   rounds, then a 10k-idle-keep-alive battery — the connections are
-//!   parked on the reactor's timer wheel while pipelined throughput is
-//!   re-measured through the crowd. Gates: reactor pipelined throughput
-//!   ≥ 1.0x the threaded transport; idle-connection memory (process RSS
-//!   delta / connections) bounded at 16 KiB per parked connection.
+//! * **reactor**: a 10k-idle-keep-alive battery — the connections are
+//!   parked on the shards' timer wheels while pipelined throughput is
+//!   re-measured through the crowd. Gate: idle-connection memory
+//!   (process RSS delta / connections) bounded at 16 KiB per parked
+//!   connection.
 //! * **swap**: zero-downtime generation swaps — sustained pipelined
 //!   cache-hit load while a swapper thread alternates two live segments
 //!   under a monotone generation counter (each swap flushes both cache
@@ -38,15 +36,17 @@
 //!   POST against the same 1000 as lockstep singles down one keep-alive
 //!   connection. Gate: amortized ns/plan in the batch ≤ 0.10x the
 //!   per-request cost of the singles.
-//! * **export** (Linux only): chunked-streaming memory ceiling — a
-//!   multi-tens-of-MB JSON export is drained through both transports
-//!   while the process RSS delta must stay ≤ 16 MiB (far below the body),
-//!   proving the export is emitted in bounded 64 KiB chunks.
+//! * **export**: chunked-streaming memory ceiling — a multi-tens-of-MB
+//!   JSON export is drained through the server while the process RSS
+//!   delta must stay ≤ 16 MiB (far below the body), proving the export
+//!   is emitted in bounded 64 KiB chunks.
 //!
+//! Every server here runs on epoll reactor shards, the only transport.
 //! Besides the human-readable report, the run writes a machine-readable
-//! summary to `BENCH_serve.json` (override with the `BENCH_SERVE_JSON`
-//! environment variable) for CI artifact upload; the repo root carries
-//! the committed numbers per PR so the trajectory is tracked in-tree.
+//! summary, with the machine's core count, to `BENCH_serve.json`
+//! (override with the `BENCH_SERVE_JSON` environment variable) for CI
+//! artifact upload; the repo root carries the committed numbers per PR
+//! so the trajectory is tracked in-tree.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -538,8 +538,7 @@ fn bench_serve(c: &mut Criterion) {
     let fast_lane_p99_ns = query_latency.quantile(0.99);
     assert!(query_latency.count() > 0, "the bench must have recorded query latencies");
 
-    // ---- reactor transport: paired throughput + the 10k-idle battery ----
-    #[cfg(target_os = "linux")]
+    // ---- reactor: the 10k-idle battery ----
     let reactor_json = {
         use std::time::Duration;
 
@@ -554,30 +553,11 @@ fn bench_serve(c: &mut Criterion) {
         };
         let reactor_service = Arc::new(QueryService::from_segment(Arc::clone(&segment), 64 << 20));
         let reactor_server =
-            Server::bind_reactor("127.0.0.1:0", reactor_service, REACTOR_SHARDS, reactor_options)
+            Server::bind_with("127.0.0.1:0", reactor_service, REACTOR_SHARDS, reactor_options)
                 .expect("bind reactor");
         let reactor_addr = reactor_server.local_addr();
         let reactor_metrics = reactor_server.metrics();
         let reactor_handle = reactor_server.spawn();
-
-        // Interleaved paired rounds against the (still running) threaded
-        // fast lane, same gate discipline as the batteries above.
-        let mut reactor_rounds = [0.0f64; MEASURE_ROUNDS];
-        let mut threaded_rounds = [0.0f64; MEASURE_ROUNDS];
-        for i in 0..MEASURE_ROUNDS {
-            threaded_rounds[i] = http_pipelined_rps(&addr, &hot_request, 60);
-            reactor_rounds[i] = http_pipelined_rps(&reactor_addr, &hot_request, 60);
-        }
-        let reactor_rps = best(&reactor_rounds);
-        let threaded_rps = best(&threaded_rounds);
-        let reactor_ratio = reactor_rps / threaded_rps.max(1.0);
-        let reactor_gate = reactor_ratio.max(best_paired_ratio(&reactor_rounds, &threaded_rounds));
-        assert!(
-            reactor_gate >= 1.0,
-            "the reactor must serve pipelined keep-alive traffic at least as fast as the \
-             thread-per-connection transport ({reactor_rps:.0} vs {threaded_rps:.0} req/s = \
-             {reactor_ratio:.2}x; best paired round {reactor_gate:.2}x)"
-        );
 
         // 10k idle keep-alive connections. Each costs two fds here (client
         // and server share the process), so raise the fd ceiling first and
@@ -585,19 +565,8 @@ fn bench_serve(c: &mut Criterion) {
         let limit = raise_nofile_limit(24_576);
         let idle_target = 10_000.min((limit.saturating_sub(512) / 2) as usize);
 
-        // Let the pipelined clients' dropped connections finish closing so
-        // the gauge is quiescent before idle connections count against it.
-        let settle_deadline = Instant::now() + Duration::from_secs(10);
-        let mut active_before = reactor_metrics.connections_active.get();
-        loop {
-            std::thread::sleep(Duration::from_millis(100));
-            let now_active = reactor_metrics.connections_active.get();
-            let settled = now_active == active_before;
-            active_before = now_active;
-            if settled || Instant::now() >= settle_deadline {
-                break;
-            }
-        }
+        // The server is fresh: nothing is connected yet.
+        let active_before = reactor_metrics.connections_active.get();
 
         let wait_active = |want: i64| {
             let deadline = Instant::now() + Duration::from_secs(30);
@@ -639,23 +608,17 @@ fn bench_serve(c: &mut Criterion) {
         reactor_handle.shutdown();
 
         println!(
-            "reactor: {reactor_rps:.0} req/s pipelined ({reactor_ratio:.2}x vs \
-             {threaded_rps:.0} threaded) | {idle_target} idle conns at \
-             {idle_bytes_per_conn} B RSS each | {reactor_rps_with_idle:.0} req/s \
-             through the idle crowd"
+            "reactor: {idle_target} idle conns at {idle_bytes_per_conn} B RSS each | \
+             {reactor_rps_with_idle:.0} req/s through the idle crowd"
         );
         format!(
             ",\n  \"reactor\": {{\n    \"shards\": {REACTOR_SHARDS},\n    \
-             \"requests_per_sec_pipelined\": {reactor_rps:.0},\n    \
-             \"ratio_vs_thread_per_connection\": {reactor_ratio:.2},\n    \
              \"idle_connections\": {idle_target},\n    \
              \"idle_rss_delta_bytes\": {idle_rss_delta},\n    \
              \"idle_bytes_per_connection\": {idle_bytes_per_conn},\n    \
              \"requests_per_sec_with_idle\": {reactor_rps_with_idle:.0}\n  }}"
         )
     };
-    #[cfg(not(target_os = "linux"))]
-    let reactor_json = String::new();
 
     handle.shutdown();
     quiet_handle.shutdown();
@@ -717,11 +680,12 @@ fn bench_serve(c: &mut Criterion) {
 
     // Each flooder pipelines batches of distinct (never-repeated, so
     // never-cached) plans down one connection. The two lanes fire each
-    // batch through a shared barrier, so every cycle two server workers
-    // wake with a batch each and contend for the single execution slot:
-    // the batch is sized to outlast a scheduler tick, the kernel
-    // interleaves the two workers mid-batch, and whichever worker finds
-    // the slot taken sheds its requests with the cheap preformatted 503.
+    // batch through a shared barrier, so every cycle the shards owning
+    // the two connections wake with a batch each and contend for the
+    // single execution slot: the batch is sized to outlast a scheduler
+    // tick, the kernel interleaves the two shards mid-batch, and whichever
+    // shard finds the slot taken sheds its requests with the cheap
+    // preformatted 503.
     // The pacing sleep bounds the flood's CPU theft — the gate measures
     // whether *shedding* protects the cached tier, not whether the host
     // has spare cores to absorb an unthrottled flood (the bench
@@ -1069,7 +1033,6 @@ fn bench_serve(c: &mut Criterion) {
     );
 
     // ---- export: chunked streaming keeps memory bounded ----
-    #[cfg(target_os = "linux")]
     let export_json = {
         use uops_serve::net::rss_bytes;
 
@@ -1124,63 +1087,37 @@ fn bench_serve(c: &mut Criterion) {
         };
 
         const EXPORT_RSS_CEILING: u64 = 16 << 20;
-        let pool_export = Server::bind(
+        let export_server = Server::bind(
             "127.0.0.1:0",
             Arc::new(QueryService::from_segment(Arc::clone(&export_segment), 1 << 20)),
             1,
         )
-        .expect("bind export pool");
-        let pool_export_addr = pool_export.local_addr();
-        let pool_export_handle = pool_export.spawn();
-        let (export_bytes, pool_export_delta, pool_chunked) = drain(&pool_export_addr);
-        pool_export_handle.shutdown();
+        .expect("bind export");
+        let export_addr = export_server.local_addr();
+        let export_handle = export_server.spawn();
+        let (export_bytes, export_delta, chunked) = drain(&export_addr);
+        export_handle.shutdown();
 
-        let reactor_export = Server::bind_reactor(
-            "127.0.0.1:0",
-            Arc::new(QueryService::from_segment(Arc::clone(&export_segment), 1 << 20)),
-            1,
-            ServerOptions::default(),
-        )
-        .expect("bind export reactor");
-        let reactor_export_addr = reactor_export.local_addr();
-        let reactor_export_handle = reactor_export.spawn();
-        let (reactor_export_bytes, reactor_export_delta, reactor_chunked) =
-            drain(&reactor_export_addr);
-        reactor_export_handle.shutdown();
-
-        assert!(pool_chunked, "the pool transport must stream the export chunked");
-        assert!(reactor_chunked, "the reactor transport must stream the export chunked");
+        assert!(chunked, "the export must stream chunked");
         assert!(
             export_bytes > 2 * EXPORT_RSS_CEILING,
             "test premise: the export ({export_bytes} B) must dwarf the RSS ceiling"
         );
         assert!(
-            reactor_export_bytes > 2 * EXPORT_RSS_CEILING,
-            "test premise: the reactor export ({reactor_export_bytes} B) must dwarf the ceiling"
-        );
-        assert!(
-            pool_export_delta <= EXPORT_RSS_CEILING,
-            "streaming a {export_bytes}-byte export through the pool transport must stay \
-             under {EXPORT_RSS_CEILING} B of RSS growth, grew {pool_export_delta} B"
-        );
-        assert!(
-            reactor_export_delta <= EXPORT_RSS_CEILING,
-            "streaming a {reactor_export_bytes}-byte export through the reactor must stay \
-             under {EXPORT_RSS_CEILING} B of RSS growth, grew {reactor_export_delta} B"
+            export_delta <= EXPORT_RSS_CEILING,
+            "streaming a {export_bytes}-byte export must stay under {EXPORT_RSS_CEILING} B \
+             of RSS growth, grew {export_delta} B"
         );
         println!(
-            "export:  {export_bytes} B chunked | RSS delta {pool_export_delta} B (pool), \
-             {reactor_export_delta} B (reactor), ceiling {EXPORT_RSS_CEILING} B"
+            "export:  {export_bytes} B chunked | RSS delta {export_delta} B, ceiling \
+             {EXPORT_RSS_CEILING} B"
         );
         format!(
             ",\n  \"export\": {{\n    \"body_bytes\": {export_bytes},\n    \
-             \"rss_delta_pool_bytes\": {pool_export_delta},\n    \
-             \"rss_delta_reactor_bytes\": {reactor_export_delta},\n    \
+             \"rss_delta_bytes\": {export_delta},\n    \
              \"rss_ceiling_bytes\": {EXPORT_RSS_CEILING}\n  }}"
         )
     };
-    #[cfg(not(target_os = "linux"))]
-    let export_json = String::new();
 
     println!(
         "\nservice: uncached {uncached_ns:.0} ns | wire hit {wire_hit_ns:.0} ns | plan hit \
@@ -1202,8 +1139,9 @@ fn bench_serve(c: &mut Criterion) {
          single ({batch_amortization:.3}x amortized over {BATCH_PLANS} plans)"
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"records\": {records},\n  \"service\": {{\n    \"uncached_ns\": {uncached_ns:.0},\n    \
+        "{{\n  \"cores\": {cores},\n  \"records\": {records},\n  \"service\": {{\n    \"uncached_ns\": {uncached_ns:.0},\n    \
          \"fingerprint_hit_wire_ns\": {wire_hit_ns:.0},\n    \
          \"fingerprint_hit_plan_ns\": {cached_ns:.0},\n    \
          \"raw_fast_lane_hit_ns\": {raw_hit_ns:.0},\n    \

@@ -1,9 +1,7 @@
 //! # uops-pool
 //!
 //! A small, dependency-free, work-stealing scoped thread pool for the
-//! embarrassingly parallel sweeps of the characterization engine — plus a
-//! long-lived [`TaskPool`] worker loop for continuously arriving work
-//! (the accept/worker loop of the `uops-serve` HTTP server).
+//! embarrassingly parallel sweeps of the characterization engine.
 //!
 //! The paper's tool characterizes >13,000 instruction variants per
 //! microarchitecture; each variant's microbenchmarks are independent once
@@ -42,12 +40,9 @@
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::Mutex;
 
-use uops_telemetry::{saturating_ns, Counter, Gauge, Histogram};
+use uops_telemetry::Counter;
 
 /// Chunks taken from *another* worker's deque since process start, across
 /// all [`parallel_map_indexed`] sweeps. Stealing is transient (the deques
@@ -61,36 +56,6 @@ static STEALS: Counter = Counter::new();
 #[must_use]
 pub fn steals_counter() -> &'static Counter {
     &STEALS
-}
-
-/// Scheduling telemetry for a [`TaskPool`], recorded wait-free by the
-/// workers when the pool is built with [`TaskPool::with_metrics`].
-///
-/// All fields are live atomics from `uops-telemetry`, safe to borrow into a
-/// `Registry` for exposition while the pool is running.
-#[derive(Debug, Default)]
-pub struct TaskPoolMetrics {
-    /// Tasks submitted but not yet picked up by a worker.
-    pub queue_depth: Gauge,
-    /// Nanoseconds each task spent queued before a worker picked it up.
-    pub wait_ns: Histogram,
-    /// Nanoseconds each task spent executing (panicking tasks included).
-    pub run_ns: Histogram,
-    /// Total tasks executed to completion (or panic) by the workers.
-    pub executed: Counter,
-}
-
-impl TaskPoolMetrics {
-    /// Creates zeroed metrics. `const`, so the set can live in a `static`.
-    #[must_use]
-    pub const fn new() -> TaskPoolMetrics {
-        TaskPoolMetrics {
-            queue_depth: Gauge::new(),
-            wait_ns: Histogram::new(),
-            run_ns: Histogram::new(),
-            executed: Counter::new(),
-        }
-    }
 }
 
 /// How much parallelism a sweep may use.
@@ -282,241 +247,6 @@ where
     out
 }
 
-/// A boxed unit of work for a [`TaskPool`].
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// A submitted task plus its enqueue instant (for queue-wait telemetry).
-struct Job {
-    run: Task,
-    enqueued: Instant,
-}
-
-struct TaskQueue {
-    tasks: Mutex<TaskQueueState>,
-    available: Condvar,
-    metrics: Option<Arc<TaskPoolMetrics>>,
-    /// Maximum queued (not yet picked up) tasks admitted by
-    /// [`TaskPool::try_execute`]; `0` means unbounded. [`TaskPool::execute`]
-    /// ignores the limit.
-    queue_limit: usize,
-}
-
-struct TaskQueueState {
-    pending: VecDeque<Job>,
-    shutting_down: bool,
-}
-
-/// A **long-lived** worker pool for services: submitted tasks are consumed
-/// by a fixed set of named threads that live until [`TaskPool::shutdown`]
-/// (or drop).
-///
-/// Where [`parallel_map_indexed`] is the fork-join substrate for bounded
-/// sweeps — all work known up front, caller blocks until done — `TaskPool`
-/// is the serving substrate: work arrives continuously (one task per
-/// accepted connection in `uops-serve`), callers never block, and the
-/// workers survive across tasks so steady-state dispatch costs one
-/// lock + wakeup, not a thread spawn.
-///
-/// A panicking task is caught and does not kill its worker (a malformed
-/// request must not take down the server); the panic payload is dropped
-/// and the worker moves on. Shutdown drains: tasks already submitted run
-/// to completion before the workers exit.
-///
-/// ## Example
-///
-/// ```rust
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
-///
-/// let pool = uops_pool::TaskPool::new(2, "doc-worker");
-/// let hits = Arc::new(AtomicUsize::new(0));
-/// for _ in 0..8 {
-///     let hits = Arc::clone(&hits);
-///     pool.execute(move || {
-///         hits.fetch_add(1, Ordering::Relaxed);
-///     });
-/// }
-/// pool.shutdown();
-/// assert_eq!(hits.load(Ordering::Relaxed), 8);
-/// ```
-pub struct TaskPool {
-    queue: Arc<TaskQueue>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for TaskPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskPool")
-            .field("threads", &self.workers.len())
-            .field("pending", &self.pending())
-            .finish()
-    }
-}
-
-impl TaskPool {
-    /// Spawns `threads` workers (clamped to at least 1) named
-    /// `"{name}-{index}"`.
-    #[must_use]
-    pub fn new(threads: usize, name: &str) -> TaskPool {
-        TaskPool::build(threads, name, None, 0)
-    }
-
-    /// Like [`TaskPool::new`], but the workers record queue depth, task
-    /// wait time, and task run time into `metrics`. Recording is wait-free
-    /// and allocation-free; the caller keeps (a clone of) the `Arc` to read
-    /// or expose the metrics.
-    #[must_use]
-    pub fn with_metrics(threads: usize, name: &str, metrics: Arc<TaskPoolMetrics>) -> TaskPool {
-        TaskPool::build(threads, name, Some(metrics), 0)
-    }
-
-    /// Like [`TaskPool::with_metrics`] (pass `None` for no telemetry), but
-    /// [`TaskPool::try_execute`] rejects new tasks while `queue_limit` tasks
-    /// are already queued. `queue_limit == 0` means unbounded. The limit
-    /// bounds *waiting* work only — tasks already running do not count — so
-    /// total admitted concurrency is `threads + queue_limit`.
-    #[must_use]
-    pub fn with_queue_limit(
-        threads: usize,
-        name: &str,
-        metrics: Option<Arc<TaskPoolMetrics>>,
-        queue_limit: usize,
-    ) -> TaskPool {
-        TaskPool::build(threads, name, metrics, queue_limit)
-    }
-
-    fn build(
-        threads: usize,
-        name: &str,
-        metrics: Option<Arc<TaskPoolMetrics>>,
-        queue_limit: usize,
-    ) -> TaskPool {
-        let threads = threads.max(1);
-        let queue = Arc::new(TaskQueue {
-            tasks: Mutex::new(TaskQueueState { pending: VecDeque::new(), shutting_down: false }),
-            available: Condvar::new(),
-            metrics,
-            queue_limit,
-        });
-        let workers = (0..threads)
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || worker_loop(&queue))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        TaskPool { queue, workers }
-    }
-
-    /// The number of worker threads.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Number of tasks submitted but not yet picked up by a worker.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.tasks.lock().expect("task queue mutex").pending.len()
-    }
-
-    /// Submits a task. Never blocks; tasks run in submission order per
-    /// worker pick-up. Tasks submitted after [`TaskPool::shutdown`] began
-    /// are silently dropped.
-    pub fn execute(&self, task: impl FnOnce() + Send + 'static) {
-        {
-            let mut state = self.queue.tasks.lock().expect("task queue mutex");
-            if state.shutting_down {
-                return;
-            }
-            state.pending.push_back(Job { run: Box::new(task), enqueued: Instant::now() });
-        }
-        if let Some(metrics) = &self.queue.metrics {
-            metrics.queue_depth.inc();
-        }
-        self.queue.available.notify_one();
-    }
-
-    /// Submits a task *if the queue has room*, returning whether it was
-    /// accepted. Never blocks. Returns `false` — without boxing the task or
-    /// allocating at all — when the pool was built with a queue limit
-    /// ([`TaskPool::with_queue_limit`]) and that many tasks are already
-    /// waiting, or when shutdown has begun. This is the admission-control
-    /// entry point: callers shed load on `false` instead of growing an
-    /// unbounded backlog.
-    #[must_use]
-    pub fn try_execute(&self, task: impl FnOnce() + Send + 'static) -> bool {
-        {
-            let mut state = self.queue.tasks.lock().expect("task queue mutex");
-            if state.shutting_down {
-                return false;
-            }
-            if self.queue.queue_limit > 0 && state.pending.len() >= self.queue.queue_limit {
-                return false;
-            }
-            state.pending.push_back(Job { run: Box::new(task), enqueued: Instant::now() });
-        }
-        if let Some(metrics) = &self.queue.metrics {
-            metrics.queue_depth.inc();
-        }
-        self.queue.available.notify_one();
-        true
-    }
-
-    /// Drains the queue and joins all workers: every task submitted before
-    /// the call runs to completion first.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        self.queue.tasks.lock().expect("task queue mutex").shutting_down = true;
-        self.queue.available.notify_all();
-    }
-}
-
-impl Drop for TaskPool {
-    fn drop(&mut self) {
-        self.begin_shutdown();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn worker_loop(queue: &TaskQueue) {
-    loop {
-        let job = {
-            let mut state = queue.tasks.lock().expect("task queue mutex");
-            loop {
-                if let Some(job) = state.pending.pop_front() {
-                    break job;
-                }
-                if state.shutting_down {
-                    return;
-                }
-                state = queue.available.wait(state).expect("task queue mutex");
-            }
-        };
-        if let Some(metrics) = &queue.metrics {
-            metrics.queue_depth.dec();
-            metrics.wait_ns.record(saturating_ns(job.enqueued.elapsed()));
-            let started = Instant::now();
-            // A panicking task must not take its worker down with it.
-            let _ = catch_unwind(AssertUnwindSafe(job.run));
-            metrics.run_ns.record(saturating_ns(started.elapsed()));
-            metrics.executed.inc();
-        } else {
-            let _ = catch_unwind(AssertUnwindSafe(job.run));
-        }
-    }
-}
-
 /// Maps `f` over a slice, returning results in input order. Convenience
 /// wrapper around [`parallel_map_indexed`].
 pub fn parallel_map<T, U, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<U>
@@ -633,110 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn task_pool_runs_every_task() {
-        use std::sync::Arc;
-        let pool = TaskPool::new(4, "test-worker");
-        assert_eq!(pool.threads(), 4);
-        let hits: Arc<Vec<AtomicUsize>> = Arc::new((0..257).map(|_| AtomicUsize::new(0)).collect());
-        for i in 0..hits.len() {
-            let hits = Arc::clone(&hits);
-            pool.execute(move || {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.shutdown();
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "task {i}");
-        }
-    }
-
-    #[test]
-    fn task_pool_survives_panicking_tasks() {
-        use std::sync::Arc;
-        let pool = TaskPool::new(1, "panic-worker");
-        let after = Arc::new(AtomicUsize::new(0));
-        pool.execute(|| panic!("request handler exploded"));
-        let after2 = Arc::clone(&after);
-        pool.execute(move || {
-            after2.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.shutdown();
-        assert_eq!(after.load(Ordering::Relaxed), 1, "worker must outlive the panic");
-    }
-
-    #[test]
-    fn task_pool_shutdown_drains_then_drops_new_tasks() {
-        use std::sync::Arc;
-        let pool = TaskPool::new(2, "drain-worker");
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..64 {
-            let ran = Arc::clone(&ran);
-            pool.execute(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.begin_shutdown();
-        let late = Arc::clone(&ran);
-        pool.execute(move || {
-            late.fetch_add(1000, Ordering::Relaxed);
-        });
-        pool.shutdown();
-        assert_eq!(ran.load(Ordering::Relaxed), 64, "pre-shutdown tasks drain, late ones drop");
-    }
-
-    #[test]
-    fn try_execute_rejects_past_the_queue_limit_and_recovers() {
-        use std::sync::mpsc;
-        use std::sync::Arc;
-        // One worker, parked on a gate, so queued tasks pile up
-        // deterministically.
-        let pool = TaskPool::with_queue_limit(1, "bounded-worker", None, 2);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let (parked_tx, parked_rx) = mpsc::channel::<()>();
-        assert!(pool.try_execute(move || {
-            parked_tx.send(()).expect("signal parked");
-            gate_rx.recv().expect("gate");
-        }));
-        parked_rx.recv().expect("worker parked");
-
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..2 {
-            let ran = Arc::clone(&ran);
-            assert!(pool.try_execute(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        // Queue is now at its limit of 2: admission must reject, and the
-        // rejected closure must simply be dropped, never run.
-        let overflow = Arc::clone(&ran);
-        assert!(!pool.try_execute(move || {
-            overflow.fetch_add(1000, Ordering::Relaxed);
-        }));
-        assert_eq!(pool.pending(), 2);
-
-        // Release the worker; the queue drains and admission recovers.
-        gate_tx.send(()).expect("open gate");
-        while pool.pending() > 0 {
-            std::thread::yield_now();
-        }
-        let late = Arc::clone(&ran);
-        assert!(pool.try_execute(move || {
-            late.fetch_add(10, Ordering::Relaxed);
-        }));
-        pool.shutdown();
-        assert_eq!(ran.load(Ordering::Relaxed), 12, "2 queued + 1 late ran; the reject never did");
-    }
-
-    #[test]
-    fn try_execute_is_unbounded_when_the_limit_is_zero() {
-        let pool = TaskPool::with_queue_limit(1, "unbounded-worker", None, 0);
-        for _ in 0..256 {
-            assert!(pool.try_execute(|| {}));
-        }
-        pool.shutdown();
-    }
-
-    #[test]
     fn steal_front_increments_the_process_steal_counter() {
         let deque = ChunkDeque::new();
         deque.push(0..4);
@@ -748,46 +374,6 @@ mod tests {
         assert_eq!(deque.pop_back(), Some(4..8));
         assert_eq!(deque.steal_front(), None);
         assert_eq!(steals_counter().get(), before + 1);
-    }
-
-    #[test]
-    fn task_pool_metrics_track_every_task() {
-        use std::sync::Arc;
-        let metrics = Arc::new(TaskPoolMetrics::new());
-        let pool = TaskPool::with_metrics(2, "metric-worker", Arc::clone(&metrics));
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..32 {
-            let ran = Arc::clone(&ran);
-            pool.execute(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.shutdown();
-        assert_eq!(ran.load(Ordering::Relaxed), 32);
-        assert_eq!(metrics.executed.get(), 32);
-        assert_eq!(metrics.wait_ns.count(), 32);
-        assert_eq!(metrics.run_ns.count(), 32);
-        assert_eq!(metrics.queue_depth.get(), 0, "drained pool has no queued tasks");
-    }
-
-    #[test]
-    fn task_pool_metrics_count_panicking_tasks() {
-        use std::sync::Arc;
-        let metrics = Arc::new(TaskPoolMetrics::new());
-        let pool = TaskPool::with_metrics(1, "metric-panic-worker", Arc::clone(&metrics));
-        pool.execute(|| panic!("boom"));
-        pool.execute(|| {});
-        pool.shutdown();
-        assert_eq!(metrics.executed.get(), 2, "panicking tasks still count as executed");
-        assert_eq!(metrics.run_ns.count(), 2);
-        assert_eq!(metrics.queue_depth.get(), 0);
-    }
-
-    #[test]
-    fn task_pool_clamps_zero_threads() {
-        let pool = TaskPool::new(0, "clamp-worker");
-        assert_eq!(pool.threads(), 1);
-        drop(pool);
     }
 
     #[test]

@@ -2,11 +2,17 @@
 //!
 //! ```text
 //! serve --segment uops.seg [--addr 127.0.0.1:8080] [--threads N] [--cache-mb 64]
-//!       [--mmap] [--no-telemetry] [--access-log[=EVERY_N]] [--reactor[=SHARDS]]
-//!       [--max-inflight N] [--queue-depth N] [--deadline-ms MS] [--max-uncached N]
-//!       [--drain-timeout SECS] [--max-body BYTES] [--stream-threshold ROWS]
-//!       [--data-dir DIR]
+//!       [--mmap] [--no-telemetry] [--access-log[=EVERY_N]] [--max-inflight N]
+//!       [--deadline-ms MS] [--max-uncached N] [--drain-timeout SECS]
+//!       [--max-body BYTES] [--stream-threshold ROWS] [--data-dir DIR]
 //! ```
+//!
+//! The server runs `--threads N` epoll reactor shards (default: the CPU
+//! count). Each shard is one thread with its own `SO_REUSEPORT` listener
+//! and serves the connections the kernel hands it; a request — an
+//! uncached query included — is answered inline on the shard that owns
+//! its connection. Only an ingest's publish runs on a separate thread,
+//! so reads keep flowing while it fsyncs. Linux only.
 //!
 //! `--data-dir DIR` turns on the live data plane: `DIR` holds a durable
 //! generation store (`MANIFEST` + `gen-N.seg` images). If `DIR` already
@@ -37,23 +43,15 @@
 //! `--access-log` writes one JSON line per request to stderr;
 //! `--access-log=100` samples every 100th request.
 //!
-//! `--reactor` (Linux only) swaps the thread-per-connection transport for
-//! the event-driven epoll reactor: `--reactor=4` runs 4 acceptor shards
-//! (each an epoll event loop with its own `SO_REUSEPORT` listener); bare
-//! `--reactor` sizes the shard count to the CPU count. Use it when the
-//! workload is many concurrent, mostly idle keep-alive connections; the
-//! default transport remains the better fit for a few busy ones.
-//!
 //! Overload controls (all off by default): `--max-inflight N` caps live
 //! connections (rejects with a static `503` + `Retry-After` past it),
-//! `--queue-depth N` caps connections queued for a pool worker,
 //! `--deadline-ms MS` arms a per-request budget that sheds *uncached*
 //! work when exceeded (cache hits keep serving), and `--max-uncached N`
 //! caps concurrent uncached executions the same way.
 //!
-//! On Linux, `SIGTERM`/`SIGINT` trigger a graceful drain: stop
-//! accepting, finish in-flight requests, exit 0. `--drain-timeout SECS`
-//! (default 5) bounds the drain before a hard stop.
+//! `SIGTERM`/`SIGINT` trigger a graceful drain: stop accepting, finish
+//! in-flight requests, exit 0. `--drain-timeout SECS` (default 5) bounds
+//! the drain before a hard stop.
 
 use std::io::Write as _;
 use std::sync::Arc;
@@ -66,16 +64,15 @@ use uops_serve::{AccessLog, QueryService, Server, ServerOptions};
 const SPEC: CliSpec<'static> = CliSpec {
     name: "serve",
     usage: "serve --segment PATH [--addr HOST:PORT] [--threads N] [--cache-mb MB] [--mmap] \
-            [--no-telemetry] [--access-log[=EVERY_N]] [--reactor[=SHARDS]] [--max-inflight N] \
-            [--queue-depth N] [--deadline-ms MS] [--max-uncached N] [--drain-timeout SECS] \
-            [--max-body BYTES] [--stream-threshold ROWS] [--data-dir DIR]",
+            [--no-telemetry] [--access-log[=EVERY_N]] [--max-inflight N] [--deadline-ms MS] \
+            [--max-uncached N] [--drain-timeout SECS] [--max-body BYTES] \
+            [--stream-threshold ROWS] [--data-dir DIR]",
     value_flags: &[
         "--segment",
         "--addr",
         "--threads",
         "--cache-mb",
         "--max-inflight",
-        "--queue-depth",
         "--deadline-ms",
         "--max-uncached",
         "--drain-timeout",
@@ -84,7 +81,7 @@ const SPEC: CliSpec<'static> = CliSpec {
         "--data-dir",
     ],
     bool_flags: &["--mmap", "--no-telemetry"],
-    optional_value_flags: &["--access-log", "--reactor"],
+    optional_value_flags: &["--access-log"],
     max_positional: 0,
 };
 
@@ -104,30 +101,9 @@ fn open_segment(path: &str, use_mmap: bool) -> Result<Segment, uops_db::DbError>
     Segment::open(path)
 }
 
-/// Binds the selected transport: the thread-per-connection pool by
-/// default, the epoll reactor when `--reactor` asked for it (Linux only —
-/// elsewhere the flag exits with usage status, like other unsupported
-/// build-dependent flags).
-fn bind_transport(
-    addr: &str,
-    service: Arc<QueryService>,
-    threads: usize,
-    reactor_shards: Option<usize>,
-    options: ServerOptions,
-) -> std::io::Result<Server> {
-    match reactor_shards {
-        None => Server::bind_with(addr, service, threads, options),
-        #[cfg(target_os = "linux")]
-        Some(shards) => Server::bind_reactor(addr, service, shards, options),
-        #[cfg(not(target_os = "linux"))]
-        Some(_) => {
-            eprintln!("serve: --reactor requires Linux (epoll)");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
+    // Before any thread starts: the shards share one malloc arena.
+    uops_serve::net::share_one_malloc_arena();
     let args = SPEC.parse_or_exit();
     let Some(segment_path) = args.value("--segment") else {
         SPEC.exit_usage("--segment is required");
@@ -163,20 +139,7 @@ fn main() {
         None
     };
 
-    let reactor_shards = if args.flag("--reactor") {
-        match args.parsed_value::<usize>("--reactor") {
-            Ok(shards) => Some(shards.unwrap_or_else(|| Parallelism::Auto.thread_count()).max(1)),
-            Err(message) => SPEC.exit_usage(&message),
-        }
-    } else {
-        None
-    };
-
     let max_inflight = match args.parsed_value::<usize>("--max-inflight") {
-        Ok(n) => n.unwrap_or(0),
-        Err(message) => SPEC.exit_usage(&message),
-    };
-    let queue_depth = match args.parsed_value::<usize>("--queue-depth") {
         Ok(n) => n.unwrap_or(0),
         Err(message) => SPEC.exit_usage(&message),
     };
@@ -263,13 +226,12 @@ fn main() {
         no_telemetry,
         access_log,
         max_inflight,
-        queue_depth,
         request_deadline,
         max_body,
         ingest_store,
         ..ServerOptions::default()
     };
-    let server = match bind_transport(addr, service, threads, reactor_shards, options) {
+    let server = match Server::bind_with(addr, service, threads, options) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("serve: cannot bind {addr}: {e}");
@@ -280,13 +242,9 @@ fn main() {
     // the first line and close the pipe, and an EPIPE here must not take
     // the server down before it serves a single request.
     let mut stdout = std::io::stdout();
-    let concurrency = match reactor_shards {
-        Some(shards) => format!("reactor x{shards} shards"),
-        None => format!("{threads} threads"),
-    };
     let _ = writeln!(
         stdout,
-        "listening on http://{} ({records} records, {concurrency}, {cache_mb} MiB cache)",
+        "listening on http://{} ({records} records, {threads} shards, {cache_mb} MiB cache)",
         server.local_addr()
     );
     if server.telemetry_enabled() {
@@ -300,10 +258,9 @@ fn main() {
 }
 
 /// Runs the server, draining gracefully on `SIGTERM`/`SIGINT`: the
-/// accept loop moves to a background thread while main blocks on the
+/// shards move to background threads while main blocks on the
 /// self-pipe; on signal, stop accepting, finish in-flight requests up to
 /// `drain_timeout`, exit 0.
-#[cfg(target_os = "linux")]
 fn run_until_signalled(server: Server, drain_timeout: std::time::Duration) {
     use uops_serve::net::{SignalPipe, SIGINT, SIGTERM};
     let mut pipe = match SignalPipe::install() {
@@ -322,9 +279,4 @@ fn run_until_signalled(server: Server, drain_timeout: std::time::Duration) {
     };
     eprintln!("serve: {name} received, draining (up to {} s)", drain_timeout.as_secs());
     handle.shutdown_graceful(drain_timeout);
-}
-
-#[cfg(not(target_os = "linux"))]
-fn run_until_signalled(server: Server, _drain_timeout: std::time::Duration) {
-    server.run();
 }

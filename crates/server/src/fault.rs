@@ -1,11 +1,10 @@
 //! Deterministic fault injection for the transport's syscall edges.
 //!
 //! The error paths that matter in production — `EMFILE` on accept,
-//! `ECONNRESET` mid-response, short and would-block writes to a stalled
-//! peer — are exactly the ones the kernel only produces under real
-//! resource pressure, so they are untestable by normal means. This module
-//! routes the transport's accept/read/write edges through an injectable
-//! shim:
+//! `ECONNRESET` mid-response, short writes — are exactly the ones the
+//! kernel only produces under real resource pressure, so they are
+//! untestable by normal means. This module routes the transport's
+//! accept/read/write edges through an injectable shim:
 //!
 //! - **Feature off (the default):** every function is a `#[inline]`
 //!   passthrough to the underlying socket operation. No queues, no locks,
@@ -19,8 +18,7 @@
 //!   same operation every run, with no sleeps or kernel cooperation.
 //!
 //! The script is process-global, so chaos tests serialize themselves
-//! (single connection, one worker/shard) to keep consumption
-//! deterministic.
+//! (single connection, one shard) to keep consumption deterministic.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -144,8 +142,6 @@ mod enabled {
     /// One scripted fault for a read call.
     #[derive(Debug, Clone, Copy)]
     pub enum ReadFault {
-        /// Return `WouldBlock` without touching the socket.
-        WouldBlock,
         /// Return `ECONNRESET` without touching the socket.
         Reset,
         /// Return `Ok(0)` (peer closed) without touching the socket.
@@ -158,8 +154,6 @@ mod enabled {
         /// Deliver at most this many bytes of the requested buffer to the
         /// real socket (a genuine short write: the bytes do go out).
         Short(usize),
-        /// Return `WouldBlock` without writing anything.
-        WouldBlock,
         /// Return `ECONNRESET` without writing anything.
         Reset,
     }
@@ -300,7 +294,6 @@ mod enabled {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             match next_read() {
                 None => self.0.read(buf),
-                Some(ReadFault::WouldBlock) => Err(io::Error::from(io::ErrorKind::WouldBlock)),
                 Some(ReadFault::Reset) => Err(io::Error::from_raw_os_error(ECONNRESET)),
                 Some(ReadFault::Eof) => Ok(0),
             }
@@ -318,7 +311,6 @@ mod enabled {
                     }
                     self.0.write(&buf[..take])
                 }
-                Some(WriteFault::WouldBlock) => Err(io::Error::from(io::ErrorKind::WouldBlock)),
                 Some(WriteFault::Reset) => Err(io::Error::from_raw_os_error(ECONNRESET)),
             }
         }
@@ -338,7 +330,6 @@ mod enabled {
                             }
                             self.0.write(&first[..take])
                         }
-                        WriteFault::WouldBlock => Err(io::Error::from(io::ErrorKind::WouldBlock)),
                         WriteFault::Reset => Err(io::Error::from_raw_os_error(ECONNRESET)),
                     }
                 }

@@ -18,7 +18,7 @@
 //! * [`ResponseBuf`] owns a reusable header scratch; response heads are
 //!   assembled from precomputed static fragments (status lines, header
 //!   names) plus stack-formatted integers, and head + body are handed to
-//!   the socket in a **single vectored write** ([`write_all_vectored`])
+//!   the socket in a **single vectored write** ([`write_resumable`])
 //!   instead of multiple small writes.
 //!
 //! The parser never allocates proportionally to attacker-controlled
@@ -213,28 +213,6 @@ impl RequestBuf {
         out.extend_from_slice(&self.buf[head_len..head_len + moved]);
         self.consume(head_len + moved);
         moved
-    }
-
-    /// Blocking-transport body read: [`RequestBuf::take_body`] then
-    /// `read_exact` for the remainder, so `out` ends up holding exactly
-    /// `len` body bytes and the buffer holds only pipelined follow-ups.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket read failures (including EOF mid-body).
-    pub fn read_body(
-        &mut self,
-        stream: &mut impl Read,
-        head_len: usize,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) -> io::Result<()> {
-        out.clear();
-        out.reserve(len);
-        let moved = self.take_body(head_len, len, out);
-        let start = out.len();
-        out.resize(start + (len - moved), 0);
-        stream.read_exact(&mut out[start..])
     }
 }
 
@@ -462,22 +440,6 @@ pub fn write_resumable(
     Ok(WriteProgress::Complete)
 }
 
-/// Writes all of `head` then `body` ([`write_resumable`] driven to
-/// completion): the blocking-transport entry point. A `WouldBlock` —
-/// possible on a blocking socket under a send timeout — is retried from
-/// the partial-write cursor rather than erroring the connection mid-
-/// response, and `EINTR` never surfaces.
-///
-/// # Errors
-///
-/// Propagates socket write failures; a zero-length write is reported as
-/// [`io::ErrorKind::WriteZero`].
-pub fn write_all_vectored(writer: &mut impl Write, head: &[u8], body: &[u8]) -> io::Result<()> {
-    let mut cursor = 0;
-    while write_resumable(writer, head, body, &mut cursor)? == WriteProgress::Pending {}
-    Ok(())
-}
-
 /// Everything that frames one response besides the body bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct ResponseHead<'a> {
@@ -513,37 +475,14 @@ impl ResponseBuf {
         ResponseBuf { head: Vec::with_capacity(256) }
     }
 
-    /// Writes one `Content-Length`-delimited response (or, for status
-    /// 304, a headers-only response without `Content-Length`, per RFC
-    /// 7232 — pass the 200 response's `etag` so the client can revalidate).
-    ///
-    /// `body` supplies `Content-Length` in all modes; [`BodyMode`] decides
-    /// whether the bytes themselves go on the wire (`HEAD` gets the
-    /// headers of the corresponding `GET` with no body).
-    ///
-    /// Returns the number of bytes put on the wire (head plus whatever
-    /// body the mode emitted) — the transport's response-byte telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn write_response(
-        &mut self,
-        writer: &mut impl Write,
-        head: &ResponseHead<'_>,
-        body: &[u8],
-    ) -> io::Result<usize> {
-        let emit = self.assemble(head, body.len());
-        write_all_vectored(writer, &self.head, &body[..emit])?;
-        Ok(self.head.len() + emit)
-    }
-
-    /// Builds the response head in the scratch **without writing**,
-    /// returning how many of the `body_len` body bytes belong on the wire
-    /// (0 for `HEAD` and 304; `body_len` supplies `Content-Length` either
-    /// way). A non-blocking transport assembles once, then drains
-    /// [`ResponseBuf::head_bytes`] + body via [`write_resumable`] across
-    /// however many writable events it takes.
+    /// Builds a `Content-Length`-delimited response head in the scratch
+    /// **without writing** (for status 304, a headers-only head without
+    /// `Content-Length`, per RFC 7232 — pass the 200 response's `etag` so
+    /// the client can revalidate), returning how many of the `body_len`
+    /// body bytes belong on the wire: 0 for `HEAD` ([`BodyMode`]) and
+    /// 304, whose heads still carry the `GET` framing. The transport
+    /// assembles once, then drains [`ResponseBuf::head_bytes`] + body via
+    /// [`write_resumable`] across however many writable events it takes.
     pub fn assemble(&mut self, head: &ResponseHead<'_>, body_len: usize) -> usize {
         self.head.clear();
         self.head.extend_from_slice(status_line(head.status).as_bytes());
@@ -875,8 +814,12 @@ mod tests {
         assert_eq!(request.method, "POST");
         assert_eq!(request.content_length, 11);
         let head_len = request.head_len;
+        // As the transport does: take the read-ahead, then read the rest
+        // off the socket.
         let mut body = Vec::new();
-        buf.read_body(&mut reader, head_len, 11, &mut body).expect("body");
+        let moved = buf.take_body(head_len, 11, &mut body);
+        body.resize(11, 0);
+        reader.read_exact(&mut body[moved..]).expect("body");
         assert_eq!(body, b"plan1\nplan2");
         let next = buf.read_request(&mut reader).expect("pipelined request survives the body");
         assert_eq!(next.target, "/after");
@@ -941,20 +884,23 @@ mod tests {
 
         let mut writer = CountingWriter { out: Vec::new(), calls: 0 };
         let mut response = ResponseBuf::new();
-        response
-            .write_response(
-                &mut writer,
-                &ResponseHead {
-                    status: 200,
-                    content_type: "application/json",
-                    keep_alive: true,
-                    etag: Some(0xff),
-                    allow: None,
-                    mode: BodyMode::Full,
-                },
-                b"{}\n",
-            )
-            .expect("write");
+        let body = b"{}\n";
+        let emit = response.assemble(
+            &ResponseHead {
+                status: 200,
+                content_type: "application/json",
+                keep_alive: true,
+                etag: Some(0xff),
+                allow: None,
+                mode: BodyMode::Full,
+            },
+            body.len(),
+        );
+        let mut cursor = 0;
+        let progress =
+            write_resumable(&mut writer, response.head_bytes(), &body[..emit], &mut cursor)
+                .expect("write");
+        assert_eq!(progress, WriteProgress::Complete);
         assert_eq!(writer.calls, 1, "head and body must go out in one vectored write");
         let text = String::from_utf8(writer.out).expect("utf-8");
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
@@ -964,44 +910,34 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}\n"));
     }
 
+    /// The wire bytes of one response: the assembled head plus the body
+    /// bytes it says to emit.
+    fn framed(head: &ResponseHead<'_>, body: &[u8]) -> String {
+        let mut response = ResponseBuf::new();
+        let emit = response.assemble(head, body.len());
+        let mut wire = response.head_bytes().to_vec();
+        wire.extend_from_slice(&body[..emit]);
+        String::from_utf8(wire).expect("utf-8")
+    }
+
     #[test]
     fn head_mode_and_304_suppress_the_body() {
-        let mut out = Vec::new();
-        let mut response = ResponseBuf::new();
-        response
-            .write_response(
-                &mut out,
-                &ResponseHead {
-                    status: 200,
-                    content_type: "application/json",
-                    keep_alive: true,
-                    etag: None,
-                    allow: None,
-                    mode: BodyMode::HeaderOnly,
-                },
-                b"{}\n",
-            )
-            .expect("write");
-        let text = String::from_utf8(out).expect("utf-8");
+        let head = ResponseHead {
+            status: 200,
+            content_type: "application/json",
+            keep_alive: true,
+            etag: None,
+            allow: None,
+            mode: BodyMode::HeaderOnly,
+        };
+        let text = framed(&head, b"{}\n");
         assert!(text.contains("Content-Length: 3\r\n"), "HEAD keeps the GET Content-Length");
         assert!(text.ends_with("\r\n\r\n"), "no body bytes follow");
 
-        let mut out = Vec::new();
-        response
-            .write_response(
-                &mut out,
-                &ResponseHead {
-                    status: 304,
-                    content_type: "application/json",
-                    keep_alive: true,
-                    etag: Some(1),
-                    allow: None,
-                    mode: BodyMode::Full,
-                },
-                b"{}\n",
-            )
-            .expect("write");
-        let text = String::from_utf8(out).expect("utf-8");
+        let text = framed(
+            &ResponseHead { status: 304, etag: Some(1), mode: BodyMode::Full, ..head },
+            b"{}\n",
+        );
         assert!(text.starts_with("HTTP/1.1 304 Not Modified\r\n"));
         assert!(!text.contains("Content-Length"), "304 has no body to delimit");
         assert!(text.contains("ETag: \"0000000000000001\"\r\n"));
@@ -1027,7 +963,9 @@ mod tests {
             }
         }
         let mut writer = TrickleWriter(Vec::new());
-        write_all_vectored(&mut writer, b"head|", b"body").expect("write");
+        let mut cursor = 0;
+        let progress = write_resumable(&mut writer, b"head|", b"body", &mut cursor).expect("write");
+        assert_eq!(progress, WriteProgress::Complete);
         assert_eq!(writer.0, b"head|body");
     }
 
@@ -1094,9 +1032,9 @@ mod tests {
     }
 
     #[test]
-    fn write_all_vectored_survives_wouldblock() {
-        /// Blocks on every other call, one byte otherwise — the old
-        /// implementation errored the connection here.
+    fn resumable_write_retries_eintr_and_resumes_after_wouldblock() {
+        /// Interrupted first, then blocks on every other call and takes
+        /// one byte otherwise.
         struct FlakyWriter {
             out: Vec<u8>,
             calls: usize,
@@ -1123,7 +1061,12 @@ mod tests {
             }
         }
         let mut writer = FlakyWriter { out: Vec::new(), calls: 0 };
-        write_all_vectored(&mut writer, b"he", b"llo").expect("write");
+        let mut cursor = 0;
+        // Each Pending is where the transport waits for the next
+        // writable event.
+        while write_resumable(&mut writer, b"he", b"llo", &mut cursor).expect("write")
+            == WriteProgress::Pending
+        {}
         assert_eq!(writer.out, b"hello");
     }
 
@@ -1169,7 +1112,7 @@ mod tests {
     }
 
     #[test]
-    fn assemble_then_head_bytes_matches_write_response() {
+    fn assemble_reports_the_body_bytes_to_emit() {
         let head = ResponseHead {
             status: 200,
             content_type: "application/json",
@@ -1178,17 +1121,10 @@ mod tests {
             allow: None,
             mode: BodyMode::Full,
         };
-        let mut direct = Vec::new();
-        let mut response = ResponseBuf::new();
-        let written = response.write_response(&mut direct, &head, b"{}\n").expect("write");
-
         let mut staged = ResponseBuf::new();
         let emit = staged.assemble(&head, 3);
         assert_eq!(emit, 3);
-        let mut assembled = staged.head_bytes().to_vec();
-        assembled.extend_from_slice(b"{}\n");
-        assert_eq!(assembled, direct);
-        assert_eq!(written, assembled.len());
+        assert!(String::from_utf8_lossy(staged.head_bytes()).ends_with("\r\n\r\n"));
 
         // HEAD and 304 emit no body bytes but keep their heads.
         let emit = staged.assemble(&ResponseHead { mode: BodyMode::HeaderOnly, ..head }, 3);

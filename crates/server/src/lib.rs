@@ -22,15 +22,23 @@
 //!    Every cacheable response carries a strong **ETag** (plan
 //!    fingerprint ⊕ store content hash); `If-None-Match` revalidations
 //!    answer `304 Not Modified` with no body at all.
-//! 3. **transport** ([`Server`]): a dependency-free HTTP/1.1 server whose
-//!    accept/worker loop runs on [`uops_pool::TaskPool`], routing `GET`
-//!    and `HEAD` on `/v1/query`, `/v1/record/{mnemonic}`, `/v1/diff`, and
-//!    `/v1/stats`. The hot path is **allocation-free and
-//!    syscall-minimal**: requests parse in place out of a reusable
-//!    per-connection buffer, responses assemble in a reusable scratch
-//!    from precomputed header fragments, and head + body leave in a
-//!    single vectored write (verified by a counting-global-allocator
-//!    integration test driving real sockets).
+//! 3. **transport** ([`Server`]): a dependency-free HTTP/1.1 server on
+//!    epoll reactor shards ([`net`]), routing `GET` and `HEAD` on
+//!    `/v1/query`, `/v1/record/{mnemonic}`, `/v1/diff`, and `/v1/stats`.
+//!    Each shard is one thread running an edge-triggered event loop over
+//!    its own `SO_REUSEPORT` listener. The hot path is
+//!    **allocation-free and syscall-minimal**: requests parse in place out
+//!    of a reusable per-connection buffer, responses assemble in a
+//!    reusable scratch from precomputed header fragments, and head + body
+//!    leave in a single vectored write (verified by a
+//!    counting-global-allocator integration test driving real sockets).
+//!    A request is answered on the shard that owns its connection, so an
+//!    uncached query runs inline there; only an ingest's publish (fsyncs
+//!    and renames) is handed to a separate thread, so readers never wait
+//!    behind it.
+//!
+//! The crate is Linux-only: the transport is built on `epoll`,
+//! `eventfd` and `SO_REUSEPORT`.
 //!
 //! Responses over HTTP are byte-identical to in-process
 //! `QueryExec` + encoder output for the same database — the transport adds
@@ -47,9 +55,9 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let segment = Arc::new(Segment::open("uops.seg")?);
 //! let service = Arc::new(QueryService::from_segment(segment, 64 << 20));
-//! let server = Server::bind("127.0.0.1:8080", service, 4)?;
+//! let server = Server::bind("127.0.0.1:8080", service, 4)?; // 4 shards
 //! println!("listening on http://{}", server.local_addr());
-//! server.run(); // accept loop; never returns
+//! server.run(); // event loops; never return
 //! # Ok(())
 //! # }
 //! ```
@@ -66,24 +74,27 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "uops-serve is Linux-only: its transport is built on epoll, eventfd and SO_REUSEPORT"
+);
+
 pub mod access_log;
 pub mod args;
 pub mod cache;
 pub mod fault;
 pub mod http;
 pub mod metrics;
-#[cfg(target_os = "linux")]
 pub mod net;
 pub mod service;
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uops_db::plan::decode_component;
 use uops_db::{GenerationStore, QueryPlan, Segment};
-use uops_pool::TaskPool;
 use uops_telemetry::{saturating_ns, Span};
 
 pub use access_log::{AccessEntry, AccessLog};
@@ -110,7 +121,7 @@ const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
 const MAX_REQUESTS_PER_CONNECTION: usize = 1024;
 
 /// Preformatted 503 sent to connections rejected at admission, before a
-/// worker or reactor slot is ever assigned. Static so the reject path
+/// slab slot is ever assigned. Static so the reject path
 /// allocates nothing — overload is exactly when allocation pressure
 /// hurts most — and framed `Connection: close` so clients don't retry on
 /// the doomed socket. The body matches
@@ -358,10 +369,9 @@ fn respond_streaming(service: &QueryService, target: &str) -> service::QueryRepl
     }
 }
 
-/// Telemetry and logging options for a [`Server`]
-/// ([`Server::bind_with`], [`Server::bind_reactor`]); [`Default`]
-/// matches [`Server::bind`]: telemetry on, no access log, 5 s keep-alive
-/// timeout.
+/// Telemetry, logging and limit options for a [`Server`]
+/// ([`Server::bind_with`]); [`Default`] matches [`Server::bind`]:
+/// telemetry on, no access log, 5 s keep-alive timeout.
 #[derive(Debug)]
 pub struct ServerOptions {
     /// Disable all metric recording and the `/metrics` endpoint (which
@@ -372,20 +382,15 @@ pub struct ServerOptions {
     /// nothing.
     pub access_log: Option<AccessLog>,
     /// How long an idle keep-alive connection may sit between requests
-    /// before it is closed. On the thread-per-connection transport this
-    /// is the socket read timeout; on the reactor it is enforced by the
-    /// timer wheel (coarse ticks of `timeout / 8`, so eviction lands
-    /// within ~12% past the nominal deadline).
+    /// before it is closed. The shard's timer wheel enforces it in coarse
+    /// ticks of `timeout / 8`, so eviction lands within ~12% past the
+    /// nominal deadline.
     pub keep_alive_timeout: Duration,
-    /// Cap on concurrently served connections (`0` = unlimited). Beyond
-    /// it, new connections are answered with a preformatted static 503 +
-    /// `Retry-After` and closed — rejected, never queued. The reactor
-    /// divides the cap evenly across shards.
+    /// Cap on concurrently served connections (`0` = unlimited), divided
+    /// evenly across shards. Beyond it, new connections are answered with
+    /// a preformatted static 503 + `Retry-After` and closed — rejected,
+    /// never queued.
     pub max_inflight: usize,
-    /// Cap on connections queued for a pool worker (`0` = unbounded;
-    /// thread-per-connection transport only). A full queue rejects with
-    /// the same static 503 instead of growing without bound.
-    pub queue_depth: usize,
     /// Per-request deadline budget, armed when the parsed request is in
     /// hand and checked between the execute/encode pipeline stages. Only
     /// uncached work is shed on expiry — both cache tiers keep serving
@@ -393,10 +398,8 @@ pub struct ServerOptions {
     pub request_deadline: Option<Duration>,
     /// How long a response write may sit with zero bytes accepted before
     /// the connection is evicted as a slow reader (so a stalled peer
-    /// cannot pin a response buffer forever). On the
-    /// thread-per-connection transport this is the socket send timeout;
-    /// on the reactor the timer wheel enforces it with the same coarse
-    /// ticks as `keep_alive_timeout`.
+    /// cannot pin a response buffer forever). The timer wheel enforces it
+    /// with the same coarse ticks as `keep_alive_timeout`.
     pub write_stall_timeout: Duration,
     /// Cap on request bodies in bytes (`0` = the 1 MiB default). A
     /// request declaring a larger `Content-Length` is answered `413`
@@ -416,7 +419,6 @@ impl Default for ServerOptions {
             access_log: None,
             keep_alive_timeout: KEEP_ALIVE_TIMEOUT,
             max_inflight: 0,
-            queue_depth: 0,
             request_deadline: None,
             write_stall_timeout: WRITE_STALL_TIMEOUT,
             max_body: DEFAULT_MAX_BODY,
@@ -425,31 +427,25 @@ impl Default for ServerOptions {
     }
 }
 
-/// Everything a worker needs to serve one connection; shared across
-/// connections (and, on the reactor, across shards) behind one `Arc` so
-/// accepting costs a single clone.
+/// Everything a shard needs to serve its connections; shared across
+/// shards behind one `Arc`.
 pub(crate) struct ConnState {
     pub(crate) service: Arc<QueryService>,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) access_log: Option<AccessLog>,
     pub(crate) telemetry: bool,
     pub(crate) keep_alive_timeout: Duration,
-    pub(crate) max_inflight: usize,
     pub(crate) request_deadline: Option<Duration>,
     pub(crate) write_stall_timeout: Duration,
     pub(crate) max_body: usize,
-    pub(crate) ingest_store: Option<Arc<GenerationStore>>,
-    /// Connections currently owned by a pool worker (running or queued).
-    /// Maintained independently of telemetry so admission control works
-    /// with `--no-telemetry`. The reactor tracks occupancy per shard via
-    /// its slab instead.
-    pub(crate) inflight: AtomicUsize,
+    /// Where `POST /v1/ingest` bodies go to be published; `None`
+    /// without an ingest store.
+    pub(crate) ingest: Option<std::sync::mpsc::Sender<IngestJob>>,
 }
 
-/// Cross-thread shutdown plumbing shared by the server's threads and its
-/// [`ServerHandle`]: a flag, plus transport-appropriate wakeups — the
-/// blocking accept loop is woken by a throwaway connection, reactor
-/// shards by their eventfds.
+/// Cross-thread shutdown plumbing shared by the shards and the
+/// [`ServerHandle`]: a flag, plus one eventfd per shard to wake its
+/// `epoll_wait`.
 pub(crate) struct ShutdownSignal {
     flag: AtomicBool,
     /// Set (before `flag`) when the shutdown should drain: stop
@@ -457,25 +453,10 @@ pub(crate) struct ShutdownSignal {
     /// [`ShutdownSignal::trigger`] if a drain deadline forces a hard
     /// stop.
     graceful: AtomicBool,
-    #[cfg(target_os = "linux")]
     wakes: Vec<Arc<net::sys::EventFd>>,
 }
 
 impl ShutdownSignal {
-    fn new() -> ShutdownSignal {
-        ShutdownSignal {
-            flag: AtomicBool::new(false),
-            graceful: AtomicBool::new(false),
-            #[cfg(target_os = "linux")]
-            wakes: Vec::new(),
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    fn with_wakes(wakes: Vec<Arc<net::sys::EventFd>>) -> ShutdownSignal {
-        ShutdownSignal { flag: AtomicBool::new(false), graceful: AtomicBool::new(false), wakes }
-    }
-
     pub(crate) fn is_triggered(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
     }
@@ -484,52 +465,32 @@ impl ShutdownSignal {
         self.graceful.load(Ordering::SeqCst)
     }
 
-    fn trigger(&self, addr: SocketAddr) {
+    fn trigger(&self) {
         self.graceful.store(false, Ordering::SeqCst);
         self.flag.store(true, Ordering::SeqCst);
-        self.wake(addr);
+        self.wake();
     }
 
-    fn trigger_graceful(&self, addr: SocketAddr) {
+    fn trigger_graceful(&self) {
         self.graceful.store(true, Ordering::SeqCst);
         self.flag.store(true, Ordering::SeqCst);
-        self.wake(addr);
+        self.wake();
     }
 
-    fn wake(&self, addr: SocketAddr) {
-        #[cfg(target_os = "linux")]
-        if !self.wakes.is_empty() {
-            for wake in &self.wakes {
-                wake.notify();
-            }
-            return;
+    fn wake(&self) {
+        for wake in &self.wakes {
+            wake.notify();
         }
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(addr);
     }
 }
 
-/// The two ways a [`Server`] can move bytes.
-enum Transport {
-    /// Thread-per-connection: a blocking accept loop handing connections
-    /// to a [`TaskPool`] of workers (the default).
-    Pool { listener: TcpListener, pool: TaskPool },
-    /// Event-driven: N epoll reactor shards, each with its own
-    /// `SO_REUSEPORT` listener ([`Server::bind_reactor`]).
-    #[cfg(target_os = "linux")]
-    Reactor { shards: Vec<net::reactor::Shard> },
-}
-
-/// The HTTP/1.1 server. The default transport is a listener plus a
-/// [`TaskPool`] of workers, one task per accepted connection
-/// (keep-alive: a worker serves a connection until it closes, times out
-/// idle, or exhausts its request budget). On Linux,
-/// [`Server::bind_reactor`] selects the event-driven transport instead:
-/// epoll reactor shards multiplexing thousands of non-blocking
-/// connections per thread — same routing, same caches, same telemetry,
-/// different concurrency regime (see [`net`]).
+/// The HTTP/1.1 server: N epoll reactor shards, each a single-threaded
+/// event loop with its own `SO_REUSEPORT` listener, multiplexing its
+/// share of the connections through non-blocking state machines (see
+/// [`net`]). A parked keep-alive connection costs a slab entry and an
+/// fd, not a thread.
 pub struct Server {
-    transport: Transport,
+    shards: Vec<net::reactor::Shard>,
     state: Arc<ConnState>,
     local_addr: SocketAddr,
     shutdown: Arc<ShutdownSignal>,
@@ -541,7 +502,7 @@ pub struct Server {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     shutdown: Arc<ShutdownSignal>,
-    accept_thread: std::thread::JoinHandle<()>,
+    run_thread: std::thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -551,104 +512,50 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// Stops accepting, drains in-flight connections, and joins the accept
-    /// thread.
+    /// Stops accepting, closes every connection, and joins the shards.
     pub fn shutdown(self) {
-        self.shutdown.trigger(self.local_addr);
-        let _ = self.accept_thread.join();
+        self.shutdown.trigger();
+        let _ = self.run_thread.join();
     }
 
     /// Graceful drain: stops accepting, lets in-flight requests finish
     /// (keep-alive connections are closed after their current response),
-    /// and joins the accept thread. If the drain has not completed within
+    /// and joins the shards. If the drain has not completed within
     /// `drain_timeout`, falls back to the hard shutdown path.
     pub fn shutdown_graceful(self, drain_timeout: Duration) {
-        self.shutdown.trigger_graceful(self.local_addr);
+        self.shutdown.trigger_graceful();
         let deadline = Instant::now() + drain_timeout;
-        while !self.accept_thread.is_finished() && Instant::now() < deadline {
+        while !self.run_thread.is_finished() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        if !self.accept_thread.is_finished() {
-            // Deadline blown: demote to a hard stop and wake the
-            // transport again so it observes the downgrade.
-            self.shutdown.trigger(self.local_addr);
+        if !self.run_thread.is_finished() {
+            // Deadline blown: demote to a hard stop and wake the shards
+            // again so they observe the downgrade.
+            self.shutdown.trigger();
         }
-        let _ = self.accept_thread.join();
+        let _ = self.run_thread.join();
     }
 }
 
 impl Server {
-    /// Binds `addr` and prepares `threads` workers (the accept loop itself
-    /// runs on the caller via [`Server::run`], or on a background thread
-    /// via [`Server::spawn`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn bind(addr: &str, service: Arc<QueryService>, threads: usize) -> std::io::Result<Server> {
-        Server::bind_with(addr, service, threads, ServerOptions::default())
-    }
-
-    /// [`Server::bind`] with explicit [`ServerOptions`] (telemetry off,
-    /// access log).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn bind_with(
-        addr: &str,
-        service: Arc<QueryService>,
-        threads: usize,
-        options: ServerOptions,
-    ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let telemetry = !options.no_telemetry;
-        let metrics = Arc::new(ServerMetrics::new());
-        let pool_metrics = telemetry.then(|| Arc::clone(&metrics.pool));
-        let pool = TaskPool::with_queue_limit(
-            threads,
-            "uops-serve-worker",
-            pool_metrics,
-            options.queue_depth,
-        );
-        Ok(Server {
-            transport: Transport::Pool { listener, pool },
-            state: Arc::new(ConnState {
-                service,
-                metrics,
-                access_log: options.access_log,
-                telemetry,
-                keep_alive_timeout: options.keep_alive_timeout,
-                max_inflight: options.max_inflight,
-                request_deadline: options.request_deadline,
-                write_stall_timeout: options.write_stall_timeout,
-                max_body: if options.max_body == 0 { DEFAULT_MAX_BODY } else { options.max_body },
-                ingest_store: options.ingest_store,
-                inflight: AtomicUsize::new(0),
-            }),
-            local_addr,
-            shutdown: Arc::new(ShutdownSignal::new()),
-        })
-    }
-
-    /// Binds the event-driven reactor transport (Linux only): `shards`
-    /// single-threaded epoll event loops, each owning its own
-    /// `SO_REUSEPORT` listener on `addr` and multiplexing its share of
-    /// the connections through non-blocking state machines. Prefer this
-    /// over [`Server::bind`] when the workload is many concurrent,
-    /// mostly idle keep-alive connections (10k+): a parked connection
-    /// costs a slab entry and an fd, not a thread.
-    ///
-    /// Routing, caching, telemetry, and the access log are identical to
-    /// the thread-per-connection transport; responses are byte-for-byte
-    /// the same.
+    /// Binds `shards` reactor shards on `addr` (the event loops run on
+    /// the caller via [`Server::run`], or on background threads via
+    /// [`Server::spawn`]).
     ///
     /// # Errors
     ///
     /// Propagates bind and epoll/eventfd setup failures.
-    #[cfg(target_os = "linux")]
-    pub fn bind_reactor(
+    pub fn bind(addr: &str, service: Arc<QueryService>, shards: usize) -> std::io::Result<Server> {
+        Server::bind_with(addr, service, shards, ServerOptions::default())
+    }
+
+    /// [`Server::bind`] with explicit [`ServerOptions`] (telemetry off,
+    /// access log, limits, ingest store).
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind and epoll/eventfd setup failures.
+    pub fn bind_with(
         addr: &str,
         service: Arc<QueryService>,
         shards: usize,
@@ -656,19 +563,18 @@ impl Server {
     ) -> std::io::Result<Server> {
         let shards = shards.max(1);
         let (local_addr, listeners) = net::listener::bind_shard_listeners(addr, shards)?;
-        let telemetry = !options.no_telemetry;
+        let ingest =
+            options.ingest_store.map(|store| spawn_ingest_thread(Arc::clone(&service), store));
         let state = Arc::new(ConnState {
             service,
             metrics: Arc::new(ServerMetrics::new()),
             access_log: options.access_log,
-            telemetry,
+            telemetry: !options.no_telemetry,
             keep_alive_timeout: options.keep_alive_timeout,
-            max_inflight: options.max_inflight,
             request_deadline: options.request_deadline,
             write_stall_timeout: options.write_stall_timeout,
             max_body: if options.max_body == 0 { DEFAULT_MAX_BODY } else { options.max_body },
-            ingest_store: options.ingest_store,
-            inflight: AtomicUsize::new(0),
+            ingest,
         });
         state.metrics.shard_count.store(shards, Ordering::Relaxed);
         // Surface per-shard connection balance in /v1/stats: the gauges
@@ -712,7 +618,11 @@ impl Server {
         let wakes = (0..shards)
             .map(|_| net::sys::EventFd::new().map(Arc::new))
             .collect::<std::io::Result<Vec<_>>>()?;
-        let shutdown = Arc::new(ShutdownSignal::with_wakes(wakes.clone()));
+        let shutdown = Arc::new(ShutdownSignal {
+            flag: AtomicBool::new(false),
+            graceful: AtomicBool::new(false),
+            wakes: wakes.clone(),
+        });
         // Divide the connection cap evenly; any remainder rounds up so
         // the shards' caps sum to at least the requested total.
         let conn_cap = if options.max_inflight == 0 {
@@ -731,12 +641,7 @@ impl Server {
                 index,
             )?);
         }
-        Ok(Server {
-            transport: Transport::Reactor { shards: shard_loops },
-            state,
-            local_addr,
-            shutdown,
-        })
+        Ok(Server { shards: shard_loops, state, local_addr, shutdown })
     }
 
     /// The bound address (useful with port 0).
@@ -758,31 +663,42 @@ impl Server {
         self.state.telemetry
     }
 
-    /// Runs the server on the calling thread until shutdown is signalled
-    /// (never, unless [`Server::spawn`] wrapped it): the accept loop for
-    /// the pool transport, shard 0's event loop (with shards 1..N on
-    /// their own threads) for the reactor.
+    /// Runs shard 0's event loop on the calling thread and shards 1..N on
+    /// their own threads, until shutdown is signalled (never, unless
+    /// [`Server::spawn`] wrapped it); returns when every shard has
+    /// observed the signal.
     pub fn run(self) {
-        let Server { transport, state, shutdown, .. } = self;
-        match transport {
-            Transport::Pool { listener, pool } => run_pool(listener, state, pool, shutdown),
-            #[cfg(target_os = "linux")]
-            Transport::Reactor { shards } => run_reactor(shards),
+        let mut shards = self.shards.into_iter();
+        let first = shards.next();
+        let rest: Vec<_> = shards
+            .enumerate()
+            .map(|(at, shard)| {
+                std::thread::Builder::new()
+                    .name(format!("uops-serve-shard-{}", at + 1))
+                    .spawn(move || shard.run())
+                    .expect("spawn reactor shard")
+            })
+            .collect();
+        if let Some(shard) = first {
+            shard.run();
+        }
+        for handle in rest {
+            let _ = handle.join();
         }
     }
 
-    /// Moves the accept loop to a background thread, returning a handle
+    /// Moves the event loops to background threads, returning a handle
     /// for address discovery and graceful shutdown (tests, benchmarks,
     /// embedding).
     #[must_use]
     pub fn spawn(self) -> ServerHandle {
         let local_addr = self.local_addr;
         let shutdown = Arc::clone(&self.shutdown);
-        let accept_thread = std::thread::Builder::new()
-            .name("uops-serve-accept".into())
+        let run_thread = std::thread::Builder::new()
+            .name("uops-serve-shard-0".into())
             .spawn(move || self.run())
-            .expect("spawn accept thread");
-        ServerHandle { local_addr, shutdown, accept_thread }
+            .expect("spawn shard thread");
+        ServerHandle { local_addr, shutdown, run_thread }
     }
 }
 
@@ -821,118 +737,6 @@ impl AcceptRescue {
     }
 }
 
-/// Best-effort static 503 to a connection rejected at admission: one
-/// write of preformatted bytes, then drop (close). No allocation, no
-/// worker, no cache interaction.
-fn reject_overload(mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = std::io::Write::write(&mut stream, OVERLOAD_RESPONSE);
-}
-
-/// The thread-per-connection accept loop. Transient accept failures
-/// (`EINTR`, spurious `EAGAIN`) retry immediately. Resource-exhaustion
-/// failures (`EMFILE` under fd pressure, `ENFILE`) spend the
-/// [`AcceptRescue`] reserve fd to actively reset the pending connection —
-/// only falling back to a brief sleep when even that fails — so fd
-/// exhaustion degrades to fast rejects instead of a backlog of hung
-/// connects. Admission control runs before a worker is committed: past
-/// `max_inflight` live connections or a full worker queue, the connection
-/// gets the static 503 and is closed.
-fn run_pool(
-    listener: TcpListener,
-    state: Arc<ConnState>,
-    pool: TaskPool,
-    shutdown: Arc<ShutdownSignal>,
-) {
-    let mut rescue = AcceptRescue::new();
-    loop {
-        let accepted = fault::accept(&listener);
-        if shutdown.is_triggered() {
-            break;
-        }
-        let stream = match accepted {
-            Ok((stream, _)) => stream,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                if state.telemetry {
-                    state.metrics.accept_errors.inc();
-                }
-                continue;
-            }
-            Err(e) => {
-                if state.telemetry {
-                    state.metrics.accept_errors.inc();
-                }
-                // EMFILE/ENFILE leave the connection in the backlog, so
-                // the rescue's accept is guaranteed not to block. Other
-                // errors (e.g. ECONNABORTED) may have nothing pending —
-                // back off briefly instead.
-                let fd_exhausted = matches!(e.raw_os_error(), Some(23 | 24));
-                if fd_exhausted && rescue.rescue(&listener) {
-                    if state.telemetry {
-                        state.metrics.accept_rescues.inc();
-                    }
-                } else {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                continue;
-            }
-        };
-        if state.max_inflight != 0 && state.inflight.load(Ordering::Relaxed) >= state.max_inflight {
-            if state.telemetry {
-                state.metrics.overload_rejects.inc();
-            }
-            reject_overload(stream);
-            continue;
-        }
-        state.inflight.fetch_add(1, Ordering::Relaxed);
-        let task_state = Arc::clone(&state);
-        let task_shutdown = Arc::clone(&shutdown);
-        let accepted = pool.try_execute(move || {
-            serve_connection(stream, &task_state, &task_shutdown);
-            task_state.inflight.fetch_sub(1, Ordering::Relaxed);
-        });
-        if !accepted {
-            // Queue full (or shutdown raced): the dropped closure closed
-            // the stream; all we can still do is undo the reservation
-            // and count the reject.
-            state.inflight.fetch_sub(1, Ordering::Relaxed);
-            if state.telemetry {
-                state.metrics.overload_rejects.inc();
-            }
-        }
-    }
-    pool.shutdown();
-}
-
-/// Runs reactor shard 0 on the calling thread and shards 1..N on their
-/// own threads; returns when every shard has observed the shutdown
-/// signal.
-#[cfg(target_os = "linux")]
-fn run_reactor(shards: Vec<net::reactor::Shard>) {
-    let mut shards = shards.into_iter();
-    let first = shards.next();
-    let rest: Vec<_> = shards
-        .enumerate()
-        .map(|(at, shard)| {
-            std::thread::Builder::new()
-                .name(format!("uops-serve-shard-{}", at + 1))
-                .spawn(move || shard.run())
-                .expect("spawn reactor shard")
-        })
-        .collect();
-    if let Some(shard) = first {
-        shard.run();
-    }
-    for handle in rest {
-        let _ = handle.join();
-    }
-}
-
 /// Answers `GET /metrics` at the transport layer, **before** [`respond`]:
 /// the exposition must reflect this instant, so it never enters the raw
 /// fast lane or the fingerprint tier (and carries no ETag). With
@@ -958,23 +762,52 @@ fn metrics_response(state: &ConnState, method: &str, query: &str) -> ServiceResp
     }
 }
 
-/// Answers `POST /v1/ingest`: the live data plane's write path. The body
-/// is either a raw [`Segment`] image (`UOPSSEG\x01` magic) or a TLV
-/// snapshot (`UDB\x01` magic); it is validated **fully** before anything
-/// is published — a malformed byte anywhere rejects the request with no
-/// effect on the served store. On success the incoming records are
-/// last-writer-wins merged with the live generation, durably published
-/// through the store's manifest protocol (temp + fsync + rename +
-/// dir-fsync), and atomically swapped live, flushing both cache tiers.
-/// Without a configured [`GenerationStore`] (`serve` without
-/// `--data-dir`) the route answers `403`.
-fn ingest_response(state: &ConnState, query: &str, body: &[u8]) -> ServiceResponse {
-    if !query.is_empty() {
-        return ServiceResponse::error(400, "ingest takes no parameters");
-    }
-    let Some(store) = state.ingest_store.as_deref() else {
-        return ServiceResponse::error(403, "ingestion is disabled (serve without --data-dir)");
-    };
+/// Refusal for an ingest body that is neither image nor snapshot.
+const NOT_AN_INGEST_BODY: &str = "ingest body is neither a segment image nor a TLV snapshot";
+
+/// One publish handed off a shard to the ingest thread.
+pub(crate) struct IngestJob {
+    pub(crate) body: Vec<u8>,
+    /// The connection's slab token on its shard.
+    pub(crate) token: u64,
+    pub(crate) reply: Arc<net::reactor::Mailbox>,
+}
+
+/// Starts the thread behind `POST /v1/ingest`. A publish validates,
+/// merges, fsyncs and renames — milliseconds, or far longer on a stalled
+/// disk — so a shard sends the request body here instead of running it
+/// inline, and its other connections keep being served meanwhile. One
+/// thread serializes the publishes (the store publishes one generation
+/// at a time anyway); each answer is posted back to the owning shard's
+/// [`net::reactor::Mailbox`]. The thread exits once every sender (held by
+/// the shards' shared state) is gone.
+fn spawn_ingest_thread(
+    service: Arc<QueryService>,
+    store: Arc<GenerationStore>,
+) -> std::sync::mpsc::Sender<IngestJob> {
+    let (jobs, queue) = std::sync::mpsc::channel::<IngestJob>();
+    std::thread::Builder::new()
+        .name("uops-serve-ingest".into())
+        .spawn(move || {
+            for job in queue {
+                let response = publish_ingest(&service, &store, &job.body);
+                job.reply.post(job.token, response, job.body);
+            }
+        })
+        .expect("spawn ingest thread");
+    jobs
+}
+
+/// Publishes one `POST /v1/ingest` body: the live data plane's write
+/// path. The body is either a raw [`Segment`] image (`UOPSSEG\x01`
+/// magic) or a TLV snapshot (`UDB\x01` magic); it is validated **fully**
+/// before anything is published — a malformed byte anywhere rejects the
+/// request with no effect on the served store. On success the incoming
+/// records are last-writer-wins merged with the live generation, durably
+/// published through the store's manifest protocol (temp + fsync +
+/// rename + dir-fsync), and atomically swapped live, flushing both cache
+/// tiers.
+fn publish_ingest(service: &QueryService, store: &GenerationStore, body: &[u8]) -> ServiceResponse {
     let incoming = if body.starts_with(&uops_db::segment::layout::MAGIC) {
         match Segment::from_bytes(body.to_vec()) {
             Ok(segment) => segment,
@@ -993,16 +826,12 @@ fn ingest_response(state: &ConnState, query: &str, body: &[u8]) -> ServiceRespon
             Err(err) => return ServiceResponse::error(400, &format!("snapshot rejected: {err}")),
         }
     } else {
-        return ServiceResponse::error(
-            400,
-            "ingest body is neither a segment image nor a TLV snapshot",
-        );
+        return ServiceResponse::error(400, NOT_AN_INGEST_BODY);
     };
     let records = incoming.len();
     match store.publish_merged(&incoming, fault::store_io()) {
         Ok(generation) => {
-            let swapped =
-                state.service.swap_segment(Arc::clone(&generation.segment), generation.id);
+            let swapped = service.swap_segment(Arc::clone(&generation.segment), generation.id);
             let body = format!(
                 "{{\"generation\": {}, \"ingested_records\": {}, \"live_records\": {}, \
                  \"swapped\": {}}}\n",
@@ -1035,6 +864,10 @@ pub(crate) enum Payload {
     /// A large result emitted as `Transfer-Encoding: chunked` in
     /// O(chunk) memory.
     Stream(service::StreamBody),
+    /// An accepted `POST /v1/ingest` body still to be published: the
+    /// shard sends it to the ingest thread and answers when the publish
+    /// is done.
+    Ingest,
 }
 
 /// Everything captured from answering one request that must outlive the
@@ -1057,8 +890,7 @@ pub(crate) struct RequestOutcome {
 /// `/v1/batch` and `/v1/plan`, `GET`/`HEAD` elsewhere — wrong methods
 /// get `405` + `Allow`), the raw-fast-lane [`respond_streaming`],
 /// conditional-request (`If-None-Match`) resolution, and `HEAD` body
-/// suppression. Shared by both transports so their responses are
-/// byte-identical by construction.
+/// suppression.
 ///
 /// `body` is the request body (empty unless the request declared a
 /// `Content-Length`); `batch`/`scratch` are the caller's reusable batch
@@ -1157,11 +989,25 @@ pub(crate) fn answer(
             }
         }
         Route::Ingest => {
-            if method == "POST" {
-                ingest_response(state, request.query(), body)
-            } else {
+            if method != "POST" {
                 allow = Some(ALLOW_POST);
                 ServiceResponse::error(405, "ingest is POST-only")
+            } else if !request.query().is_empty() {
+                ServiceResponse::error(400, "ingest takes no parameters")
+            } else if state.ingest.is_none() {
+                ServiceResponse::error(403, "ingestion is disabled (serve without --data-dir)")
+            } else if body.is_empty() {
+                ServiceResponse::error(400, NOT_AN_INGEST_BODY)
+            } else {
+                payload = Payload::Ingest;
+                ServiceResponse {
+                    status: 200,
+                    content_type: "application/json",
+                    etag: None,
+                    body: service::empty_body(),
+                    tier: ResponseTier::Untiered,
+                    generation: 0,
+                }
             }
         }
         _ => {
@@ -1213,12 +1059,11 @@ pub(crate) fn record_parse_error(state: &ConnState, status: u16) {
     metrics.status_class(status).inc();
 }
 
-/// Telemetry + access logging for one completed response, shared by both
-/// transports. `stages` is the `(parse, execute, encode)` nanosecond
-/// triple captured from the stage scratch **on the thread that answered**
-/// — the reactor interleaves many connections on one thread, so it
-/// captures immediately after [`answer`] rather than reading the
-/// thread-local here.
+/// Telemetry + access logging for one completed response. `stages` is
+/// the `(parse, execute, encode)` nanosecond triple captured from the
+/// stage scratch right after [`answer`]: a shard interleaves many
+/// connections on one thread, so the thread-local cannot be read at
+/// write completion.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn record_request(
     state: &ConnState,
@@ -1269,345 +1114,10 @@ pub(crate) fn record_request(
     }
 }
 
-/// Decrements the connection gauges on every exit path of
-/// [`serve_connection`] (early returns included).
-struct ConnGuard<'a> {
-    metrics: &'a ServerMetrics,
-    enabled: bool,
-}
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        if self.enabled {
-            self.metrics.connections_closed.inc();
-            self.metrics.connections_active.dec();
-        }
-    }
-}
-
-/// Writes one framed response with slow-reader detection. The socket
-/// carries a send timeout of `write_stall_timeout`, so any
-/// `Pending` from [`http::write_resumable`] means the kernel accepted
-/// zero bytes for the whole window — the peer has stopped reading — and
-/// the connection is evicted rather than left pinning its buffers.
-fn write_or_evict(
-    writer: &mut TcpStream,
-    response_buf: &mut http::ResponseBuf,
-    head: &http::ResponseHead<'_>,
-    body: &[u8],
-    state: &ConnState,
-) -> std::io::Result<usize> {
-    let emit = response_buf.assemble(head, body.len());
-    let mut cursor = 0;
-    match http::write_resumable(
-        &mut fault::FaultStream(writer),
-        response_buf.head_bytes(),
-        &body[..emit],
-        &mut cursor,
-    )? {
-        http::WriteProgress::Complete => Ok(response_buf.head_bytes().len() + emit),
-        http::WriteProgress::Pending => Err(evict_slow_reader(state)),
-    }
-}
-
-/// Counts a slow-reader eviction and returns the error that closes the
-/// connection.
-fn evict_slow_reader(state: &ConnState) -> std::io::Error {
-    if state.telemetry {
-        state.metrics.slow_reader_evictions.inc();
-    }
-    std::io::Error::from(std::io::ErrorKind::TimedOut)
-}
-
-/// [`write_or_evict`] for a batch multi-response: head + response frames
-/// leave through [`http::write_batch`]'s vectored write chain (the
-/// per-plan bodies are `Arc`s out of the cache tiers — nothing is
-/// copied into a contiguous buffer first).
-fn write_batch_or_evict(
-    writer: &mut TcpStream,
-    response_buf: &mut http::ResponseBuf,
-    head: &http::ResponseHead<'_>,
-    batch: &http::BatchBody,
-    state: &ConnState,
-) -> std::io::Result<usize> {
-    response_buf.assemble(head, batch.wire_len());
-    let mut cursor = 0;
-    match http::write_batch(
-        &mut fault::FaultStream(writer),
-        response_buf.head_bytes(),
-        batch,
-        &mut cursor,
-    )? {
-        http::WriteProgress::Complete => Ok(response_buf.head_bytes().len() + batch.wire_len()),
-        http::WriteProgress::Pending => Err(evict_slow_reader(state)),
-    }
-}
-
-/// [`write_or_evict`] for a streamed large result: chunked head first,
-/// then `chunk`-sized pieces pulled from the [`service::StreamBody`] one
-/// at a time — peak memory is O([`service::STREAM_CHUNK_BYTES`])
-/// regardless of export size. `chunk`/`chunk_head` are the connection's
-/// reusable chunk buffers.
-fn write_stream_or_evict(
-    writer: &mut TcpStream,
-    response_buf: &mut http::ResponseBuf,
-    head: &http::ResponseHead<'_>,
-    stream: &mut service::StreamBody,
-    chunk: &mut Vec<u8>,
-    chunk_head: &mut Vec<u8>,
-    state: &ConnState,
-) -> std::io::Result<usize> {
-    let emit_body = response_buf.assemble_chunked(head);
-    let mut wire = response_buf.head_bytes().len();
-    let mut cursor = 0;
-    let mut faulted = fault::FaultStream(writer);
-    match http::write_resumable(&mut faulted, response_buf.head_bytes(), &[], &mut cursor)? {
-        http::WriteProgress::Complete => {}
-        http::WriteProgress::Pending => return Err(evict_slow_reader(state)),
-    }
-    if !emit_body {
-        // HEAD: the chunked header alone announces the stream.
-        return Ok(wire);
-    }
-    while stream.next_chunk(chunk) {
-        let payload = chunk.len();
-        chunk.extend_from_slice(b"\r\n");
-        http::chunk_prefix(payload, chunk_head);
-        let mut cursor = 0;
-        match http::write_resumable(&mut faulted, chunk_head, chunk, &mut cursor)? {
-            http::WriteProgress::Complete => wire += chunk_head.len() + chunk.len(),
-            http::WriteProgress::Pending => return Err(evict_slow_reader(state)),
-        }
-    }
-    http::chunk_prefix(0, chunk_head);
-    let mut cursor = 0;
-    match http::write_resumable(&mut faulted, chunk_head, &[], &mut cursor)? {
-        http::WriteProgress::Complete => Ok(wire + chunk_head.len()),
-        http::WriteProgress::Pending => Err(evict_slow_reader(state)),
-    }
-}
-
-/// Serves one connection: read request (in place, into the connection's
-/// reusable buffer), answer via the fast lane, emit one vectored write,
-/// repeat while keep-alive holds. Steady state allocates nothing: the
-/// request buffer, response scratch, and cached bodies are all reused —
-/// and telemetry keeps it that way (atomic increments and histogram
-/// buckets only; see `tests/alloc_free.rs`).
-/// What one head-parse pass decided: the request is answered (no body,
-/// or refused before the body), or its body must be read first. Split
-/// this way because the parsed [`http::Request`] borrows the request
-/// buffer that the body read needs mutably.
-enum Step {
-    Answered { outcome: RequestOutcome, head_len: usize, keep_alive: bool, started: Instant },
-    NeedsBody { head_len: usize, len: usize, keep_alive: bool, has_inm: bool, started: Instant },
-}
-
-fn serve_connection(stream: TcpStream, state: &ConnState, shutdown: &ShutdownSignal) {
-    let metrics = &*state.metrics;
-    let telemetry = state.telemetry;
-    if telemetry {
-        metrics.connections_opened.inc();
-        metrics.connections_active.inc();
-    }
-    let _guard = ConnGuard { metrics, enabled: telemetry };
-    let _ = stream.set_read_timeout(Some(state.keep_alive_timeout));
-    let _ = stream.set_write_timeout(Some(state.write_stall_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else { return };
-    let mut reader = stream;
-    let mut request_buf = http::RequestBuf::new();
-    let mut response_buf = http::ResponseBuf::new();
-    // Reusables for the body-carrying and non-Content-Length paths; all
-    // keep their capacity across requests, so the steady state (batch
-    // included) allocates nothing.
-    let mut body_buf: Vec<u8> = Vec::new();
-    let mut batch = http::BatchBody::default();
-    let mut batch_scratch = service::BatchScratch::default();
-    let mut chunk: Vec<u8> = Vec::new();
-    let mut chunk_head: Vec<u8> = Vec::new();
-    let mut method_scratch = String::new();
-    let mut target_scratch = String::new();
-    let mut inm_scratch = String::new();
-    for served in 0..MAX_REQUESTS_PER_CONNECTION {
-        // The parsed request borrows `request_buf`; everything needed
-        // beyond this block is captured before the borrow is released.
-        let step = {
-            let request = match request_buf.read_request(&mut fault::FaultStream(&mut reader)) {
-                Ok(request) => request,
-                Err(http::RequestError::ConnectionClosed) => return,
-                Err(http::RequestError::Bad(status, message)) => {
-                    record_parse_error(state, status);
-                    let body = ServiceResponse::error(status, &message);
-                    let written = write_or_evict(
-                        &mut writer,
-                        &mut response_buf,
-                        &http::ResponseHead {
-                            status,
-                            content_type: body.content_type,
-                            keep_alive: false,
-                            etag: None,
-                            allow: None,
-                            mode: http::BodyMode::Full,
-                        },
-                        &body.body,
-                        state,
-                    );
-                    if telemetry {
-                        if let Ok(bytes) = written {
-                            metrics.response_bytes.add(bytes as u64);
-                        }
-                    }
-                    return;
-                }
-                Err(http::RequestError::Io(_)) => return,
-            };
-            // The clock starts after the request head is in hand:
-            // keep-alive idle time between requests is not request
-            // latency. A graceful drain closes the connection after this
-            // response.
-            let started = Instant::now();
-            let keep_alive = request.keep_alive
-                && served + 1 < MAX_REQUESTS_PER_CONNECTION
-                && !shutdown.is_triggered();
-            if request.content_length == 0 {
-                let outcome = answer(state, &request, &[], &mut batch, &mut batch_scratch);
-                Step::Answered { outcome, head_len: request.head_len, keep_alive, started }
-            } else if request.content_length > state.max_body {
-                // Refused without reading the body; the unread bytes
-                // would desynchronize keep-alive framing, so close.
-                let outcome = RequestOutcome {
-                    response: ServiceResponse::error(
-                        413,
-                        "request body exceeds the configured limit",
-                    ),
-                    status: 413,
-                    mode: http::BodyMode::Full,
-                    not_modified: false,
-                    route: Route::of(request.path()),
-                    allow: None,
-                    payload: Payload::Single,
-                };
-                Step::Answered { outcome, head_len: request.head_len, keep_alive: false, started }
-            } else {
-                // The body overlaps the head buffer; stash the request
-                // facts in the connection's scratch strings so the
-                // buffer can be consumed and refilled.
-                method_scratch.clear();
-                method_scratch.push_str(request.method);
-                target_scratch.clear();
-                target_scratch.push_str(request.target);
-                inm_scratch.clear();
-                let has_inm = match request.if_none_match {
-                    Some(header) => {
-                        inm_scratch.push_str(header);
-                        true
-                    }
-                    None => false,
-                };
-                Step::NeedsBody {
-                    head_len: request.head_len,
-                    len: request.content_length,
-                    keep_alive,
-                    has_inm,
-                    started,
-                }
-            }
-        };
-        let (outcome, keep_alive, started) = match step {
-            Step::Answered { outcome, head_len, keep_alive, started } => {
-                request_buf.consume(head_len);
-                (outcome, keep_alive, started)
-            }
-            Step::NeedsBody { head_len, len, keep_alive, has_inm, started } => {
-                if request_buf
-                    .read_body(&mut fault::FaultStream(&mut reader), head_len, len, &mut body_buf)
-                    .is_err()
-                {
-                    return;
-                }
-                let request = http::Request {
-                    method: &method_scratch,
-                    target: &target_scratch,
-                    keep_alive,
-                    if_none_match: has_inm.then_some(inm_scratch.as_str()),
-                    content_length: len,
-                    head_len,
-                };
-                let outcome = answer(state, &request, &body_buf, &mut batch, &mut batch_scratch);
-                (outcome, keep_alive, started)
-            }
-        };
-        let RequestOutcome { response, status, mode, not_modified, route, allow, payload } =
-            outcome;
-        let written = match payload {
-            Payload::Single => write_or_evict(
-                &mut writer,
-                &mut response_buf,
-                &http::ResponseHead {
-                    status,
-                    content_type: response.content_type,
-                    keep_alive,
-                    etag: response.etag,
-                    allow,
-                    mode,
-                },
-                &response.body,
-                state,
-            ),
-            Payload::Batch => write_batch_or_evict(
-                &mut writer,
-                &mut response_buf,
-                &http::ResponseHead {
-                    status,
-                    content_type: response.content_type,
-                    keep_alive,
-                    etag: None,
-                    allow: None,
-                    mode,
-                },
-                &batch,
-                state,
-            ),
-            Payload::Stream(mut stream) => write_stream_or_evict(
-                &mut writer,
-                &mut response_buf,
-                &http::ResponseHead {
-                    status,
-                    content_type: response.content_type,
-                    keep_alive,
-                    etag: None,
-                    allow: None,
-                    mode,
-                },
-                &mut stream,
-                &mut chunk,
-                &mut chunk_head,
-                state,
-            ),
-        };
-        let wire_bytes = match &written {
-            Ok(bytes) => Some(*bytes),
-            Err(_) => None,
-        };
-        record_request(
-            state,
-            route,
-            status,
-            response.tier,
-            not_modified,
-            wire_bytes,
-            started,
-            metrics::stage_scratch::get(),
-        );
-        if written.is_err() || !keep_alive {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
     use uops_db::{InstructionDb, Snapshot, VariantRecord};
 
     fn service() -> QueryService {

@@ -13,16 +13,13 @@
 //!
 //! | prefix | source |
 //! |---|---|
-//! | `uops_http_*` | transport ([`crate::http`] / the connection loop) |
+//! | `uops_http_*` | transport ([`crate::http`] / the reactor shards) |
 //! | `uops_service_*` | [`crate::QueryService`] tiers and pipeline |
 //! | `uops_cache_*` | both cache tiers (`tier="fingerprint"` / `"raw"`) |
 //! | `uops_exec_*` | executor stage timings (`stage="parse"/"execute"/"encode"`) |
-//! | `uops_pool_*` | the [`uops_pool::TaskPool`] worker pool |
 //!
 //! Latency histograms use the log₂ bucket layout of
 //! [`uops_telemetry::Histogram`]: `le` bounds at `2^k - 1` nanoseconds.
-
-use std::sync::Arc;
 
 use uops_telemetry::{Counter, Gauge, Histogram, Labels, Registry};
 
@@ -201,15 +198,13 @@ pub struct ServerMetrics {
     pub connections_closed: Counter,
     /// Connections currently being served.
     pub connections_active: Gauge,
-    /// Live connections per reactor shard (`uops_http_shard_connections`;
-    /// reactor transport only — the pool transport tracks the aggregate
-    /// gauge above).
+    /// Live connections per reactor shard (`uops_http_shard_connections`).
     pub shard_connections: [Gauge; MAX_SHARDS],
     /// Connections accepted per reactor shard: reads on how evenly
     /// `SO_REUSEPORT` spreads the accept load.
     pub shard_accepted: [Counter; MAX_SHARDS],
-    /// Reactor shards live on this server (0 on the pool transport);
-    /// bounds the per-shard series rendered by [`render_metrics`].
+    /// Reactor shards live on this server; bounds the per-shard series
+    /// rendered by [`render_metrics`].
     pub shard_count: std::sync::atomic::AtomicUsize,
     /// Responses by status class (2xx/3xx/4xx/5xx).
     pub status_classes: [Counter; 4],
@@ -222,9 +217,6 @@ pub struct ServerMetrics {
     pub tier_latency_fingerprint: Histogram,
     /// Uncached (execute + encode) request latency.
     pub tier_latency_uncached: Histogram,
-    /// Worker-pool scheduling metrics, shared with the [`uops_pool::TaskPool`]
-    /// when the server is built with telemetry enabled.
-    pub pool: Arc<uops_pool::TaskPoolMetrics>,
 }
 
 impl Default for ServerMetrics {
@@ -263,7 +255,6 @@ impl ServerMetrics {
             tier_latency_raw: Histogram::new(),
             tier_latency_fingerprint: Histogram::new(),
             tier_latency_uncached: Histogram::new(),
-            pool: Arc::new(uops_pool::TaskPoolMetrics::new()),
         }
     }
 
@@ -290,9 +281,8 @@ impl ServerMetrics {
 }
 
 /// Renders the full Prometheus text exposition for one server: transport
-/// metrics, per-tier cache counters, executor stage histograms, and pool
-/// gauges. Cold path — called once per `/metrics` scrape; allocation here
-/// is fine.
+/// metrics, per-tier cache counters, and executor stage histograms. Cold
+/// path — called once per `/metrics` scrape; allocation here is fine.
 #[must_use]
 pub fn render_metrics(service: &QueryService, metrics: &ServerMetrics) -> String {
     let stats = service.stats();
@@ -597,37 +587,6 @@ pub fn render_metrics(service: &QueryService, metrics: &ServerMetrics) -> String
         &stages.encode_ns,
     );
 
-    registry.gauge(
-        "uops_pool_queue_depth",
-        "Tasks submitted to the worker pool but not yet picked up.",
-        NO_LABELS,
-        &metrics.pool.queue_depth,
-    );
-    registry.histogram(
-        "uops_pool_task_wait_nanoseconds",
-        "Time tasks spent queued before a worker picked them up.",
-        NO_LABELS,
-        &metrics.pool.wait_ns,
-    );
-    registry.histogram(
-        "uops_pool_task_run_nanoseconds",
-        "Time tasks spent executing on a worker.",
-        NO_LABELS,
-        &metrics.pool.run_ns,
-    );
-    registry.counter(
-        "uops_pool_tasks_executed_total",
-        "Tasks executed to completion by the worker pool.",
-        NO_LABELS,
-        &metrics.pool.executed,
-    );
-    registry.counter(
-        "uops_pool_steals_total",
-        "Work-stealing chunk steals across all parallel sweeps (process-wide).",
-        NO_LABELS,
-        uops_pool::steals_counter(),
-    );
-
     registry.render()
 }
 
@@ -766,8 +725,6 @@ mod tests {
             "uops_cache_misses_total{tier=\"raw\"} 1",
             "uops_service_executions_total 1",
             "uops_exec_stage_nanoseconds_count{stage=\"execute\"} 1",
-            "uops_pool_queue_depth 0",
-            "uops_pool_steals_total",
             "uops_service_records 1",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

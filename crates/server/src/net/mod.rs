@@ -1,17 +1,14 @@
-//! Event-driven reactor transport (Linux only).
+//! The server's transport: epoll reactor shards.
 //!
-//! The default transport in this crate is thread-per-connection: simple,
-//! robust, and — with the pipelined fast lane — very fast for a modest
-//! number of busy connections. What it cannot do is hold *many mostly
-//! idle* connections cheaply: 10k parked keep-alive clients would mean
-//! 10k kernel threads' worth of stacks.
-//!
-//! This module is the alternative for that regime: `N` reactor shards
-//! ([`reactor`]), each a single thread running an edge-triggered `epoll`
-//! loop over its own `SO_REUSEPORT` listener ([`listener`]) and a slab of
-//! non-blocking connection state machines. A parked connection costs a
-//! slab entry and an fd — buffers are allocated lazily on first byte —
-//! so tens of thousands of idle connections fit in a few megabytes.
+//! `N` reactor shards ([`reactor`]), each a single thread running an
+//! edge-triggered `epoll` loop over its own `SO_REUSEPORT` listener
+//! ([`listener`]) and a slab of non-blocking connection state machines.
+//! A parked connection costs a slab entry and an fd — buffers are
+//! allocated lazily on first byte — so tens of thousands of idle
+//! keep-alive connections fit in a few megabytes, while a busy pipelined
+//! connection keeps its shard hot. A request is answered on the shard
+//! that owns its connection; an uncached query executes there inline,
+//! and only an ingest's publish is handed to a separate thread.
 //! Idle-timeout eviction rides a coarse lazy timer wheel ([`timer`])
 //! ticked from the `epoll_wait` timeout.
 //!
@@ -38,6 +35,21 @@ pub use sys::{SignalPipe, SIGINT, SIGTERM};
 /// for the bench harness.
 pub fn raise_nofile_limit(want: u64) -> u64 {
     sys::raise_nofile_limit(want)
+}
+
+/// Makes every thread of the process allocate from one malloc arena
+/// (glibc; elsewhere a no-op). Call it in `main` before any thread
+/// starts.
+///
+/// A shard allocates the response bodies that any shard may free when it
+/// evicts them from the shared cache tiers, and glibc gives every thread
+/// an arena of its own, each holding on to its own high-water mark of
+/// freed bodies. With one arena the process keeps one working set: on
+/// the perfbench `query` mix with two shards, peak RSS fell from ~15.1
+/// to ~12.3 MiB, with throughput and latency no worse. Cache hits
+/// allocate nothing, so the shared arena's lock is taken on misses only.
+pub fn share_one_malloc_arena() {
+    sys::share_one_malloc_arena();
 }
 
 /// This process's resident set size in bytes (from `/proc/self/statm`),

@@ -9,17 +9,24 @@
 //!
 //! * **Reading** — [`crate::http::RequestBuf::read_request`] pulls bytes
 //!   until a full head parses (in place, zero copies) or the socket runs
-//!   dry; a parsed request is answered through exactly the same
-//!   fast-lane/route/telemetry path as the thread-per-connection
-//!   transport ([`crate::answer`]). A raw fast-lane hit short-circuits:
-//!   the write is attempted inline, and in the common case the request
-//!   completes as one read plus one write with zero timer-wheel churn.
+//!   dry; a parsed request is answered on this thread through the shared
+//!   fast-lane/route/telemetry path ([`crate::answer`]) — an uncached
+//!   query executes and encodes inline here. A raw fast-lane hit
+//!   short-circuits: the write is attempted inline, and in the common
+//!   case the request completes as one read plus one write with zero
+//!   timer-wheel churn.
 //! * **ReadingBody** — a head with a `Content-Length` (batch and plan
 //!   registration `POST`s) parks here until the declared body is in the
 //!   connection's body scratch; the head's facts live in per-connection
 //!   scratch strings because the parsed request borrowed the buffer the
 //!   body bytes recycle. Oversize declarations are refused with `413`
 //!   before a single body byte is read.
+//! * **Ingesting** — a `POST /v1/ingest` body went to the ingest
+//!   thread; the connection waits, reading nothing, until the publish
+//!   posts its answer to this shard's [`Mailbox`] and wakes the eventfd.
+//!   Only the publish leaves the shard, so readers on the same shard
+//!   never wait behind fsyncs, and the timer wheel never counts the wait
+//!   as idleness.
 //! * **Responding** — the response head is assembled once
 //!   ([`crate::http::ResponseBuf::assemble`]) and the payload drains in
 //!   its shape's write path ([`Sending`]): whole bodies through
@@ -34,7 +41,13 @@
 //!   pipelined requests are served immediately (the loop falls back to
 //!   Reading without returning to `epoll_wait`).
 //! * **Draining** — a malformed request's error response is being
-//!   written; the connection closes when it completes.
+//!   written; the connection lingers when it completes.
+//! * **Lingering** — the last response is out and our side is shut
+//!   down; bytes the peer still sends (an oversize body refused with
+//!   `413`, garbage after a malformed head) are read and discarded until
+//!   it closes, because closing a socket with unread input sends `RST`,
+//!   which can destroy the response before the peer reads it. The
+//!   connection's deadline bounds the wait; reads do not extend it.
 //!
 //! The listener itself is registered **level**-triggered: under fd
 //! exhaustion an accept backs off without consuming the edge, and epoll
@@ -51,20 +64,20 @@
 //! requests (and allocated lazily, so an idle connection that never sends
 //! a byte costs ~200 bytes of slab entry, not a 32 KiB request buffer —
 //! the "10k idle connections in bounded memory" property), wheel slots
-//! are preallocated, and the shared answer/record helpers are the same
-//! allocation-free code the blocking transport runs.
+//! are preallocated, and the answer/record helpers allocate nothing on a
+//! cache hit.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::http::{self, WriteProgress};
 use crate::metrics::{self, Route, ServerMetrics};
 use crate::service::{self, ResponseTier, ServiceResponse};
 use crate::{
-    answer, fault, record_parse_error, record_request, AcceptRescue, ConnState, Payload,
+    answer, fault, record_parse_error, record_request, AcceptRescue, ConnState, IngestJob, Payload,
     RequestOutcome, ShutdownSignal, MAX_REQUESTS_PER_CONNECTION, OVERLOAD_RESPONSE,
 };
 
@@ -95,10 +108,15 @@ enum Phase {
     /// The head parsed with a `Content-Length`; the body is being read
     /// into the connection's body scratch before the request is answered.
     ReadingBody,
+    /// An ingest body is being published off the shard; the answer
+    /// arrives through the shard's [`Mailbox`].
+    Ingesting,
     /// A response is assembled; head + body are draining to the socket.
     Responding,
-    /// A parse error's response is draining; close when it completes.
+    /// A parse error's response is draining; linger when it completes.
     Draining,
+    /// The last response is out; discard input until the peer closes.
+    Lingering,
 }
 
 /// What shape of response is draining to the socket.
@@ -188,6 +206,35 @@ struct Conn {
     stages: (u64, u64, u64),
 }
 
+/// Publishes finished by the ingest thread, waiting for their shard:
+/// [`Mailbox::post`] queues one and wakes the shard's eventfd, and the
+/// shard delivers them on its next pass.
+pub(crate) struct Mailbox {
+    done: Mutex<Vec<(u64, ServiceResponse, Vec<u8>)>>,
+    wake: Arc<EventFd>,
+}
+
+impl Mailbox {
+    /// Queues the answer for the connection behind `token`, handing back
+    /// its body buffer for reuse, and wakes the shard.
+    pub(crate) fn post(&self, token: u64, response: ServiceResponse, body: Vec<u8>) {
+        self.done
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push((token, response, body));
+        self.wake.notify();
+    }
+}
+
+impl Conn {
+    /// Shuts down our side after the last response and moves to
+    /// [`Phase::Lingering`]; `false` when the socket is already gone.
+    fn finish(&mut self) -> bool {
+        self.phase = Phase::Lingering;
+        self.stream.shutdown(std::net::Shutdown::Write).is_ok()
+    }
+}
+
 /// A slab slot: the connection (if live) plus the generation that must
 /// match for epoll tokens and wheel entries to act on it.
 struct Entry {
@@ -266,6 +313,7 @@ fn stage_outcome(conn: &mut Conn, outcome: RequestOutcome, keep_alive: bool, sta
             conn.chunk_head.clear();
             conn.sending = Sending::Stream { head_done: false, terminal: false };
         }
+        Payload::Ingest => unreachable!("ingests are handed off before staging"),
     }
     conn.wire = 0;
     conn.tier = response.tier;
@@ -364,6 +412,8 @@ pub(crate) struct Shard {
     epoll: Epoll,
     listener: TcpListener,
     wake: Arc<EventFd>,
+    /// Where the ingest thread posts this shard's finished publishes.
+    mailbox: Arc<Mailbox>,
     state: Arc<ConnState>,
     shutdown: Arc<ShutdownSignal>,
     entries: Vec<Entry>,
@@ -411,10 +461,12 @@ impl Shard {
         let tick_ms = (keep_ms.min(stall_ms) / 8).clamp(10, 500);
         let timeout_ticks = keep_ms.div_ceil(tick_ms) + 1;
         let stall_ticks = stall_ms.div_ceil(tick_ms) + 1;
+        let mailbox = Arc::new(Mailbox { done: Mutex::new(Vec::new()), wake: Arc::clone(&wake) });
         Ok(Shard {
             epoll,
             listener,
             wake,
+            mailbox,
             state,
             shutdown,
             entries: Vec::new(),
@@ -463,6 +515,7 @@ impl Shard {
                     accept_ready = true;
                 } else if token == TOKEN_WAKE {
                     self.wake.drain();
+                    self.deliver_ingests();
                 } else {
                     self.drive_token(token);
                 }
@@ -484,12 +537,15 @@ impl Shard {
     }
 
     /// Entering a graceful drain: idle keep-alive connections (Reading
-    /// phase, nothing buffered) are closed outright; everything else is
-    /// left to finish its in-flight work.
+    /// phase, nothing buffered) and lingering ones are closed outright;
+    /// everything else is left to finish its in-flight work.
     fn begin_drain(&mut self) {
         for idx in 0..self.entries.len() {
             let idle = match &self.entries[idx].conn {
-                Some(conn) => conn.phase == Phase::Reading && conn.request.filled() == 0,
+                Some(conn) => {
+                    (conn.phase == Phase::Reading && conn.request.filled() == 0)
+                        || conn.phase == Phase::Lingering
+                }
                 None => false,
             };
             if idle {
@@ -630,6 +686,52 @@ impl Shard {
         }
     }
 
+    /// Answers the connections whose publishes finished: each answer is
+    /// staged like any other response and written at once. A connection
+    /// closed meanwhile (its slot generation moved on) drops the answer;
+    /// the publish itself stands.
+    fn deliver_ingests(&mut self) {
+        let done = std::mem::take(
+            &mut *self.mailbox.done.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
+        let now_tick = self.now_tick();
+        for (token, response, body) in done {
+            let idx = (token & u64::from(u32::MAX)) as usize;
+            let gen = (token >> 32) as u32;
+            let Some(entry) = self.entries.get_mut(idx) else { continue };
+            if entry.generation != gen {
+                continue;
+            }
+            let Some(conn) = entry.conn.as_mut() else { continue };
+            if conn.phase != Phase::Ingesting {
+                continue;
+            }
+            conn.body_buf = body;
+            // A drain that began during the publish closes the
+            // connection after this answer.
+            let keep_alive = conn.keep_alive && !self.shutdown.is_triggered();
+            let outcome = RequestOutcome {
+                status: response.status,
+                response,
+                mode: http::BodyMode::Full,
+                not_modified: false,
+                route: Route::Ingest,
+                allow: None,
+                payload: Payload::Single,
+            };
+            metrics::stage_scratch::reset();
+            stage_outcome(conn, outcome, keep_alive, conn.started);
+            conn.expiry_tick = now_tick + self.stall_ticks;
+            if conn.expiry_tick < conn.scheduled_tick {
+                self.wheel.schedule(conn.expiry_tick, idx as u32, gen);
+                conn.scheduled_tick = conn.expiry_tick;
+            }
+            if let Drive::Close = self.drive(idx, now_tick) {
+                self.release(idx);
+            }
+        }
+    }
+
     /// Resolves an epoll token to a live slab entry (generation must
     /// match — a stale event for a recycled slot is dropped) and drives
     /// it.
@@ -653,7 +755,7 @@ impl Shard {
     fn drive(&mut self, idx: usize, now_tick: u64) -> Drive {
         let timeout_ticks = self.timeout_ticks;
         let stall_ticks = self.stall_ticks;
-        let Shard { entries, state, shutdown, wheel, .. } = self;
+        let Shard { entries, state, shutdown, wheel, mailbox, .. } = self;
         let state: &ConnState = state;
         let gen = entries[idx].generation;
         let Some(conn) = entries[idx].conn.as_mut() else { return Drive::Keep };
@@ -802,7 +904,10 @@ impl Shard {
                                         );
                                         conn.body = None;
                                         if !conn.keep_alive {
-                                            return Drive::Close;
+                                            if !conn.finish() {
+                                                return Drive::Close;
+                                            }
+                                            continue;
                                         }
                                         // The idle deadline moves later;
                                         // the wheel reschedules lazily.
@@ -870,6 +975,16 @@ impl Shard {
                         &mut conn.batch,
                         &mut conn.batch_scratch,
                     );
+                    if let (Payload::Ingest, Some(ingest)) = (&outcome.payload, &state.ingest) {
+                        // The thread lives as long as any sender.
+                        let _ = ingest.send(IngestJob {
+                            body: std::mem::take(&mut conn.body_buf),
+                            token: (u64::from(gen) << 32) | idx as u64,
+                            reply: Arc::clone(mailbox),
+                        });
+                        conn.phase = Phase::Ingesting;
+                        return Drive::Keep;
+                    }
                     stage_outcome(conn, outcome, keep_alive, started);
                     conn.expiry_tick = now_tick + stall_ticks;
                     if conn.expiry_tick < conn.scheduled_tick {
@@ -877,6 +992,7 @@ impl Shard {
                         conn.scheduled_tick = conn.expiry_tick;
                     }
                 }
+                Phase::Ingesting => return Drive::Keep,
                 Phase::Responding | Phase::Draining => {
                     let progress_before = (conn.cursor, conn.wire);
                     let result = match conn.sending {
@@ -920,7 +1036,10 @@ impl Shard {
                                 if state.telemetry {
                                     state.metrics.response_bytes.add(wire as u64);
                                 }
-                                return Drive::Close;
+                                if !conn.finish() {
+                                    return Drive::Close;
+                                }
+                                continue;
                             }
                             record_request(
                                 state,
@@ -933,7 +1052,10 @@ impl Shard {
                                 conn.stages,
                             );
                             if !conn.keep_alive {
-                                return Drive::Close;
+                                if !conn.finish() {
+                                    return Drive::Close;
+                                }
+                                continue;
                             }
                             conn.expiry_tick = now_tick + timeout_ticks;
                             if conn.expiry_tick < conn.scheduled_tick {
@@ -944,6 +1066,18 @@ impl Shard {
                             // Loop: pipelined bytes may already be buffered.
                         }
                         Err(_) => return Drive::Close,
+                    }
+                }
+                Phase::Lingering => {
+                    let mut sink = [0u8; 4096];
+                    loop {
+                        match io::Read::read(&mut fault::FaultStream(&mut conn.stream), &mut sink) {
+                            Ok(0) => return Drive::Close,
+                            Ok(_) => {}
+                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Drive::Keep,
+                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                            Err(_) => return Drive::Close,
+                        }
                     }
                 }
             }
@@ -969,21 +1103,24 @@ impl Shard {
     /// Advances the timer wheel, evicting connections idle past their
     /// expiry tick and lazily rescheduling the rest.
     fn expire_idle(&mut self, now_tick: u64) {
-        let Shard { entries, wheel, state, free, slot, .. } = self;
-        let slot = *slot;
+        let Shard { entries, wheel, state, free, slot, timeout_ticks, .. } = self;
+        let (slot, timeout_ticks) = (*slot, *timeout_ticks);
         wheel.advance(now_tick, |idx, gen| {
             let entry = entries.get_mut(idx as usize)?;
             if entry.generation != gen {
                 return None;
             }
             let conn = entry.conn.as_mut()?;
+            if conn.phase == Phase::Ingesting {
+                // Waiting on a publish is not idleness.
+                conn.expiry_tick = now_tick + timeout_ticks;
+            }
             if conn.expiry_tick > now_tick {
                 conn.scheduled_tick = conn.expiry_tick;
                 return Some(conn.expiry_tick);
             }
             // Idle past the deadline (between requests, stalled mid-head,
-            // or stalled mid-response): evict. The blocking transport's
-            // equivalents are its read and send timeouts.
+            // or stalled mid-response): evict.
             let stalled_write = matches!(conn.phase, Phase::Responding | Phase::Draining);
             entry.conn = None;
             entry.generation = entry.generation.wrapping_add(1);

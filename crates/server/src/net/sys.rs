@@ -6,9 +6,9 @@
 //! Same std-only playbook as `uops_db`'s `mmap` feature: the build
 //! environment has no crates.io access, so instead of the `libc` crate
 //! this module declares the C-library symbols it needs directly — `std`
-//! already links libc on Linux, so no extra linkage is required. The
-//! whole `net` module is compiled only on `target_os = "linux"`
-//! (`epoll`, `eventfd`, and these constant values are Linux-specific).
+//! already links libc on Linux, so no extra linkage is required. `epoll`,
+//! `eventfd`, and these constant values are Linux-specific, which is why
+//! the whole crate refuses to build on other targets.
 //!
 //! The one ABI subtlety worth calling out: `struct epoll_event` is
 //! `__attribute__((packed))` on x86/x86-64 (a 12-byte struct) but
@@ -233,6 +233,20 @@ pub(crate) fn bind_reuseport_listener(
     check(unsafe { listen(fd.as_raw_fd(), backlog) })?;
     set_nonblocking(fd.as_raw_fd())?;
     Ok(fd)
+}
+
+/// Caps glibc malloc at one arena for the whole process (`mallopt`
+/// with `M_ARENA_MAX`); a no-op with other C libraries.
+pub(crate) fn share_one_malloc_arena() {
+    #[cfg(target_env = "gnu")]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_ARENA_MAX: i32 = -8;
+        // SAFETY: mallopt only tunes the allocator and takes no pointers.
+        unsafe { mallopt(M_ARENA_MAX, 1) };
+    }
 }
 
 /// Raises the soft `RLIMIT_NOFILE` toward `want` (capped by the hard

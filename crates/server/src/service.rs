@@ -214,7 +214,7 @@ pub enum Shed {
 }
 
 /// The per-request deadline budget, threaded transport → service through a
-/// thread-local (both transports answer a request start-to-finish on one
+/// thread-local (a shard answers a request start-to-finish on its one
 /// thread, and this keeps the `produce` closures signature-stable — the
 /// same pattern as [`stage_scratch`]).
 pub(crate) mod deadline {

@@ -11,10 +11,8 @@
 //! buffers, which makes the zero-delta assertion strictly stronger (it
 //! proves client and server together allocate nothing in steady state).
 //!
-//! The same battery runs against **both transports** — the default
-//! thread-per-connection pool and (on Linux) the epoll reactor — since
-//! both promise the same allocation-free steady state over the same
-//! shared answer path.
+//! The server runs on two reactor shards: the slab, the timer wheel and
+//! the connection buffers must all be reused in steady state.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test can
 //! allocate in the background of the measured window.
@@ -116,15 +114,14 @@ fn read_response(stream: &mut TcpStream, expect_body: bool) -> Vec<u8> {
 }
 
 /// Overload controls enabled but generously sized: admission checks,
-/// queue-limit checks, deadline arming, and uncached-capacity accounting
-/// all run on every request in the measured window — and must allocate
+/// deadline arming, and uncached-capacity accounting all run on every
+/// request in the measured window — and must allocate
 /// nothing. (The limits are high enough that nothing actually sheds: the
 /// measured window is all cache hits, and a shed 503 for an unparsed
 /// query would allocate in query parsing, outside the proof's scope.)
 fn overload_options() -> ServerOptions {
     ServerOptions {
         max_inflight: 1024,
-        queue_depth: 1024,
         request_deadline: Some(std::time::Duration::from_secs(30)),
         ..ServerOptions::default()
     }
@@ -136,22 +133,8 @@ fn steady_state_keep_alive_requests_allocate_nothing() {
     let service = Arc::new(QueryService::from_segment(segment, 1 << 20));
     service.set_max_uncached_inflight(1024);
 
-    let pool = Server::bind_with("127.0.0.1:0", Arc::clone(&service), 1, overload_options())
-        .expect("bind pool");
-    run_battery(pool, "thread-per-connection");
-
-    // The reactor transport must uphold the same guarantee: its slab,
-    // wheel, and connection buffers are all reused in steady state.
-    #[cfg(target_os = "linux")]
-    {
-        let reactor = Server::bind_reactor("127.0.0.1:0", service, 2, overload_options())
-            .expect("bind reactor");
-        run_battery(reactor, "reactor");
-    }
-}
-
-/// The full warmup + measured-window battery against one booted server.
-fn run_battery(server: Server, transport: &str) {
+    let server =
+        Server::bind_with("127.0.0.1:0", service, 2, overload_options()).expect("bind server");
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -240,9 +223,7 @@ fn run_battery(server: Server, transport: &str) {
     assert_eq!(
         after - before,
         0,
-        "steady-state hit path must be allocation-free on the {} transport: \
-         {} allocations across {} requests",
-        transport,
+        "steady-state hit path must be allocation-free: {} allocations across {} requests",
         after - before,
         ROUNDS * 4,
     );
@@ -259,8 +240,8 @@ fn run_battery(server: Server, transport: &str) {
         "every measured request must be counted:\n{metrics_after}"
     );
 
-    // Close the client first so the draining worker sees EOF instead of
-    // sitting out the idle keep-alive timeout.
+    // Close the client first so the shard sees EOF instead of sitting
+    // out the idle keep-alive timeout.
     drop(stream);
     handle.shutdown();
 }

@@ -1,16 +1,18 @@
-//! Chaos suite: drives both transports through deterministic, scripted
-//! syscall faults (`--features fault-injection`) — short writes
+//! Chaos suite: drives the reactor transport through deterministic,
+//! scripted syscall faults (`--features fault-injection`) — short writes
 //! mid-vectored-response, `ECONNRESET` while an error response drains,
-//! `EMFILE` storms on accept, and a peer that stops reading — and
-//! asserts the robustness layer's contracts: byte-parity of successful
-//! responses, clean eviction of failed connections, a server that keeps
-//! serving afterwards, and monotone `accept_errors` / `accept_rescues` /
-//! `slow_reader_evictions` counters.
+//! and `EMFILE` storms on accept — plus filesystem faults at every step
+//! of an ingest's publish, and asserts the robustness layer's contracts:
+//! byte-parity of successful responses, clean eviction of failed
+//! connections, a server that keeps serving afterwards, monotone
+//! `accept_errors` / `accept_rescues` counters, and a served generation
+//! that is never torn. (A peer that stops reading is evicted by the timer
+//! wheel; that test lives in `tests/reactor.rs`.)
 //!
 //! The fault script is process-global, so every test serializes on one
-//! mutex and runs its server with a single worker (pool) or shard
-//! (reactor) and a single live client connection at a time — fault
-//! consumption is then fully ordered, with no sleeps as synchronization.
+//! mutex and runs its server with a single shard and a single live client
+//! connection at a time — fault consumption is then fully ordered, with
+//! no sleeps as synchronization.
 
 #![cfg(feature = "fault-injection")]
 
@@ -52,17 +54,8 @@ fn service() -> Arc<QueryService> {
     Arc::new(QueryService::from_segment(segment, 1 << 20))
 }
 
-fn spawn_pool() -> (ServerHandle, SocketAddr) {
-    let server = Server::bind_with("127.0.0.1:0", service(), 1, ServerOptions::default())
-        .expect("bind pool");
-    let addr = server.local_addr();
-    (server.spawn(), addr)
-}
-
-#[cfg(target_os = "linux")]
-fn spawn_reactor() -> (ServerHandle, SocketAddr) {
-    let server = Server::bind_reactor("127.0.0.1:0", service(), 1, ServerOptions::default())
-        .expect("bind reactor");
+fn spawn() -> (ServerHandle, SocketAddr) {
+    let server = Server::bind("127.0.0.1:0", service(), 1).expect("bind");
     let addr = server.local_addr();
     (server.spawn(), addr)
 }
@@ -118,7 +111,10 @@ fn lock_script() -> std::sync::MutexGuard<'static, ()> {
 
 /// Short writes chop the vectored response into arbitrary fragments; the
 /// resumable-write cursor must reassemble it byte-for-byte.
-fn short_write_byte_parity(addr: SocketAddr) {
+#[test]
+fn short_writes_keep_byte_parity_on_the_reactor_transport() {
+    let _guard = lock_script();
+    let (handle, addr) = spawn();
     let baseline = exchange_once(addr, GET);
     assert!(baseline.starts_with(b"HTTP/1.1 200"), "baseline must succeed");
 
@@ -128,23 +124,6 @@ fn short_write_byte_parity(addr: SocketAddr) {
     fault::inject_write(fault::WriteFault::Short(7));
     let fragmented = exchange_once(addr, GET);
     assert_eq!(fragmented, baseline, "short writes must not corrupt the response");
-}
-
-#[test]
-fn short_writes_keep_byte_parity_on_the_pool_transport() {
-    let _guard = lock_script();
-    let (handle, addr) = spawn_pool();
-    short_write_byte_parity(addr);
-    fault::reset();
-    handle.shutdown();
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn short_writes_keep_byte_parity_on_the_reactor_transport() {
-    let _guard = lock_script();
-    let (handle, addr) = spawn_reactor();
-    short_write_byte_parity(addr);
     fault::reset();
     handle.shutdown();
 }
@@ -152,7 +131,10 @@ fn short_writes_keep_byte_parity_on_the_reactor_transport() {
 /// A peer that resets the connection while a parse error's response is
 /// draining: the connection must be evicted cleanly and the server must
 /// keep serving.
-fn reset_during_draining(addr: SocketAddr) {
+#[test]
+fn connection_reset_while_draining_is_clean_on_the_reactor_transport() {
+    let _guard = lock_script();
+    let (handle, addr) = spawn();
     let mut bad = TcpStream::connect(addr).expect("connect");
     // The next write (the 400 response for this malformed request) dies
     // with ECONNRESET.
@@ -168,23 +150,6 @@ fn reset_during_draining(addr: SocketAddr) {
     // The failed connection is gone; a fresh one serves normally.
     let after = exchange_once(addr, GET);
     assert!(after.starts_with(b"HTTP/1.1 200"), "server must survive the reset");
-}
-
-#[test]
-fn connection_reset_while_draining_is_clean_on_the_pool_transport() {
-    let _guard = lock_script();
-    let (handle, addr) = spawn_pool();
-    reset_during_draining(addr);
-    fault::reset();
-    handle.shutdown();
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn connection_reset_while_draining_is_clean_on_the_reactor_transport() {
-    let _guard = lock_script();
-    let (handle, addr) = spawn_reactor();
-    reset_during_draining(addr);
     fault::reset();
     handle.shutdown();
 }
@@ -213,65 +178,29 @@ fn try_read_response(stream: &mut TcpStream) -> Option<Vec<u8>> {
 }
 
 /// One `EMFILE` storm cycle: inject the accept failure and verify that
-/// exactly one connection lands in the rescue path — accepted on the
-/// reserve fd and actively reset, so its client sees EOF, never a
-/// response — while the cycle ends with a normally served request.
-///
-/// *Which* connection is the victim depends on where the accept loop is
-/// when the fault is scripted. If it is already parked inside a real
-/// blocking `accept` (the script was checked before parking), the first
-/// connection is served and the loop's *next* pass consumes the fault,
-/// blocking in the rescue accept until the second connection arrives. If
-/// the loop had not yet reached the script check (or, on the reactor,
-/// where the check always runs on epoll wake), the first connection is
-/// rescued directly. The cycle handles both orderings, so no sleeps are
-/// needed to pin the loop's position.
+/// the next connection lands in the rescue path — accepted on the reserve
+/// fd and actively reset, so its client sees EOF, never a response —
+/// while the cycle ends with a normally served request. The shard
+/// consults the script when epoll reports the connection pending, so the
+/// victim is always the first connection after the fault is scripted.
 fn emfile_cycle(addr: SocketAddr) {
     fault::inject_accept_error(fault::EMFILE);
-    let mut first = TcpStream::connect(addr).expect("connect");
-    first.write_all(GET).expect("send");
-    let served_first = try_read_response(&mut first).is_some();
-    drop(first);
-    if served_first {
-        // The fault is still queued: the accept loop consumes it on its
-        // next pass and the rescue claims this second connection.
-        let mut victim = TcpStream::connect(addr).expect("victim connect");
-        victim.write_all(GET).ok();
-        assert!(
-            try_read_response(&mut victim).is_none(),
-            "the rescued connection must not have been served"
-        );
-    }
+    let mut victim = TcpStream::connect(addr).expect("victim connect");
+    victim.write_all(GET).ok();
+    assert!(
+        try_read_response(&mut victim).is_none(),
+        "the rescued connection must not have been served"
+    );
+    drop(victim);
 
     let after = exchange_once(addr, GET);
     assert!(after.starts_with(b"HTTP/1.1 200"), "server must survive the storm cycle");
 }
 
 #[test]
-fn emfile_storms_are_rescued_on_the_pool_transport() {
-    let _guard = lock_script();
-    let server = Server::bind_with("127.0.0.1:0", service(), 1, ServerOptions::default())
-        .expect("bind pool");
-    let addr = server.local_addr();
-    let metrics = server.metrics();
-    let handle = server.spawn();
-    let (errors_before, rescues_before) =
-        (metrics.accept_errors.get(), metrics.accept_rescues.get());
-    for _ in 0..3 {
-        emfile_cycle(addr);
-    }
-    assert!(metrics.accept_errors.get() >= errors_before + 3, "accept_errors must be monotone");
-    assert!(metrics.accept_rescues.get() >= rescues_before + 3, "every cycle must be rescued");
-    fault::reset();
-    handle.shutdown();
-}
-
-#[cfg(target_os = "linux")]
-#[test]
 fn emfile_storms_are_rescued_on_the_reactor_transport() {
     let _guard = lock_script();
-    let server = Server::bind_reactor("127.0.0.1:0", service(), 1, ServerOptions::default())
-        .expect("bind reactor");
+    let server = Server::bind("127.0.0.1:0", service(), 1).expect("bind");
     let addr = server.local_addr();
     let metrics = server.metrics();
     let handle = server.spawn();
@@ -282,51 +211,6 @@ fn emfile_storms_are_rescued_on_the_reactor_transport() {
     }
     assert!(metrics.accept_errors.get() >= errors_before + 3, "accept_errors must be monotone");
     assert!(metrics.accept_rescues.get() >= rescues_before + 3, "every cycle must be rescued");
-    fault::reset();
-    handle.shutdown();
-}
-
-/// A peer that stops reading entirely: on the blocking transport a
-/// scripted `WouldBlock` stands in for the send timeout expiring with
-/// zero bytes accepted, and the connection must be evicted immediately
-/// with the `slow_reader_evictions` counter advanced. (The reactor
-/// equivalent is timer-driven and lives in `tests/reactor.rs` — a
-/// scripted `WouldBlock` would park its edge-triggered state machine
-/// forever.)
-#[test]
-fn a_stalled_reader_is_evicted_on_the_pool_transport() {
-    let _guard = lock_script();
-    let server = Server::bind_with("127.0.0.1:0", service(), 1, ServerOptions::default())
-        .expect("bind pool");
-    let addr = server.local_addr();
-    let metrics = server.metrics();
-    let handle = server.spawn();
-
-    // Warm exchange on a keep-alive connection.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(GET).expect("send");
-    let mut warm = Vec::new();
-    read_one_response(&mut stream, &mut warm);
-    assert!(warm.starts_with(b"HTTP/1.1 200"));
-
-    let evictions_before = metrics.slow_reader_evictions.get();
-    // The next response write observes a full send-timeout window with
-    // zero bytes accepted (scripted, so no actual waiting).
-    fault::inject_write(fault::WriteFault::WouldBlock);
-    stream.write_all(GET).expect("send to stalled server");
-    let leftovers = read_until_closed(&mut stream);
-    assert!(leftovers.is_empty(), "eviction must not leak a partial response");
-    drop(stream);
-
-    assert_eq!(
-        metrics.slow_reader_evictions.get(),
-        evictions_before + 1,
-        "the stalled connection must be counted as a slow-reader eviction"
-    );
-
-    // The server keeps serving.
-    let after = exchange_once(addr, GET);
-    assert!(after.starts_with(b"HTTP/1.1 200"));
     fault::reset();
     handle.shutdown();
 }
@@ -342,9 +226,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Boots a pool server whose service is backed by a freshly bootstrapped
-/// [`GenerationStore`] (generation 1) with ingest enabled.
-fn spawn_pool_with_store(dir: &PathBuf) -> (ServerHandle, SocketAddr, Arc<GenerationStore>) {
+/// Boots a one-shard server whose service is backed by a freshly
+/// bootstrapped [`GenerationStore`] (generation 1) with ingest enabled.
+fn spawn_with_store(dir: &PathBuf) -> (ServerHandle, SocketAddr, Arc<GenerationStore>) {
     let store = Arc::new(
         GenerationStore::bootstrap(
             dir,
@@ -358,7 +242,7 @@ fn spawn_pool_with_store(dir: &PathBuf) -> (ServerHandle, SocketAddr, Arc<Genera
     assert!(service.swap_segment(Arc::clone(&generation.segment), generation.id));
     let options =
         ServerOptions { ingest_store: Some(Arc::clone(&store)), ..ServerOptions::default() };
-    let server = Server::bind_with("127.0.0.1:0", service, 1, options).expect("bind pool");
+    let server = Server::bind_with("127.0.0.1:0", service, 1, options).expect("bind");
     let addr = server.local_addr();
     (server.spawn(), addr, store)
 }
@@ -397,7 +281,7 @@ fn post_ingest(addr: SocketAddr, body: &[u8]) -> Vec<u8> {
 fn fs_faults_at_every_publish_step_never_tear_the_served_generation() {
     let _guard = lock_script();
     let dir = scratch_dir("fs_steps");
-    let (handle, addr, store) = spawn_pool_with_store(&dir);
+    let (handle, addr, store) = spawn_with_store(&dir);
     let baseline = exchange_once(addr, GET);
     assert!(baseline.starts_with(b"HTTP/1.1 200"), "baseline must succeed");
     let update = uops_db::codec::encode(&extra_snapshot());
@@ -445,7 +329,7 @@ fn fs_faults_at_every_publish_step_never_tear_the_served_generation() {
 fn fs_fault_between_image_and_manifest_quarantines_on_reboot() {
     let _guard = lock_script();
     let dir = scratch_dir("fs_orphan");
-    let (handle, addr, store) = spawn_pool_with_store(&dir);
+    let (handle, addr, store) = spawn_with_store(&dir);
     let update = uops_db::codec::encode(&extra_snapshot());
 
     // Publish order: image W,F,R,D then manifest W,F,R,D. Failing the
@@ -465,5 +349,58 @@ fn fs_fault_between_image_and_manifest_quarantines_on_reboot() {
     assert_eq!(recovered.store.current().id, 1);
     assert_eq!(recovered.quarantined, 1, "the orphan must be quarantined");
     assert!(!dir.join("gen-2.seg").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A publish stalled on the disk runs off the shard: with a single
+/// shard, reads on other connections keep being answered — from the old
+/// generation — while the ingest waits, and the ingest is answered once
+/// its publish completes.
+#[test]
+fn a_stalled_publish_leaves_its_shard_serving_reads() {
+    const STALL_MS: u64 = 1_000;
+    let _guard = lock_script();
+    let dir = scratch_dir("fs_stall");
+    let (handle, addr, store) = spawn_with_store(&dir);
+    let baseline = exchange_once(addr, GET);
+    assert!(baseline.starts_with(b"HTTP/1.1 200"), "baseline must succeed");
+
+    // The publish's first rename (the image) stalls.
+    fault::inject_fs(fault::FsOp::Rename, fault::FsFault::Stall(STALL_MS));
+    let update = uops_db::codec::encode(&extra_snapshot());
+    let writer = std::thread::spawn(move || post_ingest(addr, &update));
+    let mut stalled_reads = 0;
+    let mut swapped_reads = Vec::new();
+    loop {
+        let started = std::time::Instant::now();
+        let read = exchange_once(addr, GET);
+        let elapsed = started.elapsed();
+        // Checked before the writer's state: a read the stall held up
+        // would return only once the publish had finished.
+        assert!(
+            elapsed < std::time::Duration::from_millis(STALL_MS / 2),
+            "a read waited {elapsed:?} behind the stalled publish"
+        );
+        if writer.is_finished() {
+            break;
+        }
+        // The swap may land before the ingest's answer reaches its client.
+        if read == baseline {
+            stalled_reads += 1;
+        } else {
+            swapped_reads.push(read);
+        }
+    }
+    assert!(stalled_reads > 0, "reads must have been answered while the publish stalled");
+    let accepted = writer.join().expect("ingest client");
+    assert!(accepted.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&accepted));
+    assert_eq!(store.current().id, 2);
+    let swapped = exchange_once(addr, GET);
+    assert_ne!(swapped, baseline, "the new generation serves after the swap");
+    for read in swapped_reads {
+        assert_eq!(read, swapped, "a read saw neither generation whole");
+    }
+    fault::reset();
+    handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -238,25 +238,27 @@ fn error_statuses_over_http() {
 }
 
 #[test]
-#[cfg(target_os = "linux")]
-fn reactor_flag_boots_the_event_driven_transport() {
-    let (server, segment) = boot_server(&["--reactor=2"]);
+fn threads_flag_sets_the_reactor_shard_count() {
+    let (server, segment) = boot_server(&[]);
     let segment = Arc::new(segment);
 
+    // `--threads 2` (boot_server's) runs two shards.
+    assert_eq!(stats_field(&server.addr, "shards", "count"), 2);
+
     // Responses through the reactor are byte-identical to in-process
-    // execution, exactly as with the default transport.
+    // execution.
     let plan = QueryPlan::parse("uarch=Skylake").expect("plan");
     let expected = JsonEncoder.encode_result(&QueryExec::new().run(&plan, &segment.db()));
     let (status, body) = http_get(&server.addr, "/v1/query?uarch=Skylake");
     assert_eq!(status, 200);
     assert_eq!(body, expected, "reactor transport must frame identical bytes");
 
-    // Telemetry is threaded through the reactor: the request above shows
-    // up in the exposition.
+    // Telemetry is threaded through the reactor: the two requests above
+    // show up in the exposition.
     let (status, metrics) = http_get(&server.addr, "/metrics");
     assert_eq!(status, 200);
     let text = String::from_utf8_lossy(&metrics).to_string();
-    assert!(text.contains("uops_http_requests_total 1"), "{text}");
+    assert!(text.contains("uops_http_requests_total 2"), "{text}");
     assert!(text.contains("uops_http_accept_errors_total 0"), "{text}");
 }
 #[test]
@@ -273,6 +275,18 @@ fn unknown_flags_exit_nonzero_with_usage() {
     let output = Command::new(env!("CARGO_BIN_EXE_serve")).output().expect("run serve");
     assert_eq!(output.status.code(), Some(2), "--segment is required");
     assert!(String::from_utf8_lossy(&output.stderr).contains("--segment is required"));
+
+    // Transport selection and queue sizing are not options.
+    for flag in ["--reactor", "--reactor=2", "--queue-depth"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--segment", "x.seg", flag])
+            .output()
+            .expect("run serve");
+        assert_eq!(output.status.code(), Some(2), "{flag} must exit 2");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("unknown option"), "{flag}: {stderr}");
+        assert!(stderr.contains("usage:"), "{flag}: {stderr}");
+    }
 
     let output =
         Command::new(env!("CARGO_BIN_EXE_serve")).arg("--help").output().expect("run serve");
@@ -523,9 +537,9 @@ fn metrics_exposition_parses_and_counts_requests() {
     assert_eq!(exposition_value(&text, "uops_cache_hits_total{tier=\"raw\"}"), 2);
     // Executor stage histograms saw the uncached requests.
     assert!(exposition_value(&text, "uops_exec_stage_nanoseconds_count{stage=\"execute\"}") >= 2);
-    // Pool tasks ran (one per connection; the scrape's own task is still
-    // in flight, and the previous one may be mid-completion).
-    assert!(exposition_value(&text, "uops_pool_tasks_executed_total") >= 4);
+    // Every connection so far was accepted onto a shard: the five
+    // requests' and this scrape's.
+    assert_eq!(exposition_value(&text, "uops_http_connections_opened_total"), 6);
 
     // Counter monotonicity across scrapes: the scrape above is now also
     // counted, plus one more query.
@@ -655,7 +669,6 @@ fn sort_orders_survive_the_wire() {
 
 /// `SIGTERM` triggers a graceful drain: the server stops accepting,
 /// finishes what it has, and the process exits 0 (not killed-by-signal).
-#[cfg(target_os = "linux")]
 #[test]
 fn sigterm_drains_gracefully_and_exits_zero() {
     extern "C" {
@@ -948,10 +961,9 @@ fn large_results_stream_chunked_with_byte_parity() {
     assert!(header_value(&head, "Content-Length").is_some(), "1-row result: {head}");
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn reactor_streams_batches_and_exposes_per_shard_metrics() {
-    let (server, segment) = boot_server(&["--reactor=2", "--stream-threshold", "1"]);
+    let (server, segment) = boot_server(&["--stream-threshold", "1"]);
     let segment = Arc::new(segment);
 
     // Chunked streaming over the reactor transport, byte-identical to the

@@ -1,8 +1,8 @@
-//! Reactor-transport integration tests (Linux only): byte-parity with
-//! the thread-per-connection transport, slow-loris (byte-at-a-time)
-//! delivery through the resumable parser, pipelining across shards, and
-//! idle-timeout eviction by the timer wheel.
-#![cfg(target_os = "linux")]
+//! Reactor-transport integration tests: byte-parity with the in-process
+//! answer framed by the same response assembler, slow-loris
+//! (byte-at-a-time) delivery through the resumable parser, pipelining
+//! across shards, and idle-timeout and slow-reader eviction by the timer
+//! wheel.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use uops_db::{Segment, Snapshot, VariantRecord};
-use uops_serve::{QueryService, Server, ServerOptions};
+use uops_serve::{http, respond, QueryService, Server, ServerOptions};
 
 fn service() -> Arc<QueryService> {
     let mut s = Snapshot::new("reactor test");
@@ -64,46 +64,59 @@ fn read_response(stream: &mut TcpStream) -> Vec<u8> {
     read_response_framed(stream, true)
 }
 
-#[test]
-fn reactor_responses_match_the_thread_transport_byte_for_byte() {
-    let service = service();
-    let pool = Server::bind("127.0.0.1:0", Arc::clone(&service), 1).expect("bind pool").spawn();
-    let reactor = Server::bind_reactor("127.0.0.1:0", service, 2, ServerOptions::default())
-        .expect("bind reactor")
-        .spawn();
+/// What the transport must put on the wire for `target`: the in-process
+/// [`respond`] answer over a service of its own (so the server's cache
+/// state cannot leak into the reference), framed by [`http::ResponseBuf`]
+/// exactly as a keep-alive response.
+fn reference_response(method: &str, target: &str) -> Vec<u8> {
+    let response = respond(&service(), method, target);
+    let mode = if method == "HEAD" { http::BodyMode::HeaderOnly } else { http::BodyMode::Full };
+    let mut framed = http::ResponseBuf::new();
+    let emit = framed.assemble(
+        &http::ResponseHead {
+            status: response.status,
+            content_type: response.content_type,
+            keep_alive: true,
+            etag: response.etag,
+            allow: None,
+            mode,
+        },
+        response.body.len(),
+    );
+    let mut wire = framed.head_bytes().to_vec();
+    wire.extend_from_slice(&response.body[..emit]);
+    wire
+}
 
-    let requests: &[(&[u8], bool)] = &[
-        (b"GET /v1/query?uarch=Skylake HTTP/1.1\r\nHost: t\r\n\r\n", true),
-        (b"HEAD /v1/query?uarch=Skylake HTTP/1.1\r\nHost: t\r\n\r\n", false),
-        (b"GET /v1/record/ADD HTTP/1.1\r\nHost: t\r\n\r\n", true),
-        (b"GET /v1/diff?base=Haswell&other=Skylake HTTP/1.1\r\nHost: t\r\n\r\n", true),
-        (b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n", true),
-        (b"GET /v1/query?bogus=1 HTTP/1.1\r\nHost: t\r\n\r\n", true),
+#[test]
+fn reactor_responses_match_the_in_process_answer_byte_for_byte() {
+    let server = Server::bind("127.0.0.1:0", service(), 2).expect("bind").spawn();
+    let requests: &[(&str, &str)] = &[
+        ("GET", "/v1/query?uarch=Skylake"),
+        ("HEAD", "/v1/query?uarch=Skylake"),
+        ("GET", "/v1/record/ADD"),
+        ("GET", "/v1/diff?base=Haswell&other=Skylake"),
+        ("GET", "/nope"),
+        ("GET", "/v1/query?bogus=1"),
     ];
-    let mut via_pool = TcpStream::connect(pool.local_addr()).expect("connect pool");
-    let mut via_reactor = TcpStream::connect(reactor.local_addr()).expect("connect reactor");
-    for (request, has_body) in requests {
-        via_pool.write_all(request).expect("send pool");
-        via_reactor.write_all(request).expect("send reactor");
-        let expected = read_response_framed(&mut via_pool, *has_body);
-        let got = read_response_framed(&mut via_reactor, *has_body);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    for &(method, target) in requests {
+        write!(stream, "{method} {target} HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+        let got = read_response_framed(&mut stream, method != "HEAD");
         assert_eq!(
             String::from_utf8_lossy(&got),
-            String::from_utf8_lossy(&expected),
-            "transports disagree on {}",
-            String::from_utf8_lossy(request)
+            String::from_utf8_lossy(&reference_response(method, target)),
+            "the wire disagrees with the in-process answer on {method} {target}"
         );
     }
-    drop((via_pool, via_reactor));
-    pool.shutdown();
-    reactor.shutdown();
+    drop(stream);
+    server.shutdown();
 }
 
 #[test]
 fn slow_loris_bytes_and_pipelining_parse_identically() {
     let service = service();
-    let server = Server::bind_reactor("127.0.0.1:0", service, 1, ServerOptions::default())
-        .expect("bind reactor");
+    let server = Server::bind("127.0.0.1:0", service, 1).expect("bind");
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -169,7 +182,7 @@ fn a_peer_that_stops_reading_is_evicted_at_the_write_stall_timeout() {
         write_stall_timeout: Duration::from_millis(300),
         ..Default::default()
     };
-    let server = Server::bind_reactor("127.0.0.1:0", big_service(), 1, options).expect("bind");
+    let server = Server::bind_with("127.0.0.1:0", big_service(), 1, options).expect("bind");
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -225,7 +238,7 @@ fn stalled_half_request_is_evicted_at_the_idle_timeout() {
     let service = service();
     let options =
         ServerOptions { keep_alive_timeout: Duration::from_millis(300), ..Default::default() };
-    let server = Server::bind_reactor("127.0.0.1:0", service, 1, options).expect("bind reactor");
+    let server = Server::bind_with("127.0.0.1:0", service, 1, options).expect("bind");
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -275,8 +288,7 @@ fn stalled_half_request_is_evicted_at_the_idle_timeout() {
 #[test]
 fn stats_reports_per_shard_connection_skew() {
     const SHARDS: usize = 2;
-    let server = Server::bind_reactor("127.0.0.1:0", service(), SHARDS, ServerOptions::default())
-        .expect("bind reactor");
+    let server = Server::bind("127.0.0.1:0", service(), SHARDS).expect("bind");
     let addr = server.local_addr();
     let handle = server.spawn();
 
@@ -332,5 +344,34 @@ fn stats_reports_per_shard_connection_skew() {
     assert_eq!(max, *connections.iter().max().expect("max"));
 
     drop(parked);
+    handle.shutdown();
+}
+
+/// A refused request whose body is still arriving keeps its response: the
+/// shard shuts down its side and discards the rest of the body until the
+/// peer closes, since closing a socket with unread input sends `RST`.
+#[test]
+fn a_refused_oversize_body_still_gets_its_413() {
+    let options = ServerOptions { max_body: 64, ..ServerOptions::default() };
+    let server = Server::bind_with("127.0.0.1:0", service(), 1, options).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+
+    // Far past the 32 KiB request buffer, so most of it is still unread
+    // when the 413 goes out.
+    let body = vec![b'a'; 256 * 1024];
+    let mut request =
+        format!("POST /v1/batch HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n", body.len())
+            .into_bytes();
+    request.extend_from_slice(&body);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(&request).expect("the whole body is accepted");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("the response survives the unread body");
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 413"), "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+
+    drop(stream);
     handle.shutdown();
 }

@@ -2,7 +2,7 @@
 //! store swaps generations under concurrent readers, every response must
 //! carry the bytes of one coherent generation — body, ETag, and
 //! generation stamp all from the same snapshot of the world, never a
-//! torn mix — on the service layer and on both HTTP transports.
+//! torn mix — on the service layer and over HTTP.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use uops_db::{
     BinaryEncoder, JsonEncoder, Query, QueryExec, QueryPlan, ResultEncoder, Segment, Snapshot,
     SortKey, VariantRecord, XmlEncoder,
 };
-use uops_serve::{respond, Encoding, QueryService, Server, ServerOptions};
+use uops_serve::{respond, Encoding, QueryService, Server};
 
 const MNEMONICS: [&str; 6] = ["ADD", "ADC", "SHLD", "VPADDD", "DIV", "MULPS"];
 const VARIANTS: [&str; 3] = ["R64, R64", "XMM, XMM", "R64, M64"];
@@ -217,7 +217,7 @@ proptest! {
     }
 }
 
-// ---- HTTP transports ----
+// ---- over HTTP ----
 
 /// Reads one full `Connection: close` response off `stream`.
 fn raw_get(addr: std::net::SocketAddr, target: &str) -> Vec<u8> {
@@ -327,26 +327,10 @@ fn http_base() -> Snapshot {
 }
 
 #[test]
-fn swaps_are_coherent_on_the_pool_transport() {
-    let ladder = generation_ladder(&http_base(), 5);
-    let service = Arc::new(QueryService::from_segment(Arc::clone(&ladder[0]), 1 << 20));
-    let server =
-        Server::bind_with("127.0.0.1:0", Arc::clone(&service), 2, ServerOptions::default())
-            .expect("bind pool");
-    let addr = server.local_addr();
-    let handle = server.spawn();
-    swap_coherence_over_http(&service, addr, &ladder);
-    handle.shutdown();
-}
-
-#[cfg(target_os = "linux")]
-#[test]
 fn swaps_are_coherent_on_the_reactor_transport() {
     let ladder = generation_ladder(&http_base(), 5);
     let service = Arc::new(QueryService::from_segment(Arc::clone(&ladder[0]), 1 << 20));
-    let server =
-        Server::bind_reactor("127.0.0.1:0", Arc::clone(&service), 2, ServerOptions::default())
-            .expect("bind reactor");
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&service), 2).expect("bind");
     let addr = server.local_addr();
     let handle = server.spawn();
     swap_coherence_over_http(&service, addr, &ladder);

@@ -147,17 +147,17 @@
 //! canonical plan (a hit skips planning, execution, and encoding) and a
 //! raw fast lane keyed by the verbatim request target (a hit additionally
 //! skips percent-decoding, parsing, and fingerprinting) — under a
-//! std-only, allocation-free HTTP/1.1 server whose workers run on the
-//! [`uops_pool::TaskPool`]. Responses carry strong `ETag`s
+//! std-only, allocation-free HTTP/1.1 server on epoll reactor shards
+//! (Linux only). Responses carry strong `ETag`s
 //! (plan fingerprint ⊕ segment content hash), so `If-None-Match`
 //! revalidations answer `304 Not Modified` without a body, and `HEAD`
 //! mirrors `GET` headers for free. In production use the `serve` binary
 //! (`cargo run --release --bin serve -- --segment uops.seg`, plus
-//! `--mmap` under the feature). Two transports share that stack: the
-//! default thread-per-connection pool, and — for many concurrent,
-//! mostly idle keep-alive clients — `--reactor[=SHARDS]` (Linux), an
-//! edge-triggered epoll event loop per acceptor shard with
-//! `SO_REUSEPORT` kernel load-balancing and timer-wheel idle eviction,
+//! `--mmap` under the feature). `--threads N` sets the shard count
+//! (default: the CPU count): each shard is an edge-triggered epoll event
+//! loop with its own `SO_REUSEPORT` listener and timer-wheel idle
+//! eviction, answering each request inline on the shard that owns its
+//! connection (only an ingest's publish runs on a separate thread), and
 //! parking ~10k idle connections in bounded memory (see
 //! `crates/server/README.md` for shard guidance). Three protocol
 //! extensions amortize or bound per-request costs: `POST /v1/batch`
@@ -166,14 +166,14 @@
 //! a 1000-plan batch is CI-gated at ≤ 10% of the per-plan cost of
 //! sequential singles), results past `--stream-threshold` rows leave as
 //! `Transfer-Encoding: chunked` in bounded ~64 KiB chunks (a
-//! tens-of-MB export grows server RSS ≤ 16 MiB on both transports),
+//! tens-of-MB export grows server RSS ≤ 16 MiB),
 //! and `POST /v1/plan` registers a compiled plan behind a fingerprint
 //! handle that `GET /v1/plan/{fingerprint}` executes without re-parsing
 //! the wire codec (the "Protocol" section of the server README has the
 //! framing details). Overload control is
-//! opt-in per mechanism: `--max-inflight` / `--queue-depth` reject
-//! excess connections with a preformatted `503` + `Retry-After` instead
-//! of queueing them invisibly, `--max-uncached` / `--deadline-ms` shed
+//! opt-in per mechanism: `--max-inflight` rejects excess connections
+//! with a preformatted `503` + `Retry-After` instead of queueing them
+//! invisibly, `--max-uncached` / `--deadline-ms` shed
 //! *uncached* work first while both cache tiers keep serving, and
 //! `SIGTERM`/`SIGINT` drain in-flight requests gracefully within
 //! `--drain-timeout` seconds before exiting 0 (the "Overload & limits"
@@ -317,7 +317,8 @@
 //! quantiles carry ≤ 2x relative error), status-class and byte
 //! [`uops_telemetry::Counter`]s, connection [`uops_telemetry::Gauge`]s,
 //! cache hit/miss/eviction counters per tier, executor stage timings
-//! (parse/execute/encode), and task-pool queue depth / wait / run times.
+//! (parse/execute/encode), and per-shard connection gauges and accept
+//! counters.
 //!
 //! Scrape `GET /metrics` for the Prometheus text exposition — rendered on
 //! the cold path, never cached by either response tier, so every scrape
@@ -353,7 +354,7 @@
 //! let text = render_metrics(&service, &server.metrics());
 //! assert!(text.contains("# TYPE uops_http_requests_total counter"));
 //! assert!(text.contains("uops_cache_entries{tier=\"raw\"}"));
-//! assert!(text.contains("uops_pool_queue_depth"));
+//! assert!(text.contains("uops_http_shard_connections{shard=\"0\"}"));
 //!
 //! // The raw primitives compose outside the server, too.
 //! let latency = uops_info::telemetry::Histogram::new();
@@ -399,7 +400,7 @@ pub mod prelude {
         Measurement, MeasurementBackend, MeasurementConfig, RunContext, SimBackend,
     };
     pub use uops_pipeline::{PerfCounters, Pipeline};
-    pub use uops_pool::{parallel_map, parallel_map_indexed, Parallelism, TaskPool};
+    pub use uops_pool::{parallel_map, parallel_map_indexed, Parallelism};
     pub use uops_serve::{Encoding, QueryService, ResponseCache, Server};
     pub use uops_telemetry::{Counter, Gauge, Histogram, Registry, Span};
     pub use uops_uarch::{MicroArch, Port, PortSet, UarchConfig};
