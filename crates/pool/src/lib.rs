@@ -42,22 +42,6 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Mutex;
 
-use uops_telemetry::Counter;
-
-/// Chunks taken from *another* worker's deque since process start, across
-/// all [`parallel_map_indexed`] sweeps. Stealing is transient (the deques
-/// live only for the duration of one sweep), so the counter is the one piece
-/// of scheduling telemetry that outlives a sweep.
-static STEALS: Counter = Counter::new();
-
-/// The process-wide work-steal counter, borrowable into a telemetry
-/// `Registry`. Incremented every time an idle worker takes a chunk from the
-/// front of another worker's deque.
-#[must_use]
-pub fn steals_counter() -> &'static Counter {
-    &STEALS
-}
-
 /// How much parallelism a sweep may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
@@ -136,11 +120,7 @@ impl ChunkDeque {
     }
 
     fn steal_front(&self) -> Option<Range<usize>> {
-        let stolen = self.chunks.lock().expect("deque mutex").pop_front();
-        if stolen.is_some() {
-            STEALS.inc();
-        }
-        stolen
+        self.chunks.lock().expect("deque mutex").pop_front()
     }
 }
 
@@ -360,20 +340,6 @@ mod tests {
     fn parallel_map_over_slice() {
         let words = ["a", "bb", "ccc"];
         assert_eq!(parallel_map(Parallelism::Fixed(2), &words, |w| w.len()), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn steal_front_increments_the_process_steal_counter() {
-        let deque = ChunkDeque::new();
-        deque.push(0..4);
-        deque.push(4..8);
-        let before = steals_counter().get();
-        assert_eq!(deque.steal_front(), Some(0..4));
-        assert_eq!(steals_counter().get(), before + 1);
-        // Owner pops and misses do not count as steals.
-        assert_eq!(deque.pop_back(), Some(4..8));
-        assert_eq!(deque.steal_front(), None);
-        assert_eq!(steals_counter().get(), before + 1);
     }
 
     #[test]

@@ -102,8 +102,6 @@ fn open_segment(path: &str, use_mmap: bool) -> Result<Segment, uops_db::DbError>
 }
 
 fn main() {
-    // Before any thread starts: the shards share one malloc arena.
-    uops_serve::net::share_one_malloc_arena();
     let args = SPEC.parse_or_exit();
     let Some(segment_path) = args.value("--segment") else {
         SPEC.exit_usage("--segment is required");

@@ -33,9 +33,10 @@
 //!    leave in a single vectored write (verified by a
 //!    counting-global-allocator integration test driving real sockets).
 //!    A request is answered on the shard that owns its connection, so an
-//!    uncached query runs inline there; only an ingest's publish (fsyncs
-//!    and renames) is handed to a separate thread, so readers never wait
-//!    behind it.
+//!    uncached query runs inline there (a connection with more requests
+//!    buffered then yields to the shard's other connections); only an
+//!    ingest's publish (fsyncs and renames) is handed to a separate
+//!    thread, so readers never wait behind it.
 //!
 //! The crate is Linux-only: the transport is built on `epoll`,
 //! `eventfd` and `SO_REUSEPORT`.
@@ -438,9 +439,10 @@ pub(crate) struct ConnState {
     pub(crate) request_deadline: Option<Duration>,
     pub(crate) write_stall_timeout: Duration,
     pub(crate) max_body: usize,
-    /// Where `POST /v1/ingest` bodies go to be published; `None`
+    /// Where `POST /v1/ingest` bodies go to be published (a bounded
+    /// queue: a body that finds it full is answered `503`); `None`
     /// without an ingest store.
-    pub(crate) ingest: Option<std::sync::mpsc::Sender<IngestJob>>,
+    pub(crate) ingest: Option<std::sync::mpsc::SyncSender<IngestJob>>,
 }
 
 /// Cross-thread shutdown plumbing shared by the shards and the
@@ -563,8 +565,9 @@ impl Server {
     ) -> std::io::Result<Server> {
         let shards = shards.max(1);
         let (local_addr, listeners) = net::listener::bind_shard_listeners(addr, shards)?;
-        let ingest =
-            options.ingest_store.map(|store| spawn_ingest_thread(Arc::clone(&service), store));
+        let ingest = options
+            .ingest_store
+            .map(|store| spawn_ingest_thread(Arc::clone(&service), store, shards));
         let state = Arc::new(ConnState {
             service,
             metrics: Arc::new(ServerMetrics::new()),
@@ -779,18 +782,25 @@ pub(crate) struct IngestJob {
 /// inline, and its other connections keep being served meanwhile. One
 /// thread serializes the publishes (the store publishes one generation
 /// at a time anyway); each answer is posted back to the owning shard's
-/// [`net::reactor::Mailbox`]. The thread exits once every sender (held by
-/// the shards' shared state) is gone.
+/// [`net::reactor::Mailbox`]. At most `queued` bodies wait behind the
+/// publish in progress; a shard whose body finds the queue full answers
+/// `503` at once instead of holding it. A publish that panics is
+/// answered `500`, so the thread outlives it. The thread exits once
+/// every sender (held by the shards' shared state) is gone.
 fn spawn_ingest_thread(
     service: Arc<QueryService>,
     store: Arc<GenerationStore>,
-) -> std::sync::mpsc::Sender<IngestJob> {
-    let (jobs, queue) = std::sync::mpsc::channel::<IngestJob>();
+    queued: usize,
+) -> std::sync::mpsc::SyncSender<IngestJob> {
+    let (jobs, queue) = std::sync::mpsc::sync_channel::<IngestJob>(queued);
     std::thread::Builder::new()
         .name("uops-serve-ingest".into())
         .spawn(move || {
             for job in queue {
-                let response = publish_ingest(&service, &store, &job.body);
+                let publish =
+                    std::panic::AssertUnwindSafe(|| publish_ingest(&service, &store, &job.body));
+                let response = std::panic::catch_unwind(publish)
+                    .unwrap_or_else(|_| ServiceResponse::error(500, "publish failed"));
                 job.reply.post(job.token, response, job.body);
             }
         })

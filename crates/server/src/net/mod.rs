@@ -37,21 +37,6 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
     sys::raise_nofile_limit(want)
 }
 
-/// Makes every thread of the process allocate from one malloc arena
-/// (glibc; elsewhere a no-op). Call it in `main` before any thread
-/// starts.
-///
-/// A shard allocates the response bodies that any shard may free when it
-/// evicts them from the shared cache tiers, and glibc gives every thread
-/// an arena of its own, each holding on to its own high-water mark of
-/// freed bodies. With one arena the process keeps one working set: on
-/// the perfbench `query` mix with two shards, peak RSS fell from ~15.1
-/// to ~12.3 MiB, with throughput and latency no worse. Cache hits
-/// allocate nothing, so the shared arena's lock is taken on misses only.
-pub fn share_one_malloc_arena() {
-    sys::share_one_malloc_arena();
-}
-
 /// This process's resident set size in bytes (from `/proc/self/statm`),
 /// or `None` if it cannot be read. Public for the bench harness, which
 /// gates per-connection memory of the reactor under 10k idle

@@ -11,10 +11,14 @@
 //!   until a full head parses (in place, zero copies) or the socket runs
 //!   dry; a parsed request is answered on this thread through the shared
 //!   fast-lane/route/telemetry path ([`crate::answer`]) — an uncached
-//!   query executes and encodes inline here. A raw fast-lane hit
-//!   short-circuits: the write is attempted inline, and in the common
-//!   case the request completes as one read plus one write with zero
-//!   timer-wheel churn.
+//!   query executes and encodes inline here. After an uncached answer
+//!   goes out, a connection with another request already buffered
+//!   yields: it is driven again only after every other ready connection
+//!   of the shard has had its turn, so a pipelined miss flood holds up
+//!   the shard's other connections by at most one execution per turn.
+//!   A raw fast-lane hit short-circuits: the write is attempted inline,
+//!   and in the common case the request completes as one read plus one
+//!   write with zero timer-wheel churn.
 //! * **ReadingBody** — a head with a `Content-Length` (batch and plan
 //!   registration `POST`s) parks here until the declared body is in the
 //!   connection's body scratch; the head's facts live in per-connection
@@ -42,12 +46,15 @@
 //!   Reading without returning to `epoll_wait`).
 //! * **Draining** — a malformed request's error response is being
 //!   written; the connection lingers when it completes.
-//! * **Lingering** — the last response is out and our side is shut
-//!   down; bytes the peer still sends (an oversize body refused with
-//!   `413`, garbage after a malformed head) are read and discarded until
-//!   it closes, because closing a socket with unread input sends `RST`,
-//!   which can destroy the response before the peer reads it. The
-//!   connection's deadline bounds the wait; reads do not extend it.
+//! * **Lingering** — the last response is out, input may still be
+//!   unread (an oversize body refused with `413`, garbage after a
+//!   malformed head, pipelined requests past the last one served), and
+//!   our side is shut down; bytes the peer still sends are read and
+//!   discarded until it closes, because closing a socket with unread
+//!   input sends `RST`, which can destroy the response before the peer
+//!   reads it. The connection's deadline bounds the wait; reads do not
+//!   extend it. Every other last response closes the connection at once,
+//!   and so does every last response during a graceful drain.
 //!
 //! The listener itself is registered **level**-triggered: under fd
 //! exhaustion an accept backs off without consuming the edge, and epoll
@@ -70,6 +77,7 @@
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::sync::mpsc::TrySendError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -115,7 +123,8 @@ enum Phase {
     Responding,
     /// A parse error's response is draining; linger when it completes.
     Draining,
-    /// The last response is out; discard input until the peer closes.
+    /// The last response is out with input possibly unread; discard
+    /// input until the peer closes.
     Lingering,
 }
 
@@ -227,9 +236,16 @@ impl Mailbox {
 }
 
 impl Conn {
-    /// Shuts down our side after the last response and moves to
-    /// [`Phase::Lingering`]; `false` when the socket is already gone.
-    fn finish(&mut self) -> bool {
+    /// Ends the connection after its last response: returns `false` to
+    /// close it at once, or shuts down our side and moves to
+    /// [`Phase::Lingering`] when input may be unread — a refused body
+    /// (`413`), a malformed request (`unread`), or pipelined bytes already
+    /// buffered. A graceful drain never lingers.
+    fn finish(&mut self, unread: bool, draining: bool) -> bool {
+        let unread = unread || self.status == 413 || self.request.filled() > 0;
+        if !unread || draining {
+            return false;
+        }
         self.phase = Phase::Lingering;
         self.stream.shutdown(std::net::Shutdown::Write).is_ok()
     }
@@ -439,6 +455,13 @@ pub(crate) struct Shard {
     /// Reserve fd for actively resetting connections under `EMFILE`.
     rescue: AcceptRescue,
     epoch: Instant,
+    /// Tokens of connections that yielded after an uncached answer with
+    /// another request buffered; they get their next turn on the next
+    /// pass of the loop, after that pass's readiness reports.
+    yielded: Vec<u64>,
+    /// The previous pass's [`Shard::yielded`], being driven (kept to
+    /// reuse its capacity).
+    turn: Vec<u64>,
 }
 
 impl Shard {
@@ -479,6 +502,8 @@ impl Shard {
             slot: ServerMetrics::shard_slot(index),
             rescue: AcceptRescue::new(),
             epoch: Instant::now(),
+            yielded: Vec::new(),
+            turn: Vec::new(),
         })
     }
 
@@ -489,7 +514,9 @@ impl Shard {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; EVENTS_PER_WAIT];
         let mut draining = false;
         loop {
-            let timeout_ms = self.ms_to_next_tick();
+            std::mem::swap(&mut self.yielded, &mut self.turn);
+            // Yielded connections have buffered requests: poll, don't sleep.
+            let timeout_ms = if self.turn.is_empty() { self.ms_to_next_tick() } else { 0 };
             let n = self.epoll.wait(&mut events, timeout_ms).unwrap_or(0);
             if self.shutdown.is_triggered() {
                 if !self.shutdown.is_graceful() {
@@ -520,6 +547,11 @@ impl Shard {
                     self.drive_token(token);
                 }
             }
+            let mut turn = std::mem::take(&mut self.turn);
+            for token in turn.drain(..) {
+                self.drive_token(token);
+            }
+            self.turn = turn;
             if accept_ready && !draining {
                 self.accept_ready();
             }
@@ -755,9 +787,10 @@ impl Shard {
     fn drive(&mut self, idx: usize, now_tick: u64) -> Drive {
         let timeout_ticks = self.timeout_ticks;
         let stall_ticks = self.stall_ticks;
-        let Shard { entries, state, shutdown, wheel, mailbox, .. } = self;
+        let Shard { entries, state, shutdown, wheel, mailbox, yielded, .. } = self;
         let state: &ConnState = state;
         let gen = entries[idx].generation;
+        let token = (u64::from(gen) << 32) | idx as u64;
         let Some(conn) = entries[idx].conn.as_mut() else { return Drive::Keep };
         loop {
             match conn.phase {
@@ -844,6 +877,11 @@ impl Shard {
                             if conn.request.filled() > filled_before {
                                 conn.expiry_tick = now_tick + timeout_ticks;
                             }
+                            // Idle during a drain (a keep-alive response
+                            // finished after it began): close.
+                            if conn.request.filled() == 0 && shutdown.is_triggered() {
+                                return Drive::Close;
+                            }
                             return Drive::Keep;
                         }
                         Err(http::RequestError::Io(_)) => return Drive::Close,
@@ -904,7 +942,7 @@ impl Shard {
                                         );
                                         conn.body = None;
                                         if !conn.keep_alive {
-                                            if !conn.finish() {
+                                            if !conn.finish(false, shutdown.is_triggered()) {
                                                 return Drive::Close;
                                             }
                                             continue;
@@ -968,7 +1006,7 @@ impl Shard {
                         content_length: conn.body_len,
                         head_len: conn.pending_head_len,
                     };
-                    let outcome = answer(
+                    let mut outcome = answer(
                         state,
                         &request,
                         &conn.body_buf,
@@ -976,14 +1014,28 @@ impl Shard {
                         &mut conn.batch_scratch,
                     );
                     if let (Payload::Ingest, Some(ingest)) = (&outcome.payload, &state.ingest) {
-                        // The thread lives as long as any sender.
-                        let _ = ingest.send(IngestJob {
+                        let job = IngestJob {
                             body: std::mem::take(&mut conn.body_buf),
-                            token: (u64::from(gen) << 32) | idx as u64,
+                            token,
                             reply: Arc::clone(mailbox),
-                        });
-                        conn.phase = Phase::Ingesting;
-                        return Drive::Keep;
+                        };
+                        match ingest.try_send(job) {
+                            Ok(()) => {
+                                conn.phase = Phase::Ingesting;
+                                return Drive::Keep;
+                            }
+                            // Shed, don't queue: the publish queue is full
+                            // (or its thread is gone).
+                            Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+                                conn.body_buf = job.body;
+                                outcome.response = ServiceResponse::error(
+                                    503,
+                                    "ingest queue is full, retry shortly",
+                                );
+                                outcome.status = 503;
+                                outcome.payload = Payload::Single;
+                            }
+                        }
                     }
                     stage_outcome(conn, outcome, keep_alive, started);
                     conn.expiry_tick = now_tick + stall_ticks;
@@ -1036,7 +1088,7 @@ impl Shard {
                                 if state.telemetry {
                                     state.metrics.response_bytes.add(wire as u64);
                                 }
-                                if !conn.finish() {
+                                if !conn.finish(true, shutdown.is_triggered()) {
                                     return Drive::Close;
                                 }
                                 continue;
@@ -1052,7 +1104,7 @@ impl Shard {
                                 conn.stages,
                             );
                             if !conn.keep_alive {
-                                if !conn.finish() {
+                                if !conn.finish(false, shutdown.is_triggered()) {
                                     return Drive::Close;
                                 }
                                 continue;
@@ -1063,6 +1115,13 @@ impl Shard {
                                 conn.scheduled_tick = conn.expiry_tick;
                             }
                             conn.phase = Phase::Reading;
+                            if conn.tier == ResponseTier::Uncached && conn.request.filled() > 0 {
+                                // Yield: the shard's other ready
+                                // connections go before this one's next
+                                // buffered request.
+                                yielded.push(token);
+                                return Drive::Keep;
+                            }
                             // Loop: pipelined bytes may already be buffered.
                         }
                         Err(_) => return Drive::Close,

@@ -235,20 +235,6 @@ pub(crate) fn bind_reuseport_listener(
     Ok(fd)
 }
 
-/// Caps glibc malloc at one arena for the whole process (`mallopt`
-/// with `M_ARENA_MAX`); a no-op with other C libraries.
-pub(crate) fn share_one_malloc_arena() {
-    #[cfg(target_env = "gnu")]
-    {
-        extern "C" {
-            fn mallopt(param: i32, value: i32) -> i32;
-        }
-        const M_ARENA_MAX: i32 = -8;
-        // SAFETY: mallopt only tunes the allocator and takes no pointers.
-        unsafe { mallopt(M_ARENA_MAX, 1) };
-    }
-}
-
 /// Raises the soft `RLIMIT_NOFILE` toward `want` (capped by the hard
 /// limit, which a privileged process may also raise), returning the soft
 /// limit actually in force afterwards. Never errors: on any failure the

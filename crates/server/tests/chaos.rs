@@ -404,3 +404,60 @@ fn a_stalled_publish_leaves_its_shard_serving_reads() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Ingest bodies queue behind a stalled publish only up to a bound (one
+/// per shard); past it a body is answered `503` + `Retry-After` at once
+/// instead of being held, and every queued body is published once the
+/// stall ends.
+#[test]
+fn a_full_ingest_queue_sheds_with_503() {
+    const STALL_MS: u64 = 1_500;
+    let _guard = lock_script();
+    let dir = scratch_dir("fs_queue");
+    let (handle, addr, store) = spawn_with_store(&dir);
+    let update = uops_db::codec::encode(&extra_snapshot());
+    let mut request =
+        format!("POST /v1/ingest HTTP/1.1\r\nHost: c\r\nContent-Length: {}\r\n\r\n", update.len())
+            .into_bytes();
+    request.extend_from_slice(&update);
+
+    // The first publish stalls on its image rename. Each later body either
+    // waits in the queue (no answer within the probe) or is shed.
+    fault::inject_fs(fault::FsOp::Rename, fault::FsFault::Stall(STALL_MS));
+    let started = std::time::Instant::now();
+    let mut waiting = Vec::new();
+    let mut shed = None;
+    for _ in 0..4 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(&request).expect("send");
+        stream.set_read_timeout(Some(std::time::Duration::from_millis(300))).expect("timeout");
+        let mut first = [0u8; 1];
+        match stream.read(&mut first) {
+            Ok(1) => {
+                stream.set_read_timeout(None).expect("timeout");
+                let mut response = vec![first[0]];
+                read_one_response(&mut stream, &mut response);
+                shed = Some(String::from_utf8_lossy(&response).to_string());
+                break;
+            }
+            Ok(_) => panic!("the connection closed without an answer"),
+            Err(_) => waiting.push(stream),
+        }
+    }
+    let shed = shed.expect("a body past the queue bound must be answered at once");
+    assert!(started.elapsed() < std::time::Duration::from_millis(STALL_MS), "shed after the stall");
+    assert!(shed.starts_with("HTTP/1.1 503"), "{shed}");
+    assert!(shed.contains("Retry-After: 1\r\n"), "{shed}");
+    assert!(waiting.len() <= 2, "at most one publish running and one queued per shard");
+
+    for mut stream in waiting.drain(..) {
+        stream.set_read_timeout(None).expect("timeout");
+        let mut response = Vec::new();
+        read_one_response(&mut stream, &mut response);
+        assert!(response.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&response));
+    }
+    fault::reset();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    drop(store);
+}

@@ -1,8 +1,9 @@
 //! Reactor-transport integration tests: byte-parity with the in-process
 //! answer framed by the same response assembler, slow-loris
 //! (byte-at-a-time) delivery through the resumable parser, pipelining
-//! across shards, and idle-timeout and slow-reader eviction by the timer
-//! wheel.
+//! across shards, idle-timeout and slow-reader eviction by the timer
+//! wheel, a shard yielding between uncached answers, and a graceful
+//! drain that does not wait on clients keeping their sockets open.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -374,4 +375,108 @@ fn a_refused_oversize_body_still_gets_its_413() {
 
     drop(stream);
     handle.shutdown();
+}
+
+/// The `"executions"` counter of a `/v1/stats` response.
+fn stats_executions(stats: &[u8]) -> u64 {
+    String::from_utf8_lossy(stats)
+        .split("\"executions\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.trim().parse().ok())
+        .expect("executions counter")
+}
+
+/// An uncached answer yields the shard: while one connection pipelines a
+/// run of distinct (never-cached) queries, another connection on the same
+/// single shard is answered between two of them, not after the run.
+#[test]
+fn a_pipelined_miss_run_yields_to_the_shards_other_connections() {
+    const RUN: usize = 500;
+    let server = Server::bind("127.0.0.1:0", service(), 1).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+
+    let mut other = TcpStream::connect(addr).expect("connect other");
+    other.write_all(b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    let before = stats_executions(&read_response(&mut other));
+
+    let mut run = String::new();
+    for offset in 0..RUN {
+        run.push_str(&format!(
+            "GET /v1/query?uarch=Skylake&offset={offset}&limit=1 HTTP/1.1\r\nHost: t\r\n\r\n"
+        ));
+    }
+    let mut flood = TcpStream::connect(addr).expect("connect flood");
+    flood.write_all(run.as_bytes()).expect("send run");
+    other.write_all(b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    let during = stats_executions(&read_response(&mut other));
+    assert!(
+        during < before + RUN as u64,
+        "the stats request waited for the whole run ({} of {RUN} executed)",
+        during - before
+    );
+
+    for _ in 0..RUN {
+        let response = read_response(&mut flood);
+        assert!(response.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&response));
+    }
+    drop((flood, other));
+    handle.shutdown();
+}
+
+/// A graceful drain does not wait on clients that keep their sockets
+/// open. Two clients each have a large response in flight when the drain
+/// starts; one has a second request pipelined behind it. That request is
+/// answered with `Connection: close`, the other connection goes idle, and
+/// both close at once, so the drain finishes long before the 30 s idle
+/// and write-stall deadlines.
+#[test]
+fn a_drain_does_not_wait_on_clients_that_keep_their_sockets_open() {
+    const BIG: &[u8] = b"GET /v1/query?uarch=Skylake HTTP/1.1\r\nHost: t\r\n\r\n";
+    const STATS: &[u8] = b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n";
+    let options = ServerOptions {
+        keep_alive_timeout: Duration::from_secs(30),
+        write_stall_timeout: Duration::from_secs(30),
+        ..Default::default()
+    };
+    let server = Server::bind_with("127.0.0.1:0", big_service(), 1, options).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+
+    // Each first response is far larger than the socket buffers, so it is
+    // still being written when the drain starts.
+    let mut pipelined = TcpStream::connect(addr).expect("connect");
+    pipelined.write_all(&[BIG, STATS].concat()).expect("send");
+    let mut single = TcpStream::connect(addr).expect("connect");
+    single.write_all(BIG).expect("send");
+    // Both responses have started, so both requests predate the drain.
+    for client in [&pipelined, &single] {
+        client.peek(&mut [0u8; 1]).expect("the response starts");
+    }
+    let drain = std::thread::spawn(move || {
+        let started = std::time::Instant::now();
+        handle.shutdown_graceful(Duration::from_secs(20));
+        started.elapsed()
+    });
+    // Let the shard see the drain before the clients read.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let mut rest = [0u8; 1];
+    for client in [&mut pipelined, &mut single] {
+        client.set_read_timeout(Some(Duration::from_secs(20))).expect("timeout");
+        let first = read_response(client);
+        assert!(first.starts_with(b"HTTP/1.1 200"), "the in-flight response completes");
+    }
+    let second = String::from_utf8_lossy(&read_response(&mut pipelined)).to_string();
+    assert!(second.starts_with("HTTP/1.1 200"), "{second}");
+    assert!(second.contains("Connection: close"), "{second}");
+    for client in [&mut pipelined, &mut single] {
+        assert_eq!(client.read(&mut rest).expect("EOF after the last response"), 0);
+    }
+
+    // Both clients still hold their sockets open.
+    let elapsed = drain.join().expect("drain");
+    assert!(elapsed < Duration::from_secs(5), "the drain took {elapsed:?}");
+    drop((pipelined, single));
 }
