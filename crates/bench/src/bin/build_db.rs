@@ -13,12 +13,13 @@
 //! Two persistent formats are written and compared:
 //!
 //! * **TLV** (`PREFIX.bin` + `PREFIX.json`): the compact interchange
-//!   encoding — loading decodes every record, then builds the in-memory
-//!   indexes.
-//! * **Segment** (`PREFIX.seg`): the zero-copy serving format — opening
+//!   encoding — loading decodes every record.
+//! * **Segment** (`PREFIX.seg`): the zero-copy query format — opening
 //!   validates the header and section table only; queries read the image
 //!   in place. The run prints both open times and the bytes each path
-//!   touches, so the load-time win is visible in one run.
+//!   touches, so the load-time win is visible in one run. The queries and
+//!   the diff run on the segment (built from the decoded TLV snapshot when
+//!   only TLV was written).
 //!
 //! With `--merge`, each architecture shard is additionally written as its
 //! own segment (`PREFIX.shard-<arch>.seg`) and the final segment is
@@ -42,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use uops_bench::experiment_setup;
 use uops_core::{report_to_snapshot, reports_to_snapshot};
-use uops_db::{diff_uarches, DbBackend, InstructionDb, Query, Segment, Snapshot, SortKey};
+use uops_db::{diff_uarches, Query, Segment, Snapshot, SortKey};
 use uops_isa::Catalog;
 use uops_pool::Parallelism;
 use uops_serve::args::CliSpec;
@@ -221,7 +222,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let seg_path = format!("{}.seg", opts.prefix);
-    let mut segment = None;
     if opts.format.segment() {
         let seg = if opts.merge {
             merged_segment(&reports, &snapshot, &opts.prefix)?
@@ -232,7 +232,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fs::write(&seg_path, seg.as_bytes())?;
         }
         written.push(format!("{} ({})", seg_path, fmt_bytes(seg.as_bytes().len())));
-        segment = Some(seg);
     }
     println!(
         "\nwrote {} records for {} uarches: {}",
@@ -241,28 +240,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         written.join(", ")
     );
 
-    // Open-time comparison: TLV decode + index build vs zero-copy segment
-    // open, with the bytes each path materializes/touches. Each written
-    // format reports its own open time; the speedup line needs both.
+    // Open-time comparison: TLV decode vs zero-copy segment open, with the
+    // bytes each path materializes/touches. Each written format reports its
+    // own open time; the speedup line needs both.
     let mut tlv_open = None;
-    let db = if let Some(bytes) = &tlv_bytes {
+    let mut restored = None;
+    if let Some(bytes) = &tlv_bytes {
         let t = Instant::now();
-        let restored = uops_db::codec::decode(&fs::read(&bin_path)?)?;
-        let db = InstructionDb::from_snapshot(&restored);
+        let decoded = uops_db::codec::decode(&fs::read(&bin_path)?)?;
         let elapsed = t.elapsed();
         tlv_open = Some(elapsed);
-        assert_eq!(restored, snapshot, "binary round trip must be lossless");
+        assert_eq!(decoded, snapshot, "binary round trip must be lossless");
         println!(
-            "open TLV:     {elapsed:>10.2?}  (decoded {} into ~{} + index build; {} on disk)",
-            restored.len(),
-            fmt_bytes(restored.approx_heap_bytes()),
+            "open TLV:     {elapsed:>10.2?}  (decoded {} into ~{}; {} on disk)",
+            decoded.len(),
+            fmt_bytes(decoded.approx_heap_bytes()),
             fmt_bytes(bytes.len()),
         );
-        db
-    } else {
-        InstructionDb::from_snapshot(&snapshot)
-    };
-    if opts.format.segment() {
+        restored = Some(decoded);
+    }
+    let segment = if opts.format.segment() {
         let t = Instant::now();
         let seg = Segment::open(&seg_path)?;
         let seg_open = t.elapsed();
@@ -277,7 +274,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fmt_bytes(seg.db().open_cost_bytes()),
             fmt_bytes(seg.as_bytes().len()),
         );
-    }
+        seg
+    } else {
+        // Only TLV was written: query a segment built from what it decoded.
+        let restored = restored.as_ref().expect("the TLV format was written");
+        Segment::from_bytes(Segment::encode(restored))?
+    };
+    let db = segment.db();
 
     // A few indexed queries.
     println!("\nport 5 users on Skylake:");
@@ -292,29 +295,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {:<10} {:<16} {:.2} cycles",
             view.mnemonic(),
             view.variant(),
-            view.record().max_latency.unwrap_or(0.0)
+            view.max_latency().unwrap_or(0.0)
         );
     }
 
-    // The zero-copy reader must answer every query identically.
-    if let Some(seg) = &segment {
-        let seg_db = seg.db();
-        for query in [
-            Query::new().uarch("Skylake").uses_port(5).sort_by(SortKey::Mnemonic),
-            Query::new().uarch("Skylake").sort_by_desc(SortKey::Latency).limit(3),
-            Query::new().uarch("Haswell").min_uops(2).sort_by(SortKey::Throughput),
-        ] {
-            let mem = query.run(&db);
-            let seg_result = query.run(&seg_db);
-            assert_eq!(mem.total_matches, seg_result.total_matches);
-            let mem_rows: Vec<_> =
-                mem.rows.iter().map(|v| (v.mnemonic(), v.variant(), v.uarch())).collect();
-            let seg_rows: Vec<_> =
-                seg_result.rows.iter().map(|v| (v.mnemonic(), v.variant(), v.uarch())).collect();
-            assert_eq!(mem_rows, seg_rows, "segment and in-memory query results must agree");
-        }
-        println!("\nsegment reader verified: identical answers on {} records", seg_db.len());
-    }
+    // The zero-copy reader must give back exactly the snapshot it was
+    // built from.
+    assert_eq!(db.export_snapshot(), snapshot, "the segment must export its snapshot losslessly");
+    println!("\nsegment reader verified: lossless export of {} records", db.len());
 
     // Cross-generation diff (§5 findings).
     let diff = diff_uarches(&db, "Haswell", "Skylake");

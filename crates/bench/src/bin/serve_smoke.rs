@@ -11,8 +11,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use uops_db::{
-    BinaryEncoder, DbBackend as _, JsonEncoder, QueryExec, QueryPlan, ResultEncoder, Segment,
-    XmlEncoder,
+    BinaryEncoder, JsonEncoder, QueryExec, QueryPlan, ResultEncoder, Segment, XmlEncoder,
 };
 use uops_serve::args::CliSpec;
 use uops_serve::{QueryService, Server};

@@ -1,12 +1,13 @@
 //! Integration test of the `build_db --merge` pipeline: per-architecture
 //! segment shards written independently and k-way-merged must produce a
-//! database that answers queries identically to (indeed, is byte-identical
-//! to) the single-pass build. Drives the real binary end to end.
+//! database byte-identical to the single-pass build, holding exactly the
+//! records of the TLV snapshot written beside it. Drives the real binary
+//! end to end.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use uops_db::{DbBackend, InstructionDb, Query, Segment, SortKey};
+use uops_db::Segment;
 
 #[test]
 fn merged_shards_equal_single_pass_build() {
@@ -29,19 +30,19 @@ fn merged_shards_equal_single_pass_build() {
         String::from_utf8_lossy(&output.stderr)
     );
     assert!(stdout.contains("byte-identical to single-pass"), "merge verification ran:\n{stdout}");
-    assert!(stdout.contains("segment reader verified"), "segment/query parity ran:\n{stdout}");
+    assert!(stdout.contains("segment reader verified"), "segment export check ran:\n{stdout}");
 
     // Reload both artifacts and cross-check from the outside: the merged
-    // segment must answer queries exactly like the TLV-decoded in-memory
-    // database.
+    // segment must hold exactly the records of the TLV snapshot.
     let merged = Segment::open(format!("{prefix}.seg")).expect("open merged segment");
-    let snapshot = uops_db::codec::decode(&std::fs::read(format!("{prefix}.bin")).expect("read"))
-        .expect("decode TLV");
-    let mem = InstructionDb::from_snapshot(&snapshot);
+    let mut snapshot =
+        uops_db::codec::decode(&std::fs::read(format!("{prefix}.bin")).expect("read"))
+            .expect("decode TLV");
+    snapshot.canonicalize();
     let seg = merged.db();
-    assert_eq!(seg.len(), mem.len());
+    assert_eq!(seg.len(), snapshot.len());
     assert!(seg.len() >= 50, "expected a multi-uarch database, got {}", seg.len());
-    assert_eq!(seg.export_snapshot(), mem.to_snapshot(), "logical content must match");
+    assert_eq!(seg.export_snapshot(), snapshot, "logical content must match");
 
     // Per-arch shards exist and re-merge to the same image.
     let shards: Vec<Segment> = std::fs::read_dir(&dir)
@@ -55,21 +56,6 @@ fn merged_shards_equal_single_pass_build() {
     // must still reproduce the canonical image (shard keys are disjoint).
     let remerged = Segment::merge(&shards);
     assert_eq!(remerged.as_bytes(), merged.as_bytes());
-
-    for query in [
-        Query::new().uarch("Skylake").uses_port(5).sort_by(SortKey::Mnemonic),
-        Query::new().uarch("Haswell").min_uops(2).sort_by_desc(SortKey::Latency).limit(4),
-        Query::new().mnemonic("ADD"),
-    ] {
-        let a = query.run(&mem);
-        let b = query.run(&seg);
-        assert_eq!(a.total_matches, b.total_matches, "{query:?}");
-        let rows_a: Vec<_> =
-            a.rows.iter().map(|v| (v.mnemonic(), v.variant(), v.uarch())).collect();
-        let rows_b: Vec<_> =
-            b.rows.iter().map(|v| (v.mnemonic(), v.variant(), v.uarch())).collect();
-        assert_eq!(rows_a, rows_b, "{query:?}");
-    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,7 @@
 //!
 //! The build environment has no access to crates.io, so instead of the real
 //! `proptest` this crate implements the same surface on top of a
-//! deterministic xorshift generator: [`Strategy`] with `prop_map`, integer
+//! deterministic xorshift generator: [`Strategy`](strategy::Strategy) with `prop_map`, integer
 //! range strategies, tuple strategies, `prop::collection::{vec, btree_set}`,
 //! the [`proptest!`] macro, and `prop_assert!`/`prop_assert_eq!`.
 //!

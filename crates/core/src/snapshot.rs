@@ -101,7 +101,7 @@ pub fn report_to_snapshot(report: &CharacterizationReport) -> Snapshot {
 mod tests {
     use super::*;
     use crate::engine::{CharacterizationEngine, EngineConfig};
-    use uops_db::InstructionDb;
+    use uops_db::Segment;
     use uops_isa::Catalog;
     use uops_measure::SimBackend;
 
@@ -165,11 +165,16 @@ mod tests {
             uops_db::json::from_json(&uops_db::json::to_json(&snapshot)).expect("json parse");
         assert_eq!(parsed, snapshot);
 
-        let db = InstructionDb::from_snapshot(&snapshot);
+        let segment = Segment::from_bytes(Segment::encode(&snapshot)).expect("valid segment");
+        let db = segment.db();
         assert_eq!(db.len(), 4);
-        let add = db.find("ADD", "R64, R64", "Skylake").expect("point lookup");
-        assert_eq!(add.record().uop_count, 1);
+        let add = db.find_id("ADD", "R64, R64", "Skylake").expect("point lookup");
+        assert_eq!(db.uop_count(add), 1);
         // ADD uses port 6 on Skylake (p0156).
-        assert!(db.ids_by_port("Skylake", 6).iter().any(|&id| db.view(id).mnemonic() == "ADD"));
+        let skylake = db.lookup_sym("Skylake").expect("Skylake records");
+        assert!(db
+            .postings_by_uarch_port(skylake, 6)
+            .iter()
+            .any(|id| db.view(id).mnemonic() == "ADD"));
     }
 }

@@ -1,47 +1,40 @@
-//! The storage-backend abstraction shared by the in-memory database
-//! ([`crate::InstructionDb`]) and the zero-copy segment reader
+//! Borrowed record access over the zero-copy segment reader
 //! ([`crate::SegmentDb`]).
 //!
-//! [`DbBackend`] exposes exactly what the query engine, record views, and
-//! the cross-µarch diff need: per-record column accessors, string
-//! resolution, and sorted posting lists for the secondary indexes. The two
-//! implementations differ only in where the bytes live — the in-memory
-//! database owns interned strings and `Vec`-backed indexes, while the
-//! segment reader serves every accessor straight out of an on-disk byte
-//! image without materializing records. Everything above the trait
-//! ([`crate::Query`], [`RecordView`], [`crate::diff_uarches`]) runs
-//! unchanged over either.
+//! [`RecordView`] is one record with its strings resolved, [`Views`]
+//! iterates over all of them in id order, and [`IdList`] is one sorted
+//! posting list read in place. The query engine ([`crate::Query`],
+//! [`crate::QueryExec`]), the result encoders, and the cross-µarch diff
+//! ([`crate::diff_uarches`]) all speak these types; none of them
+//! materializes a record unless asked to.
 
-use crate::intern::Sym;
-use crate::snapshot::{ports_to_notation, LatencyEdge, Snapshot, UarchMeta, VariantRecord};
+use crate::segment::SegmentDb;
+use crate::snapshot::{ports_to_notation, LatencyEdge, VariantRecord};
 
-/// A sorted (ascending) list of record ids backing one posting list.
-///
-/// The in-memory database hands out native `&[u32]` slices; the segment
-/// reader hands out little-endian byte ranges read in place. Both support
-/// O(1) indexed access, which is all the galloping intersection needs.
+/// A sorted (ascending) list of record ids backing one posting list: the
+/// little-endian `u32`s of a segment's posting array, read in place. It
+/// supports O(1) indexed access, which is all the galloping intersection
+/// needs.
 #[derive(Debug, Clone, Copy)]
-pub enum IdList<'a> {
-    /// A native slice of record ids.
-    Native(&'a [u32]),
-    /// Little-endian `u32`s read in place from a segment (`len % 4 == 0`).
-    Le(&'a [u8]),
-}
+pub struct IdList<'a>(&'a [u8]);
 
 impl<'a> IdList<'a> {
+    /// A list over little-endian `u32` bytes (`len % 4 == 0`; a trailing
+    /// partial id is ignored).
+    pub(crate) fn from_le(bytes: &'a [u8]) -> IdList<'a> {
+        IdList(bytes)
+    }
+
     /// The empty list.
     #[must_use]
     pub fn empty() -> IdList<'a> {
-        IdList::Native(&[])
+        IdList(&[])
     }
 
     /// Number of ids in the list.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            IdList::Native(ids) => ids.len(),
-            IdList::Le(bytes) => bytes.len() / 4,
-        }
+        self.0.len() / 4
     }
 
     /// Returns `true` if the list holds no ids.
@@ -54,12 +47,9 @@ impl<'a> IdList<'a> {
     /// segment-open time, so in-range access never observes this).
     #[must_use]
     pub fn get(&self, i: usize) -> u32 {
-        match self {
-            IdList::Native(ids) => ids.get(i).copied().unwrap_or(0),
-            IdList::Le(bytes) => bytes
-                .get(i * 4..i * 4 + 4)
-                .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes"))),
-        }
+        self.0
+            .get(i * 4..i * 4 + 4)
+            .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
     /// Iterates over the ids in order.
@@ -68,149 +58,21 @@ impl<'a> IdList<'a> {
     }
 }
 
-/// Read access to one instruction-characterization store.
-///
-/// Record ids are dense (`0..len()`); symbols ([`Sym`]) are backend-local —
-/// a symbol from one backend must never be resolved against another.
-/// Posting lists are sorted ascending by record id, which the query
-/// planner's galloping intersection relies on.
-pub trait DbBackend {
-    /// Number of records.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if the store holds no records.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schema version the data was written under.
-    fn schema_version(&self) -> u32;
-
-    /// Free-form producer string.
-    fn generator(&self) -> &str;
-
-    /// Resolves an interned symbol to its string.
-    fn resolve(&self, sym: Sym) -> &str;
-
-    /// Looks up the symbol for `s` without interning (`None` if the string
-    /// never occurs in the store). Allocation-free.
-    fn lookup_sym(&self, s: &str) -> Option<Sym>;
-
-    /// Interned mnemonic of record `id`.
-    fn mnemonic_sym(&self, id: u32) -> Sym;
-    /// Interned variant string of record `id`.
-    fn variant_sym(&self, id: u32) -> Sym;
-    /// Interned ISA extension of record `id`.
-    fn extension_sym(&self, id: u32) -> Sym;
-    /// Interned microarchitecture of record `id`.
-    fn uarch_sym(&self, id: u32) -> Sym;
-    /// µop count of record `id`.
-    fn uop_count(&self, id: u32) -> u32;
-    /// µops of record `id` not attributed to any port combination.
-    fn unattributed(&self, id: u32) -> u32;
-    /// Union of all port masks of record `id` (precomputed).
-    fn port_union(&self, id: u32) -> u16;
-    /// Measured throughput of record `id`.
-    fn tp_measured(&self, id: u32) -> f64;
-    /// Throughput computed from the port usage, if available.
-    fn tp_ports(&self, id: u32) -> Option<f64>;
-    /// Measured throughput with low-latency divider values, if applicable.
-    fn tp_low_values(&self, id: u32) -> Option<f64>;
-    /// Measured throughput with dependency-breaking instructions, if
-    /// applicable.
-    fn tp_breaking(&self, id: u32) -> Option<f64>;
-    /// Maximum latency over operand pairs (precomputed; `None` when the
-    /// record has no latency edges).
-    fn max_latency(&self, id: u32) -> Option<f64>;
-
-    /// Number of `(port mask, µops)` entries of record `id`.
-    fn ports_len(&self, id: u32) -> usize;
-    /// The `i`-th `(port mask, µops)` entry of record `id`.
-    fn port_entry(&self, id: u32, i: usize) -> (u16, u32);
-    /// Number of latency edges of record `id`.
-    fn latency_len(&self, id: u32) -> usize;
-    /// The `i`-th latency edge of record `id`.
-    fn latency_edge(&self, id: u32, i: usize) -> LatencyEdge;
-
-    /// Posting list of records with the given mnemonic symbol.
-    fn postings_by_mnemonic(&self, sym: Sym) -> IdList<'_>;
-    /// Posting list of records with the given extension symbol.
-    fn postings_by_extension(&self, sym: Sym) -> IdList<'_>;
-    /// Posting list of records on the given microarchitecture.
-    fn postings_by_uarch(&self, sym: Sym) -> IdList<'_>;
-    /// Posting list of records on the given microarchitecture whose µops
-    /// may use `port`.
-    fn postings_by_uarch_port(&self, sym: Sym, port: u8) -> IdList<'_>;
-
-    /// Point lookup by (mnemonic, variant, microarchitecture).
-    fn find_id(&self, mnemonic: &str, variant: &str, uarch: &str) -> Option<u32>;
-
-    /// Precomputed canonical-order rank of record `id` — its position in
-    /// the (mnemonic, variant, uarch) sort. Backends that store records in
-    /// canonical order return `Some(id)`, turning name sorts into integer
-    /// compares; backends without a precomputed order return `None` and the
-    /// query engine falls back to string keys (computed once per result
-    /// set, not per comparison).
-    fn name_rank(&self, id: u32) -> Option<u32> {
-        let _ = id;
-        None
-    }
-
-    /// Metadata of the contributing microarchitectures.
-    fn uarch_metas(&self) -> Vec<UarchMeta>;
-
-    /// The view for a record id.
-    fn view(&self, id: u32) -> RecordView<'_, Self>
-    where
-        Self: Sized,
-    {
-        RecordView { db: self, id }
-    }
-
-    /// All records, as views, in id order.
-    fn views(&self) -> Views<'_, Self>
-    where
-        Self: Sized,
-    {
-        Views { db: self, next: 0, len: self.len() as u32 }
-    }
-
-    /// The `(port mask, µops)` entries of record `id`, materialized.
-    fn ports_vec(&self, id: u32) -> Vec<(u16, u32)> {
-        (0..self.ports_len(id)).map(|i| self.port_entry(id, i)).collect()
-    }
-
-    /// The latency edges of record `id`, materialized.
-    fn latency_vec(&self, id: u32) -> Vec<LatencyEdge> {
-        (0..self.latency_len(id)).map(|i| self.latency_edge(id, i)).collect()
-    }
-
-    /// Exports the store back into a canonical snapshot (records sorted by
-    /// mnemonic, variant, uarch).
-    fn export_snapshot(&self) -> Snapshot
-    where
-        Self: Sized,
-    {
-        let mut snapshot = Snapshot::new(self.generator());
-        if self.schema_version() != 0 {
-            snapshot.schema_version = self.schema_version();
-        }
-        snapshot.uarches = self.uarch_metas();
-        snapshot.records = self.views().map(|v| v.to_variant_record()).collect();
-        snapshot.canonicalize();
-        snapshot
-    }
-}
-
-/// Iterator over all records of a backend, as views.
-pub struct Views<'db, B: DbBackend> {
-    db: &'db B,
+/// Iterator over all records of a segment, as views.
+pub struct Views<'db> {
+    db: &'db SegmentDb<'db>,
     next: u32,
     len: u32,
 }
 
-impl<'db, B: DbBackend> Iterator for Views<'db, B> {
-    type Item = RecordView<'db, B>;
+impl<'db> Views<'db> {
+    pub(crate) fn new(db: &'db SegmentDb<'db>) -> Views<'db> {
+        Views { db, next: 0, len: db.len() as u32 }
+    }
+}
+
+impl<'db> Iterator for Views<'db> {
+    type Item = RecordView<'db>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.next >= self.len {
@@ -227,28 +89,17 @@ impl<'db, B: DbBackend> Iterator for Views<'db, B> {
     }
 }
 
-impl<B: DbBackend> ExactSizeIterator for Views<'_, B> {}
+impl ExactSizeIterator for Views<'_> {}
 
 /// A borrowed view of one record with its strings resolved.
-///
-/// Generic over the storage backend; the default parameter keeps the
-/// historical `RecordView<'db>` spelling working for the in-memory
-/// database.
-pub struct RecordView<'db, B: DbBackend = crate::db::InstructionDb> {
-    pub(crate) db: &'db B,
-    /// Index of the record within the database.
+#[derive(Clone, Copy)]
+pub struct RecordView<'db> {
+    pub(crate) db: &'db SegmentDb<'db>,
+    /// Index of the record within the segment.
     pub id: u32,
 }
 
-impl<B: DbBackend> Clone for RecordView<'_, B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<B: DbBackend> Copy for RecordView<'_, B> {}
-
-impl<B: DbBackend> std::fmt::Debug for RecordView<'_, B> {
+impl std::fmt::Debug for RecordView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RecordView")
             .field("id", &self.id)
@@ -259,7 +110,7 @@ impl<B: DbBackend> std::fmt::Debug for RecordView<'_, B> {
     }
 }
 
-impl<'db, B: DbBackend> RecordView<'db, B> {
+impl<'db> RecordView<'db> {
     /// The mnemonic.
     #[must_use]
     pub fn mnemonic(&self) -> &'db str {
@@ -377,21 +228,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn id_list_native_and_le_agree() {
+    fn id_list_reads_little_endian_ids() {
         let ids = [3u32, 7, 2000, 65536];
         let mut le = Vec::new();
         for id in ids {
             le.extend_from_slice(&id.to_le_bytes());
         }
-        let native = IdList::Native(&ids);
-        let bytes = IdList::Le(&le);
-        assert_eq!(native.len(), bytes.len());
-        for i in 0..ids.len() {
-            assert_eq!(native.get(i), bytes.get(i));
+        let list = IdList::from_le(&le);
+        assert_eq!(list.len(), ids.len());
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(list.get(i), id);
         }
-        assert_eq!(native.iter().collect::<Vec<_>>(), bytes.iter().collect::<Vec<_>>());
-        assert_eq!(native.get(99), 0, "out-of-range reads are defensive, not panics");
-        assert_eq!(bytes.get(99), 0);
+        assert_eq!(list.iter().collect::<Vec<_>>(), ids);
+        assert_eq!(list.get(99), 0, "out-of-range reads are defensive, not panics");
         assert!(IdList::empty().is_empty());
     }
 }

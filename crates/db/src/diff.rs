@@ -6,7 +6,8 @@
 //! computes exactly this: for two microarchitectures in one database, the
 //! variants whose µop count, port usage, latency, or throughput differ.
 
-use crate::backend::DbBackend;
+use crate::backend::IdList;
+use crate::segment::SegmentDb;
 use crate::snapshot::ports_to_notation;
 
 /// Tolerance below which two cycle values are considered equal (measured
@@ -66,7 +67,7 @@ impl DiffReport {
 
 /// Returns whether the port usage of two records differs (exact compare,
 /// entry by entry, without materializing either side).
-fn ports_differ<B: DbBackend>(db: &B, a: u32, b: u32) -> bool {
+fn ports_differ(db: &SegmentDb<'_>, a: u32, b: u32) -> bool {
     let n = db.ports_len(a);
     if n != db.ports_len(b) {
         return true;
@@ -74,19 +75,17 @@ fn ports_differ<B: DbBackend>(db: &B, a: u32, b: u32) -> bool {
     (0..n).any(|i| db.port_entry(a, i) != db.port_entry(b, i))
 }
 
-/// Compares every variant characterized on both `base` and `other`, on any
-/// backend — the in-memory database and the zero-copy segment reader
-/// produce identical reports.
+/// Compares every variant characterized on both `base` and `other`.
 ///
 /// Latency and throughput comparisons use [`CYCLE_TOLERANCE`]; µop counts
 /// and port usages are compared exactly.
 #[must_use]
-pub fn diff_uarches<B: DbBackend>(db: &B, base: &str, other: &str) -> DiffReport {
+pub fn diff_uarches(db: &SegmentDb<'_>, base: &str, other: &str) -> DiffReport {
     let mut report =
         DiffReport { base: base.to_string(), other: other.to_string(), ..Default::default() };
     let base_ids = match db.lookup_sym(base) {
         Some(sym) => db.postings_by_uarch(sym),
-        None => crate::backend::IdList::empty(),
+        None => IdList::empty(),
     };
     let other_sym = db.lookup_sym(other);
 
@@ -149,7 +148,7 @@ pub fn diff_uarches<B: DbBackend>(db: &B, base: &str, other: &str) -> DiffReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::InstructionDb;
+    use crate::segment::Segment;
     use crate::snapshot::{LatencyEdge, Snapshot, VariantRecord};
 
     fn record(mnemonic: &str, uarch: &str, uops: u32, mask: u16, latency: f64) -> VariantRecord {
@@ -182,7 +181,8 @@ mod tests {
         s.records.push(record("ADD", "Skylake", 1, 0b0110_0011, 1.0));
         // AESDEC only on Skylake.
         s.records.push(record("AESDEC", "Skylake", 1, 0b0000_0001, 4.0));
-        let db = InstructionDb::from_snapshot(&s);
+        let segment = Segment::from_bytes(Segment::encode(&s)).expect("valid");
+        let db = segment.db();
         let report = diff_uarches(&db, "Haswell", "Skylake");
         assert_eq!(report.unchanged, 1);
         assert_eq!(report.changed.len(), 1);
@@ -203,7 +203,8 @@ mod tests {
         let mut r = record("MULPS", "Skylake", 1, 0b1, 5.04);
         r.tp_measured = 0.52;
         s.records.push(r);
-        let db = InstructionDb::from_snapshot(&s);
+        let segment = Segment::from_bytes(Segment::encode(&s)).expect("valid");
+        let db = segment.db();
         let report = diff_uarches(&db, "Haswell", "Skylake");
         assert_eq!(report.unchanged, 1, "sub-tolerance deltas are not changes");
         assert!(report.changed.is_empty());
@@ -211,7 +212,8 @@ mod tests {
 
     #[test]
     fn unknown_uarch_yields_empty_report() {
-        let db = InstructionDb::new();
+        let segment = Segment::from_bytes(Segment::encode(&Snapshot::new("test"))).unwrap();
+        let db = segment.db();
         let report = diff_uarches(&db, "Haswell", "Skylake");
         assert_eq!(report.compared(), 0);
         assert!(report.only_in_base.is_empty() && report.only_in_other.is_empty());

@@ -20,7 +20,7 @@
 
 use std::fmt::Write as _;
 
-use crate::backend::{DbBackend, RecordView};
+use crate::backend::RecordView;
 use crate::codec::{
     decode_record, encode_record, expect_wire, put_msg_field, put_opt_f64_field, put_str_field,
     put_u64_field, Reader, WIRE_LEN, WIRE_VARINT,
@@ -45,14 +45,10 @@ pub trait ResultEncoder {
     fn content_type(&self) -> &'static str;
 
     /// Encodes a page of rows plus the pre-pagination match count.
-    fn encode_rows<B: DbBackend>(
-        &self,
-        total_matches: usize,
-        rows: &[RecordView<'_, B>],
-    ) -> Vec<u8>;
+    fn encode_rows(&self, total_matches: usize, rows: &[RecordView<'_>]) -> Vec<u8>;
 
     /// Encodes a full query result.
-    fn encode_result<B: DbBackend>(&self, result: &QueryResult<'_, B>) -> Vec<u8> {
+    fn encode_result(&self, result: &QueryResult<'_>) -> Vec<u8> {
         self.encode_rows(result.total_matches, &result.rows)
     }
 
@@ -74,11 +70,7 @@ impl ResultEncoder for JsonEncoder {
         "application/json"
     }
 
-    fn encode_rows<B: DbBackend>(
-        &self,
-        total_matches: usize,
-        rows: &[RecordView<'_, B>],
-    ) -> Vec<u8> {
+    fn encode_rows(&self, total_matches: usize, rows: &[RecordView<'_>]) -> Vec<u8> {
         let mut out = String::with_capacity(64 + rows.len() * 160);
         JsonEncoder::begin_stream(total_matches, &mut out);
         for (i, row) in rows.iter().enumerate() {
@@ -129,7 +121,7 @@ impl JsonEncoder {
     }
 
     /// Streaming row `index` (0-based; the index drives the separator).
-    pub fn stream_row<B: DbBackend>(index: usize, row: &RecordView<'_, B>, out: &mut String) {
+    pub fn stream_row(index: usize, row: &RecordView<'_>, out: &mut String) {
         out.push_str(if index == 0 { "\n" } else { ",\n" });
         out.push_str("    ");
         json::write_record(out, &row.to_variant_record());
@@ -208,11 +200,7 @@ impl ResultEncoder for BinaryEncoder {
         "application/x-uops-result"
     }
 
-    fn encode_rows<B: DbBackend>(
-        &self,
-        total_matches: usize,
-        rows: &[RecordView<'_, B>],
-    ) -> Vec<u8> {
+    fn encode_rows(&self, total_matches: usize, rows: &[RecordView<'_>]) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + rows.len() * 96);
         BinaryEncoder::begin_stream(total_matches, &mut out);
         for row in rows {
@@ -291,7 +279,7 @@ impl BinaryEncoder {
     }
 
     /// Streaming row: one field-2 record message.
-    pub fn stream_row<B: DbBackend>(row: &RecordView<'_, B>, out: &mut Vec<u8>) {
+    pub fn stream_row(row: &RecordView<'_>, out: &mut Vec<u8>) {
         put_msg_field(out, 2, &encode_record(&row.to_variant_record()));
     }
 
@@ -350,11 +338,7 @@ impl ResultEncoder for XmlEncoder {
         "application/xml"
     }
 
-    fn encode_rows<B: DbBackend>(
-        &self,
-        total_matches: usize,
-        rows: &[RecordView<'_, B>],
-    ) -> Vec<u8> {
+    fn encode_rows(&self, total_matches: usize, rows: &[RecordView<'_>]) -> Vec<u8> {
         use std::collections::BTreeMap;
         let records: Vec<VariantRecord> = rows.iter().map(RecordView::to_variant_record).collect();
         let mut groups: BTreeMap<(&str, &str), (&str, Vec<&VariantRecord>)> = BTreeMap::new();
@@ -448,12 +432,12 @@ impl ResultEncoder for XmlEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::InstructionDb;
     use crate::diff::diff_uarches;
+    use crate::segment::Segment;
     use crate::snapshot::{LatencyEdge, Snapshot};
     use crate::Query;
 
-    fn db() -> InstructionDb {
+    fn segment() -> Segment {
         let mut s = Snapshot::new("encode test");
         for (m, uarch, uops, mask, lat) in [
             ("ADD", "Skylake", 1u32, 0b0110_0011u16, 1.0),
@@ -479,12 +463,13 @@ mod tests {
                 ..Default::default()
             });
         }
-        InstructionDb::from_snapshot(&s)
+        Segment::from_bytes(Segment::encode(&s)).expect("valid")
     }
 
     #[test]
     fn json_rows_parse_as_snapshot_records() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let result = Query::new().uarch("Skylake").run(&db);
         let bytes = JsonEncoder.encode_result(&result);
         let text = String::from_utf8(bytes).expect("utf-8");
@@ -502,7 +487,8 @@ mod tests {
 
     #[test]
     fn json_empty_result() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let result = Query::new().uarch("Nehalem").run(&db);
         let text = String::from_utf8(JsonEncoder.encode_result(&result)).expect("utf-8");
         assert!(text.contains("\"total_matches\": 0"));
@@ -511,7 +497,8 @@ mod tests {
 
     #[test]
     fn binary_roundtrip_is_lossless() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let result = Query::new().uarch("Skylake").limit(2).run(&db);
         let bytes = BinaryEncoder.encode_result(&result);
         assert_eq!(&bytes[..4], &RESULT_MAGIC);
@@ -526,7 +513,8 @@ mod tests {
 
     #[test]
     fn encoders_are_deterministic() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let result = Query::new().run(&db);
         assert_eq!(JsonEncoder.encode_result(&result), JsonEncoder.encode_result(&result));
         assert_eq!(BinaryEncoder.encode_result(&result), BinaryEncoder.encode_result(&result));
@@ -535,7 +523,8 @@ mod tests {
 
     #[test]
     fn xml_groups_rows() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let result = Query::new().mnemonic("ADC").run(&db);
         let text = String::from_utf8(XmlEncoder.encode_result(&result)).expect("utf-8");
         assert_eq!(text.matches("<instruction mnemonic=\"ADC\"").count(), 1);
@@ -545,7 +534,8 @@ mod tests {
 
     #[test]
     fn diff_encodings_cover_all_change_kinds() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let report = diff_uarches(&db, "Haswell", "Skylake");
         assert_eq!(report.changed.len(), 1, "ADC changed");
         let json_text = String::from_utf8(JsonEncoder.encode_diff(&report)).expect("utf-8");

@@ -1,5 +1,5 @@
-//! The query executor: runs a canonical [`QueryPlan`] against any
-//! [`DbBackend`].
+//! The query executor: runs a canonical [`QueryPlan`] against a
+//! [`SegmentDb`].
 //!
 //! Execution is index-driven: the planner collects the posting list of
 //! every filter that has one, drives the scan from the **smallest** list,
@@ -8,8 +8,8 @@
 //! others, the common shape for point-ish queries). Residual predicates
 //! (prefix, µop and latency bounds) run only on the intersection. Sorting
 //! computes each record's key **once per result set** — a key vector sort,
-//! not a per-comparison re-derivation — and backends that store records in
-//! canonical order collapse name sorts into integer compares.
+//! not a per-comparison re-derivation — and because a segment stores
+//! records in canonical order, name sorts are integer compares on ids.
 //!
 //! [`QueryExec`] is the seam the serving stack builds on: the
 //! [`crate::Query`] builder is a thin front producing plans, a response
@@ -18,10 +18,10 @@
 
 use std::collections::HashMap;
 
-use crate::backend::{DbBackend, IdList, RecordView};
-use crate::db::InstructionDb;
+use crate::backend::{IdList, RecordView};
 use crate::intern::Sym;
 use crate::plan::{QueryPlan, SortKey};
+use crate::segment::SegmentDb;
 use uops_telemetry::{Histogram, Span};
 
 /// Per-stage latency histograms for the query path: wire-plan parsing,
@@ -56,14 +56,14 @@ impl ExecStageMetrics {
 
 /// The result of executing a query plan.
 #[derive(Debug)]
-pub struct QueryResult<'db, B: DbBackend = InstructionDb> {
+pub struct QueryResult<'db> {
     /// Number of records matching the filters, before pagination.
     pub total_matches: usize,
     /// The requested page of matching records, in sort order.
-    pub rows: Vec<RecordView<'db, B>>,
+    pub rows: Vec<RecordView<'db>>,
 }
 
-/// Executes [`QueryPlan`]s against a backend. Stateless — one executor can
+/// Executes [`QueryPlan`]s against a segment. Stateless — one executor can
 /// run any number of plans; it exists as a type so layers above the
 /// database (the query service, the server) name the execution step
 /// explicitly instead of reaching into the builder.
@@ -81,19 +81,19 @@ impl QueryExec {
     /// `stages.execute_ns` via a [`Span`] scope guard (recorded on drop, so
     /// the timing covers early returns too).
     #[must_use]
-    pub fn run_timed<'db, B: DbBackend>(
+    pub fn run_timed<'db>(
         self,
         plan: &QueryPlan,
-        db: &'db B,
+        db: &'db SegmentDb<'db>,
         stages: &ExecStageMetrics,
-    ) -> QueryResult<'db, B> {
+    ) -> QueryResult<'db> {
         let _span = Span::start(&stages.execute_ns);
         self.run(plan, db)
     }
 
     /// Runs `plan` against `db`.
     #[must_use]
-    pub fn run<'db, B: DbBackend>(self, plan: &QueryPlan, db: &'db B) -> QueryResult<'db, B> {
+    pub fn run<'db>(self, plan: &QueryPlan, db: &'db SegmentDb<'db>) -> QueryResult<'db> {
         let (total_matches, ids) = self.run_ids(plan, db);
         QueryResult { total_matches, rows: ids.into_iter().map(|id| db.view(id)).collect() }
     }
@@ -105,12 +105,12 @@ impl QueryExec {
     /// incrementally re-view each id on demand instead of materializing a
     /// row vector up front.
     #[must_use]
-    pub fn run_ids<B: DbBackend>(self, plan: &QueryPlan, db: &B) -> (usize, Vec<u32>) {
+    pub fn run_ids(self, plan: &QueryPlan, db: &SegmentDb<'_>) -> (usize, Vec<u32>) {
         page_ids(plan, db, match_ids(plan, db, &mut Direct))
     }
 }
 
-/// Executes many plans against one backend, memoizing the per-plan
+/// Executes many plans against one segment, memoizing the per-plan
 /// planner setup across the batch: filter-string symbol resolutions and
 /// gathered posting lists are cached, so N plans filtering on the same
 /// mnemonic/uarch/extension indexes pay the lookup once. Intersection,
@@ -121,22 +121,22 @@ impl QueryExec {
 /// into the memo on first sight — so one `BatchExec` can outlive the
 /// plans it ran.
 #[derive(Debug)]
-pub struct BatchExec<'db, B: DbBackend> {
-    db: &'db B,
+pub struct BatchExec<'db> {
+    db: &'db SegmentDb<'db>,
     memo: Memo<'db>,
 }
 
-impl<'db, B: DbBackend> BatchExec<'db, B> {
+impl<'db> BatchExec<'db> {
     /// Creates a batch executor over `db` with an empty memo.
     #[must_use]
-    pub fn new(db: &'db B) -> BatchExec<'db, B> {
+    pub fn new(db: &'db SegmentDb<'db>) -> BatchExec<'db> {
         BatchExec { db, memo: Memo::default() }
     }
 
     /// Runs one plan of the batch, reusing any posting lists and symbol
     /// resolutions earlier plans already gathered.
     #[must_use]
-    pub fn run(&mut self, plan: &QueryPlan) -> QueryResult<'db, B> {
+    pub fn run(&mut self, plan: &QueryPlan) -> QueryResult<'db> {
         let (total_matches, ids) = self.run_ids(plan);
         let db = self.db;
         QueryResult { total_matches, rows: ids.into_iter().map(|id| db.view(id)).collect() }
@@ -149,45 +149,45 @@ impl<'db, B: DbBackend> BatchExec<'db, B> {
     }
 
     /// How many planner lookups (symbol resolutions + posting-list
-    /// gathers) were answered from the memo instead of the backend.
+    /// gathers) were answered from the memo instead of the segment.
     #[must_use]
     pub fn memo_hits(&self) -> u64 {
         self.memo.hits
     }
 }
 
-/// The planner's view of a backend's indexes: symbol resolution and
+/// The planner's view of a segment's indexes: symbol resolution and
 /// posting-list gathering. [`Direct`] passes straight through (the
 /// single-plan path); [`Memo`] caches every answer (the batch path).
 trait Planner<'db> {
-    fn sym<B: DbBackend>(&mut self, db: &'db B, s: &str) -> Option<Sym>;
-    fn mnemonic_list<B: DbBackend>(&mut self, db: &'db B, sym: Sym) -> IdList<'db>;
-    fn uarch_list<B: DbBackend>(&mut self, db: &'db B, sym: Sym, port: Option<u8>) -> IdList<'db>;
-    fn extension_list<B: DbBackend>(&mut self, db: &'db B, sym: Sym) -> IdList<'db>;
+    fn sym(&mut self, db: &SegmentDb<'db>, s: &str) -> Option<Sym>;
+    fn mnemonic_list(&mut self, db: &SegmentDb<'db>, sym: Sym) -> IdList<'db>;
+    fn uarch_list(&mut self, db: &SegmentDb<'db>, sym: Sym, port: Option<u8>) -> IdList<'db>;
+    fn extension_list(&mut self, db: &SegmentDb<'db>, sym: Sym) -> IdList<'db>;
 }
 
 struct Direct;
 
 impl<'db> Planner<'db> for Direct {
-    fn sym<B: DbBackend>(&mut self, db: &'db B, s: &str) -> Option<Sym> {
+    fn sym(&mut self, db: &SegmentDb<'db>, s: &str) -> Option<Sym> {
         db.lookup_sym(s)
     }
-    fn mnemonic_list<B: DbBackend>(&mut self, db: &'db B, sym: Sym) -> IdList<'db> {
+    fn mnemonic_list(&mut self, db: &SegmentDb<'db>, sym: Sym) -> IdList<'db> {
         db.postings_by_mnemonic(sym)
     }
-    fn uarch_list<B: DbBackend>(&mut self, db: &'db B, sym: Sym, port: Option<u8>) -> IdList<'db> {
+    fn uarch_list(&mut self, db: &SegmentDb<'db>, sym: Sym, port: Option<u8>) -> IdList<'db> {
         match port {
             Some(port) => db.postings_by_uarch_port(sym, port),
             None => db.postings_by_uarch(sym),
         }
     }
-    fn extension_list<B: DbBackend>(&mut self, db: &'db B, sym: Sym) -> IdList<'db> {
+    fn extension_list(&mut self, db: &SegmentDb<'db>, sym: Sym) -> IdList<'db> {
         db.postings_by_extension(sym)
     }
 }
 
 /// Memoized planner state shared across one batch. `IdList` is `Copy`
-/// (a borrowed slice either way), so cached lists cost two words each.
+/// (a borrowed slice), so cached lists cost two words each.
 #[derive(Debug, Default)]
 struct Memo<'db> {
     syms: HashMap<String, Option<Sym>>,
@@ -198,7 +198,7 @@ struct Memo<'db> {
 }
 
 impl<'db> Planner<'db> for Memo<'db> {
-    fn sym<B: DbBackend>(&mut self, db: &'db B, s: &str) -> Option<Sym> {
+    fn sym(&mut self, db: &SegmentDb<'db>, s: &str) -> Option<Sym> {
         if let Some(&sym) = self.syms.get(s) {
             self.hits += 1;
             return sym;
@@ -207,14 +207,14 @@ impl<'db> Planner<'db> for Memo<'db> {
         self.syms.insert(s.to_string(), sym);
         sym
     }
-    fn mnemonic_list<B: DbBackend>(&mut self, db: &'db B, sym: Sym) -> IdList<'db> {
+    fn mnemonic_list(&mut self, db: &SegmentDb<'db>, sym: Sym) -> IdList<'db> {
         if let Some(&list) = self.mnemonic.get(&sym) {
             self.hits += 1;
             return list;
         }
         *self.mnemonic.entry(sym).or_insert_with(|| db.postings_by_mnemonic(sym))
     }
-    fn uarch_list<B: DbBackend>(&mut self, db: &'db B, sym: Sym, port: Option<u8>) -> IdList<'db> {
+    fn uarch_list(&mut self, db: &SegmentDb<'db>, sym: Sym, port: Option<u8>) -> IdList<'db> {
         if let Some(&list) = self.uarch.get(&(sym, port)) {
             self.hits += 1;
             return list;
@@ -224,7 +224,7 @@ impl<'db> Planner<'db> for Memo<'db> {
             None => db.postings_by_uarch(sym),
         })
     }
-    fn extension_list<B: DbBackend>(&mut self, db: &'db B, sym: Sym) -> IdList<'db> {
+    fn extension_list(&mut self, db: &SegmentDb<'db>, sym: Sym) -> IdList<'db> {
         if let Some(&list) = self.extension.get(&sym) {
             self.hits += 1;
             return list;
@@ -236,13 +236,13 @@ impl<'db> Planner<'db> for Memo<'db> {
 /// The shared match core: resolves filters, gathers posting lists through
 /// `planner`, and intersects + residual-filters into the unsorted match
 /// set.
-fn match_ids<'db, B: DbBackend>(
+fn match_ids<'db>(
     plan: &QueryPlan,
-    db: &'db B,
+    db: &SegmentDb<'db>,
     planner: &mut impl Planner<'db>,
 ) -> Vec<u32> {
     // Resolve the string filters to symbols once. A filter string the
-    // backend has never seen means zero matches; a port beyond the
+    // segment has never seen means zero matches; a port beyond the
     // 16-bit mask can likewise never match.
     let mut unmatchable = plan.port.is_some_and(|p| p >= 16);
     let mut resolve = |s: &Option<String>, unmatchable: &mut bool| -> Option<Sym> {
@@ -310,7 +310,7 @@ fn match_ids<'db, B: DbBackend>(
 
 /// Sorts the match set and cuts the requested page, returning
 /// `(total_matches, page_ids)`.
-fn page_ids<B: DbBackend>(plan: &QueryPlan, db: &B, mut matches: Vec<u32>) -> (usize, Vec<u32>) {
+fn page_ids(plan: &QueryPlan, db: &SegmentDb<'_>, mut matches: Vec<u32>) -> (usize, Vec<u32>) {
     let total_matches = matches.len();
     sort_ids(plan, db, &mut matches);
     if plan.offset > 0 {
@@ -323,9 +323,9 @@ fn page_ids<B: DbBackend>(plan: &QueryPlan, db: &B, mut matches: Vec<u32>) -> (u
 }
 
 #[allow(clippy::too_many_arguments)]
-fn matches_residual<B: DbBackend>(
+fn matches_residual(
     plan: &QueryPlan,
-    db: &B,
+    db: &SegmentDb<'_>,
     id: u32,
     mnemonic: Option<Sym>,
     extension: Option<Sym>,
@@ -387,46 +387,21 @@ fn matches_residual<B: DbBackend>(
     true
 }
 
-fn sort_ids<B: DbBackend>(plan: &QueryPlan, db: &B, ids: &mut [u32]) {
+fn sort_ids(plan: &QueryPlan, db: &SegmentDb<'_>, ids: &mut [u32]) {
     // Keys are computed once per id into a key vector, then sorted —
-    // never re-derived inside the comparator. Backends with a
-    // precomputed canonical order (segments) supply an integer name
-    // rank; others fall back to resolved string triples.
+    // never re-derived inside the comparator. Records are stored in
+    // canonical (mnemonic, variant, uarch) order, so the id itself is the
+    // name key, and every other sort tie-breaks on it.
     match plan.sort {
-        SortKey::Mnemonic => sort_by_key_vec(ids, |id| name_key(db, id)),
-        SortKey::Latency => sort_by_key_vec(ids, |id| {
-            (F64Key(db.max_latency(id).unwrap_or(f64::NEG_INFINITY)), name_key(db, id))
-        }),
-        SortKey::Throughput => {
-            sort_by_key_vec(ids, |id| (F64Key(db.tp_measured(id)), name_key(db, id)));
+        SortKey::Mnemonic => ids.sort_unstable(),
+        SortKey::Latency => {
+            sort_by_key_vec(ids, |id| (F64Key(db.max_latency(id).unwrap_or(f64::NEG_INFINITY)), id))
         }
-        SortKey::UopCount => {
-            sort_by_key_vec(ids, |id| (db.uop_count(id), name_key(db, id)));
-        }
+        SortKey::Throughput => sort_by_key_vec(ids, |id| (F64Key(db.tp_measured(id)), id)),
+        SortKey::UopCount => sort_by_key_vec(ids, |id| (db.uop_count(id), id)),
     }
     if plan.descending {
         ids.reverse();
-    }
-}
-
-/// A per-record name sort key: an integer rank when the backend stores
-/// records in canonical order, resolved strings otherwise. Within one
-/// backend only one variant ever occurs, so the derived ordering (ranks
-/// before names) never mixes.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-enum NameKey<'db> {
-    Rank(u32),
-    Name(&'db str, &'db str, &'db str),
-}
-
-fn name_key<B: DbBackend>(db: &B, id: u32) -> NameKey<'_> {
-    match db.name_rank(id) {
-        Some(rank) => NameKey::Rank(rank),
-        None => NameKey::Name(
-            db.resolve(db.mnemonic_sym(id)),
-            db.resolve(db.variant_sym(id)),
-            db.resolve(db.uarch_sym(id)),
-        ),
     }
 }
 
@@ -508,11 +483,13 @@ fn gallop_to(list: &IdList<'_>, cursor: &mut usize, target: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::Segment;
 
     #[test]
     fn gallop_finds_every_member_and_no_others() {
         let ids: Vec<u32> = (0..4000).filter(|i| i % 7 == 0 || i % 11 == 0).collect();
-        let list = IdList::Native(&ids);
+        let le: Vec<u8> = ids.iter().flat_map(|id| id.to_le_bytes()).collect();
+        let list = IdList::from_le(&le);
         let mut cursor = 0usize;
         for target in 0..4000u32 {
             let expected = target % 7 == 0 || target % 11 == 0;
@@ -539,7 +516,8 @@ mod tests {
                 ..Default::default()
             });
         }
-        let db = InstructionDb::from_snapshot(&s);
+        let segment = Segment::from_bytes(Segment::encode(&s)).expect("valid");
+        let db = segment.db();
         let plan = QueryPlan::parse("uarch=Skylake&port=6").expect("parse");
         let result = QueryExec::new().run(&plan, &db);
         assert_eq!(result.total_matches, 2);
@@ -564,7 +542,8 @@ mod tests {
                 ..Default::default()
             });
         }
-        let db = InstructionDb::from_snapshot(&s);
+        let segment = Segment::from_bytes(Segment::encode(&s)).expect("valid");
+        let db = segment.db();
         let plans: Vec<QueryPlan> = [
             "uarch=Skylake",
             "uarch=Skylake&port=6",
@@ -614,7 +593,8 @@ mod tests {
             tp_measured: 0.25,
             ..Default::default()
         });
-        let db = InstructionDb::from_snapshot(&s);
+        let segment = Segment::from_bytes(Segment::encode(&s)).expect("valid");
+        let db = segment.db();
         let plan = QueryPlan::parse("uarch=Skylake").expect("parse");
         let stages = ExecStageMetrics::new();
         let timed = QueryExec::new().run_timed(&plan, &db, &stages);

@@ -1,15 +1,16 @@
-//! String interning.
+//! String symbols.
 //!
-//! The database stores every mnemonic, variant, extension, and
-//! microarchitecture name exactly once and refers to it by a 4-byte
-//! [`Sym`]. Record filtering and index lookups then compare plain integers,
-//! so running millions of queries allocates nothing.
+//! A segment stores every mnemonic, variant, extension, and
+//! microarchitecture name exactly once, in a sorted string table, and its
+//! record columns refer to them by a 4-byte [`Sym`]. Record filtering and
+//! index lookups then compare plain integers, so running millions of
+//! queries allocates nothing.
 
-use std::collections::HashMap;
 use std::fmt;
 
-/// An interned string handle. Two symbols from the same [`Interner`] are
-/// equal iff the strings they denote are equal.
+/// A handle into a segment's string table. Two symbols from the same
+/// segment are equal iff the strings they denote are equal, and — because
+/// the table is sorted — order like those strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sym(pub(crate) u32);
 
@@ -21,83 +22,8 @@ impl Sym {
     }
 }
 
-/// A deduplicating string table.
-#[derive(Debug, Default, Clone)]
-pub struct Interner {
-    names: Vec<Box<str>>,
-    map: HashMap<Box<str>, Sym>,
-}
-
-impl Interner {
-    /// Creates an empty interner.
-    #[must_use]
-    pub fn new() -> Interner {
-        Interner::default()
-    }
-
-    /// Interns `s`, returning its symbol. Allocates only on first sight.
-    pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&sym) = self.map.get(s) {
-            return sym;
-        }
-        let sym = Sym(u32::try_from(self.names.len()).expect("fewer than 2^32 symbols"));
-        let boxed: Box<str> = s.into();
-        self.names.push(boxed.clone());
-        self.map.insert(boxed, sym);
-        sym
-    }
-
-    /// Looks a string up without interning it. Allocation-free.
-    #[must_use]
-    pub fn get(&self, s: &str) -> Option<Sym> {
-        self.map.get(s).copied()
-    }
-
-    /// Resolves a symbol back to its string.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sym` does not come from this interner.
-    #[must_use]
-    pub fn resolve(&self, sym: Sym) -> &str {
-        &self.names[sym.index()]
-    }
-
-    /// Number of distinct interned strings.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Returns `true` if nothing has been interned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
 impl fmt::Display for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sym#{}", self.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn interning_deduplicates() {
-        let mut i = Interner::new();
-        let a = i.intern("ADD");
-        let b = i.intern("SUB");
-        let a2 = i.intern("ADD");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(i.resolve(a), "ADD");
-        assert_eq!(i.resolve(b), "SUB");
-        assert_eq!(i.len(), 2);
-        assert_eq!(i.get("ADD"), Some(a));
-        assert_eq!(i.get("XOR"), None);
     }
 }

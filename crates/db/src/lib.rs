@@ -10,43 +10,57 @@
 //!   forward-compatible encodings — a compact binary stream ([`codec`]) and
 //!   JSON ([`json`]) — so datasets can be written, shipped, merged, and read
 //!   back by newer and older tools alike;
-//! * a **zero-copy segment format** ([`segment`]): a single-file, columnar,
-//!   alignment-padded image — string table, SoA record columns, side arrays,
-//!   sorted posting lists — opened in O(header + section table) and queried
-//!   in place from a `&[u8]` without decoding a single record, plus
-//!   **incremental merge ingestion** ([`Segment::merge`]) for independently
-//!   written shards;
-//! * an **in-memory database** ([`InstructionDb`]) with interned strings and
-//!   secondary indexes by mnemonic, ISA extension, microarchitecture, and
-//!   (microarchitecture, port), keeping millions of lookups allocation-free;
-//! * a **storage-backend abstraction** ([`DbBackend`]): the query engine,
-//!   record views, and diffing run unchanged over the in-memory database and
-//!   the zero-copy segment reader ([`SegmentDb`]);
+//! * a **zero-copy segment format** ([`segment`]) — the query store: a
+//!   single-file, columnar, alignment-padded image — string table, SoA
+//!   record columns, side arrays, sorted posting lists by mnemonic, ISA
+//!   extension, microarchitecture, and (microarchitecture, port) — opened
+//!   in O(header + section table) and queried in place from a `&[u8]`
+//!   through [`SegmentDb`] without decoding a single record, plus
+//!   **incremental merge ingestion** ([`Segment::merge`]) for
+//!   independently written shards;
 //! * a **layered query pipeline**: the source-compatible [`Query`] builder
 //!   produces a canonical, hashable [`QueryPlan`] ([`plan`]) — the cache
 //!   key and the wire request, with a strict query-string codec — which
-//!   [`QueryExec`] ([`exec`]) runs over the secondary indexes (the smallest
-//!   posting list drives, the rest are gallop-intersected, and sort keys
-//!   are computed once per result set);
+//!   [`QueryExec`] ([`exec`]) runs over the segment's posting lists (the
+//!   smallest list drives, the rest are gallop-intersected, and sort keys
+//!   are computed once per result set), yielding borrowed [`RecordView`]s;
 //! * **result encoders** ([`encode`]): a [`ResultEncoder`] trait with
 //!   deterministic JSON, compact-binary, and grouped-XML implementations
 //!   sharing the snapshot codecs' machinery — what a response cache stores
 //!   and a server sends;
 //! * **cross-microarchitecture diffing** ([`diff_uarches`]): which variants
 //!   changed latency, port usage, µop count, or throughput between two
-//!   generations (the paper's §5 findings, e.g. SHLD across generations).
+//!   generations (the paper's §5 findings, e.g. SHLD across generations);
+//! * a **crash-safe generation store** ([`store`]) that publishes segment
+//!   images durably and swaps the live one without blocking readers.
 //!
 //! The crate is deliberately free of dependencies — including the rest of
-//! the workspace — so every layer above it (characterization, serving,
-//! caching) can produce or consume snapshots without pulling in the
-//! measurement stack. `uops-core` provides the `CharacterizationReport` →
-//! [`Snapshot`] ingestion bridge.
+//! the workspace, apart from the telemetry primitives — so every layer
+//! above it (characterization, serving, caching) can produce or consume
+//! snapshots without pulling in the measurement stack. `uops-core`
+//! provides the `CharacterizationReport` → [`Snapshot`] ingestion bridge.
 //!
-//! ## Example
+//! ## Quickstart
+//!
+//! A [`Snapshot`] is the interchange form; TLV ([`codec`]) is compact and
+//! streaming, for shipping and archival. To query, write the snapshot as a
+//! **segment**: opening one never decodes records (O(header + section
+//! table), benchmarked ≥ 10x faster than TLV-decoding the same data on the
+//! `build_db` dataset), and shards written independently merge without
+//! re-decoding — see [`segment`] for the layout and the full trade-off.
+//!
+//! With the **`mmap` feature** (64-bit Unix), `Segment::open_mmap(path)`
+//! maps the file read-only instead of reading it into memory: validation
+//! touches only the header/section-table/string-table, record columns are
+//! paged in on first access, and replica processes serving one file share
+//! a single physical copy through the page cache — the backing for
+//! datasets larger than RAM. Queries are property-tested byte-identical
+//! across both backings (`tests/mmap_backend.rs`).
 //!
 //! ```rust
-//! use uops_db::{InstructionDb, Query, Snapshot, SortKey, VariantRecord};
+//! use uops_db::{diff_uarches, Query, Segment, Snapshot, VariantRecord};
 //!
+//! # fn main() -> Result<(), uops_db::DbError> {
 //! let mut snapshot = Snapshot::new("example");
 //! snapshot.records.push(VariantRecord {
 //!     mnemonic: "ADD".into(),
@@ -59,57 +73,18 @@
 //!     ..Default::default()
 //! });
 //!
-//! // Round-trip through the binary encoding.
+//! // Round-trip through the TLV interchange encoding.
 //! let bytes = uops_db::codec::encode(&snapshot);
-//! let restored = uops_db::codec::decode(&bytes).unwrap();
+//! let restored = uops_db::codec::decode(&bytes)?;
 //! assert_eq!(restored, snapshot);
 //!
-//! // Build the indexed database and query it.
-//! let db = InstructionDb::from_snapshot(&restored);
+//! // Segment::write(&restored, "uops.seg")? persists the same image.
+//! let segment = Segment::from_bytes(Segment::encode(&restored))?;
+//! let db = segment.db(); // zero-copy reader, no records decoded
 //! let hits = Query::new().uarch("Skylake").uses_port(6).run(&db);
 //! assert_eq!(hits.total_matches, 1);
 //! assert_eq!(hits.rows[0].mnemonic(), "ADD");
-//! ```
-//!
-//! ## Quickstart: zero-copy segments
-//!
-//! For serving, write the snapshot as a **segment** instead: opening one
-//! never decodes records (O(header + section table), benchmarked ≥ 10x
-//! faster than TLV decode + index build on the `build_db` dataset), and
-//! shards written independently merge without re-decoding. Choose TLV
-//! ([`codec`]) for compact interchange and archival; choose segments for
-//! query serving and incremental ingestion — see [`segment`] for the
-//! layout and the full trade-off.
-//!
-//! With the **`mmap` feature** (64-bit Unix), `Segment::open_mmap(path)`
-//! maps the file read-only instead of reading it into memory: validation
-//! touches only the header/section-table/string-table, record columns are
-//! paged in on first access, and replica processes serving one file share
-//! a single physical copy through the page cache — the backend for
-//! datasets larger than RAM. Queries are property-tested byte-identical
-//! across both backings (`tests/mmap_backend.rs`).
-//!
-//! ```rust
-//! use uops_db::{DbBackend, Query, Segment, Snapshot, VariantRecord};
-//!
-//! # fn main() -> Result<(), uops_db::DbError> {
-//! let mut snapshot = Snapshot::new("example");
-//! snapshot.records.push(VariantRecord {
-//!     mnemonic: "ADD".into(),
-//!     variant: "R64, R64".into(),
-//!     extension: "BASE".into(),
-//!     uarch: "Skylake".into(),
-//!     uop_count: 1,
-//!     ports: vec![(0b0110_0011, 1)],
-//!     tp_measured: 0.25,
-//!     ..Default::default()
-//! });
-//!
-//! // Segment::write(&snapshot, "uops.seg")? persists the same image.
-//! let segment = Segment::from_bytes(Segment::encode(&snapshot))?;
-//! let db = segment.db(); // zero-copy reader, no records decoded
-//! let hits = Query::new().uarch("Skylake").uses_port(6).run(&db);
-//! assert_eq!(hits.rows[0].mnemonic(), "ADD");
+//! assert_eq!(diff_uarches(&db, "Haswell", "Skylake").compared(), 0);
 //!
 //! // Shards merge last-writer-wins without decoding:
 //! let merged = Segment::merge(&[segment.clone(), segment]);
@@ -123,7 +98,6 @@
 
 pub mod backend;
 pub mod codec;
-pub mod db;
 pub mod diff;
 pub mod encode;
 pub mod error;
@@ -137,13 +111,12 @@ pub mod snapshot;
 pub mod store;
 pub mod xml;
 
-pub use backend::{DbBackend, IdList, RecordView, Views};
-pub use db::{DbRecord, InstructionDb};
+pub use backend::{IdList, RecordView, Views};
 pub use diff::{diff_uarches, Change, DiffReport, VariantDelta, CYCLE_TOLERANCE};
 pub use encode::{BinaryEncoder, JsonEncoder, ResultEncoder, XmlEncoder};
 pub use error::DbError;
 pub use exec::{BatchExec, ExecStageMetrics, QueryExec};
-pub use intern::{Interner, Sym};
+pub use intern::Sym;
 pub use plan::{fnv1a_64, fnv1a_64_parts, QueryPlan};
 pub use query::{Query, QueryResult, SortKey};
 pub use segment::{Segment, SegmentDb};

@@ -2,9 +2,7 @@
 //!
 //! A [`Query`] combines filters (mnemonic prefix or exact match, ISA
 //! extension, microarchitecture, port, µop-count and latency bounds), a sort
-//! order, and pagination, and runs over any [`DbBackend`] — the in-memory
-//! [`crate::InstructionDb`] and the zero-copy [`crate::SegmentDb`] answer
-//! every query identically.
+//! order, and pagination, and runs over the zero-copy [`SegmentDb`].
 //!
 //! The builder is a thin, source-compatible front over the canonical
 //! [`QueryPlan`]: every setter writes a plan field, and [`Query::run`]
@@ -13,14 +11,14 @@
 //! take it via [`Query::plan`] / [`Query::into_plan`] instead of
 //! re-deriving it.
 
-use crate::backend::DbBackend;
 use crate::exec::QueryExec;
 use crate::plan::{normalize_bound, QueryPlan};
+use crate::segment::SegmentDb;
 
 pub use crate::exec::QueryResult;
 pub use crate::plan::SortKey;
 
-/// A composable query over any [`DbBackend`].
+/// A composable query over a [`SegmentDb`].
 #[must_use]
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Query {
@@ -129,9 +127,9 @@ impl Query {
         self
     }
 
-    /// Runs the query against any backend.
+    /// Runs the query against a segment.
     #[must_use]
-    pub fn run<'db, B: DbBackend>(&self, db: &'db B) -> QueryResult<'db, B> {
+    pub fn run<'db>(&self, db: &'db SegmentDb<'db>) -> QueryResult<'db> {
         QueryExec::new().run(&self.plan, db)
     }
 }
@@ -140,7 +138,7 @@ impl Query {
 mod tests {
     use super::*;
     use crate::backend::IdList;
-    use crate::db::InstructionDb;
+    use crate::segment::Segment;
     use crate::snapshot::{LatencyEdge, Snapshot, VariantRecord};
 
     fn record(
@@ -170,7 +168,7 @@ mod tests {
         }
     }
 
-    fn db() -> InstructionDb {
+    fn segment() -> Segment {
         let mut s = Snapshot::new("test");
         s.records.push(record("ADD", "BASE", "Skylake", 1, 0b0110_0011, 1.0, 0.25));
         s.records.push(record("ADC", "BASE", "Skylake", 1, 0b0100_0001, 1.0, 0.5));
@@ -178,12 +176,13 @@ mod tests {
         s.records.push(record("VPGATHERDD", "AVX2", "Skylake", 4, 0b0000_1101, 12.0, 4.0));
         s.records.push(record("ADD", "BASE", "Haswell", 1, 0b0110_0011, 1.0, 0.25));
         s.records.push(record("DIV", "BASE", "Skylake", 10, 0b0000_0001, 23.0, 6.0));
-        InstructionDb::from_snapshot(&s)
+        Segment::from_bytes(Segment::encode(&s)).expect("valid")
     }
 
     #[test]
     fn filter_by_uarch_and_extension() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let r = Query::new().uarch("Skylake").extension("AVX2").run(&db);
         assert_eq!(r.total_matches, 2);
         assert_eq!(r.rows[0].mnemonic(), "VPADDD");
@@ -192,7 +191,8 @@ mod tests {
 
     #[test]
     fn filter_by_port() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         // Port 6 on Skylake: ADD (p0156) and ADC (p06).
         let r = Query::new().uarch("Skylake").uses_port(6).run(&db);
         assert_eq!(r.total_matches, 2);
@@ -202,7 +202,8 @@ mod tests {
 
     #[test]
     fn intersection_of_three_posting_lists() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         // mnemonic ∧ (uarch, port) ∧ extension all have posting lists; the
         // planner must intersect them, not just filter one.
         let r =
@@ -215,7 +216,8 @@ mod tests {
 
     #[test]
     fn prefix_latency_and_uop_filters() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let r = Query::new().mnemonic_prefix("VP").run(&db);
         assert_eq!(r.total_matches, 2);
         let r = Query::new().min_latency(10.0).run(&db);
@@ -227,7 +229,8 @@ mod tests {
 
     #[test]
     fn unknown_filter_strings_match_nothing() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let r = Query::new().uarch("Cannon Lake").run(&db);
         assert_eq!(r.total_matches, 0);
         let r = Query::new().mnemonic("NOPE").run(&db);
@@ -236,7 +239,8 @@ mod tests {
 
     #[test]
     fn out_of_range_port_matches_nothing() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         // Both the indexed path (with uarch) and the scan path (without)
         // must treat ports beyond the mask as "no matches", not overflow.
         assert_eq!(Query::new().uarch("Skylake").uses_port(16).run(&db).total_matches, 0);
@@ -246,7 +250,8 @@ mod tests {
 
     #[test]
     fn sorting_and_pagination() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let r = Query::new().uarch("Skylake").sort_by_desc(SortKey::Latency).limit(2).run(&db);
         assert_eq!(r.total_matches, 5);
         assert_eq!(r.rows.len(), 2);
@@ -260,14 +265,16 @@ mod tests {
 
     #[test]
     fn throughput_sort() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let r = Query::new().uarch("Skylake").sort_by(SortKey::Throughput).limit(1).run(&db);
         assert_eq!(r.rows[0].mnemonic(), "ADD");
     }
 
     #[test]
     fn builder_and_wire_plan_answer_identically() {
-        let db = db();
+        let segment = segment();
+        let db = segment.db();
         let built = Query::new().uarch("Skylake").uses_port(6).sort_by_desc(SortKey::Latency);
         let wire = crate::QueryPlan::parse(&built.plan().to_query_string()).expect("parse");
         let a = built.run(&db);

@@ -7,10 +7,8 @@
 //! over borrowed readers, copying surviving records straight into the
 //! shared segment writer. Records with the same key are resolved
 //! last-writer-wins — the shard latest in the argument list supplies the
-//! surviving payload — matching [`crate::InstructionDb::ingest`] and
-//! [`crate::Snapshot::merge`] semantics.
+//! surviving payload — matching [`crate::Snapshot::merge`] semantics.
 
-use crate::backend::DbBackend;
 use crate::snapshot::{LatencyEdge, UarchMeta};
 
 use super::read::SegmentDb;
@@ -110,8 +108,8 @@ pub(crate) fn merge_images(parts: &[SegmentDb<'_>]) -> Vec<u8> {
 
     // Microarchitecture metadata in shard order: the writer deduplicates
     // by name with the same last-writer-wins rule.
-    let metas: Vec<UarchMeta> = parts.iter().flat_map(DbBackend::uarch_metas).collect();
+    let metas: Vec<UarchMeta> = parts.iter().flat_map(SegmentDb::uarch_metas).collect();
     let generator = parts.iter().rev().map(|p| p.generator()).find(|g| !g.is_empty()).unwrap_or("");
-    let schema_version = parts.iter().map(DbBackend::schema_version).max().unwrap_or(0);
+    let schema_version = parts.iter().map(SegmentDb::schema_version).max().unwrap_or(0);
     emit(generator, schema_version, &metas, &survivors)
 }

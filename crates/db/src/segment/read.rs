@@ -1,17 +1,17 @@
 //! The zero-copy segment reader.
 //!
-//! [`SegmentDb`] serves every [`DbBackend`] accessor directly out of a
-//! borrowed byte image. Opening validates the header, the section table,
+//! [`SegmentDb`] serves every record accessor directly out of a borrowed
+//! byte image. Opening validates the header, the section table,
 //! and the (tiny, record-count-independent) string table and µarch
 //! metadata — **no per-record work** — so open time is O(header + section
 //! table) regardless of how many records the segment holds. All structural
 //! corruption is reported as [`DbError::Segment`]; validation and access
 //! never panic.
 
-use crate::backend::{DbBackend, IdList};
+use crate::backend::{IdList, RecordView, Views};
 use crate::error::DbError;
 use crate::intern::Sym;
-use crate::snapshot::{LatencyEdge, UarchMeta, SCHEMA_VERSION};
+use crate::snapshot::{LatencyEdge, Snapshot, UarchMeta, SCHEMA_VERSION};
 
 use super::layout::{
     bit_at, f64_at, section, u16_at, u32_at, u64_at, FORMAT_VERSION, HEADER_LEN, IDX_ENTRY_LEN,
@@ -24,8 +24,8 @@ use super::layout::{
 /// ones.
 const MAX_SECTIONS: u32 = 4096;
 
-/// A borrowed, zero-copy view of a segment image: the [`DbBackend`]
-/// counterpart to [`crate::InstructionDb`].
+/// A borrowed, zero-copy view of a segment image — the store every query,
+/// record view, encoder, and diff runs over.
 ///
 /// Construction ([`SegmentDb::open`]) validates structure but decodes no
 /// records; every accessor afterwards reads little-endian values in place.
@@ -451,24 +451,43 @@ impl<'a> SegmentDb<'a> {
     fn postings_slice(&self, start: usize, len: usize) -> IdList<'a> {
         self.sect(section::POSTINGS)
             .get(start * 4..(start + len) * 4)
-            .map_or_else(IdList::empty, IdList::Le)
+            .map_or_else(IdList::empty, IdList::from_le)
     }
 }
 
-impl DbBackend for SegmentDb<'_> {
-    fn len(&self) -> usize {
+/// Record access. Ids are dense (`0..len()`) and stored in canonical
+/// (mnemonic, variant, uarch) order, so a record's id is also its rank in
+/// the name sort. Posting lists are sorted ascending by id, which the
+/// query planner's galloping intersection relies on.
+impl<'a> SegmentDb<'a> {
+    /// Number of records.
+    #[must_use]
+    pub fn len(&self) -> usize {
         self.record_count as usize
     }
 
-    fn schema_version(&self) -> u32 {
+    /// Returns `true` if the segment holds no records.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Schema version the data was written under.
+    #[must_use]
+    pub fn schema_version(&self) -> u32 {
         self.schema_version
     }
 
-    fn generator(&self) -> &str {
+    /// Free-form producer string.
+    #[must_use]
+    pub fn generator(&self) -> &'a str {
         self.generator
     }
 
-    fn resolve(&self, sym: Sym) -> &str {
+    /// Resolves a symbol to its string (`""` for a symbol outside the
+    /// string table).
+    #[must_use]
+    pub fn resolve(&self, sym: Sym) -> &'a str {
         let i = sym.index();
         if i >= self.string_count as usize {
             return "";
@@ -482,7 +501,10 @@ impl DbBackend for SegmentDb<'_> {
             .unwrap_or("")
     }
 
-    fn lookup_sym(&self, s: &str) -> Option<Sym> {
+    /// Looks up the symbol for `s` (`None` if the string never occurs in
+    /// the segment). Allocation-free.
+    #[must_use]
+    pub fn lookup_sym(&self, s: &str) -> Option<Sym> {
         // The string table is sorted (validated at open), so symbol lookup
         // is a binary search over in-place slices — no hashing, no
         // allocation.
@@ -498,59 +520,89 @@ impl DbBackend for SegmentDb<'_> {
         (lo < self.string_count && self.resolve(Sym(lo)) == s).then_some(Sym(lo))
     }
 
-    fn mnemonic_sym(&self, id: u32) -> Sym {
+    /// Mnemonic symbol of record `id`.
+    #[must_use]
+    pub fn mnemonic_sym(&self, id: u32) -> Sym {
         Sym(self.u32_col(section::COL_MNEMONIC, id))
     }
 
-    fn variant_sym(&self, id: u32) -> Sym {
+    /// Variant-string symbol of record `id`.
+    #[must_use]
+    pub fn variant_sym(&self, id: u32) -> Sym {
         Sym(self.u32_col(section::COL_VARIANT, id))
     }
 
-    fn extension_sym(&self, id: u32) -> Sym {
+    /// ISA-extension symbol of record `id`.
+    #[must_use]
+    pub fn extension_sym(&self, id: u32) -> Sym {
         Sym(self.u32_col(section::COL_EXTENSION, id))
     }
 
-    fn uarch_sym(&self, id: u32) -> Sym {
+    /// Microarchitecture symbol of record `id`.
+    #[must_use]
+    pub fn uarch_sym(&self, id: u32) -> Sym {
         Sym(self.u32_col(section::COL_UARCH, id))
     }
 
-    fn uop_count(&self, id: u32) -> u32 {
+    /// µop count of record `id`.
+    #[must_use]
+    pub fn uop_count(&self, id: u32) -> u32 {
         self.u32_col(section::COL_UOPS, id)
     }
 
-    fn unattributed(&self, id: u32) -> u32 {
+    /// µops of record `id` not attributed to any port combination.
+    #[must_use]
+    pub fn unattributed(&self, id: u32) -> u32 {
         self.u32_col(section::COL_UNATTRIBUTED, id)
     }
 
-    fn port_union(&self, id: u32) -> u16 {
+    /// Union of all port masks of record `id` (precomputed).
+    #[must_use]
+    pub fn port_union(&self, id: u32) -> u16 {
         u16_at(self.sect(section::COL_PORT_UNION), id as usize * 2)
     }
 
-    fn tp_measured(&self, id: u32) -> f64 {
+    /// Measured throughput of record `id`.
+    #[must_use]
+    pub fn tp_measured(&self, id: u32) -> f64 {
         f64_at(self.sect(section::COL_TP_MEASURED), id as usize * 8)
     }
 
-    fn tp_ports(&self, id: u32) -> Option<f64> {
+    /// Throughput computed from the port usage, if available.
+    #[must_use]
+    pub fn tp_ports(&self, id: u32) -> Option<f64> {
         self.opt_f64_col(section::COL_TP_PORTS, section::BITS_TP_PORTS, id)
     }
 
-    fn tp_low_values(&self, id: u32) -> Option<f64> {
+    /// Measured throughput with low-latency divider values, if applicable.
+    #[must_use]
+    pub fn tp_low_values(&self, id: u32) -> Option<f64> {
         self.opt_f64_col(section::COL_TP_LOW, section::BITS_TP_LOW, id)
     }
 
-    fn tp_breaking(&self, id: u32) -> Option<f64> {
+    /// Measured throughput with dependency-breaking instructions, if
+    /// applicable.
+    #[must_use]
+    pub fn tp_breaking(&self, id: u32) -> Option<f64> {
         self.opt_f64_col(section::COL_TP_BREAKING, section::BITS_TP_BREAKING, id)
     }
 
-    fn max_latency(&self, id: u32) -> Option<f64> {
+    /// Maximum latency over operand pairs (precomputed; `None` when the
+    /// record has no latency edges).
+    #[must_use]
+    pub fn max_latency(&self, id: u32) -> Option<f64> {
         self.opt_f64_col(section::COL_MAX_LATENCY, section::BITS_MAX_LATENCY, id)
     }
 
-    fn ports_len(&self, id: u32) -> usize {
+    /// Number of `(port mask, µops)` entries of record `id`.
+    #[must_use]
+    pub fn ports_len(&self, id: u32) -> usize {
         self.range(section::PORTS_RANGE, id).1
     }
 
-    fn port_entry(&self, id: u32, i: usize) -> (u16, u32) {
+    /// The `i`-th `(port mask, µops)` entry of record `id`.
+    #[must_use]
+    pub fn port_entry(&self, id: u32, i: usize) -> (u16, u32) {
         let (start, _) = self.range(section::PORTS_RANGE, id);
         (
             u16_at(self.sect(section::PORTS_MASK), (start + i) * 2),
@@ -558,11 +610,15 @@ impl DbBackend for SegmentDb<'_> {
         )
     }
 
-    fn latency_len(&self, id: u32) -> usize {
+    /// Number of latency edges of record `id`.
+    #[must_use]
+    pub fn latency_len(&self, id: u32) -> usize {
         self.range(section::LAT_RANGE, id).1
     }
 
-    fn latency_edge(&self, id: u32, i: usize) -> LatencyEdge {
+    /// The `i`-th latency edge of record `id`.
+    #[must_use]
+    pub fn latency_edge(&self, id: u32, i: usize) -> LatencyEdge {
         let (start, _) = self.range(section::LAT_RANGE, id);
         let at = start + i;
         let flags = self.sect(section::LAT_FLAGS).get(at).copied().unwrap_or(0);
@@ -578,24 +634,47 @@ impl DbBackend for SegmentDb<'_> {
         }
     }
 
-    fn postings_by_mnemonic(&self, sym: Sym) -> IdList<'_> {
+    /// The `(port mask, µops)` entries of record `id`, materialized.
+    #[must_use]
+    pub fn ports_vec(&self, id: u32) -> Vec<(u16, u32)> {
+        (0..self.ports_len(id)).map(|i| self.port_entry(id, i)).collect()
+    }
+
+    /// The latency edges of record `id`, materialized.
+    #[must_use]
+    pub fn latency_vec(&self, id: u32) -> Vec<LatencyEdge> {
+        (0..self.latency_len(id)).map(|i| self.latency_edge(id, i)).collect()
+    }
+
+    /// Posting list of records with the given mnemonic symbol.
+    #[must_use]
+    pub fn postings_by_mnemonic(&self, sym: Sym) -> IdList<'a> {
         self.postings_keyed(section::IDX_MNEMONIC, sym.0)
     }
 
-    fn postings_by_extension(&self, sym: Sym) -> IdList<'_> {
+    /// Posting list of records with the given extension symbol.
+    #[must_use]
+    pub fn postings_by_extension(&self, sym: Sym) -> IdList<'a> {
         self.postings_keyed(section::IDX_EXTENSION, sym.0)
     }
 
-    fn postings_by_uarch(&self, sym: Sym) -> IdList<'_> {
+    /// Posting list of records on the given microarchitecture.
+    #[must_use]
+    pub fn postings_by_uarch(&self, sym: Sym) -> IdList<'a> {
         self.postings_keyed(section::IDX_UARCH, sym.0)
     }
 
-    fn postings_by_uarch_port(&self, sym: Sym, port: u8) -> IdList<'_> {
+    /// Posting list of records on the given microarchitecture whose µops
+    /// may use `port`.
+    #[must_use]
+    pub fn postings_by_uarch_port(&self, sym: Sym, port: u8) -> IdList<'a> {
         let key = (u64::from(sym.0) << 8) | u64::from(port);
         self.postings_search(section::IDX_UARCH_PORT, IDX_PORT_ENTRY_LEN, 8, key, u64_at)
     }
 
-    fn find_id(&self, mnemonic: &str, variant: &str, uarch: &str) -> Option<u32> {
+    /// Point lookup by (mnemonic, variant, microarchitecture).
+    #[must_use]
+    pub fn find_id(&self, mnemonic: &str, variant: &str, uarch: &str) -> Option<u32> {
         // Records are stored in canonical (mnemonic, variant, uarch)
         // order and symbol order equals string order, so a point lookup
         // is a binary search comparing symbol triples.
@@ -613,12 +692,34 @@ impl DbBackend for SegmentDb<'_> {
         (lo < self.record_count && self.record_key(lo) == target).then_some(lo)
     }
 
-    fn name_rank(&self, id: u32) -> Option<u32> {
-        // Canonical storage order: a record's id *is* its name rank.
-        Some(id)
+    /// Metadata of the contributing microarchitectures.
+    #[must_use]
+    pub fn uarch_metas(&self) -> Vec<UarchMeta> {
+        self.uarch_meta.clone()
     }
 
-    fn uarch_metas(&self) -> Vec<UarchMeta> {
-        self.uarch_meta.clone()
+    /// The view for a record id.
+    #[must_use]
+    pub fn view(&self, id: u32) -> RecordView<'_> {
+        RecordView { db: self, id }
+    }
+
+    /// All records, as views, in id (canonical) order.
+    pub fn views(&self) -> Views<'_> {
+        Views::new(self)
+    }
+
+    /// Exports the segment back into a canonical snapshot (records sorted
+    /// by mnemonic, variant, uarch).
+    #[must_use]
+    pub fn export_snapshot(&self) -> Snapshot {
+        let mut snapshot = Snapshot::new(self.generator());
+        if self.schema_version() != 0 {
+            snapshot.schema_version = self.schema_version();
+        }
+        snapshot.uarches = self.uarch_metas();
+        snapshot.records = self.views().map(|v| v.to_variant_record()).collect();
+        snapshot.canonicalize();
+        snapshot
     }
 }

@@ -92,7 +92,7 @@ impl SourceRecord for &VariantRecord {
 
 /// Encodes a snapshot as a segment image. Records with duplicate
 /// (mnemonic, variant, uarch) keys keep the *last* occurrence, matching
-/// [`crate::InstructionDb::ingest`] replacement semantics.
+/// [`crate::Snapshot::merge`] replacement semantics.
 #[must_use]
 pub(crate) fn encode_snapshot(snapshot: &Snapshot) -> Vec<u8> {
     // Last-writer-wins dedup, then canonical (mnemonic, variant, uarch)

@@ -13,8 +13,8 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use uops_db::{
-    DbBackend as _, JsonEncoder, Query, QueryExec, QueryPlan, ResultEncoder, Segment, Snapshot,
-    SortKey, VariantRecord,
+    JsonEncoder, Query, QueryExec, QueryPlan, ResultEncoder, Segment, Snapshot, SortKey,
+    VariantRecord,
 };
 
 const MNEMONICS: [&str; 6] = ["ADD", "ADC", "SHLD", "VPADDD", "DIV", "MULPS"];

@@ -56,7 +56,7 @@
 use std::io::Write as _;
 use std::sync::Arc;
 
-use uops_db::{DbBackend as _, GenerationStore, Segment};
+use uops_db::{GenerationStore, Segment};
 use uops_pool::Parallelism;
 use uops_serve::args::CliSpec;
 use uops_serve::{AccessLog, QueryService, Server, ServerOptions};

@@ -69,7 +69,7 @@ impl<S: Write> Write for FaultStream<'_, S> {
 /// routes [`GenerationStore`](uops_db::GenerationStore) publishes through.
 /// With `fault-injection` off this is the real-syscall implementation —
 /// zero interposition; with the feature on, each filesystem mutation
-/// first consults the scripted FIFO of [`FsFault`]s for its operation.
+/// first consults the scripted FIFO of `FsFault`s for its operation.
 #[cfg(not(feature = "fault-injection"))]
 #[inline]
 pub fn store_io() -> &'static dyn uops_db::store::StoreIo {

@@ -70,7 +70,7 @@
 //! the `mmap` feature (`cargo build --features mmap`, 64-bit Unix),
 //! `serve --mmap`
 //! maps the segment file instead of reading it — O(header) open and
-//! page-cache sharing across replicas ([`uops_db::Segment::open_mmap`]).
+//! page-cache sharing across replicas (`uops_db::Segment::open_mmap`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -1128,7 +1128,7 @@ pub(crate) fn record_request(
 mod tests {
     use super::*;
     use std::net::TcpStream;
-    use uops_db::{InstructionDb, Snapshot, VariantRecord};
+    use uops_db::{Segment, Snapshot, VariantRecord};
 
     fn service() -> QueryService {
         let mut s = Snapshot::new("router test");
@@ -1147,7 +1147,8 @@ mod tests {
                 ..Default::default()
             });
         }
-        QueryService::from_db(Arc::new(InstructionDb::from_snapshot(&s)), 1 << 20)
+        let segment = Segment::from_bytes(Segment::encode(&s)).expect("segment");
+        QueryService::from_segment(Arc::new(segment), 1 << 20)
     }
 
     #[test]

@@ -640,7 +640,7 @@ pub(crate) mod stage_scratch {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use uops_db::{InstructionDb, Snapshot, VariantRecord};
+    use uops_db::{Segment, Snapshot, VariantRecord};
 
     fn service() -> QueryService {
         let mut s = Snapshot::new("metrics test");
@@ -654,7 +654,8 @@ mod tests {
             tp_measured: 0.25,
             ..Default::default()
         });
-        QueryService::from_db(Arc::new(InstructionDb::from_snapshot(&s)), 1 << 20)
+        let segment = Segment::from_bytes(Segment::encode(&s)).expect("segment");
+        QueryService::from_segment(Arc::new(segment), 1 << 20)
     }
 
     #[test]

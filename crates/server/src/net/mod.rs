@@ -1,18 +1,18 @@
 //! The server's transport: epoll reactor shards.
 //!
-//! `N` reactor shards ([`reactor`]), each a single thread running an
+//! `N` reactor shards (`reactor`), each a single thread running an
 //! edge-triggered `epoll` loop over its own `SO_REUSEPORT` listener
-//! ([`listener`]) and a slab of non-blocking connection state machines.
+//! (`listener`) and a slab of non-blocking connection state machines.
 //! A parked connection costs a slab entry and an fd — buffers are
 //! allocated lazily on first byte — so tens of thousands of idle
 //! keep-alive connections fit in a few megabytes, while a busy pipelined
 //! connection keeps its shard hot. A request is answered on the shard
 //! that owns its connection; an uncached query executes there inline,
 //! and only an ingest's publish is handed to a separate thread.
-//! Idle-timeout eviction rides a coarse lazy timer wheel ([`timer`])
+//! Idle-timeout eviction rides a coarse lazy timer wheel (`timer`)
 //! ticked from the `epoll_wait` timeout.
 //!
-//! Everything sits on hand-declared syscall bindings in [`sys`] — the
+//! Everything sits on hand-declared syscall bindings in `sys` — the
 //! same "std already links libc, so declare the prototypes and call them"
 //! playbook as the mmap segment reader in `uops-db` — because `std`
 //! exposes neither epoll nor `SO_REUSEPORT`. No external crates.

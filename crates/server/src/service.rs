@@ -1,8 +1,7 @@
 //! The transport-agnostic query service.
 //!
 //! [`QueryService`] is the middle layer of the serving stack: it owns an
-//! `Arc` of a read-only database (a zero-copy [`Segment`] in production,
-//! an in-memory [`InstructionDb`] for tests and embedding) plus the
+//! `Arc` of the read-only, zero-copy [`Segment`] being served plus the
 //! sharded LRU [`ResponseCache`], and answers *requests* — a canonical
 //! [`QueryPlan`], a record lookup, a µarch diff — with fully encoded
 //! [`ServiceResponse`] bytes. It knows nothing about HTTP; the server in
@@ -20,9 +19,8 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use uops_db::store::SwapCell;
 use uops_db::{
-    diff_uarches, fnv1a_64, fnv1a_64_parts, BatchExec, BinaryEncoder, DbBackend, DbError,
-    ExecStageMetrics, InstructionDb, JsonEncoder, QueryExec, QueryPlan, QueryResult, ResultEncoder,
-    Segment, XmlEncoder,
+    diff_uarches, fnv1a_64, fnv1a_64_parts, BatchExec, BinaryEncoder, DbError, ExecStageMetrics,
+    JsonEncoder, QueryExec, QueryPlan, QueryResult, ResultEncoder, Segment, SegmentDb, XmlEncoder,
 };
 use uops_telemetry::{Counter, Histogram, Span};
 
@@ -172,27 +170,19 @@ impl ServiceResponse {
     }
 }
 
-/// The read-only store behind a service: a zero-copy segment (production —
-/// replicas ship the image and open it in place) or an in-memory database
-/// (tests, embedding). Cloning clones the `Arc`, not the data — a
-/// [`StreamBody`] carries one so chunk emission can re-view records after
-/// the response has left the service.
-#[derive(Clone)]
-enum Store {
-    Segment(Arc<Segment>),
-    Memory(Arc<InstructionDb>),
-}
-
-/// One live generation of the served data: the store, the content hash
+/// One live generation of the served data: the segment, the content hash
 /// that seeds every ETag, and the generation id (0 until the first swap).
 /// Held behind a [`SwapCell`] so each request pins exactly one coherent
 /// generation at entry — body, ETag, and cache stamp all come from it —
 /// while a [`QueryService::swap_segment`] replaces the cell for new
 /// requests without blocking anyone.
 struct LiveStore {
-    store: Store,
-    /// FNV-1a over the store's canonical image; ⊕ the plan fingerprint it
-    /// forms the strong ETag of every cacheable response.
+    /// The served image. A [`StreamBody`] clones the `Arc` so chunk
+    /// emission can re-view records after the response has left the
+    /// service.
+    segment: Arc<Segment>,
+    /// FNV-1a over the segment image; ⊕ the plan fingerprint it forms the
+    /// strong ETag of every cacheable response.
     content_hash: u64,
     id: u64,
 }
@@ -201,8 +191,8 @@ struct LiveStore {
 ///
 /// Shedding is the *graceful* half of overload control: cache hits (both
 /// tiers) keep serving untouched, and only new compute-bound work is
-/// turned away with a preformatted 503 — see
-/// [`QueryService::shed_response`].
+/// turned away with a preformatted, never-cached 503 (the transport adds
+/// `Retry-After`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shed {
     /// The request's deadline budget was already spent before (or between)
@@ -343,8 +333,8 @@ impl QueryService {
     /// fingerprint tier, so the extra budget buys index entries only).
     #[must_use]
     pub fn from_segment(segment: Arc<Segment>, cache_capacity_bytes: usize) -> QueryService {
-        QueryService::with_store(
-            Store::Segment(segment),
+        QueryService::from_segment_with_raw_cache(
+            segment,
             cache_capacity_bytes,
             cache_capacity_bytes / 4,
         )
@@ -360,44 +350,12 @@ impl QueryService {
         cache_capacity_bytes: usize,
         raw_cache_capacity_bytes: usize,
     ) -> QueryService {
-        QueryService::with_store(
-            Store::Segment(segment),
-            cache_capacity_bytes,
-            raw_cache_capacity_bytes,
-        )
-    }
-
-    /// Serves an in-memory database (tests, embedding).
-    #[must_use]
-    pub fn from_db(db: Arc<InstructionDb>, cache_capacity_bytes: usize) -> QueryService {
-        QueryService::with_store(Store::Memory(db), cache_capacity_bytes, cache_capacity_bytes / 4)
-    }
-
-    /// [`QueryService::from_db`] with an explicit raw fast-lane budget.
-    #[must_use]
-    pub fn from_db_with_raw_cache(
-        db: Arc<InstructionDb>,
-        cache_capacity_bytes: usize,
-        raw_cache_capacity_bytes: usize,
-    ) -> QueryService {
-        QueryService::with_store(Store::Memory(db), cache_capacity_bytes, raw_cache_capacity_bytes)
-    }
-
-    fn with_store(
-        store: Store,
-        cache_capacity_bytes: usize,
-        raw_cache_capacity_bytes: usize,
-    ) -> QueryService {
-        // The content hash pins ETags to the exact data being served:
-        // segments hash their canonical image, in-memory stores hash
-        // their canonical snapshot encoding. Computed once per generation
-        // (at construction here, and in `swap_segment` on every swap).
-        let content_hash = match &store {
-            Store::Segment(segment) => fnv1a_64(segment.as_bytes()),
-            Store::Memory(db) => fnv1a_64(&uops_db::codec::encode(&db.export_snapshot())),
-        };
+        // The content hash pins ETags to the exact data being served.
+        // Computed once per generation (at construction here, and in
+        // `swap_segment` on every swap).
+        let content_hash = fnv1a_64(segment.as_bytes());
         QueryService {
-            live: SwapCell::new(Arc::new(LiveStore { store, content_hash, id: 0 })),
+            live: SwapCell::new(Arc::new(LiveStore { segment, content_hash, id: 0 })),
             swap_lock: Mutex::new(()),
             cache: ResponseCache::new(cache_capacity_bytes, CACHE_SHARDS),
             raw_cache: ResponseCache::new(raw_cache_capacity_bytes, CACHE_SHARDS),
@@ -417,7 +375,7 @@ impl QueryService {
         }
     }
 
-    /// Atomically replaces the served store with `segment` as generation
+    /// Atomically replaces the served segment with `segment` as generation
     /// `generation`, flushing both cache tiers so no pre-swap bytes are
     /// served afterwards. In-flight requests finish on the generation they
     /// pinned at entry; their late cache inserts are rejected by the
@@ -430,11 +388,7 @@ impl QueryService {
             return false;
         }
         let content_hash = fnv1a_64(segment.as_bytes());
-        self.live.swap(Arc::new(LiveStore {
-            store: Store::Segment(segment),
-            content_hash,
-            id: generation,
-        }));
+        self.live.swap(Arc::new(LiveStore { segment, content_hash, id: generation }));
         self.cache.advance_epoch(generation);
         self.raw_cache.advance_epoch(generation);
         self.swaps.inc();
@@ -562,7 +516,7 @@ impl QueryService {
         &self.encodes
     }
 
-    /// The FNV-1a hash of the live store's canonical content — the second
+    /// The FNV-1a hash of the live segment image — the second
     /// half of every response ETag. Changes iff the served data changes
     /// (including on every generation swap).
     #[must_use]
@@ -603,13 +557,10 @@ impl QueryService {
         );
     }
 
-    /// Number of records in the live store.
+    /// Number of records in the live segment.
     #[must_use]
     pub fn record_count(&self) -> usize {
-        match &self.live.load().store {
-            Store::Segment(segment) => segment.db().len(),
-            Store::Memory(db) => db.len(),
-        }
+        self.live.load().segment.len()
     }
 
     /// Counter snapshot.
@@ -670,12 +621,7 @@ impl QueryService {
                 return Err(Shed::Deadline);
             }
             service.encodes.inc();
-            Ok(match &live.store {
-                Store::Segment(segment) => {
-                    encode_diff(&diff_uarches(&segment.db(), base, other), encoding)
-                }
-                Store::Memory(db) => encode_diff(&diff_uarches(db.as_ref(), base, other), encoding),
-            })
+            Ok(encode_diff(&diff_uarches(&live.segment.db(), base, other), encoding))
         })
     }
 
@@ -855,35 +801,18 @@ impl QueryService {
             return Err(Shed::Deadline);
         }
         self.executions.inc();
-        match &live.store {
-            Store::Segment(segment) => {
-                let db = segment.db();
-                let span = Span::start(&self.exec_stages.execute_ns);
-                let result = QueryExec::new().run(plan, &db);
-                stage_scratch::set_execute(span.finish());
-                if deadline::exceeded() {
-                    return Err(Shed::Deadline);
-                }
-                self.encodes.inc();
-                let span = Span::start(&self.exec_stages.encode_ns);
-                let bytes = encode_result(&result, encoding);
-                stage_scratch::set_encode(span.finish());
-                Ok(bytes)
-            }
-            Store::Memory(db) => {
-                let span = Span::start(&self.exec_stages.execute_ns);
-                let result = QueryExec::new().run(plan, db.as_ref());
-                stage_scratch::set_execute(span.finish());
-                if deadline::exceeded() {
-                    return Err(Shed::Deadline);
-                }
-                self.encodes.inc();
-                let span = Span::start(&self.exec_stages.encode_ns);
-                let bytes = encode_result(&result, encoding);
-                stage_scratch::set_encode(span.finish());
-                Ok(bytes)
-            }
+        let db = live.segment.db();
+        let span = Span::start(&self.exec_stages.execute_ns);
+        let result = QueryExec::new().run(plan, &db);
+        stage_scratch::set_execute(span.finish());
+        if deadline::exceeded() {
+            return Err(Shed::Deadline);
         }
+        self.encodes.inc();
+        let span = Span::start(&self.exec_stages.encode_ns);
+        let bytes = encode_result(&result, encoding);
+        stage_scratch::set_encode(span.finish());
+        Ok(bytes)
     }
 
     /// Registers a compiled-plan handle (`POST /v1/plan`): parses `text`
@@ -1006,14 +935,7 @@ impl QueryService {
         if !scratch.misses.is_empty() {
             let live = self.live.load();
             match self.admit_uncached() {
-                Ok(_admitted) => match &live.store {
-                    Store::Segment(segment) => {
-                        self.run_batch_misses(&segment.db(), &live, encoding, scratch);
-                    }
-                    Store::Memory(db) => {
-                        self.run_batch_misses(db.as_ref(), &live, encoding, scratch);
-                    }
-                },
+                Ok(_admitted) => self.run_batch_misses(&live, encoding, scratch),
                 Err(shed) => {
                     for i in 0..scratch.misses.len() {
                         let response = self.shed_response(shed);
@@ -1080,14 +1002,9 @@ impl QueryService {
     /// its own fingerprint-tier entry. Runs under the caller's admission
     /// guard; the deadline budget is rechecked per plan so a batch that
     /// runs out mid-way sheds its tail instead of blowing the budget.
-    fn run_batch_misses<B: DbBackend>(
-        &self,
-        db: &B,
-        live: &LiveStore,
-        encoding: Encoding,
-        scratch: &mut BatchScratch,
-    ) {
-        let mut exec = BatchExec::new(db);
+    fn run_batch_misses(&self, live: &LiveStore, encoding: Encoding, scratch: &mut BatchScratch) {
+        let db = live.segment.db();
+        let mut exec = BatchExec::new(&db);
         let (mut execute_ns, mut encode_ns) = (0u64, 0u64);
         let mut ran = 0u64;
         for miss in &scratch.misses {
@@ -1163,11 +1080,7 @@ impl QueryService {
         if let Some(hit) = self.cache.get(key, &request) {
             return QueryReply::Full(ServiceResponse::ok(hit, ResponseTier::Fingerprint));
         }
-        let sized = match &live.store {
-            Store::Segment(segment) => self.execute_sized(&segment.db(), plan, encoding, threshold),
-            Store::Memory(db) => self.execute_sized(db.as_ref(), plan, encoding, threshold),
-        };
-        match sized {
+        match self.execute_sized(&live.segment.db(), plan, encoding, threshold) {
             Err(shed) => QueryReply::Full(self.shed_response(shed)),
             Ok(SizedResult::Encoded(bytes)) => {
                 let cached = CachedResponse {
@@ -1182,7 +1095,7 @@ impl QueryService {
             Ok(SizedResult::Ids { total, ids }) => {
                 self.encodes.inc();
                 QueryReply::Stream(StreamBody {
-                    store: live.store.clone(),
+                    segment: Arc::clone(&live.segment),
                     encoding,
                     total,
                     ids,
@@ -1198,9 +1111,9 @@ impl QueryService {
     /// The execute stage of the streaming path: runs the plan to matching
     /// ids first (cheap — no views, no encoded bytes), and only
     /// materializes + encodes when the page is small enough to cache.
-    fn execute_sized<B: DbBackend>(
+    fn execute_sized(
         &self,
-        db: &B,
+        db: &SegmentDb<'_>,
         plan: &QueryPlan,
         encoding: Encoding,
         threshold: usize,
@@ -1249,7 +1162,7 @@ pub enum QueryReply {
 }
 
 /// A lazily encoded large result: the matching record ids plus an `Arc`
-/// of the store. Each [`StreamBody::next_chunk`] call re-views a window
+/// of the segment. Each [`StreamBody::next_chunk`] call re-views a window
 /// of ids into a caller-provided chunk buffer, so memory stays
 /// O([`STREAM_CHUNK_BYTES`]) no matter how large the export is. The
 /// chunk sequence concatenates to exactly the bytes the whole-body
@@ -1257,7 +1170,7 @@ pub enum QueryReply {
 /// `stream_row` / `end_stream` pieces are what `encode_rows` itself is
 /// built from).
 pub struct StreamBody {
-    store: Store,
+    segment: Arc<Segment>,
     encoding: Encoding,
     total: usize,
     ids: Vec<u32>,
@@ -1299,22 +1212,15 @@ impl StreamBody {
         if self.done {
             return false;
         }
-        let StreamBody { store, encoding, total, ids, at, begun, done, json } = self;
-        match store {
-            Store::Segment(segment) => {
-                fill_chunk(&segment.db(), *encoding, *total, ids, at, begun, done, json, chunk);
-            }
-            Store::Memory(db) => {
-                fill_chunk(db.as_ref(), *encoding, *total, ids, at, begun, done, json, chunk);
-            }
-        }
+        let StreamBody { segment, encoding, total, ids, at, begun, done, json } = self;
+        fill_chunk(&segment.db(), *encoding, *total, ids, at, begun, done, json, chunk);
         !chunk.is_empty()
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn fill_chunk<B: DbBackend>(
-    db: &B,
+fn fill_chunk(
+    db: &SegmentDb<'_>,
     encoding: Encoding,
     total: usize,
     ids: &[u32],
@@ -1479,10 +1385,7 @@ pub fn decode_batch_response(bytes: &[u8]) -> Result<Vec<(u16, Vec<u8>)>, String
     Ok(out)
 }
 
-fn encode_result<B: DbBackend>(
-    result: &uops_db::QueryResult<'_, B>,
-    encoding: Encoding,
-) -> Vec<u8> {
+fn encode_result(result: &QueryResult<'_>, encoding: Encoding) -> Vec<u8> {
     match encoding {
         Encoding::Json => JsonEncoder.encode_result(result),
         Encoding::Binary => BinaryEncoder.encode_result(result),
@@ -1564,11 +1467,10 @@ mod tests {
     }
 
     #[test]
-    fn segment_and_memory_stores_answer_identically() {
-        let snapshot = snapshot();
-        let seg_service = service();
-        let mem_service =
-            QueryService::from_db(Arc::new(InstructionDb::from_snapshot(&snapshot)), 1 << 20);
+    fn responses_equal_direct_execution() {
+        let segment = Segment::from_bytes(Segment::encode(&snapshot())).expect("segment");
+        let db = segment.db();
+        let service = service();
         for (qs, enc) in [
             ("uarch=Skylake", Encoding::Json),
             ("mnemonic=ADD&sort=latency", Encoding::Json),
@@ -1576,13 +1478,11 @@ mod tests {
             ("", Encoding::Xml),
         ] {
             let plan = QueryPlan::parse(qs).expect("parse");
-            let a = seg_service.query(&plan, enc);
-            let b = mem_service.query(&plan, enc);
-            assert_eq!(a.body, b.body, "{qs}");
+            let direct = encode_result(&QueryExec::new().run(&plan, &db), enc);
+            assert_eq!(*service.query(&plan, enc).body, *direct, "{qs}");
         }
-        let a = seg_service.diff("Haswell", "Skylake", Encoding::Json);
-        let b = mem_service.diff("Haswell", "Skylake", Encoding::Json);
-        assert_eq!(a.body, b.body);
+        let direct = encode_diff(&diff_uarches(&db, "Haswell", "Skylake"), Encoding::Json);
+        assert_eq!(*service.diff("Haswell", "Skylake", Encoding::Json).body, *direct);
     }
 
     #[test]
@@ -1612,18 +1512,18 @@ mod tests {
             "ETag composition is part of the wire contract"
         );
 
-        // A store with different content produces a different hash — and
+        // A segment with different content produces a different hash — and
         // therefore different ETags for the same plan.
         let mut other_snapshot = snapshot();
         other_snapshot.records.pop();
-        let other =
-            QueryService::from_db(Arc::new(InstructionDb::from_snapshot(&other_snapshot)), 1 << 20);
+        let other = QueryService::from_segment(
+            Arc::new(Segment::from_bytes(Segment::encode(&other_snapshot)).expect("segment")),
+            1 << 20,
+        );
         assert_ne!(service.content_hash(), other.content_hash());
         assert_ne!(response.etag, other.query(&plan, Encoding::Json).etag);
 
-        // Same content served from segment vs memory also differs (the
-        // hashed canonical form differs), but within one store the tag is
-        // deterministic across identical services.
+        // The same content gives the same tag across identical services.
         let again = QueryService::from_segment(
             Arc::new(Segment::from_bytes(Segment::encode(&snapshot())).expect("segment")),
             1 << 20,

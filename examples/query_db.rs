@@ -1,6 +1,6 @@
 //! Walkthrough of the `uops-db` layer: characterize a catalog slice on two
-//! microarchitectures, persist the results as a snapshot, reload it into the
-//! indexed database, and answer the questions uops.info answers — filtered
+//! microarchitectures, persist the results as a snapshot, load it as a
+//! zero-copy segment, and answer the questions uops.info answers — filtered
 //! queries, port membership, and cross-generation diffs.
 //!
 //! Run with `cargo run --release --example query_db`.
@@ -39,8 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let restored = uops_info::db::codec::decode(&bytes)?;
     assert_eq!(restored, snapshot);
 
-    // 3. Load into the indexed, interned database.
-    let db = InstructionDb::from_snapshot(&restored);
+    // 3. Load as a zero-copy segment: the reader answers queries straight
+    //    from the image without decoding any record — the format to ship to
+    //    query replicas (`Segment::write` / `Segment::open` on disk).
+    let segment = Segment::from_bytes(Segment::encode(&restored))?;
+    let db = segment.db();
+    eprintln!("segment: {} bytes, 0 records decoded", segment.as_bytes().len());
 
     // Which instructions may use port 0 on Skylake?
     println!("port 0 users on Skylake:");
@@ -59,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {:<8} {:<16} {} µops, {:.2} cycles",
             row.mnemonic(),
             row.variant(),
-            row.record().uop_count,
-            row.record().max_latency.unwrap_or(0.0),
+            row.uop_count(),
+            row.max_latency().unwrap_or(0.0),
         );
     }
 
@@ -74,16 +78,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // 5. The serving path: the same snapshot as a zero-copy segment. The
-    //    reader answers the same queries without decoding any record —
-    //    this is the format to ship to query replicas.
-    let segment = Segment::from_bytes(Segment::encode(&snapshot))?;
-    let seg_db = segment.db();
-    let result = Query::new().uarch("Skylake").uses_port(0).sort_by(SortKey::Mnemonic).run(&seg_db);
-    println!(
-        "\nsegment reader ({} bytes, 0 records decoded): {} port-0 users on Skylake",
-        segment.as_bytes().len(),
-        result.total_matches
-    );
     Ok(())
 }

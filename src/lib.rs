@@ -60,7 +60,7 @@
 //!
 //! Characterization results become a [`uops_db::Snapshot`] — the canonical
 //! serialized representation, with lossless binary and JSON encodings — and
-//! are served from the indexed, interned [`uops_db::InstructionDb`]:
+//! are queried from a zero-copy [`uops_db::Segment`]:
 //!
 //! ```rust
 //! use uops_info::prelude::*;
@@ -76,11 +76,12 @@
 //!     }));
 //! }
 //!
-//! // Reports → snapshot → bytes → snapshot → database.
+//! // Reports → snapshot → bytes → snapshot → segment.
 //! let snapshot = uops_info::core_::reports_to_snapshot(&reports);
 //! let bytes = uops_info::db::codec::encode(&snapshot);
 //! let restored = uops_info::db::codec::decode(&bytes)?;
-//! let db = InstructionDb::from_snapshot(&restored);
+//! let segment = Segment::from_bytes(Segment::encode(&restored))?;
+//! let db = segment.db();
 //!
 //! // Indexed query: which instructions may use port 6 on Skylake?
 //! let hits = Query::new().uarch("Skylake").uses_port(6).run(&db);
@@ -95,12 +96,11 @@
 //!
 //! ## Quickstart: zero-copy segments for serving
 //!
-//! The TLV snapshot is the interchange format; for *serving*, write a
-//! [`uops_db::Segment`] instead. Opening a segment validates only the
+//! The TLV snapshot is the interchange format; for *serving*, write the
+//! [`uops_db::Segment`] to disk. Opening a segment validates only the
 //! header and section table — no record is decoded — and the zero-copy
 //! reader ([`uops_db::SegmentDb`]) answers every [`uops_db::Query`]
-//! identically to the in-memory database (both implement
-//! [`uops_db::DbBackend`]). Shards written independently (one per
+//! straight from the image. Shards written independently (one per
 //! microarchitecture, as `build_db --merge` does) are combined with
 //! [`uops_db::Segment::merge`] without re-decoding:
 //!
@@ -390,9 +390,8 @@ pub mod prelude {
         CharacterizationEngine, CharacterizationReport, EngineConfig, InstructionProfile,
     };
     pub use uops_db::{
-        diff_uarches, BinaryEncoder, DbBackend, DiffReport, InstructionDb, JsonEncoder, Query,
-        QueryExec, QueryPlan, QueryResult, ResultEncoder, Segment, SegmentDb, Snapshot, SortKey,
-        VariantRecord,
+        diff_uarches, BinaryEncoder, DiffReport, JsonEncoder, Query, QueryExec, QueryPlan,
+        QueryResult, ResultEncoder, Segment, SegmentDb, Snapshot, SortKey, VariantRecord,
     };
     pub use uops_iaca::{compare_against_iaca, IacaAnalyzer, IacaVersion, MeasuredInstruction};
     pub use uops_isa::{Catalog, InstructionDesc, OperandDesc, OperandKind, Register, Width};

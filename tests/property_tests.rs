@@ -404,27 +404,46 @@ proptest! {
         prop_assert_eq!(&parsed, &snapshot);
     }
 
-    /// Database ingestion: the indexes agree with a linear scan for every
-    /// (uarch, port) pair, and Query results match brute-force filtering.
+    /// Segment posting lists: for every mnemonic, extension, uarch, and
+    /// (uarch, port), the posting list holds exactly the ids a linear scan
+    /// over the record views finds, in ascending order; and Query results
+    /// match brute-force filtering.
     #[test]
-    fn db_indexes_agree_with_linear_scan(snapshot in arb_snapshot()) {
-        let db = InstructionDb::from_snapshot(&snapshot);
-        for uarch in ["Nehalem", "Haswell", "Skylake"] {
-            for port in 0u8..10 {
-                let indexed = db.ids_by_port(uarch, port).len();
-                let scanned = db
-                    .iter()
-                    .filter(|v| {
-                        v.uarch() == uarch && v.record().port_union & (1u16 << port) != 0
-                    })
-                    .count();
+    fn segment_postings_agree_with_linear_scan(snapshot in arb_snapshot()) {
+        let segment = Segment::from_bytes(Segment::encode(&snapshot)).expect("valid segment");
+        let db = segment.db();
+        let scan = |keep: &dyn Fn(&uops_info::db::RecordView<'_>) -> bool| -> Vec<u32> {
+            db.views().filter(|v| keep(v)).map(|v| v.id).collect()
+        };
+        let listed = |list: Option<uops_info::db::IdList<'_>>| -> Vec<u32> {
+            list.map(|l| l.iter().collect()).unwrap_or_default()
+        };
+        let strings = |field: fn(&VariantRecord) -> &str| -> Vec<String> {
+            let mut all: Vec<String> =
+                snapshot.records.iter().map(|r| field(r).to_string()).collect();
+            all.push("NOT-IN-SEGMENT".to_string());
+            all
+        };
+        for m in strings(|r| &r.mnemonic) {
+            let indexed = listed(db.lookup_sym(&m).map(|s| db.postings_by_mnemonic(s)));
+            prop_assert_eq!(indexed, scan(&|v| v.mnemonic() == m), "mnemonic {}", m);
+        }
+        for e in strings(|r| &r.extension) {
+            let indexed = listed(db.lookup_sym(&e).map(|s| db.postings_by_extension(s)));
+            prop_assert_eq!(indexed, scan(&|v| v.extension() == e), "extension {}", e);
+        }
+        for uarch in strings(|r| &r.uarch) {
+            let sym = db.lookup_sym(&uarch);
+            let indexed = listed(sym.map(|s| db.postings_by_uarch(s)));
+            prop_assert_eq!(indexed, scan(&|v| v.uarch() == uarch), "uarch {}", uarch);
+            for port in 0u8..16 {
+                let indexed = listed(sym.map(|s| db.postings_by_uarch_port(s, port)));
+                let scanned =
+                    scan(&|v| v.uarch() == uarch && v.port_union() & (1u16 << port) != 0);
                 prop_assert_eq!(indexed, scanned, "uarch {} port {}", uarch, port);
             }
-            let q = Query::new().uarch(uarch).min_uops(1).run(&db);
-            let brute = db
-                .iter()
-                .filter(|v| v.uarch() == uarch && v.record().uop_count >= 1)
-                .count();
+            let q = Query::new().uarch(uarch.as_str()).min_uops(1).run(&db);
+            let brute = scan(&|v| v.uarch() == uarch && v.uop_count() >= 1).len();
             prop_assert_eq!(q.total_matches, brute);
         }
     }

@@ -1,14 +1,17 @@
-//! Property tests of the zero-copy segment backend: for arbitrary
-//! snapshots and arbitrary queries, [`SegmentDb`] must answer exactly like
-//! [`InstructionDb`] (same matches, same order, same pagination), shard
-//! merges must reproduce single-pass builds, and corrupt images must be
-//! rejected with an error — never a panic.
+//! Property tests of the zero-copy segment store: for arbitrary snapshots
+//! and arbitrary queries, [`SegmentDb`] must answer exactly like a
+//! brute-force oracle over the snapshot's records (same matches, same
+//! order, same pagination), shard merges must reproduce single-pass
+//! builds, and corrupt images must be rejected with an error — never a
+//! panic.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use uops_info::db::{
-    DbBackend, DbError, InstructionDb, LatencyEdge, Query, Segment, SegmentDb, Snapshot, SortKey,
-    UarchMeta, VariantRecord,
+    ports_to_notation, Change, DbError, DiffReport, LatencyEdge, Query, RecordView, Segment,
+    SegmentDb, Snapshot, SortKey, UarchMeta, VariantDelta, VariantRecord, CYCLE_TOLERANCE,
 };
 
 // ---------------------------------------------------------------------------
@@ -102,96 +105,243 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
         })
 }
 
+/// One generated query: the filters, sort, direction, and pagination, kept
+/// as plain values so the oracle below reads them without going through
+/// the plan the segment executes.
+#[derive(Debug, Clone)]
+struct QuerySpec {
+    mnemonic: Option<&'static str>,
+    prefix: Option<&'static str>,
+    extension: Option<&'static str>,
+    uarch: Option<&'static str>,
+    port: Option<u8>,
+    min_uops: Option<u32>,
+    sort: SortKey,
+    descending: bool,
+    offset: usize,
+    limit: Option<usize>,
+}
+
+impl QuerySpec {
+    fn query(&self) -> Query {
+        let mut q = Query::new();
+        if let Some(m) = self.mnemonic {
+            q = q.mnemonic(m);
+        }
+        if let Some(p) = self.prefix {
+            q = q.mnemonic_prefix(p);
+        }
+        if let Some(e) = self.extension {
+            q = q.extension(e);
+        }
+        if let Some(u) = self.uarch {
+            q = q.uarch(u);
+        }
+        if let Some(port) = self.port {
+            q = q.uses_port(port);
+        }
+        if let Some(n) = self.min_uops {
+            q = q.min_uops(n);
+        }
+        q = if self.descending { q.sort_by_desc(self.sort) } else { q.sort_by(self.sort) };
+        if let Some(limit) = self.limit {
+            q = q.limit(limit);
+        }
+        q.offset(self.offset)
+    }
+
+    fn matches(&self, r: &VariantRecord) -> bool {
+        let port_union = r.ports.iter().fold(0u16, |acc, &(mask, _)| acc | mask);
+        self.mnemonic.is_none_or(|m| r.mnemonic == m)
+            && self.prefix.is_none_or(|p| r.mnemonic.starts_with(p))
+            && self.extension.is_none_or(|e| r.extension == e)
+            && self.uarch.is_none_or(|u| r.uarch == u)
+            && self.port.is_none_or(|p| p < 16 && port_union & (1 << p) != 0)
+            && self.min_uops.is_none_or(|n| r.uop_count >= n)
+    }
+
+    /// The reference answer: filter the canonical records, sort on the key
+    /// with the name as tiebreak, reverse for descending, then offset and
+    /// limit. Shares no index or executor code with the segment.
+    fn oracle(&self, records: &[VariantRecord]) -> (usize, Vec<RowKey>) {
+        let mut hits: Vec<&VariantRecord> = records.iter().filter(|r| self.matches(r)).collect();
+        let name = |r: &VariantRecord| (r.mnemonic.clone(), r.variant.clone(), r.uarch.clone());
+        hits.sort_by(|a, b| {
+            let key = match self.sort {
+                SortKey::Mnemonic => std::cmp::Ordering::Equal,
+                SortKey::Latency => {
+                    let lat = |r: &VariantRecord| r.max_latency().unwrap_or(f64::NEG_INFINITY);
+                    lat(a).total_cmp(&lat(b))
+                }
+                SortKey::Throughput => a.tp_measured.total_cmp(&b.tp_measured),
+                SortKey::UopCount => a.uop_count.cmp(&b.uop_count),
+            };
+            key.then_with(|| name(a).cmp(&name(b)))
+        });
+        if self.descending {
+            hits.reverse();
+        }
+        let page = hits
+            .iter()
+            .skip(self.offset)
+            .take(self.limit.unwrap_or(usize::MAX))
+            .map(|r| (r.mnemonic.clone(), r.variant.clone(), r.uarch.clone(), r.uop_count))
+            .collect();
+        (hits.len(), page)
+    }
+}
+
 /// Strategy: an arbitrary query — filters, sort, direction, pagination.
-fn arb_query() -> impl Strategy<Value = Query> {
+/// Each string filter is present in about a third of the queries (half
+/// for the uarch), so most queries match some of the ≤ 12 records and
+/// the sort and page checks see real rows.
+fn arb_query() -> impl Strategy<Value = QuerySpec> {
     (
-        (0usize..8, 0usize..5, 0usize..4, 0usize..4),
+        (0usize..21, 0usize..12, 0usize..9, 0usize..6),
         (0u8..12, 0u8..3, 0u32..4, 0u8..2),
         (0u8..4, 0u8..2, 0usize..6, 0usize..8),
     )
         .prop_map(
             |((m, pfx, e, u), (port, port_on, min_uops, uops_on), (sort, desc, offset, limit))| {
-                let mut q = Query::new();
-                if m < MNEMONICS.len() {
-                    q = q.mnemonic(MNEMONICS[m]);
+                QuerySpec {
+                    mnemonic: MNEMONICS.get(m).copied(),
+                    prefix: ["A", "V", "SH", ""].get(pfx).copied(),
+                    extension: EXTENSIONS.get(e).copied(),
+                    uarch: UARCHES.get(u).copied(),
+                    port: (port_on == 0).then_some(port),
+                    min_uops: (uops_on == 0).then_some(min_uops),
+                    sort: [
+                        SortKey::Mnemonic,
+                        SortKey::Latency,
+                        SortKey::Throughput,
+                        SortKey::UopCount,
+                    ][sort as usize],
+                    descending: desc != 0,
+                    offset,
+                    limit: (limit < 7).then_some(limit),
                 }
-                if pfx < 4 {
-                    q = q.mnemonic_prefix(["A", "V", "SH", ""][pfx]);
-                }
-                if e < EXTENSIONS.len() {
-                    q = q.extension(EXTENSIONS[e]);
-                }
-                if u < UARCHES.len() {
-                    q = q.uarch(UARCHES[u]);
-                }
-                if port_on == 0 {
-                    q = q.uses_port(port);
-                }
-                if uops_on == 0 {
-                    q = q.min_uops(min_uops);
-                }
-                let key =
-                    [SortKey::Mnemonic, SortKey::Latency, SortKey::Throughput, SortKey::UopCount]
-                        [sort as usize];
-                q = if desc == 0 { q.sort_by(key) } else { q.sort_by_desc(key) };
-                if limit < 7 {
-                    q = q.limit(limit);
-                }
-                q.offset(offset)
             },
         )
 }
 
-/// The observable content of a result row, for cross-backend comparison.
-fn row_key<B: DbBackend>(v: &uops_info::db::RecordView<'_, B>) -> (String, String, String, u32) {
+/// The observable content of a result row.
+type RowKey = (String, String, String, u32);
+
+fn row_key(v: &RecordView<'_>) -> RowKey {
     (v.mnemonic().to_string(), v.variant().to_string(), v.uarch().to_string(), v.uop_count())
 }
 
+/// The snapshot as the segment must hold it: the last record per
+/// (mnemonic, variant, uarch) key, in canonical order.
+fn canonical(snapshot: &Snapshot) -> Snapshot {
+    let mut latest = BTreeMap::new();
+    for r in &snapshot.records {
+        latest.insert((r.mnemonic.clone(), r.variant.clone(), r.uarch.clone()), r.clone());
+    }
+    let mut canonical = snapshot.clone();
+    canonical.records = latest.into_values().collect();
+    canonical.canonicalize();
+    canonical
+}
+
+/// The reference diff: every changed field of every (mnemonic, variant)
+/// present on both µarches, plus the keys present on one side only.
+fn diff_oracle(records: &[VariantRecord], base: &str, other: &str) -> DiffReport {
+    let side = |uarch: &str| -> BTreeMap<(String, String), &VariantRecord> {
+        records
+            .iter()
+            .filter(|r| r.uarch == uarch)
+            .map(|r| ((r.mnemonic.clone(), r.variant.clone()), r))
+            .collect()
+    };
+    let (base_side, other_side) = (side(base), side(other));
+    let mut report =
+        DiffReport { base: base.to_string(), other: other.to_string(), ..Default::default() };
+    for (key, a) in &base_side {
+        let Some(b) = other_side.get(key) else {
+            report.only_in_base.push(key.clone());
+            continue;
+        };
+        let mut changes = Vec::new();
+        if a.uop_count != b.uop_count {
+            changes.push(Change::UopCount(a.uop_count, b.uop_count));
+        }
+        if a.ports != b.ports || a.unattributed != b.unattributed {
+            changes.push(Change::Ports(
+                ports_to_notation(&a.ports, a.unattributed),
+                ports_to_notation(&b.ports, b.unattributed),
+            ));
+        }
+        let (la, lb) = (a.max_latency(), b.max_latency());
+        let latency_differs = match (la, lb) {
+            (Some(x), Some(y)) => (x - y).abs() > CYCLE_TOLERANCE,
+            (x, y) => x.is_some() != y.is_some(),
+        };
+        if latency_differs {
+            changes.push(Change::Latency(la, lb));
+        }
+        if (a.tp_measured - b.tp_measured).abs() > CYCLE_TOLERANCE {
+            changes.push(Change::Throughput(a.tp_measured, b.tp_measured));
+        }
+        if changes.is_empty() {
+            report.unchanged += 1;
+        } else {
+            report.changed.push(VariantDelta {
+                mnemonic: key.0.clone(),
+                variant: key.1.clone(),
+                changes,
+            });
+        }
+    }
+    report.only_in_other =
+        other_side.keys().filter(|key| !base_side.contains_key(*key)).cloned().collect();
+    report
+}
+
 // ---------------------------------------------------------------------------
-// Equivalence properties
+// Oracle properties
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any query over any snapshot: the zero-copy segment reader and the
-    /// in-memory database return identical results — same total, same
-    /// rows, same order, same page.
+    /// Any query over any snapshot: the segment returns what a brute-force
+    /// scan of the canonical records returns — same total, same rows, same
+    /// order, same page.
     #[test]
-    fn segment_answers_every_query_like_instruction_db(
+    fn segment_answers_every_query_like_a_linear_scan(
         snapshot in arb_snapshot(),
         queries in prop::collection::vec(arb_query(), 1..6),
     ) {
-        let mem = InstructionDb::from_snapshot(&snapshot);
+        let canonical = canonical(&snapshot);
         let segment = Segment::from_bytes(Segment::encode(&snapshot)).expect("valid image");
         let seg = segment.db();
-        prop_assert_eq!(seg.len(), mem.len());
-        for query in &queries {
-            let a = query.run(&mem);
-            let b = query.run(&seg);
-            prop_assert_eq!(a.total_matches, b.total_matches, "{:?}", query);
-            let rows_a: Vec<_> = a.rows.iter().map(row_key).collect();
-            let rows_b: Vec<_> = b.rows.iter().map(row_key).collect();
-            prop_assert_eq!(rows_a, rows_b, "{:?}", query);
+        prop_assert_eq!(seg.len(), canonical.records.len());
+        for spec in &queries {
+            let result = spec.query().run(&seg);
+            let (total, rows) = spec.oracle(&canonical.records);
+            prop_assert_eq!(result.total_matches, total, "{:?}", spec);
+            let got: Vec<RowKey> = result.rows.iter().map(row_key).collect();
+            prop_assert_eq!(got, rows, "{:?}", spec);
         }
     }
 
     /// The segment round-trips the snapshot losslessly (modulo canonical
-    /// ordering and last-writer-wins dedup, which the in-memory database
-    /// applies identically), and diff reports agree between backends.
+    /// ordering and last-writer-wins dedup), and its diff reports match a
+    /// record-by-record comparison.
     #[test]
     fn segment_roundtrip_and_diff_match(snapshot in arb_snapshot()) {
-        let mem = InstructionDb::from_snapshot(&snapshot);
+        let canonical = canonical(&snapshot);
         let segment = Segment::from_bytes(Segment::encode(&snapshot)).expect("valid image");
         let seg = segment.db();
-        prop_assert_eq!(seg.export_snapshot(), mem.to_snapshot());
+        prop_assert_eq!(seg.export_snapshot(), canonical.clone());
         for (base, other) in [("Haswell", "Skylake"), ("Nehalem", "Haswell")] {
-            let a = uops_info::db::diff_uarches(&mem, base, other);
-            let b = uops_info::db::diff_uarches(&seg, base, other);
-            prop_assert_eq!(a.changed, b.changed);
-            prop_assert_eq!(a.unchanged, b.unchanged);
-            prop_assert_eq!(a.only_in_base, b.only_in_base);
-            prop_assert_eq!(a.only_in_other, b.only_in_other);
+            let report = uops_info::db::diff_uarches(&seg, base, other);
+            let expected = diff_oracle(&canonical.records, base, other);
+            prop_assert_eq!(report.changed, expected.changed);
+            prop_assert_eq!(report.unchanged, expected.unchanged);
+            prop_assert_eq!(report.only_in_base, expected.only_in_base);
+            prop_assert_eq!(report.only_in_other, expected.only_in_other);
         }
     }
 
