@@ -142,7 +142,7 @@ impl Segment {
     /// [`DbError::UnsupportedSchema`] for images written under a newer
     /// breaking schema version.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Segment, DbError> {
-        let parsed = SegmentDb::open(&bytes)?.to_parsed();
+        let parsed = SegmentDb::open(&bytes)?.into_parsed();
         Ok(Segment { backing: Backing::Owned(bytes), parsed })
     }
 
@@ -206,7 +206,7 @@ impl Segment {
         };
         let file = std::fs::File::open(path).map_err(io_err)?;
         let map = mmap::MappedFile::map(&file).map_err(io_err)?;
-        let parsed = SegmentDb::open(map.as_slice())?.to_parsed();
+        let parsed = SegmentDb::open(map.as_slice())?.into_parsed();
         Ok(Segment { backing: Backing::Mapped(map), parsed })
     }
 

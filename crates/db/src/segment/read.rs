@@ -8,6 +8,8 @@
 //! corruption is reported as [`DbError::Segment`]; validation and access
 //! never panic.
 
+use std::borrow::Cow;
+
 use crate::backend::{IdList, RecordView, Views};
 use crate::error::DbError;
 use crate::intern::Sym;
@@ -38,7 +40,9 @@ pub struct SegmentDb<'a> {
     string_count: u32,
     schema_version: u32,
     generator: &'a str,
-    uarch_meta: Vec<UarchMeta>,
+    /// Owned when opened from bytes; borrowed from the cached parse when
+    /// rebuilt by [`SegmentDb::reopen_trusted`], so that costs no allocation.
+    uarch_meta: Cow<'a, [UarchMeta]>,
     open_cost_bytes: usize,
     /// Validated totals of the port-entry and latency-edge side arrays;
     /// `range` clamps against them so a corrupt intermediate prefix-sum
@@ -284,7 +288,7 @@ impl<'a> SegmentDb<'a> {
             string_count,
             schema_version,
             generator,
-            uarch_meta: Vec::new(),
+            uarch_meta: Cow::Borrowed(&[]),
             open_cost_bytes: 0,
             ports_total,
             lat_total,
@@ -307,7 +311,7 @@ impl<'a> SegmentDb<'a> {
                 skipped: u32_at(bytes, entry + 20),
             });
         }
-        db.uarch_meta = metas;
+        db.uarch_meta = Cow::Owned(metas);
         db.open_cost_bytes = HEADER_LEN
             + section_count as usize * SECTION_ENTRY_LEN
             + (string_count as usize + 1) * 4
@@ -318,15 +322,16 @@ impl<'a> SegmentDb<'a> {
         Ok(db)
     }
 
-    /// Captures the lifetime-free parse state for [`crate::Segment`] to
-    /// cache, so repeated reader construction skips re-validation.
-    pub(crate) fn to_parsed(&self) -> ParsedSegment {
+    /// Turns the reader into the lifetime-free parse state for
+    /// [`crate::Segment`] to cache, so repeated reader construction skips
+    /// re-validation.
+    pub(crate) fn into_parsed(self) -> ParsedSegment {
         ParsedSegment {
             sections: self.sections,
             record_count: self.record_count,
             string_count: self.string_count,
             schema_version: self.schema_version,
-            uarch_meta: self.uarch_meta.clone(),
+            uarch_meta: self.uarch_meta.into_owned(),
             open_cost_bytes: self.open_cost_bytes,
             ports_total: self.ports_total,
             lat_total: self.lat_total,
@@ -335,8 +340,9 @@ impl<'a> SegmentDb<'a> {
 
     /// Rebuilds a reader over `bytes` from the already-validated parse of
     /// the *same* image, skipping every open-time check. Used by
-    /// [`crate::Segment`], which validated at construction.
-    pub(crate) fn reopen_trusted(bytes: &'a [u8], parsed: &ParsedSegment) -> SegmentDb<'a> {
+    /// [`crate::Segment`], which validated at construction. Allocates
+    /// nothing: the µarch metadata is borrowed from `parsed`.
+    pub(crate) fn reopen_trusted(bytes: &'a [u8], parsed: &'a ParsedSegment) -> SegmentDb<'a> {
         let (gen_off, gen_len) = parsed.sections[section::GENERATOR as usize];
         SegmentDb {
             bytes,
@@ -346,7 +352,7 @@ impl<'a> SegmentDb<'a> {
             schema_version: parsed.schema_version,
             generator: std::str::from_utf8(&bytes[gen_off..gen_off + gen_len])
                 .expect("validated at open"),
-            uarch_meta: parsed.uarch_meta.clone(),
+            uarch_meta: Cow::Borrowed(&parsed.uarch_meta),
             open_cost_bytes: parsed.open_cost_bytes,
             ports_total: parsed.ports_total,
             lat_total: parsed.lat_total,
@@ -695,7 +701,7 @@ impl<'a> SegmentDb<'a> {
     /// Metadata of the contributing microarchitectures.
     #[must_use]
     pub fn uarch_metas(&self) -> Vec<UarchMeta> {
-        self.uarch_meta.clone()
+        self.uarch_meta.to_vec()
     }
 
     /// The view for a record id.

@@ -13,13 +13,14 @@
 //! [`PerfCounters`] snapshot — elapsed core cycles and µops per port — which
 //! is exactly the interface the paper's algorithms use on real hardware.
 //!
-//! A run is one pass over flat arrays (see [`sim`] for the details): each
-//! distinct static instruction is decoded through the ground truth once per
-//! run, with the registers, flags and memory cells it touches interned into
-//! dense slots, and each µop is renamed and scheduled as soon as it is
-//! decoded. Each port keeps a frontier below which every reachable cycle is
-//! busy, so the search for a free cycle does not rescan the saturated past
-//! of a port — the case Algorithm 1's blocking sequences create on purpose.
+//! A run is one pass over flat arrays (see [`sim`] for the details): the
+//! sequence's body is decoded through the ground truth once per run, with
+//! the registers, flags and memory cells it touches interned into dense
+//! slots, and the renamer and scheduler then loop over the decoded body as
+//! many times as the sequence is unrolled. Each port keeps a frontier below
+//! which every reachable cycle is busy, so the search for a free cycle does
+//! not rescan the saturated past of a port — the case Algorithm 1's
+//! blocking sequences create on purpose.
 //! A µop with no usable port panics with the mnemonic and uarch rather than
 //! waiting forever.
 //!

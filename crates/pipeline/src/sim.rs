@@ -20,18 +20,20 @@
 //! ## One pass over flat arrays
 //!
 //! [`Pipeline::execute`] walks the code sequence once. Each µop is renamed
-//! and scheduled as soon as its instruction is decoded; since µops are
-//! scheduled in program order, every producer's completion cycle is known by
-//! the time a consumer reads it.
+//! and scheduled in program order, so every producer's completion cycle is
+//! known by the time a consumer reads it.
 //!
-//! * **Decode once per static instruction.** An unrolled benchmark body
-//!   repeats a few static instructions many times. Each distinct one, keyed
-//!   by its descriptor and operands, goes through the ground truth once per
-//!   run. The decode also settles everything that does not depend on the
-//!   dynamic state: the divider occupancy, the move-elimination source,
-//!   intra-instruction temporaries (as indices of earlier µops of the same
-//!   instruction), and every register, flag and memory cell a µop reads or
-//!   writes, interned into a dense *slot* index.
+//! * **Body decoded once per run, unroll loop over indices.** A
+//!   [`CodeSequence`] is a body plus an unroll count. Each run decodes the
+//!   body's positions once into indices of decoded instructions (identical
+//!   static instructions in the body, keyed by descriptor and operands,
+//!   share one decode and go through the ground truth once), then runs the
+//!   renamer and scheduler over those indices `unroll` times. The decode
+//!   settles everything that does not depend on the dynamic state: the
+//!   divider occupancy, the move-elimination source, intra-instruction
+//!   temporaries (as indices of earlier µops of the same instruction), and
+//!   every register, flag and memory cell a µop reads or writes, interned
+//!   into a dense *slot* index.
 //! * **Flat renamer.** The renamer state is a vector indexed by slot. For
 //!   each resource it holds the cycle at which the latest value is
 //!   available, the width written and the producer's bypass domain.
@@ -470,7 +472,9 @@ impl Pipeline {
         let issue_width = u64::from(self.cfg.issue_width);
         let mut rng = SplitMix64::new(self.opts.seed);
         let mut decoder = Decoder::new(&self.cfg, self.opts);
-        let mut writers: Vec<Option<WriterInfo>> = Vec::new();
+        let body: Vec<usize> = code.body().iter().map(|inst| decoder.decode(inst)).collect();
+        let decoded = &decoder.decoded;
+        let mut writers: Vec<Option<WriterInfo>> = vec![None; decoder.slots.len()];
         let mut ports = PortFrontier::new(self.cfg.port_count);
         // Completion cycles of the current instruction's µops.
         let mut done: Vec<u64> = Vec::new();
@@ -479,56 +483,60 @@ impl Pipeline {
         let mut issue_slots: u64 = 0;
         let mut executed: u64 = 0;
 
-        for inst in code.iter() {
-            let index = decoder.decode(inst);
-            writers.resize(decoder.slots.len(), None);
-            let d = &decoder.decoded[index];
-            let issue_cycle = issue_slots / issue_width;
+        for _ in 0..code.unroll() {
+            for &index in &body {
+                let d = &decoded[index];
+                let issue_cycle = issue_slots / issue_width;
 
-            // Eliminated instructions and eliminated moves are handled by the
-            // renamer: no µop executes, and the results are available as soon
-            // as the instruction issues (or, for a move, whenever the source
-            // is, since the destination is renamed to it).
-            if d.eliminated
-                || (d.mov_elim_candidate && rng.next_f64() < self.cfg.mov_elimination_rate)
-            {
-                let info =
-                    d.mov_source.and_then(|s| writers[s]).unwrap_or(WriterInfo::at(issue_cycle));
-                for &slot in &d.writes {
-                    writers[slot] = Some(info);
-                }
-                issue_slots += 1;
-                continue;
-            }
-
-            done.clear();
-            for uop in &d.uops {
-                let mut ready = issue_cycle + 1;
-                for read in &uop.reads {
-                    if let Some(w) = &writers[read.slot] {
-                        ready = ready.max(w.ready + u64::from(read.extra_latency(w, uop.domain)));
+                // Eliminated instructions and eliminated moves are handled by the
+                // renamer: no µop executes, and the results are available as soon
+                // as the instruction issues (or, for a move, whenever the source
+                // is, since the destination is renamed to it).
+                if d.eliminated
+                    || (d.mov_elim_candidate && rng.next_f64() < self.cfg.mov_elimination_rate)
+                {
+                    let info = d
+                        .mov_source
+                        .and_then(|s| writers[s])
+                        .unwrap_or(WriterInfo::at(issue_cycle));
+                    for &slot in &d.writes {
+                        writers[slot] = Some(info);
                     }
-                }
-                for &t in &uop.temps {
-                    ready = ready.max(done[t]);
-                }
-                if uop.divider_occupancy.is_some() {
-                    ready = ready.max(divider_free);
+                    issue_slots += 1;
+                    continue;
                 }
 
-                let cycle = ports.dispatch(uop.ports, ready, issue_cycle + 1);
-                if let Some(occupancy) = uop.divider_occupancy {
-                    divider_free = cycle + u64::from(occupancy);
+                done.clear();
+                for uop in &d.uops {
+                    let mut ready = issue_cycle + 1;
+                    for read in &uop.reads {
+                        if let Some(w) = &writers[read.slot] {
+                            ready =
+                                ready.max(w.ready + u64::from(read.extra_latency(w, uop.domain)));
+                        }
+                    }
+                    for &t in &uop.temps {
+                        ready = ready.max(done[t]);
+                    }
+                    if uop.divider_occupancy.is_some() {
+                        ready = ready.max(divider_free);
+                    }
+
+                    let cycle = ports.dispatch(uop.ports, ready, issue_cycle + 1);
+                    if let Some(occupancy) = uop.divider_occupancy {
+                        divider_free = cycle + u64::from(occupancy);
+                    }
+                    let finish = cycle + u64::from(uop.latency);
+                    done.push(finish);
+                    last_cycle = last_cycle.max(finish);
+                    for &(slot, width) in &uop.writes {
+                        writers[slot] =
+                            Some(WriterInfo { ready: finish, width, domain: uop.domain });
+                    }
+                    issue_slots += 1;
                 }
-                let finish = cycle + u64::from(uop.latency);
-                done.push(finish);
-                last_cycle = last_cycle.max(finish);
-                for &(slot, width) in &uop.writes {
-                    writers[slot] = Some(WriterInfo { ready: finish, width, domain: uop.domain });
-                }
-                issue_slots += 1;
+                executed += d.uops.len() as u64;
             }
-            executed += d.uops.len() as u64;
         }
 
         let mut counters = PerfCounters::zero();
