@@ -24,8 +24,8 @@ use uops_uarch::MicroArch;
 use crate::blocking::{BlockingInstructions, VectorWorld};
 use crate::error::CoreError;
 use crate::latency::{ChainCalibration, LatencyAnalyzer, LatencyMap};
-use crate::port_usage::{infer_port_usage, isolation_profile, PortUsage};
-use crate::prior::{naive_port_usage, NaivePortUsage};
+use crate::port_usage::{infer_port_usage_from, isolation_profile, PortUsage};
+use crate::prior::{naive_from_isolation, NaivePortUsage};
 use crate::throughput::{measure_throughput, throughput_from_port_usage, Throughput};
 
 /// Configuration of the characterization engine.
@@ -335,14 +335,11 @@ impl<'a> CharacterizationEngine<'a> {
     ) -> Result<InstructionProfile, CoreError> {
         let desc: &InstructionDesc = arc;
 
-        // Isolation profile: µop count and (optionally) the naive baseline.
+        // Isolation profile, measured once: µop count, (optionally) the naive
+        // baseline, and step 0 of Algorithm 1.
         let isolation = isolation_profile(backend, arc, &self.config.measurement)?;
         let uop_count = isolation.rounded_uops();
-        let naive = if self.config.include_naive_baseline {
-            naive_port_usage(backend, arc, &self.config.measurement).ok()
-        } else {
-            None
-        };
+        let naive = self.config.include_naive_baseline.then(|| naive_from_isolation(&isolation));
 
         // Latency.
         let latency = analyzer.infer(arc).unwrap_or_default();
@@ -358,8 +355,14 @@ impl<'a> CharacterizationEngine<'a> {
             VectorWorld::Sse => &setup.blocking_sse,
             VectorWorld::Avx => &setup.blocking_avx,
         };
-        let port_usage =
-            infer_port_usage(backend, blocking, arc, max_latency, &self.config.measurement)?;
+        let port_usage = infer_port_usage_from(
+            backend,
+            blocking,
+            arc,
+            &isolation,
+            max_latency,
+            &self.config.measurement,
+        )?;
 
         // Throughput: measured and, where possible, computed from the port
         // usage.

@@ -67,9 +67,13 @@ pub use latency::{ChainCalibration, LatencyAnalyzer, LatencyMap, LatencyValue};
 pub use output::{
     report_to_json, report_to_xml, reports_to_binary, reports_to_json, reports_to_xml,
 };
-pub use port_usage::{infer_port_usage, isolation_profile, IsolationProfile, PortUsage};
+pub use port_usage::{
+    infer_port_usage, infer_port_usage_from, isolation_profile, IsolationProfile, PortUsage,
+};
 pub use predict::{Bottleneck, Prediction, Predictor};
-pub use prior::{naive_latency, naive_port_usage, NaiveLatency, NaivePortUsage};
+pub use prior::{
+    naive_from_isolation, naive_latency, naive_port_usage, NaiveLatency, NaivePortUsage,
+};
 pub use snapshot::{profile_to_record, report_to_snapshot, reports_to_snapshot};
 pub use throughput::{measure_throughput, throughput_from_port_usage, Throughput};
 pub use uops_pool::Parallelism;

@@ -188,12 +188,28 @@ pub fn infer_port_usage<B: MeasurementBackend + ?Sized>(
     max_latency: u32,
     config: &MeasurementConfig,
 ) -> Result<PortUsage, CoreError> {
-    let ctx = RunContext::default();
-
     // Step 0: run the instruction in isolation to obtain the total µop count
     // and the set of ports it uses (the optimization described after
     // Algorithm 1).
     let isolation = isolation_profile(backend, desc, config)?;
+    infer_port_usage_from(backend, blocking, desc, &isolation, max_latency, config)
+}
+
+/// [`infer_port_usage`] from an isolation profile the caller has already
+/// measured with [`isolation_profile`] (step 0 of Algorithm 1).
+///
+/// # Errors
+///
+/// Returns an error if the instruction cannot be instantiated.
+pub fn infer_port_usage_from<B: MeasurementBackend + ?Sized>(
+    backend: &B,
+    blocking: &BlockingInstructions,
+    desc: &Arc<InstructionDesc>,
+    isolation: &IsolationProfile,
+    max_latency: u32,
+    config: &MeasurementConfig,
+) -> Result<PortUsage, CoreError> {
+    let ctx = RunContext::default();
     let total_uops = isolation.rounded_uops();
     if total_uops == 0 {
         return Ok(PortUsage::new());

@@ -26,7 +26,7 @@ use uops_measure::{measure, MeasurementBackend, MeasurementConfig, RunContext};
 use uops_uarch::PortSet;
 
 use crate::error::CoreError;
-use crate::port_usage::{isolation_profile, PortUsage};
+use crate::port_usage::{isolation_profile, IsolationProfile, PortUsage};
 
 /// The port usage that the run-in-isolation methodology concludes.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -49,7 +49,13 @@ pub fn naive_port_usage<B: MeasurementBackend + ?Sized>(
     desc: &Arc<InstructionDesc>,
     config: &MeasurementConfig,
 ) -> Result<NaivePortUsage, CoreError> {
-    let profile = isolation_profile(backend, desc, config)?;
+    Ok(naive_from_isolation(&isolation_profile(backend, desc, config)?))
+}
+
+/// The prior-work interpretation of an isolation profile the caller has
+/// already measured (see [`naive_port_usage`]).
+#[must_use]
+pub fn naive_from_isolation(profile: &IsolationProfile) -> NaivePortUsage {
     let per_port: Vec<(u8, f64)> =
         profile.port_averages.iter().copied().filter(|(_, v)| *v > 0.05).collect();
 
@@ -83,7 +89,7 @@ pub fn naive_port_usage<B: MeasurementBackend + ?Sized>(
             entries.push((ports, count));
         }
     }
-    Ok(NaivePortUsage { per_port, interpretation: PortUsage::from_entries(entries) })
+    NaivePortUsage { per_port, interpretation: PortUsage::from_entries(entries) }
 }
 
 /// A single-value latency measurement in the style of prior work.

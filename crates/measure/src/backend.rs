@@ -7,6 +7,10 @@
 //! is [`SimBackend`], which executes the benchmarks on the cycle-level
 //! pipeline simulator of [`uops_pipeline`]; a backend based on `perf_event`
 //! and inline assembly could implement the same trait on real hardware.
+//! Because a simulation is deterministic and in program order, `SimBackend`
+//! answers both unroll factors of a repetition from one simulation
+//! ([`MeasurementBackend::run_pair`]); a hardware backend keeps the default
+//! of two runs.
 
 use uops_asm::CodeSequence;
 use uops_pipeline::{PerfCounters, Pipeline, SimOptions};
@@ -40,6 +44,26 @@ pub trait MeasurementBackend {
     /// Executes the code sequence once and returns the raw counter values
     /// (including measurement overhead).
     fn run(&self, code: &CodeSequence, ctx: RunContext) -> PerfCounters;
+
+    /// Measures `code` unrolled `small` and `large` times and returns both
+    /// raw counter sets, in that order: the two runs of one repetition of
+    /// §6.2.
+    ///
+    /// The default makes two [`run`](MeasurementBackend::run) calls, as the
+    /// protocol does on hardware. An override may answer both from one
+    /// execution, but only if it returns exactly what those two calls
+    /// would: that holds for a backend whose runs are deterministic and
+    /// execute in program order, so that the first `small` iterations of
+    /// the `large` run are the `small` run.
+    fn run_pair(
+        &self,
+        code: &CodeSequence,
+        small: usize,
+        large: usize,
+        ctx: RunContext,
+    ) -> (PerfCounters, PerfCounters) {
+        (self.run(&code.repeat(small), ctx), self.run(&code.repeat(large), ctx))
+    }
 }
 
 /// The simulator-based measurement backend.
@@ -92,6 +116,23 @@ impl MeasurementBackend for SimBackend {
 
     fn run(&self, code: &CodeSequence, ctx: RunContext) -> PerfCounters {
         self.pipeline(ctx).execute(code)
+    }
+
+    /// One simulation of the `large` unroll, checkpointed where iteration
+    /// `small` begins (see [`Pipeline::execute_with_checkpoint`]).
+    fn run_pair(
+        &self,
+        code: &CodeSequence,
+        small: usize,
+        large: usize,
+        ctx: RunContext,
+    ) -> (PerfCounters, PerfCounters) {
+        // `repeat` drops the unroll count of an empty body, so there is no
+        // iteration to checkpoint at.
+        if code.is_empty() || small > large {
+            return (self.run(&code.repeat(small), ctx), self.run(&code.repeat(large), ctx));
+        }
+        self.pipeline(ctx).execute_with_checkpoint(&code.repeat(large), small * code.unroll())
     }
 }
 

@@ -6,6 +6,13 @@
 //! `n = 110` times — and the difference of the two measurements, divided by
 //! 100, yields the average cost of one execution of the code sequence. The
 //! whole procedure is repeated (after a warm-up run) and averaged.
+//!
+//! Each repetition asks the backend for both unroll factors at once
+//! ([`MeasurementBackend::run_pair`]). On hardware these are two
+//! executions. A backend whose runs are deterministic and in program order
+//! may answer both from one execution of the large unroll, because its
+//! state after the first `base_unroll` iterations is the small run's
+//! result; the simulator does so.
 
 use serde::{Deserialize, Serialize};
 
@@ -108,19 +115,16 @@ pub fn measure<B: MeasurementBackend + ?Sized>(
         config.large_unroll > config.base_unroll,
         "large unroll factor must exceed the base unroll factor"
     );
-    let small = code.repeat(config.base_unroll);
-    let large = code.repeat(config.large_unroll);
-
     if config.warmup {
-        let _ = backend.run(&small, ctx);
+        let _ = backend.run(&code.repeat(config.base_unroll), ctx);
     }
 
     let delta = config.delta() as f64;
     let repetitions = config.repetitions.max(1);
     let mut acc = Measurement::default();
     for _ in 0..repetitions {
-        let counters_small = backend.run(&small, ctx);
-        let counters_large = backend.run(&large, ctx);
+        let (counters_small, counters_large) =
+            backend.run_pair(code, config.base_unroll, config.large_unroll, ctx);
         let diff: PerfCounters = counters_large - counters_small;
         acc.cycles += diff.core_cycles as f64 / delta;
         acc.uops_total += diff.uops_total as f64 / delta;

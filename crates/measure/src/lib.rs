@@ -4,7 +4,10 @@
 //! generated microbenchmarks on a [`MeasurementBackend`] (by default the
 //! cycle-level simulator) following the protocol of §6.2 of the paper
 //! (warm-up run, two unroll factors, differencing to cancel the constant
-//! measurement overhead, repetition and averaging).
+//! measurement overhead, repetition and averaging). A backend whose runs
+//! are deterministic and in program order, like the simulator, may answer
+//! both unroll factors of a repetition from one execution
+//! ([`MeasurementBackend::run_pair`]).
 //!
 //! ## Example
 //!

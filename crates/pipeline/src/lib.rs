@@ -17,7 +17,10 @@
 //! sequence's body is decoded through the ground truth once per run, with
 //! the registers, flags and memory cells it touches interned into dense
 //! slots, and the renamer and scheduler then loop over the decoded body as
-//! many times as the sequence is unrolled. Each port keeps a frontier below
+//! many times as the sequence is unrolled. The run can also hand back the
+//! counters as they stood when a given iteration began
+//! ([`Pipeline::execute_with_checkpoint`]), which equal a separate run of
+//! the body unrolled that many times. Each port keeps a frontier below
 //! which every reachable cycle is busy, so the search for a free cycle does
 //! not rescan the saturated past of a port — the case Algorithm 1's
 //! blocking sequences create on purpose.

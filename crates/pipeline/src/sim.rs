@@ -34,6 +34,12 @@
 //!   temporaries (as indices of earlier µops of the same instruction), and
 //!   every register, flag and memory cell a µop reads or writes, interned
 //!   into a dense *slot* index.
+//! * **Checkpoint.** [`Pipeline::execute_with_checkpoint`] also returns the
+//!   counters as they stood when a given iteration of the body began. A run
+//!   is deterministic and in program order, so that checkpoint is exactly
+//!   the result of running the body unrolled that many times: one run over
+//!   the large unroll factor of §6.2 answers the small one too.
+//!   [`Pipeline::execute`] is the same loop, checkpointed at its end.
 //! * **Flat renamer.** The renamer state is a vector indexed by slot. For
 //!   each resource it holds the cycle at which the latest value is
 //!   available, the width written and the producer's bypass domain.
@@ -469,6 +475,32 @@ impl Pipeline {
     /// microarchitecture can execute; such a µop would never be dispatched.
     #[must_use]
     pub fn execute(&self, code: &CodeSequence) -> PerfCounters {
+        self.execute_with_checkpoint(code, code.unroll()).1
+    }
+
+    /// Executes a code sequence once and returns the counters as they stood
+    /// when iteration `at` of the body began, together with the counters at
+    /// the end of the run.
+    ///
+    /// The checkpoint is exactly what [`Pipeline::execute`] returns for the
+    /// body unrolled `at` times: the run is deterministic and schedules in
+    /// program order, so nothing after iteration `at` changes what happened
+    /// before it. `at == code.unroll()` checkpoints at the end of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > code.unroll()`, and as [`Pipeline::execute`] does.
+    #[must_use]
+    pub fn execute_with_checkpoint(
+        &self,
+        code: &CodeSequence,
+        at: usize,
+    ) -> (PerfCounters, PerfCounters) {
+        assert!(
+            at <= code.unroll(),
+            "checkpoint at iteration {at} of a body unrolled {} times",
+            code.unroll()
+        );
         let issue_width = u64::from(self.cfg.issue_width);
         let mut rng = SplitMix64::new(self.opts.seed);
         let mut decoder = Decoder::new(&self.cfg, self.opts);
@@ -483,7 +515,17 @@ impl Pipeline {
         let mut issue_slots: u64 = 0;
         let mut executed: u64 = 0;
 
-        for _ in 0..code.unroll() {
+        let mut checkpoint = None;
+        for iteration in 0..code.unroll() {
+            if iteration == at {
+                checkpoint = Some(self.counters(
+                    last_cycle,
+                    issue_slots,
+                    &ports.counts,
+                    executed,
+                    at * body.len(),
+                ));
+            }
             for &index in &body {
                 let d = &decoded[index];
                 let issue_cycle = issue_slots / issue_width;
@@ -539,16 +581,31 @@ impl Pipeline {
             }
         }
 
+        let end = self.counters(last_cycle, issue_slots, &ports.counts, executed, code.len());
+        (checkpoint.unwrap_or_else(|| end.clone()), end)
+    }
+
+    /// The counters of a run whose latest µop completes in `last_cycle`,
+    /// after `issue_slots` issue slots, `executed` µops dispatched as
+    /// `port_counts`, and `retired` instructions.
+    fn counters(
+        &self,
+        last_cycle: u64,
+        issue_slots: u64,
+        port_counts: &[u64; MAX_PORTS as usize],
+        executed: u64,
+        retired: usize,
+    ) -> PerfCounters {
         let mut counters = PerfCounters::zero();
-        counters.core_cycles =
-            last_cycle.max(issue_slots / issue_width) + self.opts.overhead_cycles;
-        counters.uops_port = ports.counts;
+        counters.core_cycles = last_cycle.max(issue_slots / u64::from(self.cfg.issue_width))
+            + self.opts.overhead_cycles;
+        counters.uops_port = *port_counts;
         counters.uops_total = executed + self.opts.overhead_uops;
         // The overhead µops of the measurement code land on the load ports.
         if let Some(p) = self.cfg.load.first() {
             counters.uops_port[p as usize] += self.opts.overhead_uops;
         }
-        counters.instructions_retired = code.len() as u64;
+        counters.instructions_retired = retired as u64;
         counters
     }
 }
@@ -687,6 +744,55 @@ mod tests {
         // Four ALU ports but issue width 4: ~1 cycle per 4 instructions.
         let per_inst = delta as f64 / 400.0;
         assert!(per_inst < 0.4, "per-instruction time {per_inst}");
+    }
+
+    #[test]
+    fn checkpoint_equals_a_run_of_the_shorter_unroll() {
+        let c = catalog();
+        let sim = Pipeline::new(MicroArch::Skylake);
+        let body = movsx_chain(&c, 3);
+        let run = body.repeat(8);
+        let end = sim.execute(&run);
+        // Iteration 0 is before anything ran (`repeat(0)` is the empty
+        // sequence); iteration 8 is the end of the run.
+        for at in 0..=8 {
+            let (checkpoint, last) = sim.execute_with_checkpoint(&run, at);
+            assert_eq!(checkpoint, sim.execute(&body.repeat(at)), "at {at}");
+            assert_eq!(checkpoint.instructions_retired, 3 * at as u64);
+            assert_eq!(last, end);
+        }
+    }
+
+    #[test]
+    fn checkpoint_of_an_empty_body_is_the_overhead() {
+        let sim = Pipeline::new(MicroArch::Haswell);
+        let empty = sim.execute(&CodeSequence::new());
+        for at in [0, 1] {
+            let (checkpoint, end) = sim.execute_with_checkpoint(&CodeSequence::new(), at);
+            assert_eq!((&checkpoint, &end), (&empty, &empty), "at {at}");
+            assert_eq!(checkpoint.instructions_retired, 0);
+        }
+    }
+
+    #[test]
+    fn checkpoint_counts_iterations_of_a_nested_repeat() {
+        let c = catalog();
+        let sim = Pipeline::new(MicroArch::Skylake);
+        let body = independent_adds(&c, 4);
+        let nested = body.repeat(2).repeat(3);
+        assert_eq!(nested.unroll(), 6);
+        let (checkpoint, end) = sim.execute_with_checkpoint(&nested, 4);
+        assert_eq!(checkpoint, sim.execute(&body.repeat(2).repeat(2)));
+        assert_eq!(checkpoint.instructions_retired, 16);
+        assert_eq!(end, sim.execute(&body.repeat(6)));
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint at iteration 9 of a body unrolled 8 times")]
+    fn checkpoint_past_the_end_panics() {
+        let c = catalog();
+        let _ = Pipeline::new(MicroArch::Skylake)
+            .execute_with_checkpoint(&movsx_chain(&c, 2).repeat(8), 9);
     }
 
     #[test]
