@@ -49,14 +49,6 @@
 //! `build_db` dataset), and shards written independently merge without
 //! re-decoding — see [`segment`] for the layout and the full trade-off.
 //!
-//! With the **`mmap` feature** (64-bit Unix), `Segment::open_mmap(path)`
-//! maps the file read-only instead of reading it into memory: validation
-//! touches only the header/section-table/string-table, record columns are
-//! paged in on first access, and replica processes serving one file share
-//! a single physical copy through the page cache — the backing for
-//! datasets larger than RAM. Queries are property-tested byte-identical
-//! across both backings (`tests/mmap_backend.rs`).
-//!
 //! ```rust
 //! use uops_db::{diff_uarches, Query, Segment, Snapshot, VariantRecord};
 //!
@@ -93,6 +85,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -10,12 +10,9 @@
 //! sorted posting lists of every secondary index are all stored in their
 //! query-ready form and read in place from a `&[u8]`.
 //!
-//! * [`Segment`] owns a validated image — an owned buffer read with
-//!   [`std::fs::read`] by default, or, with the **`mmap` feature** (Unix),
-//!   a read-only `mmap(2)` of the file (`Segment::open_mmap`): the
-//!   layout is 8-aligned and offset-validated, so the reader needs
-//!   nothing but a byte slice, and mapped segments open in O(header)
-//!   while sharing page-cache pages across replica processes.
+//! * [`Segment`] owns a validated image — a buffer read with
+//!   [`std::fs::read`]: the layout is 8-aligned and offset-validated, so
+//!   the reader needs nothing but a byte slice.
 //! * [`SegmentDb`] is the borrowed, zero-copy reader that
 //!   [`crate::Query`], [`crate::RecordView`], the result encoders, and
 //!   [`crate::diff_uarches`] run over.
@@ -63,8 +60,6 @@
 
 pub mod layout;
 mod merge;
-#[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-mod mmap;
 mod read;
 mod writer;
 
@@ -75,52 +70,21 @@ use crate::snapshot::Snapshot;
 
 pub use read::SegmentDb;
 
-/// What holds a segment's bytes: an owned heap buffer (the portable
-/// default) or, with the `mmap` feature, a read-only file mapping whose
-/// pages live in the kernel page cache and are shared across every
-/// process serving the same file.
-#[derive(Debug)]
-enum Backing {
-    Owned(Vec<u8>),
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-    Mapped(mmap::MappedFile),
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Owned(bytes) => bytes,
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-            Backing::Mapped(map) => map.as_slice(),
-        }
-    }
-}
-
 /// An owned, validated segment image.
 ///
 /// Construction always validates ([`Segment::from_bytes`] /
-/// [`Segment::open`] / `Segment::open_mmap`) and caches the parse, so
-/// [`Segment::db`] hands out readers infallibly *and* without
-/// re-validating.
-#[derive(Debug)]
+/// [`Segment::open`]) and caches the parse, so [`Segment::db`] hands out
+/// readers infallibly *and* without re-validating. Equality compares the
+/// image bytes only.
+#[derive(Debug, Clone)]
 pub struct Segment {
-    backing: Backing,
+    bytes: Vec<u8>,
     parsed: read::ParsedSegment,
 }
 
-impl Clone for Segment {
-    /// Cloning always yields an owned (heap-backed) segment; cloning an
-    /// mmap-backed segment copies the image out of the mapping.
-    fn clone(&self) -> Segment {
-        Segment { backing: Backing::Owned(self.as_bytes().to_vec()), parsed: self.parsed.clone() }
-    }
-}
-
 impl PartialEq for Segment {
-    /// Segments are equal when their images are byte-identical,
-    /// irrespective of the backing.
     fn eq(&self, other: &Segment) -> bool {
-        self.as_bytes() == other.as_bytes()
+        self.bytes == other.bytes
     }
 }
 
@@ -143,7 +107,7 @@ impl Segment {
     /// breaking schema version.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Segment, DbError> {
         let parsed = SegmentDb::open(&bytes)?.into_parsed();
-        Ok(Segment { backing: Backing::Owned(bytes), parsed })
+        Ok(Segment { bytes, parsed })
     }
 
     /// Encodes `snapshot` and writes the image to `path`, returning the
@@ -178,38 +142,6 @@ impl Segment {
         Segment::from_bytes(bytes)
     }
 
-    /// Memory-maps and validates the image at `path` instead of reading it
-    /// into memory (`mmap` feature, 64-bit Unix only — the hand-declared
-    /// `mmap(2)` binding types the offset as 64-bit `off_t`).
-    ///
-    /// Like [`Segment::open`], validation touches only the header, section
-    /// table, string table, and index keys — O(header), independent of the
-    /// record count — but nothing else is ever read eagerly: record columns
-    /// are paged in on first access, a multi-gigabyte segment opens in the
-    /// time it takes to build page tables, and replica processes mapping
-    /// the same file share one physical copy through the page cache.
-    ///
-    /// The file must stay unmodified while mapped (segments are
-    /// write-once by contract); truncating it under a live mapping is
-    /// undefined at the OS level (`SIGBUS`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Io`] when the file cannot be opened or mapped,
-    /// plus the validation errors of [`Segment::from_bytes`].
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-    pub fn open_mmap(path: impl AsRef<Path>) -> Result<Segment, DbError> {
-        let path = path.as_ref();
-        let io_err = |e: std::io::Error| DbError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
-        let file = std::fs::File::open(path).map_err(io_err)?;
-        let map = mmap::MappedFile::map(&file).map_err(io_err)?;
-        let parsed = SegmentDb::open(map.as_slice())?.into_parsed();
-        Ok(Segment { backing: Backing::Mapped(map), parsed })
-    }
-
     /// K-way-merges segment shards into a new segment,
     /// last-writer-wins by (mnemonic, variant, uarch): on duplicate keys
     /// the shard latest in `parts` supplies the surviving record. No shard
@@ -236,7 +168,7 @@ impl Segment {
     /// the record columns.
     #[must_use]
     pub fn db(&self) -> SegmentDb<'_> {
-        SegmentDb::reopen_trusted(self.backing.bytes(), &self.parsed)
+        SegmentDb::reopen_trusted(&self.bytes, &self.parsed)
     }
 
     /// Number of records in the segment.
@@ -254,18 +186,13 @@ impl Segment {
     /// The raw image.
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
-        self.backing.bytes()
+        &self.bytes
     }
 
-    /// Consumes the segment, returning the raw image as an owned buffer
-    /// (copied out of the mapping for mmap-backed segments).
+    /// Consumes the segment, returning the raw image.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
-        match self.backing {
-            Backing::Owned(bytes) => bytes,
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-            Backing::Mapped(map) => map.as_slice().to_vec(),
-        }
+        self.bytes
     }
 }
 

@@ -18,8 +18,9 @@
 //! All integers are little-endian. Readers never cast byte ranges to
 //! structs — every access goes through the checked `*_at` helpers below, so
 //! the format needs no `#[repr(C)]`, no `unsafe`, and no host-alignment
-//! assumptions (sections are nevertheless 8-aligned so a future `mmap(2)`
-//! backend can hand out typed slices).
+//! assumptions (sections are nevertheless 8-aligned so an `mmap(2)`
+//! backing could hand out typed slices). `lib.rs` forbids `unsafe_code`,
+//! so the compiler holds the crate to this.
 //!
 //! Unknown section ids are skipped by readers, mirroring the TLV codec's
 //! unknown-field rule: additive sections never break old readers.

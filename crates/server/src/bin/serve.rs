@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve --segment uops.seg [--addr 127.0.0.1:8080] [--threads N] [--cache-mb 64]
-//!       [--mmap] [--no-telemetry] [--access-log[=EVERY_N]] [--max-inflight N]
+//!       [--no-telemetry] [--access-log[=EVERY_N]] [--max-inflight N]
 //!       [--deadline-ms MS] [--max-uncached N] [--drain-timeout SECS]
 //!       [--max-body BYTES] [--stream-threshold ROWS] [--data-dir DIR]
 //! ```
@@ -25,8 +25,8 @@
 //! downtime. Without the flag, ingest answers `403` and the store is
 //! immutable.
 //!
-//! `--max-body BYTES` caps `POST` request bodies (`/v1/batch`, `/v1/plan`
-//! registration); oversize declarations are refused with `413` before a
+//! `--max-body BYTES` caps `POST` request bodies (`/v1/batch`,
+//! `/v1/ingest`); oversize declarations are refused with `413` before a
 //! body byte is read. The default is 1 MiB.
 //!
 //! `--stream-threshold ROWS` sets the result size above which query
@@ -63,7 +63,7 @@ use uops_serve::{AccessLog, QueryService, Server, ServerOptions};
 
 const SPEC: CliSpec<'static> = CliSpec {
     name: "serve",
-    usage: "serve --segment PATH [--addr HOST:PORT] [--threads N] [--cache-mb MB] [--mmap] \
+    usage: "serve --segment PATH [--addr HOST:PORT] [--threads N] [--cache-mb MB] \
             [--no-telemetry] [--access-log[=EVERY_N]] [--max-inflight N] [--deadline-ms MS] \
             [--max-uncached N] [--drain-timeout SECS] [--max-body BYTES] \
             [--stream-threshold ROWS] [--data-dir DIR]",
@@ -80,26 +80,10 @@ const SPEC: CliSpec<'static> = CliSpec {
         "--stream-threshold",
         "--data-dir",
     ],
-    bool_flags: &["--mmap", "--no-telemetry"],
+    bool_flags: &["--no-telemetry"],
     optional_value_flags: &["--access-log"],
     max_positional: 0,
 };
-
-/// Opens the segment, honoring `--mmap` when this build carries the
-/// feature (`--features mmap`): the image is mapped instead of read, so
-/// open cost is O(header) and replicas share page-cache pages.
-fn open_segment(path: &str, use_mmap: bool) -> Result<Segment, uops_db::DbError> {
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-    if use_mmap {
-        return Segment::open_mmap(path);
-    }
-    #[cfg(not(all(feature = "mmap", unix, target_pointer_width = "64")))]
-    if use_mmap {
-        eprintln!("serve: --mmap requires a build with --features mmap (64-bit Unix only)");
-        std::process::exit(2);
-    }
-    Segment::open(path)
-}
 
 fn main() {
     let args = SPEC.parse_or_exit();
@@ -116,7 +100,7 @@ fn main() {
         Err(message) => SPEC.exit_usage(&message),
     };
 
-    let segment = match open_segment(segment_path, args.flag("--mmap")) {
+    let segment = match Segment::open(segment_path) {
         Ok(segment) => Arc::new(segment),
         Err(e) => {
             eprintln!("serve: cannot open segment {segment_path}: {e}");

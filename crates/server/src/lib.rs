@@ -66,11 +66,7 @@
 //! Then: `curl 'http://127.0.0.1:8080/v1/query?uarch=Skylake&port=5'`.
 //! Responses carry a strong `ETag`; a revalidation
 //! (`curl -H 'If-None-Match: "<etag>"' ...`) returns `304 Not Modified`
-//! with no body, and `curl -I` (`HEAD`) returns the headers alone. With
-//! the `mmap` feature (`cargo build --features mmap`, 64-bit Unix),
-//! `serve --mmap`
-//! maps the segment file instead of reading it — O(header) open and
-//! page-cache sharing across replicas (`uops_db::Segment::open_mmap`).
+//! with no body, and `curl -I` (`HEAD`) returns the headers alone.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -108,12 +104,12 @@ pub use service::{
 
 /// How long an idle keep-alive connection may sit between requests.
 const KEEP_ALIVE_TIMEOUT: Duration = Duration::from_secs(5);
-/// Default cap on request bodies (`POST /v1/batch`, `POST /v1/plan`);
+/// Default cap on request bodies (`POST /v1/batch`, `POST /v1/ingest`);
 /// larger declared bodies are refused with `413` before a byte is read.
 const DEFAULT_MAX_BODY: usize = 1 << 20;
 /// `Allow` value for the read-only routes.
 const ALLOW_READ: &str = "GET, HEAD";
-/// `Allow` value for the body-carrying routes (`/v1/batch`, `/v1/plan`).
+/// `Allow` value for the body-carrying routes (`/v1/batch`, `/v1/ingest`).
 const ALLOW_POST: &str = "POST";
 /// How long a write may sit with zero bytes accepted by the peer before
 /// the connection is evicted as a slow reader.
@@ -318,16 +314,16 @@ fn parse_query_plan(
     }
 }
 
-/// Parses a query string that may carry **only** a `format` selector
-/// (`/v1/batch`, `/v1/plan/{fingerprint}`).
-fn format_only(query: &str, endpoint: &str) -> Result<Encoding, ServiceResponse> {
+/// Parses the `/v1/batch` query string, which may carry **only** a
+/// `format` selector.
+fn batch_format(query: &str) -> Result<Encoding, ServiceResponse> {
     let pairs = match uops_db::plan::parse_query_pairs(query) {
         Ok(pairs) => pairs,
         Err(e) => return Err(ServiceResponse::error(400, &e.to_string())),
     };
     let (rest, encoding) = split_format(pairs)?;
     if let Some((key, _)) = rest.first() {
-        return Err(ServiceResponse::error(400, &format!("unknown {endpoint} parameter {key:?}")));
+        return Err(ServiceResponse::error(400, &format!("unknown batch parameter {key:?}")));
     }
     Ok(encoding.unwrap_or(Encoding::Json))
 }
@@ -897,7 +893,7 @@ pub(crate) struct RequestOutcome {
 
 /// Answers one parsed request: stage-scratch reset, route
 /// classification, `/metrics` interception, method dispatch (`POST` for
-/// `/v1/batch` and `/v1/plan`, `GET`/`HEAD` elsewhere — wrong methods
+/// `/v1/batch` and `/v1/ingest`, `GET`/`HEAD` elsewhere — wrong methods
 /// get `405` + `Allow`), the raw-fast-lane [`respond_streaming`],
 /// conditional-request (`If-None-Match`) resolution, and `HEAD` body
 /// suppression.
@@ -939,7 +935,7 @@ pub(crate) fn answer(
         }
         Route::Batch => {
             if method == "POST" {
-                match format_only(request.query(), "batch") {
+                match batch_format(request.query()) {
                     Ok(encoding) => match state.service.batch(body, encoding, batch, scratch) {
                         Ok(()) => {
                             payload = Payload::Batch;
@@ -959,43 +955,6 @@ pub(crate) fn answer(
             } else {
                 allow = Some(ALLOW_POST);
                 ServiceResponse::error(405, "batch requests are POST-only")
-            }
-        }
-        Route::Plan => {
-            let path = request.path();
-            if let Some(fingerprint) = path.strip_prefix("/v1/plan/") {
-                if read_method {
-                    // Plan-handle lookups share the raw fast lane: a hot
-                    // handle is one hash + one probe + one Arc bump.
-                    match state.service.raw_response(request.target) {
-                        Some(hit) => hit,
-                        None => match format_only(request.query(), "plan") {
-                            Ok(encoding) => {
-                                let response = state.service.planned_query(fingerprint, encoding);
-                                if response.status == 200 {
-                                    state.service.raw_store(request.target, &response);
-                                }
-                                response
-                            }
-                            Err(response) => response,
-                        },
-                    }
-                } else {
-                    allow = Some(ALLOW_READ);
-                    ServiceResponse::error(405, "plan lookups are GET/HEAD-only")
-                }
-            } else if method == "POST" {
-                if !request.query().is_empty() {
-                    ServiceResponse::error(400, "plan registration takes no parameters")
-                } else {
-                    match std::str::from_utf8(body) {
-                        Ok(text) => state.service.register_plan(text),
-                        Err(_) => ServiceResponse::error(400, "plan body is not UTF-8"),
-                    }
-                }
-            } else {
-                allow = Some(ALLOW_POST);
-                ServiceResponse::error(405, "plan registration is POST-only")
             }
         }
         Route::Ingest => {

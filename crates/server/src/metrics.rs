@@ -40,9 +40,6 @@ pub enum Route {
     Metrics,
     /// `POST /v1/batch` (multi-plan batch protocol)
     Batch,
-    /// `POST /v1/plan` and `GET /v1/plan/{fingerprint}` (compiled-plan
-    /// handles)
-    Plan,
     /// `POST /v1/ingest` (live data-plane snapshot/shard ingestion)
     Ingest,
     /// Anything else (404s, probes).
@@ -50,7 +47,7 @@ pub enum Route {
 }
 
 /// Number of [`Route`] variants (the length of per-route metric arrays).
-pub const ROUTES: usize = 9;
+pub const ROUTES: usize = 8;
 
 impl Route {
     /// Classifies a request path. Allocation-free (prefix compares only).
@@ -62,10 +59,8 @@ impl Route {
             "/v1/stats" => Route::Stats,
             "/metrics" => Route::Metrics,
             "/v1/batch" => Route::Batch,
-            "/v1/plan" => Route::Plan,
             "/v1/ingest" => Route::Ingest,
             _ if path.starts_with("/v1/record/") => Route::Record,
-            _ if path.starts_with("/v1/plan/") => Route::Plan,
             _ => Route::Other,
         }
     }
@@ -80,7 +75,6 @@ impl Route {
             Route::Stats => "/v1/stats",
             Route::Metrics => "/metrics",
             Route::Batch => "/v1/batch",
-            Route::Plan => "/v1/plan",
             Route::Ingest => "/v1/ingest",
             Route::Other => "other",
         }
@@ -98,7 +92,6 @@ const ROUTE_LABELS: [&Labels; ROUTES] = [
     &[("route", "/v1/stats")],
     &[("route", "/metrics")],
     &[("route", "/v1/batch")],
-    &[("route", "/v1/plan")],
     &[("route", "/v1/ingest")],
     &[("route", "other")],
 ];
@@ -668,8 +661,8 @@ mod tests {
         assert_eq!(Route::of("/nope"), Route::Other);
         assert_eq!(Route::of("/v1/record/"), Route::Record);
         assert_eq!(Route::of("/v1/batch"), Route::Batch);
-        assert_eq!(Route::of("/v1/plan"), Route::Plan);
-        assert_eq!(Route::of("/v1/plan/00ff00ff00ff00ff"), Route::Plan);
+        assert_eq!(Route::of("/v1/plan"), Route::Other);
+        assert_eq!(Route::of("/v1/plan/00ff00ff00ff00ff"), Route::Other);
         assert_eq!(Route::of("/v1/ingest"), Route::Ingest);
         assert_eq!(Route::of("/v1/batches"), Route::Other);
     }

@@ -12,10 +12,10 @@
 //! Idle-timeout eviction rides a coarse lazy timer wheel (`timer`)
 //! ticked from the `epoll_wait` timeout.
 //!
-//! Everything sits on hand-declared syscall bindings in `sys` — the
-//! same "std already links libc, so declare the prototypes and call them"
-//! playbook as the mmap segment reader in `uops-db` — because `std`
-//! exposes neither epoll nor `SO_REUSEPORT`. No external crates.
+//! Everything sits on hand-declared syscall bindings in `sys` — std
+//! already links libc, so the prototypes are declared and called
+//! directly — because `std` exposes neither epoll nor `SO_REUSEPORT`.
+//! No external crates.
 
 pub(crate) mod listener;
 pub(crate) mod reactor;

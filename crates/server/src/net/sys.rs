@@ -3,10 +3,10 @@
 //! be set *before* `bind`, which `std` cannot do), `fcntl(O_NONBLOCK)`,
 //! and `RLIMIT_NOFILE`.
 //!
-//! Same std-only playbook as `uops_db`'s `mmap` feature: the build
-//! environment has no crates.io access, so instead of the `libc` crate
-//! this module declares the C-library symbols it needs directly — `std`
-//! already links libc on Linux, so no extra linkage is required. `epoll`,
+//! The build is std-only with no crates.io access, so instead of the
+//! `libc` crate this module declares the C-library symbols it needs
+//! directly — `std` already links libc on Linux, so no extra linkage is
+//! required. `epoll`,
 //! `eventfd`, and these constant values are Linux-specific, which is why
 //! the whole crate refuses to build on other targets.
 //!

@@ -24,7 +24,7 @@ use uops_db::{
 };
 use uops_telemetry::{Counter, Histogram, Span};
 
-use crate::cache::{CacheStats, CachedResponse, PrehashedMap, ResponseCache};
+use crate::cache::{CacheStats, CachedResponse, ResponseCache};
 use crate::http::{BatchBody, BatchPart};
 use crate::metrics::stage_scratch;
 
@@ -292,9 +292,6 @@ pub struct QueryService {
     shed_deadline: Counter,
     /// Requests shed because the uncached-execution ceiling was reached.
     shed_capacity: Counter,
-    /// Compiled-plan handles: fingerprint → canonical plan string
-    /// (`POST /v1/plan` registers, `GET /v1/plan/{fingerprint}` resolves).
-    plans: RwLock<PrehashedMap<Box<str>>>,
     /// Result-page row count above which a query switches to chunked
     /// streaming instead of a cached whole-body response; `0` disables
     /// streaming entirely.
@@ -369,7 +366,6 @@ impl QueryService {
             max_uncached_inflight: AtomicUsize::new(0),
             shed_deadline: Counter::new(),
             shed_capacity: Counter::new(),
-            plans: RwLock::new(PrehashedMap::default()),
             stream_threshold: AtomicUsize::new(DEFAULT_STREAM_THRESHOLD),
             stats_ext: RwLock::new(None),
         }
@@ -650,7 +646,7 @@ impl QueryService {
             )
         };
         let mut body = format!(
-            "{{\n  \"records\": {},\n  \"generation\": {},\n  \"plans\": {},\n  \"cache\": {},\n  \
+            "{{\n  \"records\": {},\n  \"generation\": {},\n  \"cache\": {},\n  \
              \"raw\": {},\n  \
              \"executions\": {},\n  \"encodes\": {},\n  \
              \"stages\": {{\"parse\": {}, \"execute\": {}, \"encode\": {}}},\n  \
@@ -660,7 +656,6 @@ impl QueryService {
              \"quarantined\": {}}}",
             self.record_count(),
             self.generation(),
-            self.plans.read().expect("plan registry lock").len(),
             tier(&stats.cache),
             tier(&stats.raw),
             stats.executions,
@@ -813,67 +808,6 @@ impl QueryService {
         let bytes = encode_result(&result, encoding);
         stage_scratch::set_encode(span.finish());
         Ok(bytes)
-    }
-
-    /// Registers a compiled-plan handle (`POST /v1/plan`): parses `text`
-    /// as one wire plan string, stores fingerprint → canonical plan, and
-    /// answers with both. Idempotent — re-registering the same plan (or
-    /// any spelling canonicalizing to it) is a no-op returning the same
-    /// fingerprint.
-    pub fn register_plan(&self, text: &str) -> ServiceResponse {
-        let text = text.trim_end_matches(['\r', '\n']);
-        let plan = match QueryPlan::parse(text) {
-            Ok(plan) => plan,
-            Err(DbError::Plan { message }) => return ServiceResponse::error(400, &message),
-            Err(other) => return ServiceResponse::error(400, &other.to_string()),
-        };
-        let canonical = plan.to_query_string();
-        let fingerprint = plan.fingerprint();
-        self.plans
-            .write()
-            .expect("plan registry lock")
-            .entry(fingerprint)
-            .or_insert_with(|| canonical.clone().into_boxed_str());
-        let mut body = String::with_capacity(canonical.len() + 64);
-        body.push_str("{\"fingerprint\": \"");
-        body.push_str(std::str::from_utf8(&crate::http::etag_hex(fingerprint)).expect("hex"));
-        body.push_str("\", \"plan\": ");
-        uops_db::json::escape_into(&mut body, &canonical);
-        body.push_str("}\n");
-        ServiceResponse {
-            status: 200,
-            content_type: "application/json",
-            etag: None,
-            body: Arc::from(body.into_bytes().as_slice()),
-            tier: ResponseTier::Untiered,
-            generation: 0,
-        }
-    }
-
-    /// Answers `GET /v1/plan/{fingerprint}`: resolves a registered handle
-    /// and serves its query without touching the wire plan codec. The
-    /// common case — fingerprint tier already warm — is a registry read,
-    /// a piecewise cache probe, and an `Arc` bump: the third and cheapest
-    /// entry point into the fingerprint tier (no percent-decoding, no
-    /// plan parse, no canonicalization).
-    pub fn planned_query(&self, fingerprint: &str, encoding: Encoding) -> ServiceResponse {
-        let Ok(fingerprint) = u64::from_str_radix(fingerprint, 16) else {
-            return ServiceResponse::error(400, "plan fingerprint is not hex");
-        };
-        let canonical = {
-            let plans = self.plans.read().expect("plan registry lock");
-            let Some(canonical) = plans.get(&fingerprint) else {
-                return ServiceResponse::error(404, "unknown plan fingerprint");
-            };
-            let parts: [&[u8]; 4] =
-                [b"q/", encoding.wire_name().as_bytes(), b"?", canonical.as_bytes()];
-            if let Some(hit) = self.cache.get_parts(fnv1a_64_parts(&parts), &parts) {
-                return ServiceResponse::ok(hit, ResponseTier::Fingerprint);
-            }
-            canonical.to_string()
-        };
-        let plan = QueryPlan::parse(&canonical).expect("registered plans are canonical");
-        self.query(&plan, encoding)
     }
 
     /// Answers a `POST /v1/batch` body: N plans in, one framed
@@ -1712,38 +1646,6 @@ mod tests {
             .expect("batch frames survive a shed");
         assert_eq!(parts[0].0, 200, "the cache hit kept serving");
         assert_eq!(parts[1].0, 503, "the miss was shed per-plan");
-    }
-
-    #[test]
-    fn plan_handles_answer_identically_to_wire_queries() {
-        let service = service();
-        let registered = service.register_plan("sort=latency&uarch=Skylake\n");
-        assert_eq!(registered.status, 200);
-        let text = String::from_utf8(registered.body.to_vec()).expect("utf-8");
-        let fingerprint = text
-            .split("\"fingerprint\": \"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .expect("fingerprint in response")
-            .to_string();
-
-        let by_handle = service.planned_query(&fingerprint, Encoding::Json);
-        let by_wire = service.query_wire("sort=latency&uarch=Skylake", Encoding::Json);
-        assert_eq!(by_handle.status, 200);
-        assert_eq!(by_handle.body, by_wire.body, "handle and wire answers are byte-identical");
-
-        // The second handle lookup is a fingerprint-tier hit.
-        let warm = service.planned_query(&fingerprint, Encoding::Json);
-        assert_eq!(warm.tier, ResponseTier::Fingerprint);
-
-        assert_eq!(service.planned_query("abcd", Encoding::Json).status, 404);
-        assert_eq!(service.planned_query("zz!!", Encoding::Json).status, 400);
-        assert_eq!(service.register_plan("uarhc=Oops").status, 400);
-
-        // Registration is idempotent and counted in /v1/stats.
-        service.register_plan("uarch=Skylake&sort=latency");
-        let stats = String::from_utf8(service.stats_response().body.to_vec()).expect("utf-8");
-        assert!(stats.contains("\"plans\": 1"), "{stats}");
     }
 
     #[test]

@@ -229,6 +229,8 @@ fn error_statuses_over_http() {
     assert!(String::from_utf8_lossy(&body).contains("unknown query parameter"));
     let (status, _) = http_get(&server.addr, "/v1/nope");
     assert_eq!(status, 404);
+    let (status, _) = http_get(&server.addr, "/v1/plan/0011223344556677");
+    assert_eq!(status, 404);
     let (status, _) = http_get(&server.addr, "/v1/query?sort=size");
     assert_eq!(status, 400);
 
@@ -276,8 +278,8 @@ fn unknown_flags_exit_nonzero_with_usage() {
     assert_eq!(output.status.code(), Some(2), "--segment is required");
     assert!(String::from_utf8_lossy(&output.stderr).contains("--segment is required"));
 
-    // Transport selection and queue sizing are not options.
-    for flag in ["--reactor", "--reactor=2", "--queue-depth"] {
+    // Transport selection, queue sizing and file mapping are not options.
+    for flag in ["--reactor", "--reactor=2", "--queue-depth", "--mmap"] {
         let output = Command::new(env!("CARGO_BIN_EXE_serve"))
             .args(["--segment", "x.seg", flag])
             .output()
@@ -434,27 +436,6 @@ fn etag_tracks_the_served_content() {
     let _ = child.wait();
     let _ = std::fs::remove_file(&boot);
     assert_ne!(a, b, "a changed segment content hash must change every ETag");
-}
-
-#[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-#[test]
-fn mmap_backed_server_answers_identically() {
-    let (server, segment) = boot_server(&["--cache-mb", "4"]);
-    let (mmap_server, _seg) = boot_server(&["--cache-mb", "4", "--mmap"]);
-    let segment = Arc::new(segment);
-    for target in
-        ["/v1/query?uarch=Skylake", "/v1/query?uarch=Haswell&sort=latency", "/v1/record/ADC"]
-    {
-        let (status_a, body_a) = http_get(&server.addr, target);
-        let (status_b, body_b) = http_get(&mmap_server.addr, target);
-        assert_eq!((status_a, &body_a), (status_b, &body_b), "{target}");
-    }
-    // Ground truth: in-process execution over the owned segment.
-    let plan = QueryPlan::parse("uarch=Skylake").expect("plan");
-    let db = segment.db();
-    let expected = JsonEncoder.encode_result(&QueryExec::new().run(&plan, &db));
-    let (_, body) = http_get(&mmap_server.addr, "/v1/query?uarch=Skylake");
-    assert_eq!(body, expected, "mmap-backed HTTP bytes == in-process bytes");
 }
 
 /// Reads one sample value out of a Prometheus text exposition;
@@ -813,51 +794,6 @@ fn batch_endpoint_matches_singles_for_text_and_tlv() {
 }
 
 #[test]
-fn plan_handles_round_trip_over_http() {
-    let (server, _segment) = boot_server(&["--cache-mb", "4"]);
-
-    // Register a plan; the response carries the fingerprint handle and
-    // echoes the canonical spelling.
-    let (status, _, body) = http_post(&server.addr, "/v1/plan", b"port=5&uarch=Skylake");
-    assert_eq!(status, 200);
-    let text = String::from_utf8(body).expect("registration is JSON");
-    let fingerprint = text
-        .split("\"fingerprint\": \"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .unwrap_or_else(|| panic!("no fingerprint in {text}"))
-        .to_string();
-    assert_eq!(fingerprint.len(), 16, "64-bit hex handle: {fingerprint}");
-    assert!(text.contains("\"plan\": "), "{text}");
-
-    // The handle answers byte-identically to the wire-plan spelling, in
-    // both encodings.
-    let (_, expected_json) = http_get(&server.addr, "/v1/query?uarch=Skylake&port=5");
-    let (status, body) = http_get(&server.addr, &format!("/v1/plan/{fingerprint}"));
-    assert_eq!(status, 200);
-    assert_eq!(body, expected_json, "handle lookup == wire query (JSON)");
-    let (_, expected_binary) =
-        http_get(&server.addr, "/v1/query?uarch=Skylake&port=5&format=binary");
-    let (status, body) = http_get(&server.addr, &format!("/v1/plan/{fingerprint}?format=binary"));
-    assert_eq!(status, 200);
-    assert_eq!(body, expected_binary, "handle lookup == wire query (binary)");
-
-    // Re-registration is idempotent: same fingerprint back.
-    let (status, _, body) = http_post(&server.addr, "/v1/plan", b"uarch=Skylake&port=5");
-    assert_eq!(status, 200);
-    assert!(
-        String::from_utf8_lossy(&body).contains(&fingerprint),
-        "canonicalized re-registration returns the same handle"
-    );
-
-    // Unknown handles 404; junk handles 400.
-    let (status, _) = http_get(&server.addr, "/v1/plan/0000000000000000");
-    assert_eq!(status, 404);
-    let (status, _) = http_get(&server.addr, "/v1/plan/not-hex");
-    assert_eq!(status, 400);
-}
-
-#[test]
 fn wrong_methods_get_405_with_an_allow_header() {
     let (server, _segment) = boot_server(&[]);
     let cases = [
@@ -866,8 +802,6 @@ fn wrong_methods_get_405_with_an_allow_header() {
         ("PUT", "/v1/record/ADD", "GET, HEAD"),
         ("GET", "/v1/batch", "POST"),
         ("PUT", "/v1/batch", "POST"),
-        ("DELETE", "/v1/plan", "POST"),
-        ("POST", "/v1/plan/0011223344556677", "GET, HEAD"),
         ("POST", "/metrics", "GET, HEAD"),
         ("PATCH", "/v1/stats", "GET, HEAD"),
     ];

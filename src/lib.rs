@@ -134,11 +134,6 @@
 //! # }
 //! ```
 //!
-//! With the `mmap` feature (`--features mmap`, 64-bit Unix),
-//! `Segment::open_mmap("uops.seg")` maps the file instead of reading it:
-//! open stays O(header) at any size and replica processes share one
-//! page-cache copy.
-//!
 //! ## Quickstart: serve the database over HTTP
 //!
 //! The serving stack ([`uops_serve`]) layers a transport-agnostic
@@ -152,25 +147,22 @@
 //! (plan fingerprint ⊕ segment content hash), so `If-None-Match`
 //! revalidations answer `304 Not Modified` without a body, and `HEAD`
 //! mirrors `GET` headers for free. In production use the `serve` binary
-//! (`cargo run --release --bin serve -- --segment uops.seg`, plus
-//! `--mmap` under the feature). `--threads N` sets the shard count
+//! (`cargo run --release -p uops-serve --bin serve -- --segment uops.seg`).
+//! `--threads N` sets the shard count
 //! (default: the CPU count): each shard is an edge-triggered epoll event
 //! loop with its own `SO_REUSEPORT` listener and timer-wheel idle
 //! eviction, answering each request inline on the shard that owns its
 //! connection (only an ingest's publish runs on a separate thread), and
 //! parking ~10k idle connections in bounded memory (see
-//! `crates/server/README.md` for shard guidance). Three protocol
+//! `crates/server/README.md` for shard guidance). Two protocol
 //! extensions amortize or bound per-request costs: `POST /v1/batch`
 //! carries N plans per request (newline-delimited or TLV body, one
 //! framed multi-response out — misses share one batch-executor pass and
 //! a 1000-plan batch is CI-gated at ≤ 10% of the per-plan cost of
 //! sequential singles), results past `--stream-threshold` rows leave as
 //! `Transfer-Encoding: chunked` in bounded ~64 KiB chunks (a
-//! tens-of-MB export grows server RSS ≤ 16 MiB),
-//! and `POST /v1/plan` registers a compiled plan behind a fingerprint
-//! handle that `GET /v1/plan/{fingerprint}` executes without re-parsing
-//! the wire codec (the "Protocol" section of the server README has the
-//! framing details). Overload control is
+//! tens-of-MB export grows server RSS ≤ 16 MiB); the "Protocol" section
+//! of the server README has the framing details. Overload control is
 //! opt-in per mechanism: `--max-inflight` rejects excess connections
 //! with a preformatted `503` + `Retry-After` instead of queueing them
 //! invisibly, `--max-uncached` / `--deadline-ms` shed
