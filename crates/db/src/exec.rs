@@ -22,15 +22,14 @@ use crate::backend::{IdList, RecordView};
 use crate::intern::Sym;
 use crate::plan::{QueryPlan, SortKey};
 use crate::segment::SegmentDb;
-use uops_telemetry::{Histogram, Span};
+use uops_telemetry::Histogram;
 
 /// Per-stage latency histograms for the query path: wire-plan parsing,
 /// plan execution, and result encoding (nanoseconds).
 ///
-/// The executor itself records only `execute_ns` (via
-/// [`QueryExec::run_timed`]); the parse and encode stages belong to the
-/// layers around it, which share this struct so one place owns the whole
-/// stage breakdown. All fields are wait-free, allocation-free histograms,
+/// The executor records nothing itself: the layers around it time each
+/// stage and share this struct, so one place owns the whole stage
+/// breakdown. All fields are wait-free, allocation-free histograms,
 /// and the constructor is `const`, so the set can live in a `static` or a
 /// long-lived service struct.
 #[derive(Debug, Default)]
@@ -75,20 +74,6 @@ impl QueryExec {
     /// Creates an executor.
     pub fn new() -> QueryExec {
         QueryExec
-    }
-
-    /// Runs `plan` against `db`, recording the elapsed nanoseconds into
-    /// `stages.execute_ns` via a [`Span`] scope guard (recorded on drop, so
-    /// the timing covers early returns too).
-    #[must_use]
-    pub fn run_timed<'db>(
-        self,
-        plan: &QueryPlan,
-        db: &'db SegmentDb<'db>,
-        stages: &ExecStageMetrics,
-    ) -> QueryResult<'db> {
-        let _span = Span::start(&stages.execute_ns);
-        self.run(plan, db)
     }
 
     /// Runs `plan` against `db`.
@@ -577,31 +562,5 @@ mod tests {
         let full = QueryExec::new().run(&plan, &db);
         assert_eq!(total, full.total_matches);
         assert_eq!(ids.len(), full.rows.len());
-    }
-
-    #[test]
-    fn run_timed_records_execute_stage_and_matches_run() {
-        use crate::snapshot::{Snapshot, VariantRecord};
-        let mut s = Snapshot::new("timed exec test");
-        s.records.push(VariantRecord {
-            mnemonic: "ADD".into(),
-            variant: "R64, R64".into(),
-            extension: "BASE".into(),
-            uarch: "Skylake".into(),
-            uop_count: 1,
-            ports: vec![(0b0100_0001, 1)],
-            tp_measured: 0.25,
-            ..Default::default()
-        });
-        let segment = Segment::from_bytes(Segment::encode(&s)).expect("valid");
-        let db = segment.db();
-        let plan = QueryPlan::parse("uarch=Skylake").expect("parse");
-        let stages = ExecStageMetrics::new();
-        let timed = QueryExec::new().run_timed(&plan, &db, &stages);
-        let plain = QueryExec::new().run(&plan, &db);
-        assert_eq!(timed.total_matches, plain.total_matches);
-        assert_eq!(stages.execute_ns.count(), 1, "one execution span recorded");
-        assert_eq!(stages.parse_ns.count(), 0, "parse stage belongs to the caller");
-        assert_eq!(stages.encode_ns.count(), 0, "encode stage belongs to the caller");
     }
 }

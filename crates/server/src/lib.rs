@@ -46,6 +46,17 @@
 //! framing, never content — which is asserted end-to-end in this crate's
 //! integration tests and CI's `serve-smoke` job.
 //!
+//! Every read — in process through [`respond`] or over HTTP — runs one
+//! pipeline: the raw fast lane, then dispatch by [`Route::of`], then the
+//! service's fingerprint-tier probe, admission, execute, encode and
+//! insert, then promotion of a tagged 200 into the raw fast lane.
+//! Streaming is a branch of it, not a second path: over HTTP, a
+//! `/v1/query` page with more rows than
+//! [`QueryService::set_stream_threshold`] leaves the pipeline after
+//! execution as a chunked stream that enters neither cache tier.
+//! [`respond`] never streams, so in-process callers time and check the
+//! same code the transport serves.
+//!
 //! ## Quickstart
 //!
 //! ```no_run
@@ -92,7 +103,9 @@ use std::time::{Duration, Instant};
 
 use uops_db::plan::decode_component;
 use uops_db::{GenerationStore, QueryPlan, Segment};
-use uops_telemetry::{saturating_ns, Span};
+use uops_telemetry::saturating_ns;
+
+use service::QueryReply;
 
 pub use access_log::{AccessEntry, AccessLog};
 pub use cache::{CacheStats, CachedResponse, ResponseCache};
@@ -131,53 +144,66 @@ Connection: close\r\n\
 \r\n\
 {\"error\": \"server overloaded, retry shortly\"}\n";
 
-/// Answers one request by its verbatim target, trying the raw fast lane
-/// first: a repeated hot URL is served straight from the raw-target cache
-/// tier — no percent-decoding, no plan parsing, no canonicalization, no
-/// fingerprinting, no allocation — falling through to [`route`] (and the
-/// fingerprint tier inside the service) on a miss, after which cacheable
-/// 200s are promoted into the fast lane for the next identical target.
-///
-/// `HEAD` shares `GET`'s cache entries; the transport suppresses the body.
+/// Answers one request by its verbatim target through the read pipeline
+/// the transport runs (see the crate docs) without streaming, so every
+/// answer is a whole body. `HEAD` shares `GET`'s cache entries; the
+/// transport suppresses the body.
 #[must_use]
 pub fn respond(service: &QueryService, method: &str, target: &str) -> ServiceResponse {
     if method != "GET" && method != "HEAD" {
         return ServiceResponse::error(405, "only GET and HEAD are supported");
     }
-    if let Some(hit) = service.raw_response(target) {
-        return hit;
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (target, ""),
-    };
-    let response = route(service, "GET", path, query);
-    // Promote cacheable results into the fast lane. Errors carry no ETag
-    // and /v1/stats would cache its own staleness; both stay out.
-    if response.status == 200 && path != "/v1/stats" {
-        service.raw_store(target, &response);
-    }
-    response
+    serve(service, target, false).into_whole()
 }
 
-/// Routes one parsed request to the service. Transport-independent (and
-/// directly testable): the HTTP layer only frames what this returns.
-/// `HEAD` routes exactly like `GET` (the transport suppresses the body).
+/// The one read pipeline, shared by [`respond`] and the transport: the raw
+/// fast lane first — a repeated hot URL is served from the raw-target
+/// cache tier with no percent-decoding, no plan parsing, no
+/// canonicalization, no fingerprinting and no allocation — then
+/// [`dispatch`] (and the fingerprint tier inside the service) on a miss,
+/// after which a cacheable 200 is promoted into the fast lane for the next
+/// identical target. With `stream`, a `/v1/query` page over the service's
+/// streaming threshold comes back as a [`service::StreamBody`], which
+/// enters neither tier.
+fn serve(service: &QueryService, target: &str, stream: bool) -> QueryReply {
+    if let Some(hit) = service.raw_response(target) {
+        return QueryReply::Full(hit);
+    }
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let reply = dispatch(service, path, query, stream).unwrap_or_else(QueryReply::Full);
+    if let QueryReply::Full(response) = &reply {
+        // Only tagged 200s are stored: errors and /v1/stats (which would
+        // cache its own staleness) carry no ETag.
+        service.raw_store(target, response);
+    }
+    reply
+}
+
+/// Routes one parsed request to the service, without the raw fast lane
+/// and without streaming. Transport-independent (and directly testable):
+/// the HTTP layer only frames what this returns. `HEAD` routes exactly
+/// like `GET` (the transport suppresses the body).
 #[must_use]
 pub fn route(service: &QueryService, method: &str, path: &str, query: &str) -> ServiceResponse {
     if method != "GET" && method != "HEAD" {
         return ServiceResponse::error(405, "only GET and HEAD are supported");
     }
-    // Split the format selector off the query string; the remaining pairs
-    // belong to the endpoint (and QueryPlan parsing stays strict).
-    let pairs = match uops_db::plan::parse_query_pairs(query) {
-        Ok(pairs) => pairs,
-        Err(e) => return ServiceResponse::error(400, &e.to_string()),
-    };
-    let (rest, encoding) = match split_format(pairs) {
-        Ok(split) => split,
-        Err(response) => return response,
-    };
+    dispatch(service, path, query, false).unwrap_or_else(QueryReply::Full).into_whole()
+}
+
+/// Maps a read request to its handler by [`Route::of`], after splitting
+/// the `format` selector off the query string (the remaining pairs belong
+/// to the endpoint, and `QueryPlan` parsing stays strict). `Err` is the
+/// router's own rejection (400 or 404), before any handler ran.
+fn dispatch(
+    service: &QueryService,
+    path: &str,
+    query: &str,
+    stream: bool,
+) -> Result<QueryReply, ServiceResponse> {
+    let bad = |e: uops_db::DbError| ServiceResponse::error(400, &e.to_string());
+    let not_found = || ServiceResponse::error(404, &format!("no route for {path}"));
+    let (rest, encoding) = split_format(uops_db::plan::parse_query_pairs(query).map_err(bad)?)?;
     let format_given = encoding.is_some();
     let encoding = encoding.unwrap_or(Encoding::Json);
 
@@ -191,76 +217,59 @@ pub fn route(service: &QueryService, method: &str, path: &str, query: &str) -> S
         Ok(())
     }
 
-    match path {
-        "/v1/query" => {
-            // The plan-parse stage of the uncached pipeline (mirrors
-            // QueryService::query_wire for the wire-string entry point).
-            let span = Span::start(&service.exec_stage_metrics().parse_ns);
-            let parsed = QueryPlan::from_pairs(rest);
-            metrics::stage_scratch::set_parse(span.finish());
-            match parsed {
-                Ok(plan) => service.query(&plan, encoding),
-                Err(e) => ServiceResponse::error(400, &e.to_string()),
+    let response = match Route::of(path) {
+        Route::Query => {
+            let plan = service.parse_stage(|| QueryPlan::from_pairs(rest)).map_err(bad)?;
+            if stream {
+                return Ok(service.query_streaming(&plan, encoding));
             }
+            service.query(&plan, encoding)
         }
-        "/v1/diff" => {
-            let mut base = None;
-            let mut other = None;
+        Route::Diff => {
+            let (mut base, mut other) = (None, None);
             for (key, value) in rest {
-                let result = match key.as_str() {
-                    "base" => assign(&mut base, &key, value),
-                    "other" => assign(&mut other, &key, value),
+                match key.as_str() {
+                    "base" => assign(&mut base, &key, value)?,
+                    "other" => assign(&mut other, &key, value)?,
                     _ => {
-                        return ServiceResponse::error(
-                            400,
-                            &format!("unknown diff parameter {key:?}"),
-                        );
+                        let message = format!("unknown diff parameter {key:?}");
+                        return Err(ServiceResponse::error(400, &message));
                     }
-                };
-                if let Err(response) = result {
-                    return response;
                 }
             }
             match (base, other) {
                 (Some(base), Some(other)) => service.diff(&base, &other, encoding),
-                _ => ServiceResponse::error(400, "diff requires base= and other="),
+                _ => return Err(ServiceResponse::error(400, "diff requires base= and other=")),
             }
         }
-        "/v1/stats" => {
-            if !rest.is_empty() || format_given {
-                return ServiceResponse::error(400, "stats takes no parameters");
-            }
-            service.stats_response()
+        Route::Stats if !rest.is_empty() || format_given => {
+            return Err(ServiceResponse::error(400, "stats takes no parameters"));
         }
-        _ => match path.strip_prefix("/v1/record/") {
-            Some(raw_name) if !raw_name.is_empty() && !raw_name.contains('/') => {
-                // Path segments decode percent-escapes only — unlike query
-                // components, a literal `+` is a literal plus (RFC 3986),
-                // so shield it from decode_component's `+`-to-space rule.
-                let name = match decode_component(&raw_name.replace('+', "%2B")) {
-                    Ok(name) => name,
-                    Err(e) => return ServiceResponse::error(400, &e.to_string()),
-                };
-                let mut uarch = None;
-                for (key, value) in rest {
-                    let result = match key.as_str() {
-                        "uarch" => assign(&mut uarch, &key, value),
-                        _ => {
-                            return ServiceResponse::error(
-                                400,
-                                &format!("unknown record parameter {key:?}"),
-                            );
-                        }
-                    };
-                    if let Err(response) = result {
-                        return response;
+        Route::Stats => service.stats_response(),
+        Route::Record => {
+            let raw_name = &path["/v1/record/".len()..];
+            if raw_name.is_empty() || raw_name.contains('/') {
+                return Err(not_found());
+            }
+            // Path segments decode percent-escapes only — unlike query
+            // components, a literal `+` is a literal plus (RFC 3986), so
+            // shield it from decode_component's `+`-to-space rule.
+            let name = decode_component(&raw_name.replace('+', "%2B")).map_err(bad)?;
+            let mut uarch = None;
+            for (key, value) in rest {
+                match key.as_str() {
+                    "uarch" => assign(&mut uarch, &key, value)?,
+                    _ => {
+                        let message = format!("unknown record parameter {key:?}");
+                        return Err(ServiceResponse::error(400, &message));
                     }
                 }
-                service.record(&name, uarch.as_deref(), encoding)
             }
-            _ => ServiceResponse::error(404, &format!("no route for {path}")),
-        },
-    }
+            service.record(&name, uarch.as_deref(), encoding)
+        }
+        Route::Metrics | Route::Batch | Route::Ingest | Route::Other => return Err(not_found()),
+    };
+    Ok(QueryReply::Full(response))
 }
 
 /// Splits the `format` selector out of parsed query pairs, as strict
@@ -293,27 +302,6 @@ fn split_format(
     Ok((rest, encoding))
 }
 
-/// Parses a `/v1/query` query string into `(plan, encoding)` with the
-/// same strictness (and the same parse-stage timing) as [`route`]'s
-/// `/v1/query` arm.
-fn parse_query_plan(
-    service: &QueryService,
-    query: &str,
-) -> Result<(QueryPlan, Encoding), ServiceResponse> {
-    let pairs = match uops_db::plan::parse_query_pairs(query) {
-        Ok(pairs) => pairs,
-        Err(e) => return Err(ServiceResponse::error(400, &e.to_string())),
-    };
-    let (rest, encoding) = split_format(pairs)?;
-    let span = Span::start(&service.exec_stage_metrics().parse_ns);
-    let parsed = QueryPlan::from_pairs(rest);
-    metrics::stage_scratch::set_parse(span.finish());
-    match parsed {
-        Ok(plan) => Ok((plan, encoding.unwrap_or(Encoding::Json))),
-        Err(e) => Err(ServiceResponse::error(400, &e.to_string())),
-    }
-}
-
 /// Parses the `/v1/batch` query string, which may carry **only** a
 /// `format` selector.
 fn batch_format(query: &str) -> Result<Encoding, ServiceResponse> {
@@ -326,44 +314,6 @@ fn batch_format(query: &str) -> Result<Encoding, ServiceResponse> {
         return Err(ServiceResponse::error(400, &format!("unknown batch parameter {key:?}")));
     }
     Ok(encoding.unwrap_or(Encoding::Json))
-}
-
-/// [`respond`] with large-result streaming on `/v1/query`: the raw fast
-/// lane is probed first (streams never enter it, so a hit is always a
-/// whole body), then `/v1/query` routes through
-/// [`QueryService::query_streaming`] — a result page past the streaming
-/// threshold comes back as a [`service::StreamBody`] for chunked
-/// emission instead of a materialized body. Every other path behaves
-/// exactly like [`respond`]. Caller guarantees `method` is `GET`/`HEAD`.
-fn respond_streaming(service: &QueryService, target: &str) -> service::QueryReply {
-    use service::QueryReply;
-    if let Some(hit) = service.raw_response(target) {
-        return QueryReply::Full(hit);
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (target, ""),
-    };
-    if path == "/v1/query" {
-        match parse_query_plan(service, query) {
-            Ok((plan, encoding)) => match service.query_streaming(&plan, encoding) {
-                QueryReply::Full(response) => {
-                    if response.status == 200 {
-                        service.raw_store(target, &response);
-                    }
-                    QueryReply::Full(response)
-                }
-                stream => stream,
-            },
-            Err(response) => QueryReply::Full(response),
-        }
-    } else {
-        let response = route(service, "GET", path, query);
-        if response.status == 200 && path != "/v1/stats" {
-            service.raw_store(target, &response);
-        }
-        QueryReply::Full(response)
-    }
 }
 
 /// Telemetry, logging and limit options for a [`Server`]
@@ -736,7 +686,7 @@ impl AcceptRescue {
     }
 }
 
-/// Answers `GET /metrics` at the transport layer, **before** [`respond`]:
+/// Answers `GET /metrics` at the transport layer, **before** the read pipeline:
 /// the exposition must reflect this instant, so it never enters the raw
 /// fast lane or the fingerprint tier (and carries no ETag). With
 /// telemetry disabled the endpoint answers 404.
@@ -894,7 +844,7 @@ pub(crate) struct RequestOutcome {
 /// Answers one parsed request: stage-scratch reset, route
 /// classification, `/metrics` interception, method dispatch (`POST` for
 /// `/v1/batch` and `/v1/ingest`, `GET`/`HEAD` elsewhere — wrong methods
-/// get `405` + `Allow`), the raw-fast-lane [`respond_streaming`],
+/// get `405` + `Allow`), the read pipeline [`serve`] with streaming,
 /// conditional-request (`If-None-Match`) resolution, and `HEAD` body
 /// suppression.
 ///
@@ -925,7 +875,7 @@ pub(crate) fn answer(
     let response = match route {
         Route::Metrics => {
             if read_method {
-                // Served here, before respond(): /metrics must always be
+                // Served here, before the read pipeline: /metrics must always be
                 // freshly rendered, never from either cache tier.
                 metrics_response(state, method, request.query())
             } else {
@@ -981,9 +931,9 @@ pub(crate) fn answer(
         }
         _ => {
             if read_method {
-                match respond_streaming(&state.service, request.target) {
-                    service::QueryReply::Full(response) => response,
-                    service::QueryReply::Stream(stream) => {
+                match serve(&state.service, request.target, true) {
+                    QueryReply::Full(response) => response,
+                    QueryReply::Stream(stream) => {
                         let content_type = stream.content_type();
                         payload = Payload::Stream(stream);
                         ServiceResponse {

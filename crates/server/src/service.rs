@@ -572,13 +572,24 @@ impl QueryService {
 
     /// Answers a query request: cache lookup on the canonical plan string,
     /// then (on a miss) plan execution + encoding, with the encoded bytes
-    /// inserted for the next identical request.
+    /// inserted for the next identical request. Never streams.
     pub fn query(&self, plan: &QueryPlan, encoding: Encoding) -> ServiceResponse {
-        let live = self.live.load();
-        let request = format!("q/{}?{}", encoding.wire_name(), plan.to_query_string());
-        self.cached(&live, &request, encoding, |service| {
-            service.execute_encoded(&live, plan, encoding)
-        })
+        self.planned("q/", plan, encoding, usize::MAX).into_whole()
+    }
+
+    /// [`QueryService::query`] with large-result streaming: when the
+    /// executed page has more rows than the streaming threshold (and the
+    /// encoding can stream — XML groups rows and cannot), the reply is a
+    /// [`StreamBody`] whose chunks the transport emits in O(chunk)
+    /// memory. Everything else — smaller pages, cache hits, sheds —
+    /// answers whole-body exactly as [`QueryService::query`] does.
+    /// Streamed replies bypass both cache tiers and carry no ETag (their
+    /// bytes are never materialized in one place to tag).
+    pub fn query_streaming(&self, plan: &QueryPlan, encoding: Encoding) -> QueryReply {
+        let threshold = self.stream_threshold();
+        let stream_over =
+            if threshold == 0 || encoding == Encoding::Xml { usize::MAX } else { threshold };
+        self.planned("q/", plan, encoding, stream_over)
     }
 
     /// Answers a record request (`/v1/record/{mnemonic}`): all records for
@@ -594,12 +605,7 @@ impl QueryService {
         if let Some(uarch) = uarch {
             plan = plan.uarch(uarch);
         }
-        let plan = plan.into_plan();
-        let live = self.live.load();
-        let request = format!("r/{}?{}", encoding.wire_name(), plan.to_query_string());
-        self.cached(&live, &request, encoding, |service| {
-            service.execute_encoded(&live, &plan, encoding)
-        })
+        self.planned("r/", &plan.into_plan(), encoding, usize::MAX).into_whole()
     }
 
     /// Answers a cross-µarch diff request.
@@ -611,14 +617,11 @@ impl QueryService {
             uops_db::plan::encode_component(base),
             uops_db::plan::encode_component(other),
         );
-        self.cached(&live, &request, encoding, |service| {
-            let _admitted = service.admit_uncached()?;
-            if deadline::exceeded() {
-                return Err(Shed::Deadline);
-            }
-            service.encodes.inc();
+        self.cached(&live, &request, encoding, || {
+            self.encodes.inc();
             Ok(encode_diff(&diff_uarches(&live.segment.db(), base, other), encoding))
         })
+        .into_whole()
     }
 
     /// The `/v1/stats` payload: service + cache counters and store
@@ -689,23 +692,34 @@ impl QueryService {
     /// Parses a wire query string into a plan and answers it; parse errors
     /// become 400 responses.
     pub fn query_wire(&self, query_string: &str, encoding: Encoding) -> ServiceResponse {
-        let span = Span::start(&self.exec_stages.parse_ns);
-        let parsed = QueryPlan::parse(query_string);
-        stage_scratch::set_parse(span.finish());
-        match parsed {
+        match self.parse_stage(|| QueryPlan::parse(query_string)) {
             Ok(plan) => self.query(&plan, encoding),
             Err(DbError::Plan { message }) => ServiceResponse::error(400, &message),
             Err(other) => ServiceResponse::error(400, &other.to_string()),
         }
     }
 
-    /// Admits one uncached execution against the configured ceiling, or
-    /// sheds. The returned guard releases the slot on drop (including on
-    /// panic and on a mid-pipeline deadline shed).
+    /// Runs `parse` — building a [`QueryPlan`] from the request — as the
+    /// pipeline's parse stage, timed into the `parse` histogram and the
+    /// request's stage scratch.
+    pub(crate) fn parse_stage(
+        &self,
+        parse: impl FnOnce() -> Result<QueryPlan, DbError>,
+    ) -> Result<QueryPlan, DbError> {
+        let span = Span::start(&self.exec_stages.parse_ns);
+        let parsed = parse();
+        stage_scratch::set_parse(span.finish());
+        parsed
+    }
+
+    /// Admits one uncached execution against the configured ceiling and
+    /// the request's deadline budget, or sheds. The returned guard
+    /// releases the slot on drop (including on panic and on a
+    /// mid-pipeline deadline shed).
     fn admit_uncached(&self) -> Result<UncachedGuard<'_>, Shed> {
         let limit = self.max_uncached_inflight.load(Ordering::Relaxed);
         let mut current = self.uncached_inflight.load(Ordering::Relaxed);
-        loop {
+        let admitted = loop {
             if limit != 0 && current >= limit {
                 return Err(Shed::Capacity);
             }
@@ -715,10 +729,14 @@ impl QueryService {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Ok(UncachedGuard(self)),
+                Ok(_) => break UncachedGuard(self),
                 Err(live) => current = live,
             }
+        };
+        if deadline::exceeded() {
+            return Err(Shed::Deadline);
         }
+        Ok(admitted)
     }
 
     /// The preformatted 503 for a shed request: a static body shared by
@@ -743,22 +761,43 @@ impl QueryService {
         }
     }
 
+    /// The query pipeline: probes the fingerprint tier under `request`,
+    /// and on a miss [`fills`](QueryService::fill) it with what `produce`
+    /// returns.
     fn cached(
         &self,
         live: &LiveStore,
         request: &str,
         encoding: Encoding,
-        produce: impl FnOnce(&QueryService) -> Result<Vec<u8>, Shed>,
-    ) -> ServiceResponse {
+        produce: impl FnOnce() -> Result<Vec<u8>, QueryReply>,
+    ) -> QueryReply {
         let key = fnv1a_64(request.as_bytes());
         if let Some(hit) = self.cache.get(key, request) {
-            return ServiceResponse::ok(hit, ResponseTier::Fingerprint);
+            return QueryReply::Full(ServiceResponse::ok(hit, ResponseTier::Fingerprint));
         }
-        let body: Arc<[u8]> = match produce(self) {
+        self.fill(live, key, request, encoding, produce)
+    }
+
+    /// The miss half of the pipeline, shared by single requests and batch
+    /// misses: admission, then `produce`, then the fingerprint-tier
+    /// insert. `produce` ends the request early with `Err` — a shed, or a
+    /// page large enough to stream — and neither enters a cache tier: the
+    /// next request for this key runs the pipeline again.
+    fn fill(
+        &self,
+        live: &LiveStore,
+        key: u64,
+        request: &str,
+        encoding: Encoding,
+        produce: impl FnOnce() -> Result<Vec<u8>, QueryReply>,
+    ) -> QueryReply {
+        let _admitted = match self.admit_uncached() {
+            Ok(admitted) => admitted,
+            Err(shed) => return QueryReply::Full(self.shed_response(shed)),
+        };
+        let body = match produce() {
             Ok(bytes) => Arc::from(bytes.as_slice()),
-            // A shed response never enters either cache tier: the next
-            // request for this key retries the full pipeline.
-            Err(shed) => return self.shed_response(shed),
+            Err(early) => return early,
         };
         // ETag = canonical-request fingerprint ⊕ store content hash: two
         // spellings of the same plan share one tag, and every tag changes
@@ -773,39 +812,69 @@ impl QueryService {
             generation: live.id,
         };
         self.cache.insert(key, request, cached.clone());
-        ServiceResponse::ok(cached, ResponseTier::Uncached)
+        QueryReply::Full(ServiceResponse::ok(cached, ResponseTier::Uncached))
     }
 
-    /// Executes a plan and encodes the result (counted — a cache hit never
-    /// reaches this). Both stages run under `Span` guards: the elapsed
-    /// nanoseconds land in the stage histograms and, via the thread-local
-    /// stage scratch, in the sampled access log of the request being served.
-    ///
-    /// This is where graceful degradation bites: admission against the
-    /// uncached ceiling first, then the deadline budget checked on entry
-    /// and again between the execute and encode stages — a request that
-    /// ran out of budget mid-pipeline stops before paying for encoding.
-    fn execute_encoded(
+    /// Runs a plan through the pipeline under the cache key
+    /// `<kind><encoding>?<canonical plan>`; a page of more than
+    /// `stream_over` rows streams.
+    fn planned(
+        &self,
+        kind: &str,
+        plan: &QueryPlan,
+        encoding: Encoding,
+        stream_over: usize,
+    ) -> QueryReply {
+        let live = self.live.load();
+        let mut request = String::with_capacity(64);
+        request.push_str(kind);
+        request.push_str(encoding.wire_name());
+        request.push('?');
+        plan.push_query_string(&mut request);
+        self.cached(&live, &request, encoding, || self.execute(&live, plan, encoding, stream_over))
+    }
+
+    /// Executes a plan to its page of record ids, then views and encodes
+    /// those rows (counted — a cache hit never reaches this). Both stages
+    /// run under `Span` guards: the elapsed nanoseconds land in the stage
+    /// histograms and, via the thread-local stage scratch, in the sampled
+    /// access log of the request being served. A page of more than
+    /// `stream_over` rows is not encoded here but returned as a
+    /// [`StreamBody`]; otherwise the deadline budget is checked again
+    /// between the stages, so a request that ran out of budget
+    /// mid-pipeline stops before paying for encoding.
+    fn execute(
         &self,
         live: &LiveStore,
         plan: &QueryPlan,
         encoding: Encoding,
-    ) -> Result<Vec<u8>, Shed> {
-        let _admitted = self.admit_uncached()?;
-        if deadline::exceeded() {
-            return Err(Shed::Deadline);
-        }
+        stream_over: usize,
+    ) -> Result<Vec<u8>, QueryReply> {
         self.executions.inc();
         let db = live.segment.db();
         let span = Span::start(&self.exec_stages.execute_ns);
-        let result = QueryExec::new().run(plan, &db);
+        let (total_matches, ids) = QueryExec::new().run_ids(plan, &db);
         stage_scratch::set_execute(span.finish());
+        if ids.len() > stream_over {
+            self.encodes.inc();
+            return Err(QueryReply::Stream(StreamBody {
+                segment: Arc::clone(&live.segment),
+                encoding,
+                total: total_matches,
+                ids,
+                at: 0,
+                begun: false,
+                done: false,
+                json: String::new(),
+            }));
+        }
         if deadline::exceeded() {
-            return Err(Shed::Deadline);
+            return Err(QueryReply::Full(self.shed_response(Shed::Deadline)));
         }
         self.encodes.inc();
         let span = Span::start(&self.exec_stages.encode_ns);
-        let bytes = encode_result(&result, encoding);
+        let rows = ids.into_iter().map(|id| db.view(id)).collect();
+        let bytes = encode_result(&QueryResult { total_matches, rows }, encoding);
         stage_scratch::set_encode(span.finish());
         Ok(bytes)
     }
@@ -867,17 +936,7 @@ impl QueryService {
             return Err(ServiceResponse::error(400, "empty batch"));
         }
         if !scratch.misses.is_empty() {
-            let live = self.live.load();
-            match self.admit_uncached() {
-                Ok(_admitted) => self.run_batch_misses(&live, encoding, scratch),
-                Err(shed) => {
-                    for i in 0..scratch.misses.len() {
-                        let response = self.shed_response(shed);
-                        let index = scratch.misses[i].index;
-                        scratch.responses[index] = (503, response.body);
-                    }
-                }
-            }
+            self.run_batch_misses(&self.live.load(), encoding, scratch);
         }
         out.clear();
         out.frames.extend_from_slice(&BATCH_RESPONSE_MAGIC);
@@ -932,38 +991,30 @@ impl QueryService {
     }
 
     /// Executes every queued batch miss through one shared [`BatchExec`]
-    /// (memoized symbol resolution and posting lists), encoding each into
-    /// its own fingerprint-tier entry. Runs under the caller's admission
-    /// guard; the deadline budget is rechecked per plan so a batch that
-    /// runs out mid-way sheds its tail instead of blowing the budget.
+    /// (memoized symbol resolution and posting lists), each filling its
+    /// own fingerprint-tier entry through [`QueryService::fill`] — the
+    /// same admission, key, ETag and generation stamp as a single miss.
+    /// Admission and the deadline budget are checked per plan, so a batch
+    /// that runs out mid-way sheds its tail instead of blowing the budget.
     fn run_batch_misses(&self, live: &LiveStore, encoding: Encoding, scratch: &mut BatchScratch) {
         let db = live.segment.db();
         let mut exec = BatchExec::new(&db);
         let (mut execute_ns, mut encode_ns) = (0u64, 0u64);
         let mut ran = 0u64;
         for miss in &scratch.misses {
-            if deadline::exceeded() {
-                let response = self.shed_response(Shed::Deadline);
-                scratch.responses[miss.index] = (503, response.body);
-                continue;
-            }
-            ran += 1;
-            let run_at = std::time::Instant::now();
-            let result = exec.run(&miss.plan);
-            let encode_at = std::time::Instant::now();
-            let bytes = encode_result(&result, encoding);
-            execute_ns += encode_at.duration_since(run_at).as_nanos() as u64;
-            encode_ns += encode_at.elapsed().as_nanos() as u64;
             let request = &scratch.requests[miss.request.clone()];
-            let key = fnv1a_64(request.as_bytes());
-            let cached = CachedResponse {
-                content_type: encoding.content_type(),
-                etag: key ^ live.content_hash,
-                body: Arc::from(bytes.as_slice()),
-                generation: live.id,
-            };
-            self.cache.insert(key, request, cached.clone());
-            scratch.responses[miss.index] = (200, cached.body);
+            let reply = self.fill(live, fnv1a_64(request.as_bytes()), request, encoding, || {
+                ran += 1;
+                let run_at = std::time::Instant::now();
+                let result = exec.run(&miss.plan);
+                let encode_at = std::time::Instant::now();
+                let bytes = encode_result(&result, encoding);
+                execute_ns += encode_at.duration_since(run_at).as_nanos() as u64;
+                encode_ns += encode_at.elapsed().as_nanos() as u64;
+                Ok(bytes)
+            });
+            let response = reply.into_whole();
+            scratch.responses[miss.index] = (response.status, response.body);
         }
         // Request-level stage timings cover the whole miss loop (this is
         // one HTTP request); the histograms get the same totals — one
@@ -975,114 +1026,6 @@ impl QueryService {
         stage_scratch::set_execute(execute_ns);
         stage_scratch::set_encode(encode_ns);
     }
-
-    /// [`QueryService::query_wire`] with large-result streaming: when the
-    /// executed page exceeds the streaming threshold (and the encoding
-    /// can stream — XML groups rows and cannot), the reply is a
-    /// [`StreamBody`] whose chunks the transport emits in O(chunk)
-    /// memory. Small results, cache hits, errors, and sheds answer as
-    /// whole-body responses exactly as before; streamed replies bypass
-    /// both cache tiers and carry no ETag (their bytes are never
-    /// materialized in one place to tag).
-    pub fn query_wire_streaming(&self, query_string: &str, encoding: Encoding) -> QueryReply {
-        let span = Span::start(&self.exec_stages.parse_ns);
-        let parsed = QueryPlan::parse(query_string);
-        stage_scratch::set_parse(span.finish());
-        let plan = match parsed {
-            Ok(plan) => plan,
-            Err(DbError::Plan { message }) => {
-                return QueryReply::Full(ServiceResponse::error(400, &message));
-            }
-            Err(other) => {
-                return QueryReply::Full(ServiceResponse::error(400, &other.to_string()));
-            }
-        };
-        self.query_streaming(&plan, encoding)
-    }
-
-    /// [`QueryService::query`] with large-result streaming (the
-    /// parsed-plan twin of [`QueryService::query_wire_streaming`] — the
-    /// transport's router calls this after its own format extraction).
-    pub fn query_streaming(&self, plan: &QueryPlan, encoding: Encoding) -> QueryReply {
-        let threshold = self.stream_threshold();
-        if threshold == 0 || matches!(encoding, Encoding::Xml) {
-            return QueryReply::Full(self.query(plan, encoding));
-        }
-        let live = self.live.load();
-        let request = format!("q/{}?{}", encoding.wire_name(), plan.to_query_string());
-        let key = fnv1a_64(request.as_bytes());
-        if let Some(hit) = self.cache.get(key, &request) {
-            return QueryReply::Full(ServiceResponse::ok(hit, ResponseTier::Fingerprint));
-        }
-        match self.execute_sized(&live.segment.db(), plan, encoding, threshold) {
-            Err(shed) => QueryReply::Full(self.shed_response(shed)),
-            Ok(SizedResult::Encoded(bytes)) => {
-                let cached = CachedResponse {
-                    content_type: encoding.content_type(),
-                    etag: key ^ live.content_hash,
-                    body: Arc::from(bytes.as_slice()),
-                    generation: live.id,
-                };
-                self.cache.insert(key, &request, cached.clone());
-                QueryReply::Full(ServiceResponse::ok(cached, ResponseTier::Uncached))
-            }
-            Ok(SizedResult::Ids { total, ids }) => {
-                self.encodes.inc();
-                QueryReply::Stream(StreamBody {
-                    segment: Arc::clone(&live.segment),
-                    encoding,
-                    total,
-                    ids,
-                    at: 0,
-                    begun: false,
-                    done: false,
-                    json: String::new(),
-                })
-            }
-        }
-    }
-
-    /// The execute stage of the streaming path: runs the plan to matching
-    /// ids first (cheap — no views, no encoded bytes), and only
-    /// materializes + encodes when the page is small enough to cache.
-    fn execute_sized(
-        &self,
-        db: &SegmentDb<'_>,
-        plan: &QueryPlan,
-        encoding: Encoding,
-        threshold: usize,
-    ) -> Result<SizedResult, Shed> {
-        let _admitted = self.admit_uncached()?;
-        if deadline::exceeded() {
-            return Err(Shed::Deadline);
-        }
-        self.executions.inc();
-        let span = Span::start(&self.exec_stages.execute_ns);
-        let (total, ids) = QueryExec::new().run_ids(plan, db);
-        stage_scratch::set_execute(span.finish());
-        if ids.len() > threshold {
-            return Ok(SizedResult::Ids { total, ids });
-        }
-        if deadline::exceeded() {
-            return Err(Shed::Deadline);
-        }
-        self.encodes.inc();
-        let span = Span::start(&self.exec_stages.encode_ns);
-        let result = QueryResult {
-            total_matches: total,
-            rows: ids.into_iter().map(|id| db.view(id)).collect(),
-        };
-        let bytes = encode_result(&result, encoding);
-        stage_scratch::set_encode(span.finish());
-        Ok(SizedResult::Encoded(bytes))
-    }
-}
-
-/// What [`QueryService::execute_sized`] produced: encoded bytes (small
-/// page) or bare matching ids (page large enough to stream).
-enum SizedResult {
-    Encoded(Vec<u8>),
-    Ids { total: usize, ids: Vec<u32> },
 }
 
 /// A query answer that is either a whole-body [`ServiceResponse`] or a
@@ -1093,6 +1036,16 @@ pub enum QueryReply {
     /// Large result: emit as `Transfer-Encoding: chunked` in O(chunk)
     /// memory.
     Stream(StreamBody),
+}
+
+impl QueryReply {
+    /// The response of a request asked for without streaming.
+    pub(crate) fn into_whole(self) -> ServiceResponse {
+        match self {
+            QueryReply::Full(response) => response,
+            QueryReply::Stream(_) => unreachable!("a never-stream request streamed"),
+        }
+    }
 }
 
 /// A lazily encoded large result: the matching record ids plus an `Arc`
@@ -1364,6 +1317,10 @@ mod tests {
     fn service() -> QueryService {
         let segment = Segment::from_bytes(Segment::encode(&snapshot())).expect("segment");
         QueryService::from_segment(Arc::new(segment), 1 << 20)
+    }
+
+    fn plan(query_string: &str) -> QueryPlan {
+        QueryPlan::parse(query_string).expect("plan")
     }
 
     #[test]
@@ -1660,7 +1617,7 @@ mod tests {
             let fresh = service();
             fresh.set_stream_threshold(1);
             let QueryReply::Stream(mut stream) =
-                fresh.query_wire_streaming("uarch=Skylake", encoding)
+                fresh.query_streaming(&plan("uarch=Skylake"), encoding)
             else {
                 panic!("two rows past a threshold of one must stream");
             };
@@ -1686,27 +1643,27 @@ mod tests {
         service.set_stream_threshold(1);
         // XML groups rows and cannot stream.
         assert!(matches!(
-            service.query_wire_streaming("uarch=Skylake", Encoding::Xml),
+            service.query_streaming(&plan("uarch=Skylake"), Encoding::Xml),
             QueryReply::Full(_)
         ));
         // Below the threshold: whole body (and cached).
         assert!(matches!(
-            service.query_wire_streaming("mnemonic=ADC", Encoding::Json),
+            service.query_streaming(&plan("mnemonic=ADC"), Encoding::Json),
             QueryReply::Full(_)
         ));
         // A fingerprint-tier hit short-circuits the streaming decision.
-        let QueryReply::Full(warm) = service.query_wire_streaming("mnemonic=ADC", Encoding::Json)
+        let QueryReply::Full(warm) = service.query_streaming(&plan("mnemonic=ADC"), Encoding::Json)
         else {
             panic!("hit must answer whole-body");
         };
         assert_eq!(warm.tier, ResponseTier::Fingerprint);
         // Streams bypass the cache: the large page never left an entry.
         assert!(matches!(
-            service.query_wire_streaming("uarch=Skylake", Encoding::Json),
+            service.query_streaming(&plan("uarch=Skylake"), Encoding::Json),
             QueryReply::Stream(_)
         ));
         assert!(matches!(
-            service.query_wire_streaming("uarch=Skylake", Encoding::Json),
+            service.query_streaming(&plan("uarch=Skylake"), Encoding::Json),
             QueryReply::Stream(_)
         ));
     }

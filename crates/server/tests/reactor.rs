@@ -7,7 +7,8 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use uops_db::{Segment, Snapshot, VariantRecord};
@@ -89,16 +90,116 @@ fn reference_response(method: &str, target: &str) -> Vec<u8> {
     wire
 }
 
+/// One response read off the wire: the status, the `ETag` value, whether
+/// the body came chunked, and the body with any chunk framing removed.
+struct Wire {
+    status: u16,
+    etag: Option<String>,
+    chunked: bool,
+    body: Vec<u8>,
+}
+
+/// Reads one CRLF-terminated line (without the CRLF).
+fn read_line(stream: &mut TcpStream) -> Vec<u8> {
+    let mut line = Vec::new();
+    let mut byte = [0u8; 1];
+    while !line.ends_with(b"\r\n") {
+        assert_eq!(stream.read(&mut byte).expect("read line"), 1, "unexpected EOF");
+        line.push(byte[0]);
+    }
+    line.truncate(line.len() - 2);
+    line
+}
+
+/// Reads one response, `Content-Length`-framed or chunked, de-chunking
+/// the body. `HEAD` responses carry no body whatever their head says.
+fn read_wire(stream: &mut TcpStream, head_only: bool) -> Wire {
+    let status_line = String::from_utf8(read_line(stream)).expect("status line");
+    let status = status_line.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status");
+    let (mut etag, mut length, mut chunked) = (None, 0, false);
+    loop {
+        let line = String::from_utf8(read_line(stream)).expect("header");
+        let Some((name, value)) = line.split_once(": ") else { break };
+        match name {
+            "ETag" => etag = Some(value.to_string()),
+            "Content-Length" => length = value.parse().expect("length"),
+            "Transfer-Encoding" => chunked = value == "chunked",
+            _ => {}
+        }
+    }
+    let mut body = Vec::new();
+    if head_only {
+        return Wire { status, etag, chunked, body };
+    }
+    if chunked {
+        loop {
+            let size = String::from_utf8(read_line(stream)).expect("chunk size");
+            let size = usize::from_str_radix(&size, 16).expect("hex chunk size");
+            let at = body.len();
+            body.resize(at + size, 0);
+            stream.read_exact(&mut body[at..]).expect("chunk");
+            assert!(read_line(stream).is_empty(), "a chunk ends with CRLF");
+            if size == 0 {
+                break;
+            }
+        }
+    } else {
+        body.resize(length, 0);
+        stream.read_exact(&mut body).expect("read body");
+    }
+    Wire { status, etag, chunked, body }
+}
+
+/// Sends `method target` and checks the answer against [`respond`] on
+/// `reference` by status, de-chunked body and `ETag`.
+fn exchange_matches_respond(
+    stream: &mut TcpStream,
+    reference: &QueryService,
+    method: &str,
+    target: &str,
+) -> Wire {
+    write!(stream, "{method} {target} HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    let got = read_wire(stream, method == "HEAD");
+    let want = respond(reference, method, target);
+    assert_eq!(got.status, want.status, "status of {method} {target}");
+    assert_eq!(got.etag, want.etag.map(|tag| format!("\"{tag:016x}\"")), "ETag of {target}");
+    if method != "HEAD" {
+        assert_eq!(got.body, &want.body[..], "body of {method} {target}");
+    }
+    got
+}
+
+/// `/v1/stats` with its counters masked: two renderings of the same
+/// service state differ only in the numbers.
+fn masked(body: &[u8]) -> String {
+    let mut out = String::new();
+    for c in String::from_utf8_lossy(body).chars() {
+        if !(c.is_ascii_digit() && out.ends_with('#')) {
+            out.push(if c.is_ascii_digit() { '#' } else { c });
+        }
+    }
+    out
+}
+
 #[test]
 fn reactor_responses_match_the_in_process_answer_byte_for_byte() {
-    let server = Server::bind("127.0.0.1:0", service(), 2).expect("bind").spawn();
+    let served = service();
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&served), 2).expect("bind").spawn();
     let requests: &[(&str, &str)] = &[
         ("GET", "/v1/query?uarch=Skylake"),
         ("HEAD", "/v1/query?uarch=Skylake"),
+        ("GET", "/v1/query?uarch=Skylake&format=json"),
+        ("GET", "/v1/query?uarch=Skylake&format=binary"),
+        ("GET", "/v1/query?uarch=Skylake&format=xml"),
         ("GET", "/v1/record/ADD"),
+        ("GET", "/v1/record/ADD?uarch=Haswell"),
         ("GET", "/v1/diff?base=Haswell&other=Skylake"),
         ("GET", "/nope"),
+        ("GET", "/v1/record/"),
         ("GET", "/v1/query?bogus=1"),
+        ("GET", "/v1/query?format=yaml"),
+        ("GET", "/v1/record/ADD?variant=x"),
+        ("GET", "/v1/diff?base=Haswell"),
     ];
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     for &(method, target) in requests {
@@ -110,6 +211,51 @@ fn reactor_responses_match_the_in_process_answer_byte_for_byte() {
             "the wire disagrees with the in-process answer on {method} {target}"
         );
     }
+
+    // Every route kind and error class again, by status, de-chunked body
+    // and ETag: this covers the 405 (whose `Allow` header the in-process
+    // answer lacks) and repeats, which the transport answers from the raw
+    // tier.
+    let reference = service();
+    for &(method, target) in requests {
+        exchange_matches_respond(&mut stream, &reference, method, target);
+    }
+    exchange_matches_respond(&mut stream, &reference, "DELETE", "/v1/query?uarch=Skylake");
+    // `/v1/stats` renders live counters, so the reference is the served
+    // service itself, compared with its numbers masked.
+    write!(stream, "GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    let stats = read_wire(&mut stream, false);
+    let want = respond(&served, "GET", "/v1/stats");
+    assert_eq!((stats.status, stats.etag, want.etag), (200, None, None));
+    assert_eq!(masked(&stats.body), masked(&want.body));
+
+    // The streaming threshold boundary, on plans not asked for before
+    // that each match the two Skylake rows. A page of exactly `threshold`
+    // rows answers whole-body and enters both tiers…
+    served.set_stream_threshold(2);
+    let before = served.stats();
+    let target = "/v1/query?uarch=Skylake&sort=uops";
+    let at = exchange_matches_respond(&mut stream, &reference, "GET", target);
+    assert!(!at.chunked, "rows == threshold must answer whole-body");
+    let after = served.stats();
+    assert_eq!(after.cache.entries, before.cache.entries + 1, "rows == threshold is cached");
+    assert_eq!(after.raw.entries, before.raw.entries + 1, "and promoted into the raw tier");
+
+    // …while one row more streams, with no ETag, and leaves both tiers
+    // untouched, on a repeat too.
+    served.set_stream_threshold(1);
+    let target = "/v1/query?uarch=Skylake&sort=latency";
+    for _ in 0..2 {
+        write!(stream, "GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+        let over = read_wire(&mut stream, false);
+        let want = respond(&reference, "GET", target);
+        assert!(over.chunked, "rows == threshold + 1 must stream");
+        assert_eq!((over.status, over.etag), (200, None), "a stream carries no ETag");
+        assert_eq!(over.body, &want.body[..], "de-chunked stream == the whole body");
+    }
+    let streamed = served.stats();
+    assert_eq!(streamed.cache.entries, after.cache.entries, "a stream enters no fingerprint entry");
+    assert_eq!(streamed.raw.entries, after.raw.entries, "a stream enters no raw entry");
     drop(stream);
     server.shutdown();
 }
@@ -390,16 +536,42 @@ fn stats_executions(stats: &[u8]) -> u64 {
 /// An uncached answer yields the shard: while one connection pipelines a
 /// run of distinct (never-cached) queries, another connection on the same
 /// single shard is answered between two of them, not after the run.
+///
+/// Both requests are queued while the shard is parked inside a gated
+/// `/v1/stats` answer, so the run cannot finish before the other request
+/// arrives, however the client thread is scheduled.
 #[test]
 fn a_pipelined_miss_run_yields_to_the_shards_other_connections() {
     const RUN: usize = 500;
-    let server = Server::bind("127.0.0.1:0", service(), 1).expect("bind");
+    let service = service();
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&service), 1).expect("bind");
     let addr = server.local_addr();
     let handle = server.spawn();
+    let stats = b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n";
 
     let mut other = TcpStream::connect(addr).expect("connect other");
-    other.write_all(b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    other.write_all(stats).expect("send");
     let before = stats_executions(&read_response(&mut other));
+    // Accepted and registered on the shard before the gate closes.
+    let mut flood = TcpStream::connect(addr).expect("connect flood");
+    flood.write_all(stats).expect("send");
+    read_response(&mut flood);
+
+    // The next `/v1/stats` answer meets the test at the barrier twice:
+    // once when the shard is parked in it, once to let it go.
+    let armed = Arc::new(AtomicBool::new(false));
+    let barrier = Arc::new(Barrier::new(2));
+    let (hook_armed, hook_barrier) = (Arc::clone(&armed), Arc::clone(&barrier));
+    service.set_stats_extension(move |_| {
+        if hook_armed.swap(false, Ordering::SeqCst) {
+            hook_barrier.wait();
+            hook_barrier.wait();
+        }
+    });
+    armed.store(true, Ordering::SeqCst);
+    let mut gate = TcpStream::connect(addr).expect("connect gate");
+    gate.write_all(stats).expect("send");
+    barrier.wait();
 
     let mut run = String::new();
     for offset in 0..RUN {
@@ -407,9 +579,10 @@ fn a_pipelined_miss_run_yields_to_the_shards_other_connections() {
             "GET /v1/query?uarch=Skylake&offset={offset}&limit=1 HTTP/1.1\r\nHost: t\r\n\r\n"
         ));
     }
-    let mut flood = TcpStream::connect(addr).expect("connect flood");
     flood.write_all(run.as_bytes()).expect("send run");
-    other.write_all(b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    other.write_all(stats).expect("send");
+    barrier.wait();
+    read_response(&mut gate);
     let during = stats_executions(&read_response(&mut other));
     assert!(
         during < before + RUN as u64,
@@ -421,7 +594,7 @@ fn a_pipelined_miss_run_yields_to_the_shards_other_connections() {
         let response = read_response(&mut flood);
         assert!(response.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&response));
     }
-    drop((flood, other));
+    drop((flood, other, gate));
     handle.shutdown();
 }
 
