@@ -1,20 +1,25 @@
-//! Regenerates **Table 1** of the paper: for every microarchitecture
-//! generation, the number of characterized instruction variants, the IACA
-//! versions that support the generation, the percentage of variants for which
-//! IACA reports the same µop count (excluding LOCK/REP), and — among those —
-//! the percentage with matching port usage.
+//! Reproduces the paper's evaluation: first the findings of §5.1, §7.2 and
+//! §7.3.1–§7.3.6 (the table in `uops_bench::findings`, each row with the
+//! paper's value and the observed one), then **Table 1**: for every
+//! microarchitecture generation, the number of characterized instruction
+//! variants, the IACA versions that support the generation, the percentage
+//! of variants for which IACA reports the same µop count (excluding
+//! LOCK/REP), and — among those — the percentage with matching port usage.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p uops-bench --bin table1 [-- --sample N] [--arch NAME]... [--timing]
+//! cargo run --release -p uops-bench --bin paper [-- --sample N] [--arch NAME]... [--timing]
 //! ```
 //!
-//! `--sample N` characterizes every N-th catalog variant (default 8; use 1
-//! for the full catalog). `--timing` additionally prints the wall-clock time
-//! of each per-architecture run (the analogue of the 50–110 minute tool run
-//! times reported in §7.1).
+//! `--sample N` characterizes every N-th catalog variant for Table 1
+//! (default 8; use 1 for the full catalog). `--arch` restricts both the
+//! findings and Table 1 to the named generations. `--timing` additionally
+//! prints the wall-clock time of each per-architecture run (the analogue of
+//! the 50–110 minute tool run times reported in §7.1). Exits with status 1
+//! if a finding reads neither the paper's value nor its recorded divergence.
 
+use uops_bench::findings::observe_all;
 use uops_bench::{experiment_setup, to_measured_instructions, Table};
 use uops_iaca::{compare_against_iaca, IacaVersion};
 use uops_isa::Catalog;
@@ -56,11 +61,42 @@ fn parse_args() -> Args {
     args
 }
 
+/// Prints the findings table and returns the number of rows that fail their
+/// check.
+fn print_findings(catalog: &Catalog, archs: &[MicroArch]) -> usize {
+    println!("Findings of §5.1, §7.2 and §7.3 on the simulator\n");
+    let mut table =
+        Table::new(&["section", "instruction", "uarch", "field", "paper", "observed", "note"]);
+    let mut failures = 0;
+    for (finding, observed) in observe_all(catalog, archs) {
+        let note = match (finding.check(&observed), finding.divergence) {
+            (Err(e), _) => {
+                failures += 1;
+                format!("FAIL: {e}")
+            }
+            (Ok(()), Some((_, reason))) => format!("diverges: {reason}"),
+            (Ok(()), None) => String::new(),
+        };
+        table.row(&[
+            finding.section.to_string(),
+            finding.instruction(),
+            finding.arch.name().to_string(),
+            finding.field.to_string(),
+            finding.paper.to_string(),
+            observed,
+            note,
+        ]);
+    }
+    println!("{}", table.render());
+    failures
+}
+
 fn main() {
     let args = parse_args();
     let catalog = Catalog::intel_core();
+    let failures = print_findings(&catalog, &args.archs);
     println!(
-        "Table 1 — catalog of {} variants, sampling every {}-th variant\n",
+        "\nTable 1 — catalog of {} variants, sampling every {}-th variant\n",
         catalog.len(),
         args.sample
     );
@@ -110,5 +146,9 @@ fn main() {
                 duration.as_secs_f64()
             );
         }
+    }
+    if failures > 0 {
+        eprintln!("{failures} finding(s) failed their check");
+        std::process::exit(1);
     }
 }

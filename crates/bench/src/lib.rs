@@ -1,31 +1,25 @@
 //! # uops-bench
 //!
-//! The experiment harness that regenerates the tables and figures of the
-//! paper's evaluation (§7). Each experiment is a binary under `src/bin/`:
+//! The experiment harness that regenerates the paper's evaluation (§7).
+//! [`findings`] holds the paper's findings (§5.1, §7.2, §7.3.1–§7.3.6) as
+//! one table, which `tests/paper_findings.rs` asserts. Each experiment is a
+//! binary under `src/bin/`:
 //!
 //! | binary | experiment |
 //! |---|---|
-//! | `table1` | Table 1: variants per microarchitecture and agreement with IACA |
-//! | `iaca_discrepancies` | §7.2: classes of IACA errors |
-//! | `case_aes` | §7.3.1: AES instruction latencies across generations |
-//! | `case_shld` | §7.3.2: SHLD latencies and the same-register effect |
-//! | `case_movq2dq` | §7.3.3: MOVQ2DQ port usage |
-//! | `case_movdq2q` | §7.3.4: MOVDQ2Q port usage |
-//! | `case_multilatency` | §7.3.5: instructions with multiple latencies |
-//! | `case_zero_idioms` | §7.3.6: undocumented dependency-breaking idioms |
-//! | `case_port_pitfalls` | §5.1: naive vs. Algorithm 1 port usage |
+//! | `paper` | the findings table, then Table 1: variants per microarchitecture and agreement with IACA |
 //! | `build_db` | §6.4: characterize a catalog slice on all generations, persist and query the `uops-db` snapshot |
-//!
-//! The `benches/` directory contains Criterion benchmarks of the library
-//! itself (simulator, measurement harness, LP solver, characterization).
+//! | `serve_smoke` | boot the serving stack on a segment and check HTTP answers against in-process ones |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use uops_core::{CharacterizationEngine, CharacterizationReport, EngineConfig, LatencyAnalyzer};
+pub mod findings;
+
+use uops_core::{CharacterizationEngine, CharacterizationReport, EngineConfig};
 use uops_iaca::MeasuredInstruction;
 use uops_isa::{Catalog, InstructionDesc};
-use uops_measure::{MeasurementConfig, SimBackend};
+use uops_measure::SimBackend;
 use uops_uarch::MicroArch;
 
 /// Creates the engine/backend pair used by all experiments.
@@ -37,21 +31,6 @@ pub fn experiment_setup(
     let backend = SimBackend::new(arch);
     let engine = CharacterizationEngine::with_config(catalog, arch, EngineConfig::fast());
     (backend, engine)
-}
-
-/// Creates a latency analyzer with the fast measurement configuration.
-///
-/// # Panics
-///
-/// Panics if the chain-instruction calibration fails (which would indicate a
-/// broken catalog).
-#[must_use]
-pub fn latency_analyzer<'a>(
-    backend: &'a SimBackend,
-    catalog: &'a Catalog,
-) -> LatencyAnalyzer<'a, SimBackend> {
-    LatencyAnalyzer::new(backend, catalog, MeasurementConfig::fast())
-        .expect("chain-instruction calibration")
 }
 
 /// Converts a characterization report into the comparison records used by
@@ -72,37 +51,6 @@ pub fn to_measured_instructions(
             ))
         })
         .collect()
-}
-
-/// The latency map of a single variant, measured on a given
-/// microarchitecture (helper shared by the case-study binaries).
-///
-/// # Panics
-///
-/// Panics if the variant does not exist in the catalog.
-#[must_use]
-pub fn latency_of(
-    catalog: &Catalog,
-    arch: MicroArch,
-    mnemonic: &str,
-    variant: &str,
-) -> Option<uops_core::LatencyMap> {
-    let desc = catalog
-        .find_variant_arc(mnemonic, variant)
-        .unwrap_or_else(|| panic!("missing catalog variant {mnemonic} ({variant})"));
-    if !arch.supports(desc.extension) {
-        return None;
-    }
-    let backend = SimBackend::new(arch);
-    let analyzer = latency_analyzer(&backend, catalog);
-    analyzer.infer(desc).ok()
-}
-
-/// Formats a floating-point cycle count the way the experiment tables print
-/// it (two decimals, or "-" for missing values).
-#[must_use]
-pub fn fmt_cycles(value: Option<f64>) -> String {
-    value.map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".to_string())
 }
 
 /// Simple markdown-style table printer used by the experiment binaries.
@@ -169,17 +117,5 @@ mod tests {
     fn mismatched_rows_panic() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only one".to_string()]);
-    }
-
-    #[test]
-    fn latency_of_returns_none_for_unsupported_arch() {
-        let catalog = Catalog::intel_core();
-        assert!(latency_of(&catalog, MicroArch::Nehalem, "VADDPS", "XMM, XMM, XMM").is_none());
-    }
-
-    #[test]
-    fn fmt_cycles_formats() {
-        assert_eq!(fmt_cycles(Some(1.234)), "1.23");
-        assert_eq!(fmt_cycles(None), "-");
     }
 }

@@ -1123,54 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn aesdec_has_asymmetric_latencies_on_sandy_bridge() {
-        // §7.3.1: lat(XMM1, XMM1) = 8, lat(XMM2, XMM1) ≈ 1.
-        let map = infer(MicroArch::SandyBridge, "AESDEC", "XMM, XMM");
-        let state = map.get(0, 0).expect("lat(state, dst)");
-        let key = map.get(1, 0).expect("lat(key, dst)");
-        assert!((state.cycles - 8.0).abs() < 0.6, "state latency = {}", state.cycles);
-        assert!(key.cycles < 2.5, "key latency = {}", key.cycles);
-        assert!(map.has_multiple_latencies());
-
-        // On Haswell both pairs are 7 cycles.
-        let map = infer(MicroArch::Haswell, "AESDEC", "XMM, XMM");
-        let state = map.get(0, 0).unwrap();
-        let key = map.get(1, 0).unwrap();
-        assert!((state.cycles - 7.0).abs() < 0.6, "state latency = {}", state.cycles);
-        assert!((key.cycles - 7.0).abs() < 0.8, "key latency = {}", key.cycles);
-
-        // On Westmere both pairs are 6 cycles.
-        let map = infer(MicroArch::Westmere, "AESDEC", "XMM, XMM");
-        let state = map.get(0, 0).unwrap();
-        let key = map.get(1, 0).unwrap();
-        assert!((state.cycles - 6.0).abs() < 0.6, "state latency = {}", state.cycles);
-        assert!((key.cycles - 6.0).abs() < 0.8, "key latency = {}", key.cycles);
-    }
-
-    #[test]
-    fn shld_latencies_match_the_paper() {
-        // §7.3.2 on Nehalem: lat(dst,dst) = 3, lat(src,dst) = 4.
-        let map = infer(MicroArch::Nehalem, "SHLD", "R64, R64, I8");
-        let dst_dst = map.get(0, 0).expect("lat(0,0)");
-        let src_dst = map.get(1, 0).expect("lat(1,0)");
-        assert!((dst_dst.cycles - 3.0).abs() < 0.5, "lat(0,0) = {}", dst_dst.cycles);
-        assert!((src_dst.cycles - 4.0).abs() < 0.5, "lat(1,0) = {}", src_dst.cycles);
-
-        // On Skylake: 3 cycles with distinct registers, 1 with the same
-        // register.
-        let map = infer(MicroArch::Skylake, "SHLD", "R64, R64, I8");
-        let src_dst = map.get(1, 0).expect("lat(1,0)");
-        assert!((src_dst.cycles - 3.0).abs() < 0.5, "lat(1,0) = {}", src_dst.cycles);
-        let same = src_dst.same_register_cycles.expect("same-register measurement");
-        assert!((same - 1.0).abs() < 0.5, "same-register latency = {same}");
-
-        // Nehalem does not show the same-register speed-up.
-        let map = infer(MicroArch::Nehalem, "SHLD", "R64, R64, I8");
-        let same = map.get(1, 0).unwrap().same_register_cycles.expect("same-register measurement");
-        assert!(same > 2.5, "Nehalem same-register latency = {same}");
-    }
-
-    #[test]
     fn load_latency_is_visible_for_memory_sources() {
         let (_backend, catalog) = analyzer(MicroArch::Skylake);
         let map = infer(MicroArch::Skylake, "ADD", "R64, M64");

@@ -352,48 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn adc_on_haswell_is_not_two_identical_uops() {
-        // §5.1: the naive interpretation concludes 2*p0156; Algorithm 1 finds
-        // 1*p0156 + 1*p06.
-        let (backend, catalog, blocking) = setup(MicroArch::Haswell);
-        let pu = infer(&backend, &catalog, &blocking, "ADC", "R64, R64");
-        assert_eq!(pu.uops_for(PortSet::of(&[0, 6])), 1, "{pu}");
-        assert_eq!(pu.uops_for(PortSet::of(&[0, 1, 5, 6])), 1, "{pu}");
-    }
-
-    #[test]
-    fn pblendvb_on_nehalem_is_two_uops_on_p05() {
-        // §5.1: 2*p05, not 1*p0 + 1*p5.
-        let (backend, catalog, blocking) = setup(MicroArch::Nehalem);
-        let pu = infer(&backend, &catalog, &blocking, "PBLENDVB", "XMM, XMM");
-        assert_eq!(pu.uops_for(PortSet::of(&[0, 5])), 2, "{pu}");
-        assert_eq!(pu.total_uops(), 2);
-    }
-
-    #[test]
-    fn movq2dq_on_skylake_second_uop_uses_three_ports() {
-        // §7.3.3: 1*p0 + 1*p015.
-        let (backend, catalog, blocking) = setup(MicroArch::Skylake);
-        let pu = infer(&backend, &catalog, &blocking, "MOVQ2DQ", "XMM, MM");
-        assert_eq!(pu.uops_for(PortSet::of(&[0])), 1, "{pu}");
-        assert_eq!(pu.uops_for(PortSet::of(&[0, 1, 5])), 1, "{pu}");
-    }
-
-    #[test]
-    fn movdq2q_on_haswell_and_sandy_bridge() {
-        // §7.3.4.
-        let (backend, catalog, blocking) = setup(MicroArch::Haswell);
-        let pu = infer(&backend, &catalog, &blocking, "MOVDQ2Q", "MM, XMM");
-        assert_eq!(pu.uops_for(PortSet::of(&[5])), 1, "HSW: {pu}");
-        assert_eq!(pu.uops_for(PortSet::of(&[0, 1, 5])), 1, "HSW: {pu}");
-
-        let (backend, catalog, blocking) = setup(MicroArch::SandyBridge);
-        let pu = infer(&backend, &catalog, &blocking, "MOVDQ2Q", "MM, XMM");
-        assert_eq!(pu.uops_for(PortSet::of(&[5])), 1, "SNB: {pu}");
-        assert_eq!(pu.uops_for(PortSet::of(&[0, 1, 5])), 1, "SNB: {pu}");
-    }
-
-    #[test]
     fn isolation_profile_reports_ports() {
         let backend = SimBackend::new(MicroArch::Skylake);
         let catalog = Catalog::intel_core();

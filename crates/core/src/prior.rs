@@ -204,26 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_port_usage_misattributes_pblendvb_on_nehalem() {
-        // §5.1: the naive method sees 1 µop on port 0 and 1 µop on port 5 and
-        // concludes 1*p0 + 1*p5 — it cannot see that both µops may use both
-        // ports.
-        let backend = SimBackend::new(MicroArch::Nehalem);
-        let catalog = Catalog::intel_core();
-        let naive = naive_port_usage(
-            &backend,
-            &desc(&catalog, "PBLENDVB", "XMM, XMM"),
-            &MeasurementConfig::fast(),
-        )
-        .unwrap();
-        assert_eq!(naive.interpretation.total_uops(), 2);
-        // The naive interpretation concludes 1*p0 + 1*p5, which differs from
-        // the true usage 2*p05.
-        assert_eq!(naive.interpretation, PortUsage::parse("1*p0+1*p5").unwrap());
-        assert_ne!(naive.interpretation, PortUsage::parse("2*p05").unwrap());
-    }
-
-    #[test]
     fn naive_port_usage_matches_simple_instructions() {
         // For a plain 1-µop ALU instruction the naive interpretation is
         // usually right (one µop spread over the ALU ports).
@@ -236,42 +216,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(naive.interpretation.to_string(), "1*p5");
-    }
-
-    #[test]
-    fn naive_latency_explains_the_shld_discrepancy_on_nehalem() {
-        // §7.3.2: same-register measurements (Granlund/AIDA64) see 4 cycles,
-        // destination-chain measurements (Fog) see 3 cycles on Nehalem.
-        let backend = SimBackend::new(MicroArch::Nehalem);
-        let catalog = Catalog::intel_core();
-        let naive = naive_latency(
-            &backend,
-            &desc(&catalog, "SHLD", "R64, R64, I8"),
-            &MeasurementConfig::fast(),
-        )
-        .unwrap();
-        let same = naive.same_register.expect("same-register value");
-        let dest = naive.destination_chain.expect("destination-chain value");
-        assert!((same - 4.0).abs() < 0.6, "same-register latency = {same}");
-        assert!((dest - 3.0).abs() < 0.6, "destination-chain latency = {dest}");
-    }
-
-    #[test]
-    fn naive_latency_on_skylake_shld_gives_one_cycle_for_same_register() {
-        // §7.3.2: on Skylake the same-register measurement yields 1 cycle,
-        // which is what Granlund and AIDA64 report.
-        let backend = SimBackend::new(MicroArch::Skylake);
-        let catalog = Catalog::intel_core();
-        let naive = naive_latency(
-            &backend,
-            &desc(&catalog, "SHLD", "R64, R64, I8"),
-            &MeasurementConfig::fast(),
-        )
-        .unwrap();
-        let same = naive.same_register.expect("same-register value");
-        assert!((same - 1.0).abs() < 0.5, "same-register latency = {same}");
-        let dest = naive.destination_chain.expect("destination-chain value");
-        assert!((dest - 3.0).abs() < 0.6, "destination-chain latency = {dest}");
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub mod service;
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use uops_db::plan::decode_component;
@@ -617,19 +617,27 @@ impl Server {
     /// [`Server::spawn`] wrapped it); returns when every shard has
     /// observed the signal.
     pub fn run(self) {
+        let started = Arc::new(Barrier::new(self.shards.len()));
+        self.run_shards(started);
+    }
+
+    /// [`Server::run`], with every shard waiting on `started` once it has
+    /// entered its loop.
+    fn run_shards(self, started: Arc<Barrier>) {
         let mut shards = self.shards.into_iter();
         let first = shards.next();
         let rest: Vec<_> = shards
             .enumerate()
             .map(|(at, shard)| {
+                let started = Arc::clone(&started);
                 std::thread::Builder::new()
                     .name(format!("uops-serve-shard-{}", at + 1))
-                    .spawn(move || shard.run())
+                    .spawn(move || shard.run(&started))
                     .expect("spawn reactor shard")
             })
             .collect();
         if let Some(shard) = first {
-            shard.run();
+            shard.run(&started);
         }
         for handle in rest {
             let _ = handle.join();
@@ -638,15 +646,20 @@ impl Server {
 
     /// Moves the event loops to background threads, returning a handle
     /// for address discovery and graceful shutdown (tests, benchmarks,
-    /// embedding).
+    /// embedding). Returns once every shard has started its loop, so no
+    /// shard start-up (thread, event buffer) lands after the caller
+    /// begins using the server.
     #[must_use]
     pub fn spawn(self) -> ServerHandle {
         let local_addr = self.local_addr;
         let shutdown = Arc::clone(&self.shutdown);
+        let started = Arc::new(Barrier::new(self.shards.len() + 1));
+        let run_started = Arc::clone(&started);
         let run_thread = std::thread::Builder::new()
             .name("uops-serve-shard-0".into())
-            .spawn(move || self.run())
+            .spawn(move || self.run_shards(run_started))
             .expect("spawn shard thread");
+        started.wait();
         ServerHandle { local_addr, shutdown, run_thread }
     }
 }

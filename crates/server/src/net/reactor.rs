@@ -78,7 +78,7 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::mpsc::TrySendError;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::http::{self, WriteProgress};
@@ -509,9 +509,12 @@ impl Shard {
 
     /// The event loop: wait, dispatch readiness, accept, expire idle
     /// connections; returns once the shutdown signal is raised (closing
-    /// every connection this shard owns).
-    pub(crate) fn run(mut self) {
+    /// every connection this shard owns). Waits on `started` once its
+    /// event buffer is allocated, so whoever else waits there knows the
+    /// shard has done its start-up allocations.
+    pub(crate) fn run(mut self, started: &Barrier) {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; EVENTS_PER_WAIT];
+        started.wait();
         let mut draining = false;
         loop {
             std::mem::swap(&mut self.yielded, &mut self.turn);

@@ -198,30 +198,6 @@ fn steady_state_keep_alive_requests_allocate_nothing() {
         String::from_utf8_lossy(&batch_response)
     );
 
-    // A shard allocates as it starts (its thread and its event buffer),
-    // and `spawn` does not wait for that: under CPU contention the shard
-    // this connection did not land on may start inside the window. So
-    // open idle probe connections until `/v1/stats` shows every shard has
-    // accepted one (a probe sends nothing, so the request counters stay
-    // exact); the probes stay open until the window closes.
-    let stats_get = b"GET /v1/stats HTTP/1.1\r\nHost: a\r\n\r\n";
-    let mut probes = Vec::new();
-    loop {
-        stream.write_all(stats_get).expect("stats probe");
-        let stats = String::from_utf8_lossy(&read_response(&mut stream, true)).to_string();
-        let accepted = stats.split("\"accepted\": [").nth(1).expect("per-shard accepted counts");
-        let accepted: Vec<usize> = accepted[..accepted.find(']').expect("]")]
-            .split(", ")
-            .map(|n| n.parse().expect("count"))
-            .collect();
-        if accepted.iter().sum::<usize>() == 1 + probes.len() {
-            if !accepted.contains(&0) {
-                break;
-            }
-            probes.push(TcpStream::connect(addr).expect("connect probe"));
-        }
-    }
-
     // Telemetry is on by default — prove it is live before the measured
     // window (the scrape itself allocates, which is why it sits outside).
     let metrics_get = b"GET /metrics HTTP/1.1\r\nHost: a\r\n\r\n".to_vec();
@@ -266,7 +242,7 @@ fn steady_state_keep_alive_requests_allocate_nothing() {
 
     // Close the client first so the shard sees EOF instead of sitting
     // out the idle keep-alive timeout.
-    drop((stream, probes));
+    drop(stream);
     handle.shutdown();
 }
 

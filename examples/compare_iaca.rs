@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = CharacterizationEngine::with_config(&catalog, arch, EngineConfig::fast());
 
     // Characterize a sample of the catalog (every 12th variant) to keep the
-    // example quick; `uops-bench`'s `table1` binary does the full sweep.
+    // example quick; `uops-bench`'s `paper` binary does the full sweep.
     let report = engine.characterize_matching(&backend, |d| d.uid % 12 == 0);
     println!(
         "characterized {} variants on {} ({} skipped)",

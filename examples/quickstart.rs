@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "\nDone. See `examples/latency_matrix.rs` and `examples/port_usage_survey.rs` for more."
+        "\nDone. `cargo run --release -p uops-bench --bin paper` reproduces the paper's findings."
     );
     Ok(())
 }
