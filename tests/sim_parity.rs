@@ -3,16 +3,18 @@
 //! `Pipeline::execute` is the hot path of every characterization, and its
 //! counters are the only thing the inference ever sees. A speed-up of the
 //! simulator is only a speed-up if every counter of every run stays the
-//! same. These tests fold the counters (and, one level up, the canonical
-//! snapshot bytes of a characterization sweep) into FNV-1a digests, one per
-//! microarchitecture, and compare them with digests recorded from the
-//! reference implementation.
+//! same. These tests fold the counters (and, one level up, the latency maps
+//! of the §5.2 chains and the canonical snapshot bytes of a
+//! characterization sweep) into FNV-1a digests, one per microarchitecture,
+//! and compare them with digests recorded from the reference
+//! implementation.
 //!
 //! On a mismatch the assertion prints every digest the current code
 //! produces, so a deliberate change of simulator semantics can re-record
 //! the constants in one step (and must say so in its change log).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use uops_info::core_::codegen::independent_copies;
 use uops_info::pipeline::SimOptions;
@@ -47,6 +49,41 @@ const SNAPSHOT_DIGESTS: [u64; 9] = [
     0x955d_06c8_fc2b_3773,
 ];
 
+/// Digests of every `LatencyAnalyzer::infer` entry under
+/// `MeasurementConfig::fast()` over [`latency_sample`], in `MicroArch::ALL`
+/// order.
+const LATENCY_DIGESTS: [u64; 9] = [
+    0x6f78_e83d_2097_30d9,
+    0xd7f0_5b12_275a_ea24,
+    0xb9a7_9d85_b8ff_acab,
+    0x6721_bd31_474f_1f0f,
+    0xfe5f_96a5_514e_fabf,
+    0x717a_3838_0ba4_7dcf,
+    0x9c9e_edff_3de0_a0ef,
+    0x9c9e_edff_3de0_a0ef,
+    0x9c9e_edff_3de0_a0ef,
+];
+
+/// Variants that reach each §5.2 chain kind the stride alone may miss:
+/// divider low values, flags, GPR → flags, cross-file, MMX, load, store and
+/// same-register chains.
+const LATENCY_NAMED: [(&str, &str); 14] = [
+    ("DIV", "R32"),
+    ("IDIV", "R64"),
+    ("SQRTSD", "XMM, XMM"),
+    ("CMC", ""),
+    ("SETNZ", "R8"),
+    ("CMOVNZ", "R64, R64"),
+    ("ROL", "R64, CL"),
+    ("MOVQ2DQ", "XMM, MM"),
+    ("MOVDQ2Q", "MM, XMM"),
+    ("PSHUFW", "MM, MM, I8"),
+    ("ADD", "R64, M64"),
+    ("MOV", "M64, R64"),
+    ("SHLD", "R64, R64, I8"),
+    ("XADD", "R64, R64"),
+];
+
 /// 64-bit FNV-1a.
 struct Fnv(u64);
 
@@ -64,6 +101,10 @@ impl Fnv {
 
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
     }
 
     fn counters(&mut self, c: &PerfCounters) {
@@ -141,6 +182,59 @@ fn snapshot_digest(catalog: &Catalog, arch: MicroArch) -> u64 {
     h.0
 }
 
+/// Every 13th catalog variant plus [`LATENCY_NAMED`], in catalog order.
+fn latency_sample(catalog: &Catalog) -> Vec<Arc<InstructionDesc>> {
+    for (mnemonic, variant) in LATENCY_NAMED {
+        assert!(catalog.find_variant(mnemonic, variant).is_some(), "{mnemonic} ({variant})");
+    }
+    catalog
+        .iter_arcs()
+        .filter(|d| {
+            d.uid % 13 == 0
+                || LATENCY_NAMED.iter().any(|&(m, v)| d.mnemonic == m && d.variant() == v)
+        })
+        .cloned()
+        .collect()
+}
+
+/// Folds the chain calibration and every field of every latency entry the
+/// analyzer infers for the supported variants of the sample; a variant the
+/// analyzer rejects folds a marker.
+fn latency_digest(catalog: &Catalog, arch: MicroArch) -> u64 {
+    let backend = SimBackend::new(arch);
+    let engine = CharacterizationEngine::with_config(catalog, arch, EngineConfig::fast());
+    let analyzer = LatencyAnalyzer::new(&backend, catalog, MeasurementConfig::fast())
+        .expect("chain instructions are in the catalog");
+    let cal = analyzer.calibration();
+    let mut h = Fnv::new();
+    for v in [cal.movsx, cal.pshufd, cal.shufps, cal.pshufw, cal.cmov_flags_to_reg] {
+        h.f64(v);
+    }
+    for desc in latency_sample(catalog) {
+        if engine.supports(&desc).is_some() {
+            continue;
+        }
+        h.u64(desc.uid as u64);
+        let Ok(map) = analyzer.infer(&desc) else {
+            h.u64(u64::MAX);
+            continue;
+        };
+        for (&(s, d), v) in map.iter() {
+            h.u64(s as u64);
+            h.u64(d as u64);
+            h.f64(v.cycles);
+            h.bytes(&[u8::from(v.is_upper_bound)]);
+            for opt in [v.same_register_cycles, v.low_value_cycles] {
+                match opt {
+                    Some(c) => h.f64(c),
+                    None => h.bytes(&[0xff]),
+                }
+            }
+        }
+    }
+    h.0
+}
+
 /// `digest` for every microarchitecture, one worker per core.
 fn per_arch(digest: impl Fn(MicroArch) -> u64 + Sync) -> [u64; 9] {
     let digests = parallel_map(Parallelism::Auto, &MicroArch::ALL, |&arch| digest(arch));
@@ -161,6 +255,13 @@ fn simulator_counters_match_reference_digests() {
     let catalog = Catalog::intel_core();
     let actual = per_arch(|arch| counter_digest(&catalog, arch));
     check("counter", &COUNTER_DIGESTS, &actual);
+}
+
+#[test]
+fn latency_maps_match_reference_digests() {
+    let catalog = Catalog::intel_core();
+    let actual = per_arch(|arch| latency_digest(&catalog, arch));
+    check("latency", &LATENCY_DIGESTS, &actual);
 }
 
 #[test]
