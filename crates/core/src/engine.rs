@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use uops_isa::{Catalog, InstructionDesc};
 use uops_measure::{MeasurementBackend, MeasurementConfig};
 use uops_pool::{parallel_map_indexed_with, Parallelism};
-use uops_uarch::MicroArch;
+use uops_uarch::{MicroArch, UarchConfig};
 
 use crate::blocking::{BlockingInstructions, VectorWorld};
 use crate::error::CoreError;
@@ -29,24 +29,23 @@ use crate::prior::{naive_from_isolation, NaivePortUsage};
 use crate::throughput::{measure_throughput, throughput_from_port_usage, Throughput};
 
 /// Configuration of the characterization engine.
+///
+/// Every profile carries the prior-work baseline (the naive port usage of
+/// §5.1) as well: it is read off the isolation measurement that Algorithm 1
+/// takes anyway, so it costs no simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// The measurement configuration used for all microbenchmarks.
+    /// The measurement configuration used for all microbenchmarks, including
+    /// the one-time setup (blocking instructions, chain calibration).
     pub measurement: MeasurementConfig,
     /// Maximum latency assumed for Algorithm 1 if the latency could not be
     /// measured.
     pub default_max_latency: u32,
-    /// Also run the prior-work baseline (naive port usage) for comparison.
-    pub include_naive_baseline: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            measurement: MeasurementConfig::default(),
-            default_max_latency: 12,
-            include_naive_baseline: true,
-        }
+        EngineConfig { measurement: MeasurementConfig::default(), default_max_latency: 12 }
     }
 }
 
@@ -77,7 +76,8 @@ pub struct InstructionProfile {
     pub uop_count: u32,
     /// Port usage inferred by Algorithm 1.
     pub port_usage: PortUsage,
-    /// Port usage concluded by the prior-work methodology, if requested.
+    /// Port usage concluded by the prior-work methodology (always present
+    /// in profiles the engine makes).
     pub naive_port_usage: Option<NaivePortUsage>,
     /// Latency for every measured operand pair.
     pub latency: LatencyMap,
@@ -193,11 +193,13 @@ type SweepItem = (usize, Option<String>);
 /// entry.
 type SweepOutcome = Result<InstructionProfile, (String, String)>;
 
-/// Cached per-backend state (blocking instructions and chain calibration).
+/// Cached per-backend state (blocking instructions and chain calibration),
+/// with the backend configuration it was measured on.
 struct Setup {
     blocking_sse: BlockingInstructions,
     blocking_avx: BlockingInstructions,
     calibration: ChainCalibration,
+    config: UarchConfig,
 }
 
 /// The characterization engine for one catalog and one microarchitecture.
@@ -205,9 +207,11 @@ pub struct CharacterizationEngine<'a> {
     catalog: &'a Catalog,
     arch: MicroArch,
     config: EngineConfig,
-    /// One-time per-backend setup. `OnceLock` makes the steady-state read
-    /// path lock-free, so parallel sweep workers never contend; `setup_init`
-    /// only serializes the (rare, fallible) initialization itself.
+    /// One-time setup, measured on the first backend that matches `arch`;
+    /// every later backend must have the same configuration. `OnceLock`
+    /// makes the steady-state read path lock-free, so parallel sweep workers
+    /// never contend; `setup_init` only serializes the (rare, fallible)
+    /// initialization itself.
     setup: OnceLock<Setup>,
     setup_init: Mutex<()>,
 }
@@ -266,13 +270,43 @@ impl<'a> CharacterizationEngine<'a> {
         None
     }
 
+    /// The one-time setup, after checking that `backend` measures this
+    /// engine's microarchitecture with the configuration the setup was
+    /// measured on. The check comes first, so a mismatched backend never
+    /// fills the setup.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BackendMismatch`] for a mismatched backend, or
+    /// the error of the setup's measurements.
     fn setup<B: MeasurementBackend + ?Sized>(&self, backend: &B) -> Result<&Setup, CoreError> {
-        // Fast path: already initialized, no lock, no contention.
-        if let Some(setup) = self.setup.get() {
-            return Ok(setup);
+        let mismatch = |reason| CoreError::BackendMismatch { engine: self.arch, reason };
+        if backend.arch() != self.arch {
+            return Err(mismatch(format!("it measures {}", backend.arch())));
         }
-        // Slow path: serialize initializers so the (expensive) blocking
-        // discovery and calibration run at most once even under races.
+        let config = backend.config();
+        // Fast path: already initialized, no lock, no contention.
+        let setup = match self.setup.get() {
+            Some(setup) => setup,
+            None => self.init_setup(backend, config.clone())?,
+        };
+        if setup.config != config {
+            return Err(mismatch(
+                "its configuration differs from the one the setup was measured on".to_string(),
+            ));
+        }
+        Ok(setup)
+    }
+
+    /// Measures the setup on `backend`, whose configuration is `config`,
+    /// unless another thread got there first.
+    fn init_setup<B: MeasurementBackend + ?Sized>(
+        &self,
+        backend: &B,
+        config: UarchConfig,
+    ) -> Result<&Setup, CoreError> {
+        // Serialize initializers so the (expensive) blocking discovery and
+        // calibration run at most once even under races.
         let _guard = self.setup_init.lock().expect("setup init mutex");
         if let Some(setup) = self.setup.get() {
             return Ok(setup);
@@ -294,6 +328,7 @@ impl<'a> CharacterizationEngine<'a> {
             blocking_sse,
             blocking_avx,
             calibration: analyzer.calibration(),
+            config,
         });
         Ok(self.setup.get().expect("setup was just initialized"))
     }
@@ -303,7 +338,9 @@ impl<'a> CharacterizationEngine<'a> {
     /// # Errors
     ///
     /// Returns an error if the variant is not supported on this
-    /// microarchitecture or a microbenchmark could not be constructed.
+    /// microarchitecture, the backend does not match the engine
+    /// ([`CoreError::BackendMismatch`]), or a microbenchmark could not be
+    /// constructed.
     pub fn characterize_variant<B: MeasurementBackend + ?Sized>(
         &self,
         backend: &B,
@@ -335,11 +372,11 @@ impl<'a> CharacterizationEngine<'a> {
     ) -> Result<InstructionProfile, CoreError> {
         let desc: &InstructionDesc = arc;
 
-        // Isolation profile, measured once: µop count, (optionally) the naive
-        // baseline, and step 0 of Algorithm 1.
+        // Isolation profile, measured once: µop count, the naive baseline,
+        // and step 0 of Algorithm 1.
         let isolation = isolation_profile(backend, arc, &self.config.measurement)?;
         let uop_count = isolation.rounded_uops();
-        let naive = self.config.include_naive_baseline.then(|| naive_from_isolation(&isolation));
+        let naive = naive_from_isolation(&isolation);
 
         // Latency.
         let latency = analyzer.infer(arc).unwrap_or_default();
@@ -369,7 +406,7 @@ impl<'a> CharacterizationEngine<'a> {
         let mut throughput =
             measure_throughput(backend, self.catalog, arc, &self.config.measurement)?;
         throughput.from_port_usage =
-            throughput_from_port_usage(&port_usage, desc, backend.config().port_count);
+            throughput_from_port_usage(&port_usage, desc, setup.config.port_count);
 
         Ok(InstructionProfile {
             uid: desc.uid,
@@ -379,7 +416,7 @@ impl<'a> CharacterizationEngine<'a> {
             arch: self.arch,
             uop_count,
             port_usage,
-            naive_port_usage: naive,
+            naive_port_usage: Some(naive),
             latency,
             throughput,
         })
@@ -463,8 +500,9 @@ impl<'a> CharacterizationEngine<'a> {
 
         // Build the shared setup once, before running, so parallel workers
         // only ever hit the lock-free `OnceLock::get` path. If nothing needs
-        // characterization the setup is skipped entirely; if it fails, every
-        // candidate records the error.
+        // characterization the setup is skipped entirely; if it fails (or the
+        // backend does not match the engine), every candidate records the
+        // error.
         let setup = if items.iter().any(|(_, skip)| skip.is_none()) {
             match self.setup(backend) {
                 Ok(setup) => Some(setup),
@@ -528,19 +566,16 @@ impl<'a> CharacterizationEngine<'a> {
             .map_err(|e| (arc.full_name(), e.to_string()))
     }
 
-    /// Characterizes the entire catalog.
-    pub fn characterize_all<B: MeasurementBackend + ?Sized>(
-        &self,
-        backend: &B,
-    ) -> CharacterizationReport {
-        self.characterize_matching(backend, |_| true)
-    }
-
     /// Scans for dependency-breaking idioms (§7.3.6): instructions with two
     /// identical register source operands whose same-register latency chain
     /// collapses (the result does not depend on the source).
     ///
     /// Returns the uids of the detected idioms.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BackendMismatch`] if the backend does not match
+    /// the engine, or the error of the one-time setup.
     pub fn zero_idiom_scan<B: MeasurementBackend + ?Sized>(
         &self,
         backend: &B,
@@ -595,6 +630,60 @@ mod tests {
         let computed = profile.throughput.from_port_usage.unwrap();
         assert!((computed - 0.25).abs() < 1e-9);
         assert!(profile.naive_port_usage.is_some());
+    }
+
+    #[test]
+    fn a_mismatched_backend_is_an_error_and_leaves_the_setup_empty() {
+        let catalog = Catalog::intel_core();
+        let engine =
+            CharacterizationEngine::with_config(&catalog, MicroArch::Skylake, EngineConfig::fast());
+        let add = catalog.find_variant("ADD", "R64, R64").unwrap();
+        let nehalem = SimBackend::new(MicroArch::Nehalem);
+        let reason = engine.characterize_variant(&nehalem, add).unwrap_err();
+        assert!(
+            matches!(reason, CoreError::BackendMismatch { engine: MicroArch::Skylake, .. }),
+            "{reason}"
+        );
+        assert_eq!(engine.zero_idiom_scan(&nehalem, std::iter::once(add)), Err(reason.clone()));
+        let add_and_sub = |d: &InstructionDesc| {
+            matches!(d.mnemonic.as_str(), "ADD" | "SUB") && d.variant() == "R64, R64"
+        };
+        for report in [
+            engine.characterize_matching(&nehalem, add_and_sub),
+            engine.characterize_matching_parallel(&nehalem, add_and_sub, Parallelism::Fixed(2)),
+        ] {
+            assert_eq!(report.characterized_count(), 0);
+            let reasons: Vec<String> = report.skipped.into_iter().map(|(_, r)| r).collect();
+            assert_eq!(reasons, vec![reason.to_string(); 2]);
+        }
+
+        // The setup is measured on the first matching backend.
+        let skylake = SimBackend::new(MicroArch::Skylake);
+        let profile = engine.characterize_variant(&skylake, add).unwrap();
+        assert_eq!(profile.port_usage.to_string(), "1*p0156");
+
+        // A Skylake backend with another configuration does not match it.
+        struct Widened(SimBackend);
+        impl MeasurementBackend for Widened {
+            fn arch(&self) -> MicroArch {
+                self.0.arch()
+            }
+            fn config(&self) -> UarchConfig {
+                UarchConfig { issue_width: 6, ..self.0.config() }
+            }
+            fn run(
+                &self,
+                code: &uops_asm::CodeSequence,
+                ctx: uops_measure::RunContext,
+            ) -> uops_measure::PerfCounters {
+                self.0.run(code, ctx)
+            }
+        }
+        let widened = Widened(skylake);
+        assert!(matches!(
+            engine.characterize_variant(&widened, add),
+            Err(CoreError::BackendMismatch { engine: MicroArch::Skylake, .. })
+        ));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use uops_asm::AsmError;
-use uops_uarch::PortSet;
+use uops_uarch::{MicroArch, PortSet};
 
 /// Errors produced by the characterization algorithms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,6 +34,15 @@ pub enum CoreError {
         /// Why it is unsupported.
         reason: String,
     },
+    /// The backend passed to an engine measures another microarchitecture,
+    /// or with another configuration than the one the engine's one-time
+    /// setup was measured on.
+    BackendMismatch {
+        /// The engine's microarchitecture.
+        engine: MicroArch,
+        /// How the backend differs.
+        reason: String,
+    },
     /// An error from the assembler layer.
     Asm(AsmError),
 }
@@ -52,6 +61,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::Unsupported { instruction, reason } => {
                 write!(f, "{instruction} cannot be characterized: {reason}")
+            }
+            CoreError::BackendMismatch { engine, reason } => {
+                write!(f, "backend does not match the {engine} engine: {reason}")
             }
             CoreError::Asm(e) => write!(f, "assembler error: {e}"),
         }
@@ -85,6 +97,11 @@ mod tests {
         assert!(e.to_string().contains("p05"));
         let e = CoreError::Unsupported { instruction: "HLT".into(), reason: "system".into() };
         assert!(e.to_string().contains("HLT"));
+        let e = CoreError::BackendMismatch {
+            engine: MicroArch::Skylake,
+            reason: "it measures Nehalem".into(),
+        };
+        assert!(e.to_string().contains("Skylake") && e.to_string().contains("Nehalem"));
         let asm = CoreError::Asm(AsmError::OutOfRegisters { class: "XMM".into() });
         assert!(asm.source().is_some());
         fn assert_error<E: Error + Send + Sync + 'static>() {}

@@ -4,10 +4,32 @@
 //! (source operand, destination operand) pairs to cycle counts: `lat(s, d)`
 //! is the time from the source operand becoming ready until the destination
 //! operand is ready, assuming all other dependencies are off the critical
-//! path. The mapping is measured by constructing, for every pair, a
-//! dependency chain from the destination back to the source — using chain
-//! instructions whose own latency is calibrated separately — and breaking
-//! every other dependency with dependency-breaking instructions.
+//! path.
+//!
+//! Every pair is measured as a chain: one iteration of a dependency chain
+//! from the destination back to the source, closed by chain instructions
+//! whose own latency is calibrated once per backend ([`ChainCalibration`]),
+//! with every other dependency broken by dependency-breaking instructions.
+//! One builder per §5.2 case makes the chain (or the candidate chains) of a
+//! pair, and the measured cycles per iteration become the latency as
+//! follows:
+//!
+//! | case | closing instructions | latency | upper bound |
+//! |---|---|---|---|
+//! | `s == d`, flags → flags | none (self chain) | cycles | no |
+//! | GPR → GPR | `MOVSX` | cycles − `movsx`, clamped at 0 | no |
+//! | vector → vector | `PSHUFD`, `SHUFPS` | min over both of cycles − `pshufd` / `shufps`, each clamped at 0 | no |
+//! | MMX → MMX | `PSHUFW` | cycles − `pshufw`, clamped at 0 | no |
+//! | memory → register (§5.2.2) | `XOR` twice on the base register, after a `MOVQ` to a GPR for vector/MMX destinations | cycles − 2, clamped at 0 | unless the destination is a GPR |
+//! | register → memory (§5.2.4) | a load from the stored cell | cycles (a store-load round trip) | yes |
+//! | flags → GPR (§5.2.3) | `TEST r, r` | cycles − 1, clamped at 0 | no |
+//! | GPR → flags | `CMOVNZ r, r` | cycles − `cmov_flags_to_reg`, clamped at 0 | if the source is also written |
+//! | other register files | the first three cross-file moves that bind | (min cycles) − 1, clamped at 0 | yes |
+//! | same register (§5.2.1) | none (both operands bound to one register) | cycles | — |
+//!
+//! The chains are built once. Divider instructions measure the self, GPR,
+//! vector and MMX chains again with operand values that give the low
+//! latency (§5.2.5).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -15,7 +37,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use uops_asm::{variant_arc, CodeSequence, Inst, Op, RegisterPool};
+use uops_asm::{variant_arc, CodeSequence, Inst, MemOperand, Op, RegisterPool};
 use uops_isa::{Catalog, InstructionDesc, OperandKind, RegClass, RegFile, Register, Width};
 use uops_measure::{measure, MeasurementBackend, MeasurementConfig, RunContext};
 
@@ -149,6 +171,33 @@ pub struct ChainCalibration {
     pub cmov_flags_to_reg: f64,
 }
 
+/// A latency microbenchmark: one iteration of a dependency chain from the
+/// destination operand back to the source operand of the instruction under
+/// test.
+struct Chain {
+    /// The instruction under test, the instructions closing the chain, and
+    /// the breakers of every dependency outside it.
+    body: CodeSequence,
+    /// Calibrated cycles of the closing instructions, subtracted from the
+    /// measured cycles.
+    offset: f64,
+    /// The chain yields only an upper bound of the latency.
+    upper_bound: bool,
+}
+
+/// How a case turns the cycles of its candidate chains into one latency.
+#[derive(Clone, Copy)]
+enum Combine {
+    /// The cycles of the one chain, as measured.
+    Measured,
+    /// The minimum over the candidates of their cycles minus their offset,
+    /// each clamped at 0.
+    MinOfClamped,
+    /// The minimum cycles over the candidates minus the (common) offset,
+    /// clamped at 0.
+    ClampedMin,
+}
+
 /// The latency analyzer: owns the calibration of the chain instructions and
 /// infers latency mappings for arbitrary instruction variants.
 pub struct LatencyAnalyzer<'a, B: ?Sized> {
@@ -170,9 +219,13 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         catalog: &'a Catalog,
         config: MeasurementConfig,
     ) -> Result<Self, CoreError> {
-        let mut analyzer =
-            LatencyAnalyzer { backend, catalog, config, calibration: ChainCalibration::default() };
-        analyzer.calibrate()?;
+        let mut analyzer = LatencyAnalyzer::with_calibration(
+            backend,
+            catalog,
+            config,
+            ChainCalibration::default(),
+        );
+        analyzer.calibration = analyzer.calibrate()?;
         Ok(analyzer)
     }
 
@@ -194,91 +247,53 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         self.calibration
     }
 
-    fn ctx(&self) -> RunContext {
-        RunContext::default()
-    }
-
     fn measure_cycles(&self, seq: &CodeSequence, ctx: RunContext) -> f64 {
         measure(self.backend, seq, &self.config, ctx).cycles
     }
 
-    fn calibrate(&mut self) -> Result<(), CoreError> {
-        // MOVSX r64, r16 alternating between two registers.
-        let movsx = variant_arc(self.catalog, "MOVSX", "R64, R16")?;
-        let a = Register::gpr(uops_isa::gpr::RBX, Width::W64);
-        let b = Register::gpr(uops_isa::gpr::RSI, Width::W64);
-        let mut pool = RegisterPool::new();
-        let mut seq = CodeSequence::new();
-        for i in 0..2 {
-            let (dst, src) = if i % 2 == 0 { (a, b) } else { (b, a) };
-            let mut assign = BTreeMap::new();
-            assign.insert(0, Op::Reg(dst));
-            assign.insert(1, Op::Reg(src.with_width(Width::W16)));
-            seq.push(Inst::bind(&movsx, &assign, &mut pool)?);
-        }
-        self.calibration.movsx = self.measure_cycles(&seq, self.ctx()) / 2.0;
-
-        // Vector shuffles alternating between two registers.
-        let xmm_a = Register::vec(1, Width::W128);
-        let xmm_b = Register::vec(2, Width::W128);
-        for (field, mnemonic, variant) in
-            [(0usize, "PSHUFD", "XMM, XMM, I8"), (1usize, "SHUFPS", "XMM, XMM, I8")]
-        {
-            let desc = variant_arc(self.catalog, mnemonic, variant)?;
-            let mut pool = RegisterPool::new();
-            let mut seq = CodeSequence::new();
-            for i in 0..2 {
-                let (dst, src) = if i % 2 == 0 { (xmm_a, xmm_b) } else { (xmm_b, xmm_a) };
-                let mut assign = BTreeMap::new();
-                assign.insert(0, Op::Reg(dst));
-                assign.insert(1, Op::Reg(src));
-                assign.insert(2, Op::Imm(0));
-                seq.push(Inst::bind(&desc, &assign, &mut pool)?);
-            }
-            let value = self.measure_cycles(&seq, self.ctx()) / 2.0;
-            if field == 0 {
-                self.calibration.pshufd = value;
-            } else {
-                self.calibration.shufps = value;
-            }
-        }
-
-        // MMX shuffle.
-        let pshufw = variant_arc(self.catalog, "PSHUFW", "MM, MM, I8")?;
-        let mm_a = Register::mmx(1);
-        let mm_b = Register::mmx(2);
-        let mut pool = RegisterPool::new();
-        let mut seq = CodeSequence::new();
-        for i in 0..2 {
-            let (dst, src) = if i % 2 == 0 { (mm_a, mm_b) } else { (mm_b, mm_a) };
-            let mut assign = BTreeMap::new();
-            assign.insert(0, Op::Reg(dst));
-            assign.insert(1, Op::Reg(src));
-            assign.insert(2, Op::Imm(0));
-            seq.push(Inst::bind(&pshufw, &assign, &mut pool)?);
-        }
-        self.calibration.pshufw = self.measure_cycles(&seq, self.ctx()) / 2.0;
+    fn calibrate(&self) -> Result<ChainCalibration, CoreError> {
+        let gpr = |index| Register::gpr(index, Width::W64);
+        let xmm = |index| Register::vec(index, Width::W128);
+        let (rbx, rsi) = (gpr(uops_isa::gpr::RBX), gpr(uops_isa::gpr::RSI));
 
         // Flags → register through CMOVNZ, calibrated with a TEST-based
         // producer whose register → flags latency is taken to be 1 cycle.
         let test = variant_arc(self.catalog, "TEST", "R64, R64")?;
         let cmov = variant_arc(self.catalog, "CMOVNZ", "R64, R64")?;
-        let r = Register::gpr(uops_isa::gpr::RBX, Width::W64);
-        let other = Register::gpr(uops_isa::gpr::RSI, Width::W64);
         let mut pool = RegisterPool::new();
-        let mut seq = CodeSequence::new();
-        let mut assign = BTreeMap::new();
-        assign.insert(0, Op::Reg(r));
-        assign.insert(1, Op::Reg(r));
-        seq.push(Inst::bind(&test, &assign, &mut pool)?);
-        let mut assign = BTreeMap::new();
-        assign.insert(0, Op::Reg(r));
-        assign.insert(1, Op::Reg(other));
-        seq.push(Inst::bind(&cmov, &assign, &mut pool)?);
-        let cycle = self.measure_cycles(&seq, self.ctx());
-        self.calibration.cmov_flags_to_reg = (cycle - 1.0).max(0.5);
+        let flags_chain: CodeSequence = [
+            chain_instruction(&test, rbx, rbx, &mut pool)?,
+            chain_instruction(&cmov, rbx, rsi, &mut pool)?,
+        ]
+        .into_iter()
+        .collect();
 
-        Ok(())
+        Ok(ChainCalibration {
+            movsx: self.alternating("MOVSX", "R64, R16", rbx, rsi)?,
+            pshufd: self.alternating("PSHUFD", "XMM, XMM, I8", xmm(1), xmm(2))?,
+            shufps: self.alternating("SHUFPS", "XMM, XMM, I8", xmm(1), xmm(2))?,
+            pshufw: self.alternating("PSHUFW", "MM, MM, I8", Register::mmx(1), Register::mmx(2))?,
+            cmov_flags_to_reg: (self.measure_cycles(&flags_chain, RunContext::default()) - 1.0)
+                .max(0.5),
+        })
+    }
+
+    /// The latency of a chain instruction, measured as two instances
+    /// alternating between two registers (`a ← b`, then `b ← a`).
+    fn alternating(
+        &self,
+        mnemonic: &str,
+        variant: &str,
+        a: Register,
+        b: Register,
+    ) -> Result<f64, CoreError> {
+        let desc = variant_arc(self.catalog, mnemonic, variant)?;
+        let mut pool = RegisterPool::new();
+        let seq = [(a, b), (b, a)]
+            .into_iter()
+            .map(|(dst, src)| chain_instruction(&desc, dst, src, &mut pool))
+            .collect::<Result<CodeSequence, _>>()?;
+        Ok(self.measure_cycles(&seq, RunContext::default()) / 2.0)
     }
 
     /// Infers the latency mapping of an instruction variant.
@@ -302,8 +317,9 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         }
 
         let mut map = LatencyMap::new();
+        let destinations = desc.destination_indices();
         for &s in &desc.source_indices() {
-            for &d in &desc.destination_indices() {
+            for &d in &destinations {
                 let s_class = classify_operand(desc, s);
                 let d_class = classify_operand(desc, d);
                 if s_class == OperandClass::Immediate || d_class == OperandClass::Immediate {
@@ -338,7 +354,8 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         Ok(map)
     }
 
-    /// Measures one (source, destination) pair.
+    /// Measures one (source, destination) pair: builds the chains of its
+    /// case once and measures them in every run context the pair needs.
     fn measure_pair(
         &self,
         desc: &Arc<InstructionDesc>,
@@ -347,137 +364,73 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         s_class: OperandClass,
         d_class: OperandClass,
     ) -> Result<LatencyValue, CoreError> {
+        use Combine::{ClampedMin, Measured, MinOfClamped};
         use OperandClass as OC;
-        let mut value = match (s_class, d_class) {
+        let (chains, combine) = match (s_class, d_class) {
             // Same operand (read-modify-write): a self chain.
-            _ if s == d => self.self_chain(desc, s, d)?,
-            (OC::Gpr, OC::Gpr) => self.gpr_to_gpr(desc, s, d)?,
-            (OC::Vec, OC::Vec) => self.vec_to_vec(desc, s, d, RegFile::Vec)?,
-            (OC::Mmx, OC::Mmx) => self.vec_to_vec(desc, s, d, RegFile::Mmx)?,
-            (OC::Memory, _) => self.mem_to_reg(desc, s, d, d_class)?,
-            (_, OC::Memory) => self.reg_to_mem(desc, s, d, s_class)?,
-            (OC::Flags, OC::Gpr) => self.flags_to_gpr(desc, s, d)?,
-            (OC::Flags, OC::Flags) => self.self_chain(desc, s, d)?,
-            (OC::Gpr, OC::Flags) => self.gpr_to_flags(desc, s, d)?,
+            _ if s == d => (vec![self.self_chain(desc, s, d)?], Measured),
+            (OC::Gpr, OC::Gpr) => (vec![self.gpr_to_gpr(desc, s, d)?], MinOfClamped),
+            (OC::Vec, OC::Vec) => (self.vec_to_vec(desc, s, d, RegFile::Vec)?, MinOfClamped),
+            (OC::Mmx, OC::Mmx) => (self.vec_to_vec(desc, s, d, RegFile::Mmx)?, MinOfClamped),
+            (OC::Memory, _) => (vec![self.mem_to_reg(desc, s, d, d_class)?], MinOfClamped),
+            (_, OC::Memory) => (vec![self.reg_to_mem(desc, s, d, s_class)?], Measured),
+            (OC::Flags, OC::Gpr) => (vec![self.flags_to_gpr(desc, s, d)?], MinOfClamped),
+            (OC::Flags, OC::Flags) => (vec![self.self_chain(desc, s, d)?], Measured),
+            (OC::Gpr, OC::Flags) => (vec![self.gpr_to_flags(desc, s, d)?], MinOfClamped),
             // Different register files: compose with a cross-file chain
             // instruction and report an upper bound.
-            _ => self.cross_file(desc, s, d)?,
+            _ => (self.cross_file(desc, s, d)?, ClampedMin),
+        };
+        let mut value = LatencyValue {
+            cycles: self.latency(&chains, combine, RunContext::default()),
+            is_upper_bound: chains[0].upper_bound,
+            ..LatencyValue::default()
         };
 
-        // Divider instructions: repeat the measurement with operand values
-        // that lead to the low latency (§5.2.5).
-        if desc.attrs.uses_divider {
-            let low_ctx = RunContext { divider_low_latency: true };
-            if let Ok(low) = self.measure_pair_with_ctx(desc, s, d, s_class, d_class, low_ctx) {
-                value.low_value_cycles = Some(low);
-            }
+        // Divider instructions: measure the self and same-file register
+        // chains again with operand values that lead to the low latency
+        // (§5.2.5).
+        let same_file = s_class == d_class && matches!(s_class, OC::Gpr | OC::Vec | OC::Mmx);
+        if desc.attrs.uses_divider && (s == d || same_file) {
+            let low = RunContext { divider_low_latency: true };
+            value.low_value_cycles = Some(self.latency(&chains, combine, low));
         }
 
         // For pairs of distinct explicit register operands of the same class,
         // additionally measure the variant that uses the same register for
         // both operands (§5.2.1).
         if s != d
-            && s_class == d_class
-            && matches!(s_class, OC::Gpr | OC::Vec | OC::Mmx)
+            && same_file
             && desc.operands[s].is_explicit()
             && desc.operands[d].is_explicit()
             && matches!(desc.operands[s].kind, OperandKind::Reg(_))
             && matches!(desc.operands[d].kind, OperandKind::Reg(_))
         {
-            if let Ok(cycles) = self.same_register_chain(desc, s, d) {
-                value.same_register_cycles = Some(cycles);
+            if let Ok(chain) = self.same_register(desc, s, d) {
+                value.same_register_cycles =
+                    Some(self.latency(&[chain], Measured, RunContext::default()));
             }
         }
 
         Ok(value)
     }
 
-    /// Re-measures a pair under a different run context, returning only the
-    /// cycle count. Used for the divider's low-latency operand values.
-    fn measure_pair_with_ctx(
-        &self,
-        desc: &Arc<InstructionDesc>,
-        s: usize,
-        d: usize,
-        s_class: OperandClass,
-        d_class: OperandClass,
-        ctx: RunContext,
-    ) -> Result<f64, CoreError> {
-        use OperandClass as OC;
-        let value = match (s_class, d_class) {
-            _ if s == d => self.self_chain_with_ctx(desc, s, d, ctx)?,
-            (OC::Gpr, OC::Gpr) => self.gpr_to_gpr_with_ctx(desc, s, d, ctx)?,
-            (OC::Vec, OC::Vec) => self.vec_to_vec_with_ctx(desc, s, d, RegFile::Vec, ctx)?,
-            (OC::Mmx, OC::Mmx) => self.vec_to_vec_with_ctx(desc, s, d, RegFile::Mmx, ctx)?,
-            _ => {
-                return Err(CoreError::NoChainInstruction {
-                    pair: format!("{s}→{d} (low values)")
-                })
+    /// Measures the candidate chains of one case in `ctx` and combines their
+    /// cycles into the pair's latency.
+    fn latency(&self, chains: &[Chain], combine: Combine, ctx: RunContext) -> f64 {
+        let measured = chains.iter().map(|c| self.measure_cycles(&c.body, ctx));
+        match combine {
+            Combine::Measured => min_of(measured),
+            Combine::MinOfClamped => {
+                min_of(chains.iter().zip(measured).map(|(c, m)| (m - c.offset).max(0.0)))
             }
-        };
-        Ok(value.cycles)
+            Combine::ClampedMin => (min_of(measured) - chains[0].offset).max(0.0),
+        }
     }
 
     // -----------------------------------------------------------------
-    // Chain constructions for the individual cases
+    // One chain builder per §5.2 case
     // -----------------------------------------------------------------
-
-    /// Registers used by the operands of an instruction instance (for
-    /// exclusion lists).
-    fn bound_registers(inst: &Inst) -> Vec<Register> {
-        inst.operands().iter().filter_map(Op::register).collect()
-    }
-
-    /// Appends dependency-breaking instructions for every implicit or
-    /// read-write operand that is not part of the chain through `s` and `d`.
-    fn append_breakers(
-        &self,
-        seq: &mut CodeSequence,
-        inst: &Inst,
-        s: usize,
-        d: usize,
-        pool: &mut RegisterPool,
-    ) -> Result<(), CoreError> {
-        let desc = inst.desc();
-        let chain_regs = [inst.operand(s).register(), inst.operand(d).register()];
-        // Break the flag self-dependency unless the chain itself goes through
-        // the flags.
-        let flags_in_chain = matches!(desc.operands[s].kind, OperandKind::Flags(_))
-            || matches!(desc.operands[d].kind, OperandKind::Flags(_));
-        if desc.reads_flags() && desc.writes_flags() && !flags_in_chain {
-            let avoid: Vec<Register> = Self::bound_registers(inst);
-            seq.push(flag_dependency_breaker(self.catalog, pool, &avoid)?);
-        }
-        // Break self-dependencies of other read-write register operands.
-        for (idx, od) in desc.operands.iter().enumerate() {
-            if idx == s || idx == d || !od.read || !od.write {
-                continue;
-            }
-            if let Some(reg) = inst.operand(idx).register() {
-                if chain_regs.iter().flatten().any(|r| r.aliases(reg)) {
-                    continue;
-                }
-                seq.push(register_dependency_breaker(self.catalog, pool, reg)?);
-            }
-        }
-        Ok(())
-    }
-
-    /// Builds the instruction instance used by a latency chain, with
-    /// specified registers for `s` and `d` and fresh operands elsewhere.
-    fn bind_for_chain(
-        &self,
-        desc: &Arc<InstructionDesc>,
-        assignments: &BTreeMap<usize, Op>,
-        pool: &mut RegisterPool,
-    ) -> Result<Inst, CoreError> {
-        Inst::bind(desc, assignments, pool).map_err(CoreError::from)
-    }
-
-    /// Measures a chain unit and returns the per-iteration cycles.
-    fn run_unit(&self, seq: &CodeSequence, ctx: RunContext) -> f64 {
-        self.measure_cycles(seq, ctx)
-    }
 
     /// Self chain: the destination operand of one instance is the source
     /// operand of the next (same operand index, or flags → flags).
@@ -486,24 +439,10 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         desc: &Arc<InstructionDesc>,
         s: usize,
         d: usize,
-    ) -> Result<LatencyValue, CoreError> {
-        self.self_chain_with_ctx(desc, s, d, self.ctx())
-    }
-
-    fn self_chain_with_ctx(
-        &self,
-        desc: &Arc<InstructionDesc>,
-        s: usize,
-        d: usize,
-        ctx: RunContext,
-    ) -> Result<LatencyValue, CoreError> {
+    ) -> Result<Chain, CoreError> {
         let mut pool = RegisterPool::new();
-        let inst = self.bind_for_chain(desc, &BTreeMap::new(), &mut pool)?;
-        let mut seq = CodeSequence::new();
-        seq.push(inst.clone());
-        self.append_breakers(&mut seq, &inst, s, d, &mut pool)?;
-        let cycles = self.run_unit(&seq, ctx);
-        Ok(LatencyValue { cycles, ..LatencyValue::default() })
+        let inst = Inst::bind(desc, &BTreeMap::new(), &mut pool)?;
+        Ok(Chain { body: self.body(inst, None, s, d, &mut pool)?, offset: 0.0, upper_bound: false })
     }
 
     /// General-purpose register → general-purpose register, chained through
@@ -513,107 +452,44 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         desc: &Arc<InstructionDesc>,
         s: usize,
         d: usize,
-    ) -> Result<LatencyValue, CoreError> {
-        self.gpr_to_gpr_with_ctx(desc, s, d, self.ctx())
-    }
-
-    fn gpr_to_gpr_with_ctx(
-        &self,
-        desc: &Arc<InstructionDesc>,
-        s: usize,
-        d: usize,
-        ctx: RunContext,
-    ) -> Result<LatencyValue, CoreError> {
-        let mut pool = RegisterPool::new();
-        let (s_reg, d_reg, mut assignments) =
-            self.allocate_pair_registers(desc, s, d, &mut pool)?;
-        let inst =
-            self.bind_chain_instruction(desc, s, d, s_reg, d_reg, &mut assignments, &mut pool)?;
-
-        // Chain instruction: MOVSX s_reg64, d_regNN where NN avoids partial
-        // register stalls (source width no wider than what the instruction
-        // writes).
+    ) -> Result<Chain, CoreError> {
+        // MOVSX s_reg64, d_regNN where NN avoids partial register stalls
+        // (source width no wider than what the instruction writes).
         let d_width = desc.operands[d].kind.width().unwrap_or(Width::W64);
-        let (variant, src_width) =
-            if d_width == Width::W8 { ("R64, R8", Width::W8) } else { ("R64, R16", Width::W16) };
+        let variant = if d_width == Width::W8 { "R64, R8" } else { "R64, R16" };
         let movsx = variant_arc(self.catalog, "MOVSX", variant)?;
-        let mut chain_assign = BTreeMap::new();
-        chain_assign.insert(0, Op::Reg(s_reg.with_width(Width::W64)));
-        chain_assign.insert(1, Op::Reg(d_reg.with_width(src_width)));
-        let chain = Inst::bind(&movsx, &chain_assign, &mut pool)?;
-
-        let mut seq = CodeSequence::new();
-        seq.push(inst.clone());
-        seq.push(chain);
-        self.append_breakers(&mut seq, &inst, s, d, &mut pool)?;
-        self.push_rw_destination_breaker(&mut seq, desc, d, d_reg, s_reg, &mut pool)?;
-
-        let cycles = (self.run_unit(&seq, ctx) - self.calibration.movsx).max(0.0);
-        Ok(LatencyValue { cycles, ..LatencyValue::default() })
+        let body = self.pair_chain(desc, s, d, &movsx)?;
+        Ok(Chain { body, offset: self.calibration.movsx, upper_bound: false })
     }
 
     /// Vector register → vector register (XMM/YMM or MMX), chained through an
-    /// integer shuffle and a floating-point shuffle; the minimum of the two
-    /// (after subtracting the respective chain latency) is reported
-    /// (§5.2.1).
+    /// integer shuffle and a floating-point shuffle, or the MMX shuffle; the
+    /// minimum over the candidates is reported (§5.2.1).
     fn vec_to_vec(
         &self,
         desc: &Arc<InstructionDesc>,
         s: usize,
         d: usize,
         file: RegFile,
-    ) -> Result<LatencyValue, CoreError> {
-        self.vec_to_vec_with_ctx(desc, s, d, file, self.ctx())
-    }
-
-    fn vec_to_vec_with_ctx(
-        &self,
-        desc: &Arc<InstructionDesc>,
-        s: usize,
-        d: usize,
-        file: RegFile,
-        ctx: RunContext,
-    ) -> Result<LatencyValue, CoreError> {
-        let chains: Vec<(&str, &str, f64)> = match file {
-            RegFile::Mmx => vec![("PSHUFW", "MM, MM, I8", self.calibration.pshufw)],
-            _ => vec![
-                ("PSHUFD", "XMM, XMM, I8", self.calibration.pshufd),
-                ("SHUFPS", "XMM, XMM, I8", self.calibration.shufps),
-            ],
+    ) -> Result<Vec<Chain>, CoreError> {
+        let cal = &self.calibration;
+        let shuffles = match file {
+            RegFile::Mmx => vec![("PSHUFW", "MM, MM, I8", cal.pshufw)],
+            _ => {
+                vec![("PSHUFD", "XMM, XMM, I8", cal.pshufd), ("SHUFPS", "XMM, XMM, I8", cal.shufps)]
+            }
         };
-        let mut best: Option<f64> = None;
-        for (mnemonic, variant, chain_latency) in chains {
-            let mut pool = RegisterPool::new();
-            let (s_reg, d_reg, mut assignments) =
-                self.allocate_pair_registers(desc, s, d, &mut pool)?;
-            let inst =
-                self.bind_chain_instruction(desc, s, d, s_reg, d_reg, &mut assignments, &mut pool)?;
-            let chain_desc = variant_arc(self.catalog, mnemonic, variant)?;
-            let mut chain_assign = BTreeMap::new();
-            // The chain instruction reads the destination register and writes
-            // the source register (at 128-bit width for XMM/YMM operands).
-            let (chain_dst, chain_src) = match file {
-                RegFile::Mmx => (s_reg, d_reg),
-                _ => (s_reg.with_width(Width::W128), d_reg.with_width(Width::W128)),
-            };
-            chain_assign.insert(0, Op::Reg(chain_dst));
-            chain_assign.insert(1, Op::Reg(chain_src));
-            chain_assign.insert(2, Op::Imm(0));
-            let chain = Inst::bind(&chain_desc, &chain_assign, &mut pool)?;
-
-            let mut seq = CodeSequence::new();
-            seq.push(inst.clone());
-            seq.push(chain);
-            self.append_breakers(&mut seq, &inst, s, d, &mut pool)?;
-            self.push_rw_destination_breaker(&mut seq, desc, d, d_reg, s_reg, &mut pool)?;
-
-            let cycles = (self.run_unit(&seq, ctx) - chain_latency).max(0.0);
-            best = Some(best.map_or(cycles, |b: f64| b.min(cycles)));
-        }
-        let cycles = best.ok_or_else(|| CoreError::NoChainInstruction {
-            pair: format!("{s}→{d} ({file:?})"),
-        })?;
-        Ok(LatencyValue { cycles, ..LatencyValue::default() })
+        shuffles
+            .into_iter()
+            .map(|(mnemonic, variant, offset)| {
+                let shuffle = variant_arc(self.catalog, mnemonic, variant)?;
+                Ok(Chain {
+                    body: self.pair_chain(desc, s, d, &shuffle)?,
+                    offset,
+                    upper_bound: false,
+                })
+            })
+            .collect()
     }
 
     /// Memory → register (§5.2.2): the "double XOR" technique creates a
@@ -625,24 +501,15 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         s: usize,
         d: usize,
         d_class: OperandClass,
-    ) -> Result<LatencyValue, CoreError> {
+    ) -> Result<Chain, CoreError> {
         let mut pool = RegisterPool::new();
-        // The memory operand uses a fixed cell addressed through a dedicated
-        // base register.
         let base = pool.memory_base();
-        let width = match desc.operands[s].kind {
-            OperandKind::Mem(w) => w,
-            _ => Width::W64,
-        };
-        let mut assignments = BTreeMap::new();
-        assignments.insert(s, Op::Mem(uops_asm::MemOperand::new(base, 0, width)));
-        let inst = self.bind_for_chain(desc, &assignments, &mut pool)?;
-
-        let mut seq = CodeSequence::new();
-        seq.push(inst.clone());
+        let inst = Inst::bind(desc, &memory_cell(desc, s, base), &mut pool)?;
+        let mut body = CodeSequence::new();
+        body.push(inst.clone());
 
         // Route the destination value into a general-purpose register.
-        let (gpr_for_xor, is_upper_bound) = match d_class {
+        let (gpr_for_xor, upper_bound) = match d_class {
             OperandClass::Gpr => {
                 (inst.operand(d).register().expect("GPR destination operand"), false)
             }
@@ -651,9 +518,10 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
                 let d_reg = inst.operand(d).register().ok_or_else(|| {
                     CoreError::NoChainInstruction { pair: format!("{s}→{d} (memory)") }
                 })?;
-                let tmp = pool.alloc(RegClass::gpr(Width::W64)).map_err(CoreError::from)?;
-                let mover = self.cross_move(d_reg, tmp, &mut pool)?;
-                seq.push(mover);
+                let tmp = pool.alloc(RegClass::gpr(Width::W64))?;
+                let variant = if d_reg.file == RegFile::Vec { "R64, XMM" } else { "R64, MM" };
+                let movq = variant_arc(self.catalog, "MOVQ", variant)?;
+                body.push(chain_instruction(&movq, tmp, d_reg, &mut pool)?);
                 (tmp, true)
             }
         };
@@ -663,17 +531,12 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         // XORs introduce.
         let xor = variant_arc(self.catalog, "XOR", "R64, R64")?;
         for _ in 0..2 {
-            let mut a = BTreeMap::new();
-            a.insert(0, Op::Reg(base));
-            a.insert(1, Op::Reg(gpr_for_xor.with_width(Width::W64)));
-            seq.push(Inst::bind(&xor, &a, &mut pool)?);
+            body.push(chain_instruction(&xor, base, gpr_for_xor, &mut pool)?);
         }
         let avoid: Vec<Register> =
-            Self::bound_registers(&inst).into_iter().chain([base, gpr_for_xor]).collect();
-        seq.push(flag_dependency_breaker(self.catalog, &mut pool, &avoid)?);
-
-        let cycles = (self.run_unit(&seq, self.ctx()) - 2.0).max(0.0);
-        Ok(LatencyValue { cycles, is_upper_bound, ..LatencyValue::default() })
+            bound_registers(&inst).into_iter().chain([base, gpr_for_xor]).collect();
+        body.push(flag_dependency_breaker(self.catalog, &mut pool, &avoid)?);
+        Ok(Chain { body, offset: 2.0, upper_bound })
     }
 
     /// Register → memory (§5.2.4): measure the store together with a load
@@ -685,57 +548,31 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         s: usize,
         d: usize,
         s_class: OperandClass,
-    ) -> Result<LatencyValue, CoreError> {
+    ) -> Result<Chain, CoreError> {
+        let no_chain = || CoreError::NoChainInstruction { pair: format!("{s}→{d} (store)") };
         let mut pool = RegisterPool::new();
         let base = pool.memory_base();
-        let width = match desc.operands[d].kind {
-            OperandKind::Mem(w) => w,
-            _ => Width::W64,
-        };
-        let mut assignments = BTreeMap::new();
-        assignments.insert(d, Op::Mem(uops_asm::MemOperand::new(base, 0, width)));
-        let inst = self.bind_for_chain(desc, &assignments, &mut pool)?;
-        let s_reg = match inst.operand(s).register() {
-            Some(r) => r,
-            None => {
-                return Err(CoreError::NoChainInstruction { pair: format!("{s}→{d} (store)") });
-            }
-        };
+        let inst = Inst::bind(desc, &memory_cell(desc, d, base), &mut pool)?;
+        let s_reg = inst.operand(s).register().ok_or_else(no_chain)?;
 
         // Load from the stored cell back into the source register.
-        let load: Inst = match s_class {
-            OperandClass::Gpr => {
-                let mov = variant_arc(self.catalog, "MOV", "R64, M64")?;
-                let mut a = BTreeMap::new();
-                a.insert(0, Op::Reg(s_reg.with_width(Width::W64)));
-                a.insert(1, Op::Mem(uops_asm::MemOperand::new(base, 0, Width::W64)));
-                Inst::bind(&mov, &a, &mut pool)?
-            }
-            OperandClass::Vec => {
-                let mov = variant_arc(self.catalog, "MOVDQA", "XMM, M128")?;
-                let mut a = BTreeMap::new();
-                a.insert(0, Op::Reg(s_reg.with_width(Width::W128)));
-                a.insert(1, Op::Mem(uops_asm::MemOperand::new(base, 0, Width::W128)));
-                Inst::bind(&mov, &a, &mut pool)?
-            }
-            OperandClass::Mmx => {
-                let mov = variant_arc(self.catalog, "MOVQ", "MM, M64")?;
-                let mut a = BTreeMap::new();
-                a.insert(0, Op::Reg(s_reg));
-                a.insert(1, Op::Mem(uops_asm::MemOperand::new(base, 0, Width::W64)));
-                Inst::bind(&mov, &a, &mut pool)?
-            }
-            _ => {
-                return Err(CoreError::NoChainInstruction { pair: format!("{s}→{d} (store)") });
-            }
+        let (mnemonic, variant, width) = match s_class {
+            OperandClass::Gpr => ("MOV", "R64, M64", Width::W64),
+            OperandClass::Vec => ("MOVDQA", "XMM, M128", Width::W128),
+            OperandClass::Mmx => ("MOVQ", "MM, M64", Width::W64),
+            _ => return Err(no_chain()),
         };
-
-        let mut seq = CodeSequence::new();
-        seq.push(inst.clone());
-        seq.push(load);
-        self.append_breakers(&mut seq, &inst, s, d, &mut pool)?;
-        let cycles = self.run_unit(&seq, self.ctx());
-        Ok(LatencyValue { cycles, is_upper_bound: true, ..LatencyValue::default() })
+        let mov = variant_arc(self.catalog, mnemonic, variant)?;
+        let cell = BTreeMap::from([
+            (0, Op::Reg(s_reg.with_width(width))),
+            (1, Op::Mem(MemOperand::new(base, 0, width))),
+        ]);
+        let load = Inst::bind(&mov, &cell, &mut pool)?;
+        Ok(Chain {
+            body: self.body(inst, Some(load), s, d, &mut pool)?,
+            offset: 0.0,
+            upper_bound: true,
+        })
     }
 
     /// Status flags → general-purpose register (§5.2.3): `TEST r, r` creates
@@ -745,25 +582,20 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         desc: &Arc<InstructionDesc>,
         s: usize,
         d: usize,
-    ) -> Result<LatencyValue, CoreError> {
+    ) -> Result<Chain, CoreError> {
         let mut pool = RegisterPool::new();
-        let inst = self.bind_for_chain(desc, &BTreeMap::new(), &mut pool)?;
+        let inst = Inst::bind(desc, &BTreeMap::new(), &mut pool)?;
         let d_reg = inst
             .operand(d)
             .register()
             .ok_or_else(|| CoreError::NoChainInstruction { pair: format!("{s}→{d} (flags)") })?;
         let test = variant_arc(self.catalog, "TEST", "R64, R64")?;
-        let mut a = BTreeMap::new();
-        a.insert(0, Op::Reg(d_reg.with_width(Width::W64)));
-        a.insert(1, Op::Reg(d_reg.with_width(Width::W64)));
-        let chain = Inst::bind(&test, &a, &mut pool)?;
-        let mut seq = CodeSequence::new();
-        seq.push(inst.clone());
-        seq.push(chain);
-        self.append_breakers(&mut seq, &inst, s, d, &mut pool)?;
-        self.push_rw_destination_breaker(&mut seq, desc, d, d_reg, d_reg, &mut pool)?;
-        let cycles = (self.run_unit(&seq, self.ctx()) - 1.0).max(0.0);
-        Ok(LatencyValue { cycles, ..LatencyValue::default() })
+        let chain = chain_instruction(&test, d_reg, d_reg, &mut pool)?;
+        Ok(Chain {
+            body: self.body(inst, Some(chain), s, d, &mut pool)?,
+            offset: 1.0,
+            upper_bound: false,
+        })
     }
 
     /// General-purpose register → status flags: chained through `CMOVNZ`.
@@ -772,254 +604,128 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         desc: &Arc<InstructionDesc>,
         s: usize,
         d: usize,
-    ) -> Result<LatencyValue, CoreError> {
+    ) -> Result<Chain, CoreError> {
         let mut pool = RegisterPool::new();
-        let inst = self.bind_for_chain(desc, &BTreeMap::new(), &mut pool)?;
+        let inst = Inst::bind(desc, &BTreeMap::new(), &mut pool)?;
         let s_reg = inst.operand(s).register().ok_or_else(|| CoreError::NoChainInstruction {
             pair: format!("{s}→{d} (to flags)"),
         })?;
         let cmov = variant_arc(self.catalog, "CMOVNZ", "R64, R64")?;
-        let mut a = BTreeMap::new();
-        a.insert(0, Op::Reg(s_reg.with_width(Width::W64)));
-        a.insert(1, Op::Reg(s_reg.with_width(Width::W64)));
-        let chain = Inst::bind(&cmov, &a, &mut pool)?;
-        let mut seq = CodeSequence::new();
-        seq.push(inst.clone());
-        seq.push(chain);
-        self.append_breakers(&mut seq, &inst, s, d, &mut pool)?;
-        let cycles =
-            (self.run_unit(&seq, self.ctx()) - self.calibration.cmov_flags_to_reg).max(0.0);
+        let chain = chain_instruction(&cmov, s_reg, s_reg, &mut pool)?;
+        let body = self.body(inst, Some(chain), s, d, &mut pool)?;
         // If the source register is also written by the instruction, the
         // CMOV chain inevitably adds a register → register path through its
         // own destination; the result is then only an upper bound.
-        let is_upper_bound = desc.operands[s].write;
-        Ok(LatencyValue { cycles, is_upper_bound, ..LatencyValue::default() })
+        let upper_bound = desc.operands[s].write;
+        Ok(Chain { body, offset: self.calibration.cmov_flags_to_reg, upper_bound })
     }
 
     /// Register pairs of different files (§5.2.1, "the registers have
-    /// different types"): compose with every available cross-file move and
-    /// report the minimum composed time minus one as an upper bound.
+    /// different types"): compose with up to three cross-file moves and
+    /// report the minimum composed time minus one as an upper bound. A move
+    /// that cannot be bound is skipped.
     fn cross_file(
         &self,
         desc: &Arc<InstructionDesc>,
         s: usize,
         d: usize,
-    ) -> Result<LatencyValue, CoreError> {
-        let mut best: Option<f64> = None;
-        let s_file = operand_file(desc, s);
-        let d_file = operand_file(desc, d);
-        let (Some(s_file), Some(d_file)) = (s_file, d_file) else {
-            return Err(CoreError::NoChainInstruction { pair: format!("{s}→{d}") });
+    ) -> Result<Vec<Chain>, CoreError> {
+        let no_chain = || CoreError::NoChainInstruction { pair: format!("{s}→{d}") };
+        let (Some(s_file), Some(d_file)) = (operand_file(desc, s), operand_file(desc, d)) else {
+            return Err(no_chain());
         };
-        let candidates = self.cross_chain_candidates(d_file, s_file);
-        if candidates.is_empty() {
-            return Err(CoreError::NoChainInstruction { pair: format!("{s}→{d}") });
+        let chains: Vec<Chain> = self
+            .cross_chain_candidates(d_file, s_file)
+            .iter()
+            .take(3)
+            .filter_map(|mover| self.pair_chain(desc, s, d, mover).ok())
+            .map(|body| Chain { body, offset: 1.0, upper_bound: true })
+            .collect();
+        if chains.is_empty() {
+            return Err(no_chain());
         }
-        for chain_desc in candidates.into_iter().take(3) {
-            let mut pool = RegisterPool::new();
-            let (s_reg, d_reg, mut assignments) =
-                self.allocate_pair_registers(desc, s, d, &mut pool)?;
-            let inst = match self.bind_chain_instruction(
-                desc,
-                s,
-                d,
-                s_reg,
-                d_reg,
-                &mut assignments,
-                &mut pool,
-            ) {
-                Ok(i) => i,
-                Err(_) => continue,
-            };
-            // The chain instruction writes s_reg and reads d_reg.
-            let mut chain_assign = BTreeMap::new();
-            let mut ok = true;
-            for (idx, od) in chain_desc.operands.iter().enumerate() {
-                match od.kind {
-                    OperandKind::Reg(class) if od.write && class.file == s_file => {
-                        chain_assign.insert(
-                            idx,
-                            Op::Reg(Register {
-                                file: s_reg.file,
-                                index: s_reg.index,
-                                width: class.width,
-                            }),
-                        );
-                    }
-                    OperandKind::Reg(class) if od.read && class.file == d_file => {
-                        chain_assign.insert(
-                            idx,
-                            Op::Reg(Register {
-                                file: d_reg.file,
-                                index: d_reg.index,
-                                width: class.width,
-                            }),
-                        );
-                    }
-                    OperandKind::Imm(_) => {
-                        chain_assign.insert(idx, Op::Imm(0));
-                    }
-                    OperandKind::Mem(_) => {
-                        ok = false;
-                    }
-                    _ => {}
-                }
-            }
-            if !ok {
-                continue;
-            }
-            let chain = match Inst::bind(&chain_desc, &chain_assign, &mut pool) {
-                Ok(c) => c,
-                Err(_) => continue,
-            };
-            let mut seq = CodeSequence::new();
-            seq.push(inst.clone());
-            seq.push(chain);
-            if self.append_breakers(&mut seq, &inst, s, d, &mut pool).is_err() {
-                continue;
-            }
-            let _ = self.push_rw_destination_breaker(&mut seq, desc, d, d_reg, s_reg, &mut pool);
-            let cycles = self.run_unit(&seq, self.ctx());
-            best = Some(best.map_or(cycles, |b: f64| b.min(cycles)));
-        }
-        let composed =
-            best.ok_or_else(|| CoreError::NoChainInstruction { pair: format!("{s}→{d}") })?;
-        Ok(LatencyValue {
-            cycles: (composed - 1.0).max(0.0),
-            is_upper_bound: true,
-            ..LatencyValue::default()
-        })
+        Ok(chains)
     }
 
     /// The same-register microbenchmark of §5.2.1: bind the same register to
     /// both operands and measure the resulting self chain.
-    fn same_register_chain(
+    fn same_register(
         &self,
         desc: &Arc<InstructionDesc>,
         s: usize,
         d: usize,
-    ) -> Result<f64, CoreError> {
+    ) -> Result<Chain, CoreError> {
+        let OperandKind::Reg(class) = desc.operands[d].kind else {
+            return Err(CoreError::NoChainInstruction { pair: format!("{s}→{d} (same reg)") });
+        };
         let mut pool = RegisterPool::new();
-        let class = match desc.operands[d].kind {
-            OperandKind::Reg(c) => c,
-            _ => {
-                return Err(CoreError::NoChainInstruction { pair: format!("{s}→{d} (same reg)") })
-            }
-        };
-        let reg = pool.alloc(class).map_err(CoreError::from)?;
-        let mut assignments = BTreeMap::new();
-        assignments.insert(s, Op::Reg(reg));
-        assignments.insert(d, Op::Reg(reg));
-        let inst = self.bind_for_chain(desc, &assignments, &mut pool)?;
-        let mut seq = CodeSequence::new();
-        seq.push(inst.clone());
-        self.append_breakers(&mut seq, &inst, s, d, &mut pool)?;
-        Ok(self.run_unit(&seq, self.ctx()))
+        let reg = pool.alloc(class)?;
+        let assignments = BTreeMap::from([(s, Op::Reg(reg)), (d, Op::Reg(reg))]);
+        let inst = Inst::bind(desc, &assignments, &mut pool)?;
+        Ok(Chain { body: self.body(inst, None, s, d, &mut pool)?, offset: 0.0, upper_bound: false })
     }
 
     // -----------------------------------------------------------------
-    // Small helpers
+    // Shared pieces of the builders
     // -----------------------------------------------------------------
 
-    /// Allocates registers for the source and destination operands of a pair
-    /// and returns the partially filled assignment map.
-    fn allocate_pair_registers(
+    /// The chain of the register-pair cases: the instruction under test
+    /// with fresh registers for `s` and `d`, the chain instruction `mover`
+    /// reading `d`'s register and writing `s`'s, the breakers of every other
+    /// dependency and, if the destination is also read, one that overwrites
+    /// it after the chain instruction has consumed it (§5.2).
+    fn pair_chain(
         &self,
         desc: &Arc<InstructionDesc>,
         s: usize,
         d: usize,
-        pool: &mut RegisterPool,
-    ) -> Result<(Register, Register, BTreeMap<usize, Op>), CoreError> {
-        let mut assignments = BTreeMap::new();
-        let d_reg = match desc.operands[d].kind {
-            OperandKind::Reg(class) => {
-                let r = pool.alloc(class).map_err(CoreError::from)?;
-                assignments.insert(d, Op::Reg(r));
-                r
-            }
-            OperandKind::FixedReg(r) => {
-                pool.mark_used(r);
-                r
-            }
-            _ => return Err(CoreError::NoChainInstruction { pair: format!("{s}→{d}") }),
-        };
-        let s_reg = if s == d {
-            d_reg
-        } else {
-            match desc.operands[s].kind {
-                OperandKind::Reg(class) => {
-                    let r = pool.alloc_excluding(class, &[d_reg]).map_err(CoreError::from)?;
-                    assignments.insert(s, Op::Reg(r));
-                    r
-                }
-                OperandKind::FixedReg(r) => {
-                    pool.mark_used(r);
-                    r
-                }
-                _ => return Err(CoreError::NoChainInstruction { pair: format!("{s}→{d}") }),
-            }
-        };
-        Ok((s_reg, d_reg, assignments))
-    }
-
-    /// Binds the instruction under test with the pair registers fixed and
-    /// everything else fresh.
-    #[allow(clippy::too_many_arguments)]
-    fn bind_chain_instruction(
-        &self,
-        desc: &Arc<InstructionDesc>,
-        _s: usize,
-        _d: usize,
-        _s_reg: Register,
-        _d_reg: Register,
-        assignments: &mut BTreeMap<usize, Op>,
-        pool: &mut RegisterPool,
-    ) -> Result<Inst, CoreError> {
-        self.bind_for_chain(desc, assignments, pool)
-    }
-
-    /// If the destination operand is also read by the instruction (and is not
-    /// the chain's source), its self-dependency is broken by overwriting it
-    /// after the chain instruction has consumed it (§5.2).
-    fn push_rw_destination_breaker(
-        &self,
-        seq: &mut CodeSequence,
-        desc: &Arc<InstructionDesc>,
-        d: usize,
-        d_reg: Register,
-        s_reg: Register,
-        pool: &mut RegisterPool,
-    ) -> Result<(), CoreError> {
+        mover: &Arc<InstructionDesc>,
+    ) -> Result<CodeSequence, CoreError> {
+        let mut pool = RegisterPool::new();
+        let (s_reg, d_reg, assignments) = allocate_pair_registers(desc, s, d, &mut pool)?;
+        let inst = Inst::bind(desc, &assignments, &mut pool)?;
+        let chain = chain_instruction(mover, s_reg, d_reg, &mut pool)?;
+        let mut body = self.body(inst, Some(chain), s, d, &mut pool)?;
         if desc.operands[d].read && desc.operands[d].write && !d_reg.aliases(s_reg) {
-            seq.push(register_dependency_breaker(self.catalog, pool, d_reg)?);
+            body.push(register_dependency_breaker(self.catalog, &mut pool, d_reg)?);
         }
-        Ok(())
+        Ok(body)
     }
 
-    /// An instruction moving `from` (vector or MMX register) into the
-    /// general-purpose register `to`.
-    fn cross_move(
+    /// `inst`, the instruction closing its chain (if any), and
+    /// dependency-breaking instructions for every implicit or read-write
+    /// operand of `inst` that is not part of the chain through `s` and `d`.
+    fn body(
         &self,
-        from: Register,
-        to: Register,
+        inst: Inst,
+        chain: Option<Inst>,
+        s: usize,
+        d: usize,
         pool: &mut RegisterPool,
-    ) -> Result<Inst, CoreError> {
-        let (mnemonic, variant) = match from.file {
-            RegFile::Vec => ("MOVQ", "R64, XMM"),
-            RegFile::Mmx => ("MOVQ", "R64, MM"),
-            RegFile::Gpr => ("MOV", "R64, R64"),
-        };
-        let desc = variant_arc(self.catalog, mnemonic, variant)?;
-        let mut a = BTreeMap::new();
-        a.insert(0, Op::Reg(to.with_width(Width::W64)));
-        a.insert(
-            1,
-            Op::Reg(match from.file {
-                RegFile::Vec => from.with_width(Width::W128),
-                _ => from,
-            }),
-        );
-        Inst::bind(&desc, &a, pool).map_err(CoreError::from)
+    ) -> Result<CodeSequence, CoreError> {
+        let desc = inst.desc();
+        let chain_regs = [inst.operand(s).register(), inst.operand(d).register()];
+        let mut breakers = Vec::new();
+        // Break the flag self-dependency unless the chain itself goes through
+        // the flags.
+        let flags_in_chain = matches!(desc.operands[s].kind, OperandKind::Flags(_))
+            || matches!(desc.operands[d].kind, OperandKind::Flags(_));
+        if desc.reads_flags() && desc.writes_flags() && !flags_in_chain {
+            breakers.push(flag_dependency_breaker(self.catalog, pool, &bound_registers(&inst))?);
+        }
+        // Break self-dependencies of other read-write register operands.
+        for (idx, od) in desc.operands.iter().enumerate() {
+            if idx == s || idx == d || !od.read || !od.write {
+                continue;
+            }
+            if let Some(reg) = inst.operand(idx).register() {
+                if chain_regs.iter().flatten().any(|r| r.aliases(reg)) {
+                    continue;
+                }
+                breakers.push(register_dependency_breaker(self.catalog, pool, reg)?);
+            }
+        }
+        Ok([inst].into_iter().chain(chain).chain(breakers).collect())
     }
 
     /// Cross-file chain instruction candidates reading a register of
@@ -1064,6 +770,100 @@ impl<'a, B: MeasurementBackend + ?Sized> LatencyAnalyzer<'a, B> {
         candidates.sort_by_key(|c| (c.operands.len(), c.mnemonic.clone()));
         candidates
     }
+}
+
+/// Binds a chain instruction that reads `src` and writes `dst`: each of its
+/// register operands of `dst`'s file that it writes gets `dst`, each of
+/// `src`'s file that it reads gets `src` (at the operand's width), and every
+/// immediate is 0. Chain instructions with a memory operand are refused.
+fn chain_instruction(
+    desc: &Arc<InstructionDesc>,
+    dst: Register,
+    src: Register,
+    pool: &mut RegisterPool,
+) -> Result<Inst, CoreError> {
+    let mut assignments = BTreeMap::new();
+    for (idx, od) in desc.operands.iter().enumerate() {
+        let op = match od.kind {
+            OperandKind::Reg(class) if od.write && class.file == dst.file => {
+                Op::Reg(dst.with_width(class.width))
+            }
+            OperandKind::Reg(class) if od.read && class.file == src.file => {
+                Op::Reg(src.with_width(class.width))
+            }
+            OperandKind::Imm(_) => Op::Imm(0),
+            OperandKind::Mem(_) => {
+                return Err(CoreError::NoChainInstruction {
+                    pair: format!("{} has a memory operand", desc.full_name()),
+                })
+            }
+            _ => continue,
+        };
+        assignments.insert(idx, op);
+    }
+    Ok(Inst::bind(desc, &assignments, pool)?)
+}
+
+/// An assignment placing memory operand `idx` in the fixed cell addressed
+/// through `base`.
+fn memory_cell(desc: &InstructionDesc, idx: usize, base: Register) -> BTreeMap<usize, Op> {
+    let width = match desc.operands[idx].kind {
+        OperandKind::Mem(w) => w,
+        _ => Width::W64,
+    };
+    BTreeMap::from([(idx, Op::Mem(MemOperand::new(base, 0, width)))])
+}
+
+/// Allocates registers for the source and destination operands of a pair
+/// and returns them with the partially filled assignment map.
+fn allocate_pair_registers(
+    desc: &InstructionDesc,
+    s: usize,
+    d: usize,
+    pool: &mut RegisterPool,
+) -> Result<(Register, Register, BTreeMap<usize, Op>), CoreError> {
+    let no_chain = || CoreError::NoChainInstruction { pair: format!("{s}→{d}") };
+    let mut assignments = BTreeMap::new();
+    let d_reg = match desc.operands[d].kind {
+        OperandKind::Reg(class) => {
+            let r = pool.alloc(class)?;
+            assignments.insert(d, Op::Reg(r));
+            r
+        }
+        OperandKind::FixedReg(r) => {
+            pool.mark_used(r);
+            r
+        }
+        _ => return Err(no_chain()),
+    };
+    let s_reg = if s == d {
+        d_reg
+    } else {
+        match desc.operands[s].kind {
+            OperandKind::Reg(class) => {
+                let r = pool.alloc_excluding(class, &[d_reg])?;
+                assignments.insert(s, Op::Reg(r));
+                r
+            }
+            OperandKind::FixedReg(r) => {
+                pool.mark_used(r);
+                r
+            }
+            _ => return Err(no_chain()),
+        }
+    };
+    Ok((s_reg, d_reg, assignments))
+}
+
+/// Registers used by the operands of an instruction instance (for
+/// exclusion lists).
+fn bound_registers(inst: &Inst) -> Vec<Register> {
+    inst.operands().iter().filter_map(Op::register).collect()
+}
+
+/// The minimum of a case's per-chain values.
+fn min_of(values: impl Iterator<Item = f64>) -> f64 {
+    values.reduce(f64::min).expect("every case builds at least one chain")
 }
 
 fn operand_file(desc: &InstructionDesc, idx: usize) -> Option<RegFile> {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use uops_asm::{CodeSequence, RegisterPool};
+use uops_asm::{CodeSequence, Inst, Op, RegisterPool};
 use uops_isa::{InstructionDesc, OperandKind};
 use uops_measure::{measure, MeasurementBackend, MeasurementConfig, RunContext};
 
@@ -64,6 +64,9 @@ impl Throughput {
 /// Measures the throughput of an instruction according to Definition 2
 /// (§5.3.1).
 ///
+/// The sequences are built once and measured with the high-latency operand
+/// values, and, for divider instructions, again with the low-latency ones.
+///
 /// # Errors
 ///
 /// Returns an error if the instruction cannot be instantiated.
@@ -73,102 +76,76 @@ pub fn measure_throughput<B: MeasurementBackend + ?Sized>(
     desc: &Arc<InstructionDesc>,
     config: &MeasurementConfig,
 ) -> Result<Throughput, CoreError> {
-    let (high, with_breaking) =
-        measure_throughput_with_ctx(backend, catalog, desc, config, RunContext::default())?;
-    let low = if desc.attrs.uses_divider {
-        Some(
-            measure_throughput_with_ctx(
-                backend,
-                catalog,
-                desc,
-                config,
-                RunContext { divider_low_latency: true },
-            )?
-            .0,
-        )
-    } else {
-        None
+    // Sequences of 1, 2, 4, and 8 independent instances (§5.3.1: longer
+    // sequences are not always better), each with its length; for
+    // instructions with implicit read-write operands also the same
+    // sequences with dependency-breaking instructions.
+    let mut plain = Vec::new();
+    let mut breaking = Vec::new();
+    for len in [1usize, 2, 4, 8] {
+        let mut pool = RegisterPool::new();
+        let Ok(copies) = independent_copies(desc, len, &mut pool) else { continue };
+        if has_implicit_read_write_operand(desc) {
+            breaking.push((len, with_breakers(catalog, &copies, &mut pool)));
+        }
+        plain.push((len, copies.into_iter().collect::<CodeSequence>()));
+    }
+    if plain.is_empty() {
+        return Err(CoreError::Unsupported {
+            instruction: desc.full_name(),
+            reason: "could not build an independent instruction sequence".to_string(),
+        });
+    }
+
+    // The minimum cycles per instruction over the sequences.
+    let cpi = |seqs: &[(usize, CodeSequence)], ctx| {
+        seqs.iter()
+            .map(|(len, seq)| measure(backend, seq, config, ctx).cycles / *len as f64)
+            .fold(f64::INFINITY, f64::min)
+            .max(0.0)
     };
+    let high = RunContext::default();
+    let low = RunContext { divider_low_latency: true };
     Ok(Throughput {
-        measured: high,
-        measured_with_breaking: with_breaking,
-        measured_low_values: low,
+        measured: cpi(&plain, high),
+        measured_with_breaking: (!breaking.is_empty()).then(|| cpi(&breaking, high)),
+        measured_low_values: desc.attrs.uses_divider.then(|| cpi(&plain, low)),
         from_port_usage: None,
     })
 }
 
-/// Returns `(plain, with_breaking)` cycles-per-instruction values.
-fn measure_throughput_with_ctx<B: MeasurementBackend + ?Sized>(
-    backend: &B,
+/// `copies`, each followed by the instructions breaking its dependencies
+/// through the status flags and its implicit read-write registers.
+fn with_breakers(
     catalog: &uops_isa::Catalog,
-    desc: &Arc<InstructionDesc>,
-    config: &MeasurementConfig,
-    ctx: RunContext,
-) -> Result<(f64, Option<f64>), CoreError> {
-    let mut best = f64::INFINITY;
-    let mut best_breaking = f64::INFINITY;
-
-    // Sequences of 1, 2, 4, and 8 independent instances (§5.3.1: longer
-    // sequences are not always better).
-    for &len in &[1usize, 2, 4, 8] {
-        let mut pool = RegisterPool::new();
-        let copies = match independent_copies(desc, len, &mut pool) {
-            Ok(c) => c,
-            Err(_) => continue,
-        };
-        let seq: CodeSequence = copies.into_iter().collect();
-        let m = measure(backend, &seq, config, ctx);
-        best = best.min(m.cycles / len as f64);
-
-        // Additionally try a variant with dependency-breaking instructions
-        // for implicit operands that are both read and written.
-        if has_implicit_read_write_operand(desc) {
-            let mut pool = RegisterPool::new();
-            let copies = match independent_copies(desc, len, &mut pool) {
-                Ok(c) => c,
-                Err(_) => continue,
-            };
-            let mut seq = CodeSequence::new();
-            for inst in copies {
-                let avoid: Vec<_> =
-                    inst.operands().iter().filter_map(uops_asm::Op::register).collect();
-                let breaks_flags = inst.desc().reads_flags() && inst.desc().writes_flags();
-                let implicit_rw_regs: Vec<_> = inst
-                    .desc()
-                    .operands
-                    .iter()
-                    .zip(inst.operands())
-                    .filter(|(od, _)| od.implicit && od.read && od.write)
-                    .filter_map(|(_, op)| op.register())
-                    .collect();
-                seq.push(inst);
-                if breaks_flags {
-                    if let Ok(b) = flag_dependency_breaker(catalog, &mut pool, &avoid) {
-                        seq.push(b);
-                    }
-                }
-                for reg in implicit_rw_regs {
-                    if let Ok(b) = register_dependency_breaker(catalog, &mut pool, reg) {
-                        seq.push(b);
-                    }
-                }
+    copies: &[Inst],
+    pool: &mut RegisterPool,
+) -> CodeSequence {
+    let mut seq = CodeSequence::new();
+    for inst in copies {
+        let avoid: Vec<_> = inst.operands().iter().filter_map(Op::register).collect();
+        let breaks_flags = inst.desc().reads_flags() && inst.desc().writes_flags();
+        let implicit_rw_regs: Vec<_> = inst
+            .desc()
+            .operands
+            .iter()
+            .zip(inst.operands())
+            .filter(|(od, _)| od.implicit && od.read && od.write)
+            .filter_map(|(_, op)| op.register())
+            .collect();
+        seq.push(inst.clone());
+        if breaks_flags {
+            if let Ok(b) = flag_dependency_breaker(catalog, pool, &avoid) {
+                seq.push(b);
             }
-            if !seq.is_empty() {
-                let m = measure(backend, &seq, config, ctx);
-                best_breaking = best_breaking.min(m.cycles / len as f64);
+        }
+        for reg in implicit_rw_regs {
+            if let Ok(b) = register_dependency_breaker(catalog, pool, reg) {
+                seq.push(b);
             }
         }
     }
-
-    if best.is_finite() {
-        let breaking = if best_breaking.is_finite() { Some(best_breaking.max(0.0)) } else { None };
-        Ok((best.max(0.0), breaking))
-    } else {
-        Err(CoreError::Unsupported {
-            instruction: desc.full_name(),
-            reason: "could not build an independent instruction sequence".to_string(),
-        })
-    }
+    seq
 }
 
 /// Returns `true` if the instruction has an implicit operand that is both
