@@ -24,7 +24,7 @@
 //! | register → memory (§5.2.4) | a load from the stored cell | cycles (a store-load round trip) | yes |
 //! | flags → GPR (§5.2.3) | `TEST r, r` | cycles − 1, clamped at 0 | no |
 //! | GPR → flags | `CMOVNZ r, r` | cycles − `cmov_flags_to_reg`, clamped at 0 | if the source is also written |
-//! | other register files | the first three cross-file moves that bind | (min cycles) − 1, clamped at 0 | yes |
+//! | other register files | each of the first three cross-file moves, skipping any that cannot be bound | (min cycles) − 1, clamped at 0 | yes |
 //! | same register (§5.2.1) | none (both operands bound to one register) | cycles | — |
 //!
 //! The chains are built once. Divider instructions measure the self, GPR,
