@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use uops_isa::{Flag, FlagSet, RegFile, Register, Width};
 
 /// A concrete memory operand. The tool only uses base-register addressing
 /// with a small displacement (the paper does not vary addressing modes, §8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemOperand {
     /// The base register holding the address.
     pub base: Register,
@@ -61,7 +59,7 @@ impl fmt::Display for MemOperand {
 }
 
 /// The identity of a memory cell for dependence analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemCell {
     /// Register file of the base register.
     pub base_file: RegFile,
@@ -72,7 +70,7 @@ pub struct MemCell {
 }
 
 /// A concrete operand of an instruction instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// A concrete register.
     Reg(Register),
@@ -131,7 +129,7 @@ impl fmt::Display for Op {
 /// Resources are the granularity at which read-after-write dependencies are
 /// detected, both by the benchmark generator (to ensure independence where
 /// required) and by the simulator's renamer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Resource {
     /// An architectural register (width-insensitive identity).
     Reg(RegFile, u8),

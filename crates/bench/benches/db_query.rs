@@ -4,22 +4,19 @@
 //!
 //! * **open**: TLV decode vs zero-copy segment validation — the cost of
 //!   going from bytes on disk to a readable dataset;
-//! * **query**: posting-list lookups vs linear scans over the segment's
-//!   record views, and the galloping-intersection multi-filter planner vs
-//!   the legacy single-index+filter strategy it replaced;
+//! * **query**: the galloping-intersection multi-filter planner vs the
+//!   legacy single-index+filter strategy it replaced (posting-list lookups
+//!   are checked against linear scans over the segment's record views);
 //! * **merge**: k-way merging of per-uarch segment shards.
 //!
-//! Besides the human-readable report, the run writes a machine-readable
+//! Every timed number is a [`median_ns`]. The run writes a machine-readable
 //! summary, with the machine's core count, to `BENCH_db.json` (override
 //! the path with the `BENCH_DB_JSON` environment variable) for CI
 //! artifact upload, and asserts the headline
 //! acceptance numbers: segment open ≥ 10x faster than TLV decode, and the
 //! galloping multi-filter query no slower than the legacy strategy.
 
-use std::time::Instant;
-
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
+use uops_bench::median_ns;
 use uops_db::{Query, Segment, SegmentDb, Snapshot, VariantRecord};
 
 /// Builds a synthetic snapshot with `per_uarch` variants on three
@@ -100,24 +97,7 @@ fn legacy_multi_filter(db: &SegmentDb<'_>, uarch: &str, port: u8, min_uops: u32)
     matches
 }
 
-/// Median wall-clock of `runs` timed executions of `f` (with warmup),
-/// in nanoseconds — the numbers exported to `BENCH_db.json`.
-fn median_ns<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
-    for _ in 0..3 {
-        black_box(f());
-    }
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn bench_db_query(c: &mut Criterion) {
+fn main() {
     let snapshot = synthetic_snapshot(700);
     let tlv_bytes = uops_db::codec::encode(&snapshot);
     let seg_image = Segment::encode(&snapshot);
@@ -129,53 +109,12 @@ fn bench_db_query(c: &mut Criterion) {
         .map(|s| Segment::from_bytes(Segment::encode(s)).expect("valid shard"))
         .collect();
 
-    let mut group = c.benchmark_group("db_query");
-
-    // ---- open: bytes on disk → a readable dataset ----
-    group.bench_function("open/tlv_decode", |b| {
-        b.iter(|| black_box(uops_db::codec::decode(black_box(&tlv_bytes)).expect("decode")))
-    });
-    group.bench_function("open/segment_zero_copy", |b| {
-        b.iter(|| black_box(SegmentDb::open(black_box(&seg_image)).expect("open").len()))
-    });
-
-    // ---- point and single-index lookups ----
-    group.bench_function("indexed/port_on_uarch", |b| {
-        b.iter(|| black_box(indexed_port(&db, black_box("Skylake"), black_box(5))))
-    });
-    group.bench_function("linear/port_on_uarch", |b| {
-        b.iter(|| black_box(linear_scan_port(&db, black_box("Skylake"), black_box(5))))
-    });
-    group.bench_function("indexed/mnemonic", |b| {
-        b.iter(|| black_box(indexed_mnemonic(&db, black_box("OP0042"))))
-    });
-    group.bench_function("linear/mnemonic", |b| {
-        b.iter(|| black_box(linear_scan_mnemonic(&db, black_box("OP0042"))))
-    });
-    group.bench_function("query/point_lookup", |b| {
-        b.iter(|| black_box(db.find_id("OP0042", "XMM, XMM", "Skylake").is_some()))
-    });
-
-    // ---- multi-filter queries: galloping planner vs the legacy
-    // single-index strategy ----
     let multi_filter = Query::new()
         .uarch("Skylake")
         .uses_port(5)
         .min_uops(2)
         .sort_by(uops_db::SortKey::Throughput)
         .limit(20);
-    group.bench_function("query/multi_filter_gallop", |b| {
-        b.iter(|| black_box(multi_filter.run(&db).total_matches))
-    });
-    group.bench_function("query/multi_filter_legacy", |b| {
-        b.iter(|| black_box(legacy_multi_filter(&db, black_box("Skylake"), 5, 2).len()))
-    });
-
-    // ---- merge: k-way shard merging ----
-    group.bench_function("merge/three_uarch_shards", |b| {
-        b.iter(|| black_box(Segment::merge(black_box(&shards)).len()))
-    });
-    group.finish();
 
     // ---- correctness: every strategy answers identically ----
     assert_eq!(indexed_port(&db, "Skylake", 5), linear_scan_port(&db, "Skylake", 5));
@@ -242,6 +181,3 @@ fn bench_db_query(c: &mut Criterion) {
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }
-
-criterion_group!(benches, bench_db_query);
-criterion_main!(benches);

@@ -2,62 +2,62 @@
 //! same 700-variants × 3-µarch synthetic dataset as `db_query`):
 //!
 //! * **service**: request latency at the transport-agnostic
-//!   [`QueryService`] layer, across the whole ladder — uncached
-//!   plan+execute+encode, fingerprint-tier hit via the wire string
-//!   (percent-decode + plan parse + canonicalize + fingerprint + lookup),
-//!   plan-level fingerprint hit, and the raw fast lane (one hash + one
-//!   probe + an `Arc` bump). Gates: fingerprint hit ≥ 5x faster than
-//!   uncached; raw fast-lane hit measurably (≥ 1.2x) faster than the
+//!   [`QueryService`] layer — uncached plan+execute+encode, fingerprint-tier
+//!   hit via the wire string (percent-decode + plan parse + canonicalize +
+//!   fingerprint + lookup), plan-level fingerprint hit, and the raw fast
+//!   lane (one hash + one probe + an `Arc` bump). Gates: fingerprint hit
+//!   ≥ 5x faster than uncached; raw fast-lane hit ≥ 1.2x faster than the
 //!   wire fingerprint hit.
 //! * **http**: requests/s over real sockets with a pipelined keep-alive
-//!   client, comparing the allocation-free transport (raw fast lane +
-//!   single vectored write) against an in-bench **emulation of the PR 4
-//!   baseline transport** (line-by-line allocating parse, fingerprint
-//!   tier only, formatted head + separate body writes). Gates: fast lane
-//!   ≥ 2x the baseline; `If-None-Match` → 304 beats full-body responses.
-//! * **telemetry**: the same fast-lane battery against a `--no-telemetry`
-//!   server. Gate: full instrumentation (per-route histograms, tier
-//!   latency split, byte/status counters) keeps ≥ 0.9x of the
-//!   telemetry-off throughput. The report also extracts `/v1/query`
-//!   p50/p99 from the server's own latency histograms — the numbers a
-//!   scrape of `/metrics` would serve.
+//!   client on the raw fast lane, against the same stack with
+//!   `--no-telemetry`, and with `If-None-Match` revalidation. Gates: full
+//!   instrumentation keeps ≥ 0.9x of the telemetry-off throughput; 304s
+//!   beat full-body responses (> 1.0x). The report also extracts
+//!   `/v1/query` p50/p99 from the server's own latency histograms — the
+//!   numbers a scrape of `/metrics` would serve.
 //! * **reactor**: a 10k-idle-keep-alive battery — the connections are
 //!   parked on the shards' timer wheels while pipelined throughput is
-//!   re-measured through the crowd. Gate: idle-connection memory
-//!   (process RSS delta / connections) bounded at 16 KiB per parked
-//!   connection.
-//! * **swap**: zero-downtime generation swaps — sustained pipelined
-//!   cache-hit load while a swapper thread alternates two live segments
-//!   under a monotone generation counter (each swap flushes both cache
-//!   tiers). Gates: the load spans ≥ 5 swaps with **zero** failed
-//!   requests, and throughput under swaps keeps ≥ 0.8x of the unloaded
-//!   rate.
+//!   re-measured through the crowd. Gate: idle-connection memory (process
+//!   RSS delta / connections) ≤ 16 KiB per parked connection.
+//! * **overload**: a paced uncached flood against a one-slot execution
+//!   ceiling. Gates: the flood sheds with 503 + Retry-After, and the
+//!   pre-warmed cached tier keeps ≥ 0.8x of its unloaded throughput.
+//! * **swap**: zero-downtime generation swaps — pipelined cache-hit load
+//!   while a swapper thread alternates two live segments under a monotone
+//!   generation counter (each swap flushes both cache tiers). Gates: the
+//!   load spans ≥ 5 swaps with **zero** failed requests, and keeps ≥ 0.8x
+//!   of the unloaded rate.
 //! * **batch**: `/v1/batch` amortization — 1000 cold plans in one framed
 //!   POST against the same 1000 as lockstep singles down one keep-alive
 //!   connection. Gate: amortized ns/plan in the batch ≤ 0.10x the
 //!   per-request cost of the singles.
 //! * **export**: chunked-streaming memory ceiling — a multi-tens-of-MB
 //!   JSON export is drained through the server while the process RSS
-//!   delta must stay ≤ 16 MiB (far below the body), proving the export
-//!   is emitted in bounded 64 KiB chunks.
+//!   delta must stay ≤ 16 MiB.
+//!
+//! Every ratio gate is [`median_ratio`] over [`PAIRS`] interleaved pairs
+//! of rounds, the two rounds of a pair run in alternating order. The
+//! bench evaluates every gate and writes its ledger before it fails, and
+//! then names every gate that failed.
 //!
 //! Every server here runs on epoll reactor shards, the only transport.
 //! Besides the human-readable report, the run writes a machine-readable
 //! summary, with the machine's core count, to `BENCH_serve.json`
-//! (override with the `BENCH_SERVE_JSON` environment variable) for CI
-//! artifact upload; the repo root carries the committed numbers per PR
-//! so the trajectory is tracked in-tree.
+//! (override with the `BENCH_SERVE_JSON` environment variable); the repo
+//! root carries the committed numbers so the trajectory is tracked
+//! in-tree.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::hint::black_box;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
+use uops_bench::{median, median_ns, median_ratio};
 use uops_db::{Query, QueryPlan, Segment, Snapshot, SortKey, VariantRecord};
 use uops_serve::{
-    decode_batch_response, respond, route, Encoding, QueryService, Route, Server, ServerOptions,
+    decode_batch_response, respond, Encoding, QueryService, Route, Server, ServerOptions,
 };
 
 /// The same synthetic shape as the `db_query` bench: 700 variants on three
@@ -101,30 +101,81 @@ fn hot_plan() -> QueryPlan {
         .into_plan()
 }
 
-fn median_ns<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
-    for _ in 0..3 {
-        black_box(f());
+/// Interleaved pairs of rounds behind every ratio gate.
+const PAIRS: usize = 15;
+
+/// Runs [`PAIRS`] pairs of the rounds `a` and `b`, `a` first in even
+/// pairs and `b` first in odd ones, so drift over the run lands on both
+/// sides alike. Returns both series, pair by pair.
+///
+/// Whole rounds move by 1.25–1.4x on a shared 2-core host: a round whose
+/// client the scheduler puts on its shard's CPU runs ~1.25x faster than
+/// one split across both CPUs (a background thread makes sharing more
+/// likely), and the host slows stretches of rounds. The two rounds of a
+/// pair run back to back, so the ratio within a pair cancels most of it.
+fn paired_rounds<T>(mut a: impl FnMut() -> T, mut b: impl FnMut() -> T) -> (Vec<T>, Vec<T>) {
+    let (mut a_rounds, mut b_rounds) = (Vec::with_capacity(PAIRS), Vec::with_capacity(PAIRS));
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            a_rounds.push(a());
+            b_rounds.push(b());
+        } else {
+            b_rounds.push(b());
+            a_rounds.push(a());
+        }
     }
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    (a_rounds, b_rounds)
+}
+
+/// Every gate's verdict, collected so that one failed gate does not hide
+/// the others: the bench fails only after all of them ran and the ledger
+/// was written.
+#[derive(Default)]
+struct Gates {
+    failed: Vec<String>,
+}
+
+impl Gates {
+    fn check(&mut self, pass: bool, what: String) {
+        println!("gate {}: {what}", if pass { "ok" } else { "FAILED" });
+        if !pass {
+            self.failed.push(what);
+        }
+    }
+}
+
+/// A background load (the overload flood, the generation swapper) that
+/// the measuring thread switches on for the loaded round of each pair and
+/// off for the unloaded one. Its thread bumps `cycles` once per cycle.
+#[derive(Default)]
+struct Load {
+    on: AtomicBool,
+    stop: AtomicBool,
+    cycles: AtomicU64,
+}
+
+impl Load {
+    /// Switches the load on or off, then waits for two more cycles, so no
+    /// cycle begun in the other state is still running.
+    fn set(&self, on: bool) {
+        self.on.store(on, Relaxed);
+        let seen = self.cycles.load(Relaxed);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.cycles.load(Relaxed) < seen + 2 {
+            assert!(Instant::now() < deadline, "the background load stopped cycling");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 }
 
 /// Requests per connection, kept under the server's keep-alive budget
 /// (1024) so clients reconnect before the server hangs up.
 const REQUESTS_PER_CONNECTION: usize = 1000;
 
-/// Issues `count` keep-alive GETs for `targets` (cycled) in lockstep,
-/// reconnecting every [`REQUESTS_PER_CONNECTION`] requests, returning
-/// requests/s. Used for the uncached battery, where every response frame
-/// differs.
-fn http_requests_per_sec(addr: &std::net::SocketAddr, targets: &[String], count: usize) -> f64 {
+/// Issues one keep-alive GET per target in lockstep, reconnecting every
+/// [`REQUESTS_PER_CONNECTION`] requests, returning requests/s. Used for
+/// the batch gate's singles, where every response frame differs.
+fn http_requests_per_sec(addr: &SocketAddr, targets: &[String]) -> f64 {
     let connect = || {
         let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
@@ -133,11 +184,10 @@ fn http_requests_per_sec(addr: &std::net::SocketAddr, targets: &[String], count:
     };
     let (mut writer, mut reader) = connect();
     let t = Instant::now();
-    for i in 0..count {
+    for (i, target) in targets.iter().enumerate() {
         if i > 0 && i % REQUESTS_PER_CONNECTION == 0 {
             (writer, reader) = connect();
         }
-        let target = &targets[i % targets.len()];
         write!(writer, "GET {target} HTTP/1.1\r\nHost: b\r\n\r\n").expect("send");
         writer.flush().expect("flush");
         // Read the header block, then exactly Content-Length body bytes.
@@ -158,7 +208,7 @@ fn http_requests_per_sec(addr: &std::net::SocketAddr, targets: &[String], count:
         reader.read_exact(&mut body).expect("read body");
         black_box(body);
     }
-    count as f64 / t.elapsed().as_secs_f64()
+    targets.len() as f64 / t.elapsed().as_secs_f64()
 }
 
 /// One lockstep exchange, returning the full response (head + body)
@@ -189,11 +239,10 @@ fn learn_response(stream: &mut TcpStream, request: &[u8]) -> Vec<u8> {
 /// batches of [`PIPELINE_BATCH`] requests go out in a single write, the
 /// concatenated responses come back in bulk `read_exact`s. This
 /// amortizes the client's syscalls and scheduler wakeups so the
-/// measurement tracks the *server's* per-request cost (the interesting
-/// number on the single-core bench machines).
+/// measurement tracks the *server's* per-request cost.
 const PIPELINE_BATCH: usize = 50;
 
-fn http_pipelined_rps(addr: &std::net::SocketAddr, request: &[u8], batches: usize) -> f64 {
+fn http_pipelined_rps(addr: &SocketAddr, request: &[u8], batches: usize) -> f64 {
     let connect = || {
         let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
@@ -219,10 +268,9 @@ fn http_pipelined_rps(addr: &std::net::SocketAddr, request: &[u8], batches: usiz
         served_on_connection += PIPELINE_BATCH;
     }
     let elapsed = t.elapsed().as_secs_f64();
-    assert_eq!(
-        &batch_response[..expected.len()],
-        &expected[..],
-        "pipelined frames must match the learned response"
+    assert!(
+        batch_response == expected.repeat(PIPELINE_BATCH),
+        "every pipelined frame must match the learned response"
     );
     (batches * PIPELINE_BATCH) as f64 / elapsed
 }
@@ -232,11 +280,7 @@ fn http_pipelined_rps(addr: &std::net::SocketAddr, request: &[u8], batches: usiz
 /// a learned frame, so it stays correct while the served bytes change
 /// under it mid-run — the body *and* the content-derived ETag legitimately
 /// differ across a generation swap. Returns (requests/s, non-200 count).
-fn http_pipelined_parsed_rps(
-    addr: &std::net::SocketAddr,
-    request: &[u8],
-    batches: usize,
-) -> (f64, u64) {
+fn http_pipelined_parsed_rps(addr: &SocketAddr, request: &[u8], batches: usize) -> (f64, u64) {
     fn read_parsed(reader: &mut BufReader<TcpStream>) -> bool {
         let mut ok = false;
         let mut content_length = 0usize;
@@ -293,116 +337,15 @@ fn http_pipelined_parsed_rps(
     ((batches * PIPELINE_BATCH) as f64 / elapsed, failures)
 }
 
-/// An in-bench emulation of the **PR 4 baseline transport**, serving the
-/// same [`QueryService`] routing: line-by-line reads into fresh `String`s,
-/// per-request `String` path/query, the fingerprint cache tier only (no
-/// raw fast lane — `route` is called below it), a `format!`ed header
-/// block, and separate head/body writes through a `BufWriter`. Everything
-/// the tentpole removed, kept runnable so the speedup is measured, not
-/// asserted by hand.
-fn spawn_legacy_baseline(service: Arc<QueryService>) -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind legacy");
-    let addr = listener.local_addr().expect("addr");
-    std::thread::Builder::new()
-        .name("legacy-baseline-accept".into())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { return };
-                let service = Arc::clone(&service);
-                std::thread::spawn(move || {
-                    let _ = stream.set_nodelay(true);
-                    let Ok(write_half) = stream.try_clone() else { return };
-                    let mut reader = BufReader::new(stream);
-                    let mut writer = BufWriter::new(write_half);
-                    // PR 4's read_line_bounded: a fresh Vec per line,
-                    // converted to an owned String.
-                    let read_line = |reader: &mut BufReader<TcpStream>| -> Option<String> {
-                        let mut line = Vec::new();
-                        loop {
-                            let buf = reader.fill_buf().ok()?;
-                            if buf.is_empty() {
-                                return None;
-                            }
-                            match buf.iter().position(|&b| b == b'\n') {
-                                Some(nl) => {
-                                    line.extend_from_slice(&buf[..nl]);
-                                    reader.consume(nl + 1);
-                                    if line.last() == Some(&b'\r') {
-                                        line.pop();
-                                    }
-                                    return String::from_utf8(line).ok();
-                                }
-                                None => {
-                                    let taken = buf.len();
-                                    line.extend_from_slice(buf);
-                                    reader.consume(taken);
-                                }
-                            }
-                        }
-                    };
-                    loop {
-                        let Some(request_line) = read_line(&mut reader) else { return };
-                        let mut parts = request_line.split(' ');
-                        let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-                            return;
-                        };
-                        let mut keep_alive = true;
-                        loop {
-                            let Some(header) = read_line(&mut reader) else { return };
-                            if header.is_empty() {
-                                break;
-                            }
-                            // PR 4 lowercased every header name (an
-                            // allocation) and token-scanned Connection.
-                            let Some((name, value)) = header.split_once(':') else { return };
-                            let name = name.trim().to_ascii_lowercase();
-                            if name == "connection" {
-                                for token in value.split(',') {
-                                    match token.trim().to_ascii_lowercase().as_str() {
-                                        "close" => keep_alive = false,
-                                        "keep-alive" => keep_alive = true,
-                                        _ => {}
-                                    }
-                                }
-                            }
-                        }
-                        let (path, query) = match target.split_once('?') {
-                            Some((p, q)) => (p.to_string(), q.to_string()),
-                            None => (target.to_string(), String::new()),
-                        };
-                        let method = method.to_string();
-                        let response = route(&service, &method, &path, &query);
-                        let head = format!(
-                            "HTTP/1.1 {} OK\r\nContent-Type: {}\r\nContent-Length: {}\r\n\
-                             Connection: {}\r\n\r\n",
-                            response.status,
-                            response.content_type,
-                            response.body.len(),
-                            if keep_alive { "keep-alive" } else { "close" },
-                        );
-                        if writer.write_all(head.as_bytes()).is_err()
-                            || writer.write_all(&response.body).is_err()
-                            || writer.flush().is_err()
-                            || !keep_alive
-                        {
-                            return;
-                        }
-                    }
-                });
-            }
-        })
-        .expect("spawn legacy accept");
-    addr
-}
-
-fn bench_serve(c: &mut Criterion) {
+fn main() {
+    let mut gates = Gates::default();
     let snapshot = synthetic_snapshot(700);
     let segment = Arc::new(Segment::from_bytes(Segment::encode(&snapshot)).expect("valid segment"));
     let records = snapshot.records.len();
     assert!(records >= 2100, "bench db must hold 2100 records, got {records}");
 
     let cached = QueryService::from_segment(Arc::clone(&segment), 64 << 20);
-    let uncached = QueryService::from_segment_with_raw_cache(Arc::clone(&segment), 0, 0);
+    let uncached = QueryService::from_segment(Arc::clone(&segment), 0);
     let plan = hot_plan();
     let wire = plan.to_query_string();
     let hot_target = format!("/v1/query?{wire}");
@@ -419,37 +362,26 @@ fn bench_serve(c: &mut Criterion) {
         "fast-lane responses must be byte-identical too"
     );
 
-    let mut group = c.benchmark_group("serve");
-    group.bench_function("service/uncached_query", |b| {
-        b.iter(|| black_box(uncached.query(black_box(&plan), Encoding::Json).body.len()))
-    });
-    group.bench_function("service/fingerprint_hit_wire", |b| {
-        b.iter(|| black_box(cached.query_wire(black_box(wire.as_str()), Encoding::Json).body.len()))
-    });
-    group.bench_function("service/fingerprint_hit_plan", |b| {
-        b.iter(|| black_box(cached.query(black_box(&plan), Encoding::Json).body.len()))
-    });
-    group.bench_function("service/raw_fast_lane_hit", |b| {
-        b.iter(|| black_box(respond(&cached, "GET", black_box(hot_target.as_str())).body.len()))
-    });
-    group.finish();
-
     // ---- service-level gates + numbers ----
     let uncached_ns = median_ns(25, || uncached.query(&plan, Encoding::Json).body.len());
     let cached_ns = median_ns(25, || cached.query(&plan, Encoding::Json).body.len());
     let wire_hit_ns = median_ns(25, || cached.query_wire(&wire, Encoding::Json).body.len());
     let raw_hit_ns = median_ns(25, || respond(&cached, "GET", &hot_target).body.len());
-    let speedup = uncached_ns / cached_ns.max(1.0);
-    assert!(
+    let speedup = uncached_ns / cached_ns;
+    gates.check(
         speedup >= 5.0,
-        "a cache hit must be >= 5x faster than the uncached pipeline \
-         (uncached {uncached_ns:.0} ns vs cached {cached_ns:.0} ns = {speedup:.1}x)"
+        format!(
+            "a cache hit must be >= 5x faster than the uncached pipeline \
+             (uncached {uncached_ns:.0} ns vs cached {cached_ns:.0} ns = {speedup:.1}x)"
+        ),
     );
-    let raw_vs_wire = wire_hit_ns / raw_hit_ns.max(1.0);
-    assert!(
+    let raw_vs_wire = wire_hit_ns / raw_hit_ns;
+    gates.check(
         raw_vs_wire >= 1.2,
-        "the raw fast lane must be measurably faster than a fingerprint-tier hit \
-         (wire hit {wire_hit_ns:.0} ns vs raw hit {raw_hit_ns:.0} ns = {raw_vs_wire:.2}x)"
+        format!(
+            "the raw fast lane must be measurably faster than a fingerprint-tier hit \
+             (wire hit {wire_hit_ns:.0} ns vs raw hit {raw_hit_ns:.0} ns = {raw_vs_wire:.2}x)"
+        ),
     );
     let hits_before = cached.stats();
     let _ = cached.query(&plan, Encoding::Json);
@@ -476,9 +408,6 @@ fn bench_serve(c: &mut Criterion) {
     .expect("bind quiet");
     let quiet_addr = quiet_server.local_addr();
     let quiet_handle = quiet_server.spawn();
-    let legacy_service =
-        Arc::new(QueryService::from_segment_with_raw_cache(Arc::clone(&segment), 64 << 20, 0));
-    let legacy_addr = spawn_legacy_baseline(Arc::clone(&legacy_service));
 
     let hot_request = format!("GET {hot_target} HTTP/1.1\r\nHost: b\r\n\r\n").into_bytes();
     // Learn the hot ETag for the conditional-request scenario.
@@ -494,54 +423,51 @@ fn bench_serve(c: &mut Criterion) {
         format!("GET {hot_target} HTTP/1.1\r\nHost: b\r\nIf-None-Match: {etag}\r\n\r\n")
             .into_bytes();
 
-    // Pipelined keep-alive: fast lane vs the PR 4 baseline emulation vs
-    // 304 revalidation, same client, same database, same hot target —
-    // plus the telemetry-off server for the overhead gate. All four are
-    // measured in interleaved rounds so a scheduler hiccup on a shared CI
-    // box lands on the whole round, not on one server: the ratio gates
-    // below compare rounds pairwise and take the best pairing, which
-    // bounds the true capability ratio no matter which round was noisy.
-    const MEASURE_ROUNDS: usize = 5;
-    let mut quiet_rounds = [0.0f64; MEASURE_ROUNDS];
-    let mut cached_rounds = [0.0f64; MEASURE_ROUNDS];
-    let mut not_modified_rounds = [0.0f64; MEASURE_ROUNDS];
-    let mut legacy_rounds = [0.0f64; MEASURE_ROUNDS];
-    for i in 0..MEASURE_ROUNDS {
-        quiet_rounds[i] = http_pipelined_rps(&quiet_addr, &hot_request, 60);
-        cached_rounds[i] = http_pipelined_rps(&addr, &hot_request, 60);
-        not_modified_rounds[i] = http_pipelined_rps(&addr, &conditional_request, 60);
-        legacy_rounds[i] = http_pipelined_rps(&legacy_addr, &hot_request, 60);
-    }
-    let best = |rounds: &[f64]| rounds.iter().fold(0.0f64, |a, &b| a.max(b));
-    let best_paired_ratio = |num: &[f64], den: &[f64]| {
-        num.iter().zip(den).map(|(&n, &d)| n / d.max(1.0)).fold(0.0f64, f64::max)
-    };
-    let http_quiet_rps = best(&quiet_rounds);
-    let http_cached_rps = best(&cached_rounds);
-    let http_not_modified_rps = best(&not_modified_rounds);
-    let http_legacy_rps = best(&legacy_rounds);
-
-    // Distinct offsets make every request a distinct plan (cache miss)
-    // over the same expensive result set.
-    let cold_targets: Vec<String> = (0..512)
-        .map(|i| {
-            format!("/v1/query?uarch=Skylake&port=5&min_uops=2&sort=throughput&offset={i}&limit=50")
-        })
-        .collect();
-    let http_uncached_rps = http_requests_per_sec(&addr, &cold_targets, 512);
+    // Pipelined keep-alive: the fast lane with and without telemetry, and
+    // 304 revalidation, same client, same database, same hot target.
+    let (cached_rounds, quiet_rounds) = paired_rounds(
+        || http_pipelined_rps(&addr, &hot_request, 60),
+        || http_pipelined_rps(&quiet_addr, &hot_request, 60),
+    );
+    let (not_modified_rounds, full_rounds) = paired_rounds(
+        || http_pipelined_rps(&addr, &conditional_request, 60),
+        || http_pipelined_rps(&addr, &hot_request, 60),
+    );
+    let http_cached_rps = median(&cached_rounds);
+    let http_quiet_rps = median(&quiet_rounds);
+    let http_not_modified_rps = median(&not_modified_rounds);
 
     // Request-latency percentiles straight out of the server's own
-    // per-route histograms (everything the pipelined + uncached batteries
-    // drove through /v1/query), before shutdown.
+    // per-route histograms (everything the pipelined batteries drove
+    // through /v1/query), before shutdown.
     let query_latency = server_metrics.route_latency(Route::Query);
     let fast_lane_p50_ns = query_latency.quantile(0.50);
     let fast_lane_p99_ns = query_latency.quantile(0.99);
     assert!(query_latency.count() > 0, "the bench must have recorded query latencies");
+    handle.shutdown();
+    quiet_handle.shutdown();
+
+    let telemetry_ratio = median_ratio(&cached_rounds, &quiet_rounds);
+    gates.check(
+        telemetry_ratio >= 0.9,
+        format!(
+            "telemetry must cost <= 10% of raw fast-lane throughput \
+             ({http_cached_rps:.0} with vs {http_quiet_rps:.0} req/s without; \
+             median pair {telemetry_ratio:.2}x)"
+        ),
+    );
+    let not_modified_vs_full = median_ratio(&not_modified_rounds, &full_rounds);
+    gates.check(
+        not_modified_vs_full > 1.0,
+        format!(
+            "304 revalidations skip the body and must beat full responses \
+             ({http_not_modified_rps:.0} vs {:.0} req/s; median pair {not_modified_vs_full:.2}x)",
+            median(&full_rounds)
+        ),
+    );
 
     // ---- reactor: the 10k-idle battery ----
     let reactor_json = {
-        use std::time::Duration;
-
         use uops_serve::net::{raise_nofile_limit, rss_bytes};
 
         const REACTOR_SHARDS: usize = 2;
@@ -593,11 +519,13 @@ fn bench_serve(c: &mut Criterion) {
         let rss_after = rss_bytes().expect("statm is readable on Linux");
         let idle_rss_delta = rss_after.saturating_sub(rss_before);
         let idle_bytes_per_conn = idle_rss_delta / idle_target.max(1) as u64;
-        assert!(
+        gates.check(
             idle_bytes_per_conn <= 16 * 1024,
-            "a parked idle connection must stay under 16 KiB of resident memory \
-             ({idle_rss_delta} bytes across {idle_target} connections = \
-             {idle_bytes_per_conn} bytes each)"
+            format!(
+                "a parked idle connection must stay under 16 KiB of resident memory \
+                 ({idle_rss_delta} bytes across {idle_target} connections = \
+                 {idle_bytes_per_conn} bytes each)"
+            ),
         );
 
         // Pipelined throughput again, now threading one busy connection
@@ -620,37 +548,6 @@ fn bench_serve(c: &mut Criterion) {
         )
     };
 
-    handle.shutdown();
-    quiet_handle.shutdown();
-
-    // The reported ratios compare peak throughputs (the honest capability
-    // numbers); the gates accept either that or the best paired round, so
-    // a scheduler hiccup that lands on exactly one server in one round
-    // cannot fail a gate the peaks or any clean round would pass.
-    let telemetry_ratio = http_cached_rps / http_quiet_rps.max(1.0);
-    let telemetry_gate = telemetry_ratio.max(best_paired_ratio(&cached_rounds, &quiet_rounds));
-    assert!(
-        telemetry_gate >= 0.9,
-        "telemetry must cost <= 10% of raw fast-lane throughput \
-         ({http_cached_rps:.0} with vs {http_quiet_rps:.0} req/s without = \
-         {telemetry_ratio:.2}x; best paired round {telemetry_gate:.2}x)"
-    );
-
-    let fastlane_vs_legacy = http_cached_rps / http_legacy_rps.max(1.0);
-    let fastlane_gate = fastlane_vs_legacy.max(best_paired_ratio(&cached_rounds, &legacy_rounds));
-    assert!(
-        fastlane_gate >= 2.0,
-        "the allocation-free fast-lane transport must serve the hot cached path >= 2x the \
-         PR 4 baseline transport ({http_cached_rps:.0} vs {http_legacy_rps:.0} req/s = \
-         {fastlane_vs_legacy:.2}x; best paired round {fastlane_gate:.2}x)"
-    );
-    let not_modified_vs_full = http_not_modified_rps / http_cached_rps.max(1.0);
-    assert!(
-        not_modified_vs_full > 1.0,
-        "304 revalidations skip the body and must beat full responses \
-         ({http_not_modified_rps:.0} vs {http_cached_rps:.0} req/s)"
-    );
-
     // ---- overload: the cached tier keeps serving while uncached floods
     // shed ----
     //
@@ -671,12 +568,11 @@ fn bench_serve(c: &mut Criterion) {
     .expect("bind overload");
     let overload_addr = overload_server.local_addr();
     let overload_handle = overload_server.spawn();
-
-    const OVERLOAD_ROUNDS: usize = 3;
-    let mut unloaded_rounds = [0.0f64; OVERLOAD_ROUNDS];
-    for round in &mut unloaded_rounds {
-        *round = http_pipelined_rps(&overload_addr, &hot_request, 40);
-    }
+    // Cache the hot target before the flood can hold the execution slot:
+    // from here on it is served from the raw fast lane, which never sheds.
+    let warm =
+        learn_response(&mut TcpStream::connect(overload_addr).expect("connect"), &hot_request);
+    assert!(warm.starts_with(b"HTTP/1.1 200 "), "the hot target must warm with a 200");
 
     // Each flooder pipelines batches of distinct (never-repeated, so
     // never-cached) plans down one connection. The two lanes fire each
@@ -688,16 +584,16 @@ fn bench_serve(c: &mut Criterion) {
     // preformatted 503.
     // The pacing sleep bounds the flood's CPU theft — the gate measures
     // whether *shedding* protects the cached tier, not whether the host
-    // has spare cores to absorb an unthrottled flood (the bench
-    // container has one core; an unpaced flood starves the measured
-    // client at the scheduler, and no server policy can win that back).
+    // has spare cores to absorb an unthrottled flood (an unpaced flood
+    // starves the measured client at the scheduler, and no server policy
+    // can win that back).
     const FLOOD_BATCH: usize = 64;
-    const FLOOD_PACE: std::time::Duration = std::time::Duration::from_millis(30);
-    let stop_flood = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    const FLOOD_PACE: Duration = Duration::from_millis(30);
+    let flood = Arc::new(Load::default());
     let cycle_gate = Arc::new(std::sync::Barrier::new(2));
     let flooders: Vec<_> = (0..2)
         .map(|lane: usize| {
-            let stop = Arc::clone(&stop_flood);
+            let flood = Arc::clone(&flood);
             let gate = Arc::clone(&cycle_gate);
             std::thread::Builder::new()
                 .name(format!("overload-flooder-{lane}"))
@@ -711,11 +607,18 @@ fn bench_serve(c: &mut Criterion) {
                     let mut served = 0usize;
                     loop {
                         // Every path returns to the barrier, so neither
-                        // lane can strand the other (reconnects and the
-                        // final stop both pass through here).
+                        // lane can strand the other (reconnects, pauses and
+                        // the final stop all pass through here).
                         gate.wait();
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        if lane == 0 {
+                            flood.cycles.fetch_add(1, Relaxed);
+                        }
+                        if flood.stop.load(Relaxed) {
                             break;
+                        }
+                        if !flood.on.load(Relaxed) {
+                            std::thread::sleep(FLOOD_PACE);
+                            continue;
                         }
                         if served + FLOOD_BATCH >= REQUESTS_PER_CONNECTION {
                             conn = None;
@@ -797,31 +700,44 @@ fn bench_serve(c: &mut Criterion) {
         })
         .collect();
 
-    // The flood is demonstrably shedding before the loaded rounds start.
+    // A loaded round starts once the flood sheds: until then the two lanes
+    // may sit on one shard, which never contends with itself for the slot
+    // (a reconnect every ~15 cycles re-hashes them).
     let shed_counter = overload_service.shed_capacity_counter();
-    let flood_live = Instant::now() + std::time::Duration::from_secs(10);
-    while shed_counter.get() == 0 {
-        assert!(Instant::now() < flood_live, "the flood must shed within 10 s");
-        std::thread::yield_now();
-    }
-    let mut loaded_rounds = [0.0f64; OVERLOAD_ROUNDS];
-    for round in &mut loaded_rounds {
-        *round = http_pipelined_rps(&overload_addr, &hot_request, 40);
-    }
-    stop_flood.store(true, std::sync::atomic::Ordering::Relaxed);
+    let (loaded_rounds, unloaded_rounds) = paired_rounds(
+        || {
+            flood.set(true);
+            let sheds = shed_counter.get();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while shed_counter.get() == sheds && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            http_pipelined_rps(&overload_addr, &hot_request, 40)
+        },
+        || {
+            flood.set(false);
+            http_pipelined_rps(&overload_addr, &hot_request, 40)
+        },
+    );
+    flood.stop.store(true, Relaxed);
     let client_sheds: u64 = flooders.into_iter().map(|f| f.join().expect("flooder")).sum();
     let total_sheds = shed_counter.get();
     overload_handle.shutdown();
 
-    let overload_unloaded_rps = best(&unloaded_rounds);
-    let overload_loaded_rps = best(&loaded_rounds);
-    let overload_ratio = overload_loaded_rps / overload_unloaded_rps.max(1.0);
-    assert!(client_sheds > 0, "flooder clients must have observed shed 503 responses");
-    assert!(
+    let overload_unloaded_rps = median(&unloaded_rounds);
+    let overload_loaded_rps = median(&loaded_rounds);
+    let overload_ratio = median_ratio(&loaded_rounds, &unloaded_rounds);
+    gates.check(
+        client_sheds > 0,
+        format!("flooder clients must observe shed 503 responses (saw {client_sheds})"),
+    );
+    gates.check(
         overload_ratio >= 0.8,
-        "shedding must protect the cached tier under an uncached flood: \
-         {overload_loaded_rps:.0} req/s loaded vs {overload_unloaded_rps:.0} req/s unloaded \
-         = {overload_ratio:.2}x (with {total_sheds} sheds)"
+        format!(
+            "shedding must protect the cached tier under an uncached flood: \
+             {overload_loaded_rps:.0} req/s loaded vs {overload_unloaded_rps:.0} req/s unloaded \
+             (median pair {overload_ratio:.2}x, with {total_sheds} sheds)"
+        ),
     );
 
     // ---- swap: zero-downtime generation swaps under sustained load ----
@@ -857,82 +773,79 @@ fn bench_serve(c: &mut Criterion) {
         Segment::from_bytes(Segment::encode(&swap_extra)).expect("swap extra segment");
     let swap_alt_segment = Arc::new(Segment::merge_refs(&[&segment, &swap_extra_segment]));
 
-    const SWAP_ROUNDS: usize = 3;
-    let mut swap_unloaded_rounds = [0.0f64; SWAP_ROUNDS];
-    let mut swap_unloaded_failures = 0u64;
-    for round in &mut swap_unloaded_rounds {
-        let (rps, failed) = http_pipelined_parsed_rps(&swap_addr, &hot_request, 40);
-        *round = rps;
-        swap_unloaded_failures += failed;
-    }
-
-    let stop_swapper = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let swaps = Arc::new(Load::default());
     let swapper = {
         let service = Arc::clone(&swap_service);
         let base = Arc::clone(&segment);
         let alt = Arc::clone(&swap_alt_segment);
-        let stop = Arc::clone(&stop_swapper);
+        let swaps = Arc::clone(&swaps);
         std::thread::Builder::new()
             .name("swap-bench-swapper".into())
             .spawn(move || {
                 let mut id = service.generation();
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    id += 1;
-                    let next = if id % 2 == 0 { &alt } else { &base };
-                    assert!(
-                        service.swap_segment(Arc::clone(next), id),
-                        "monotone generation ids must always swap"
-                    );
+                while !swaps.stop.load(Relaxed) {
+                    if swaps.on.load(Relaxed) {
+                        id += 1;
+                        let next = if id % 2 == 0 { &alt } else { &base };
+                        assert!(
+                            service.swap_segment(Arc::clone(next), id),
+                            "monotone generation ids must always swap"
+                        );
+                    }
                     // ~100 swaps/s: each swap flushes both cache tiers,
                     // so the cadence sets how much of the load re-runs
                     // uncached. Aggressive for a data plane (real
                     // publishes are seconds apart) yet long enough that
                     // cache hits dominate between flushes.
-                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    std::thread::sleep(Duration::from_millis(10));
+                    swaps.cycles.fetch_add(1, Relaxed);
                 }
             })
             .expect("spawn swapper")
     };
 
-    // Keep measuring until the load has demonstrably spanned >= 5 swaps
-    // (the generation counter is the witness), with at least the same
-    // number of rounds as the unloaded side.
-    let swap_load_start_generation = swap_service.generation();
-    let mut swap_loaded_rounds: Vec<f64> = Vec::new();
-    let mut swap_failures = 0u64;
-    while swap_loaded_rounds.len() < SWAP_ROUNDS
-        || swap_service.generation() - swap_load_start_generation < 5
-    {
-        assert!(
-            swap_loaded_rounds.len() < 40,
-            "the swapper must advance generations while the load runs"
-        );
-        let (rps, failed) = http_pipelined_parsed_rps(&swap_addr, &hot_request, 40);
-        swap_loaded_rounds.push(rps);
-        swap_failures += failed;
-    }
-    let swaps_under_load = swap_service.generation() - swap_load_start_generation;
-    stop_swapper.store(true, std::sync::atomic::Ordering::Relaxed);
+    // The generation counter is the witness that the loaded rounds ran
+    // across swaps; only swaps inside a loaded round count. Each round
+    // yields (requests/s, failed requests, swaps during the round).
+    let (swap_loaded, swap_unloaded) = paired_rounds(
+        || {
+            swaps.set(true);
+            let generation = swap_service.generation();
+            let (rps, failed) = http_pipelined_parsed_rps(&swap_addr, &hot_request, 40);
+            (rps, failed, swap_service.generation() - generation)
+        },
+        || {
+            swaps.set(false);
+            let (rps, failed) = http_pipelined_parsed_rps(&swap_addr, &hot_request, 40);
+            (rps, failed, 0)
+        },
+    );
+    swaps.stop.store(true, Relaxed);
     swapper.join().expect("swapper");
     swap_handle.shutdown();
 
-    let swap_unloaded_rps = best(&swap_unloaded_rounds);
-    let swap_loaded_rps = best(&swap_loaded_rounds);
-    let swap_retention = swap_loaded_rps / swap_unloaded_rps.max(1.0);
-    let swap_gate =
-        swap_retention.max(best_paired_ratio(&swap_loaded_rounds, &swap_unloaded_rounds));
-    assert_eq!(swap_unloaded_failures, 0, "the unloaded swap rounds must not fail a request");
-    assert_eq!(
-        swap_failures, 0,
-        "generation swaps must never fail a request (zero-downtime contract)"
+    let swap_loaded_rounds: Vec<f64> = swap_loaded.iter().map(|r| r.0).collect();
+    let swap_unloaded_rounds: Vec<f64> = swap_unloaded.iter().map(|r| r.0).collect();
+    let swap_failures: u64 = swap_loaded.iter().chain(&swap_unloaded).map(|r| r.1).sum();
+    let swaps_under_load: u64 = swap_loaded.iter().map(|r| r.2).sum();
+    let swap_unloaded_rps = median(&swap_unloaded_rounds);
+    let swap_loaded_rps = median(&swap_loaded_rounds);
+    let swap_retention = median_ratio(&swap_loaded_rounds, &swap_unloaded_rounds);
+    gates.check(
+        swap_failures == 0,
+        format!("generation swaps must never fail a request (failed {swap_failures})"),
     );
-    assert!(swaps_under_load >= 5, "the load must span >= 5 swaps, saw {swaps_under_load}");
-    assert!(
-        swap_gate >= 0.8,
-        "swapping generations must keep >= 0.8x of unloaded cache-hit throughput \
-         ({swap_loaded_rps:.0} req/s across {swaps_under_load} swaps vs \
-         {swap_unloaded_rps:.0} req/s unloaded = {swap_retention:.2}x; best paired round \
-         {swap_gate:.2}x)"
+    gates.check(
+        swaps_under_load >= 5,
+        format!("the load must span >= 5 swaps (saw {swaps_under_load})"),
+    );
+    gates.check(
+        swap_retention >= 0.8,
+        format!(
+            "swapping generations must keep >= 0.8x of unloaded cache-hit throughput \
+             ({swap_loaded_rps:.0} req/s across {swaps_under_load} swaps vs \
+             {swap_unloaded_rps:.0} req/s unloaded; median pair {swap_retention:.2}x)"
+        ),
     );
 
     // ---- batch protocol: amortized multi-plan execution ----
@@ -940,8 +853,7 @@ fn bench_serve(c: &mut Criterion) {
     // 1000 distinct (all-miss) plans, narrow enough that execution is
     // cheap: the measured cost is the per-request protocol overhead —
     // parse, round trip, head assembly — which is exactly what the batch
-    // endpoint amortizes into one request. Interleaved paired rounds,
-    // same noise discipline as the batteries above.
+    // endpoint amortizes into one request.
     let batch_service = Arc::new(QueryService::from_segment(Arc::clone(&segment), 64 << 20));
     let batch_server =
         Server::bind("127.0.0.1:0", Arc::clone(&batch_service), 2).expect("bind batch");
@@ -1001,35 +913,37 @@ fn bench_serve(c: &mut Criterion) {
     batch_stream.set_nodelay(true).expect("nodelay");
     // One warm batch settles connection scratch and frame buffers.
     let _ = run_batch(&mut batch_stream, 900_000);
-    const BATCH_ROUNDS: usize = 5;
-    let mut single_round_ns = [0.0f64; BATCH_ROUNDS];
-    let mut batch_round_ns = [0.0f64; BATCH_ROUNDS];
-    for round in 0..BATCH_ROUNDS {
-        let targets: Vec<String> = (0..BATCH_PLANS)
-            .map(|i| format!("/v1/query?{}", plan_text(round * BATCH_PLANS + i)))
-            .collect();
-        single_round_ns[round] = 1e9 / http_requests_per_sec(&batch_addr, &targets, BATCH_PLANS);
-        batch_round_ns[round] = run_batch(&mut batch_stream, 1_000_000 + round * BATCH_PLANS);
-    }
+    // Every round draws fresh offsets, so every plan misses the cache. A
+    // batch round sends several batches, so that it lasts about as long as
+    // a round of singles and one scheduler hiccup weighs on both alike.
+    const BATCHES_PER_ROUND: usize = 10;
+    let next_offset = std::cell::Cell::new(1_000_000);
+    let fresh_offsets = || next_offset.replace(next_offset.get() + BATCH_PLANS);
+    let (batch_round_ns, single_round_ns) = paired_rounds(
+        || {
+            let ns: f64 =
+                (0..BATCHES_PER_ROUND).map(|_| run_batch(&mut batch_stream, fresh_offsets())).sum();
+            ns / BATCHES_PER_ROUND as f64
+        },
+        || {
+            let first = fresh_offsets();
+            let targets: Vec<String> =
+                (0..BATCH_PLANS).map(|i| format!("/v1/query?{}", plan_text(first + i))).collect();
+            1e9 / http_requests_per_sec(&batch_addr, &targets)
+        },
+    );
     drop(batch_stream);
     batch_handle.shutdown();
-    let min = |rounds: &[f64]| rounds.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-    let single_ns_per_plan = min(&single_round_ns);
-    let batch_ns_per_plan = min(&batch_round_ns);
-    let batch_amortization = batch_ns_per_plan / single_ns_per_plan.max(1.0);
-    // Best paired round: a scheduler hiccup that lands on one side of one
-    // round cannot fail a gate any clean round would pass.
-    let batch_gate = batch_round_ns
-        .iter()
-        .zip(&single_round_ns)
-        .map(|(&b, &s)| b / s.max(1.0))
-        .fold(batch_amortization, f64::min);
-    assert!(
-        batch_gate <= 0.10,
-        "a batch of {BATCH_PLANS} plans must amortize to <= 10% of the per-plan cost of \
-         sequential singles ({batch_ns_per_plan:.0} ns/plan batched vs \
-         {single_ns_per_plan:.0} ns/plan single = {batch_amortization:.3}x; best paired \
-         round {batch_gate:.3}x)"
+    let single_ns_per_plan = median(&single_round_ns);
+    let batch_ns_per_plan = median(&batch_round_ns);
+    let batch_amortization = median_ratio(&batch_round_ns, &single_round_ns);
+    gates.check(
+        batch_amortization <= 0.10,
+        format!(
+            "a batch of {BATCH_PLANS} plans must amortize to <= 10% of the per-plan cost of \
+             sequential singles ({batch_ns_per_plan:.0} ns/plan batched vs \
+             {single_ns_per_plan:.0} ns/plan single; median pair {batch_amortization:.3}x)"
+        ),
     );
 
     // ---- export: chunked streaming keeps memory bounded ----
@@ -1058,7 +972,7 @@ fn bench_serve(c: &mut Criterion) {
         // Drains one streamed export with a fixed 64 KiB buffer (so the
         // in-process client cannot inflate the RSS it is measuring),
         // returning (body+frame bytes, RSS delta, saw-chunked-header).
-        let drain = |addr: &std::net::SocketAddr| -> (u64, u64, bool) {
+        let drain = |addr: &SocketAddr| -> (u64, u64, bool) {
             let rss_before = rss_bytes().expect("statm is readable on Linux");
             let mut stream = TcpStream::connect(addr).expect("connect export");
             stream
@@ -1103,14 +1017,12 @@ fn bench_serve(c: &mut Criterion) {
             export_bytes > 2 * EXPORT_RSS_CEILING,
             "test premise: the export ({export_bytes} B) must dwarf the RSS ceiling"
         );
-        assert!(
+        gates.check(
             export_delta <= EXPORT_RSS_CEILING,
-            "streaming a {export_bytes}-byte export must stay under {EXPORT_RSS_CEILING} B \
-             of RSS growth, grew {export_delta} B"
-        );
-        println!(
-            "export:  {export_bytes} B chunked | RSS delta {export_delta} B, ceiling \
-             {EXPORT_RSS_CEILING} B"
+            format!(
+                "streaming a {export_bytes}-byte export must stay under {EXPORT_RSS_CEILING} B \
+                 of RSS growth (grew {export_delta} B)"
+            ),
         );
         format!(
             ",\n  \"export\": {{\n    \"body_bytes\": {export_bytes},\n    \
@@ -1119,29 +1031,10 @@ fn bench_serve(c: &mut Criterion) {
         )
     };
 
-    println!(
-        "\nservice: uncached {uncached_ns:.0} ns | wire hit {wire_hit_ns:.0} ns | plan hit \
-         {cached_ns:.0} ns | raw hit {raw_hit_ns:.0} ns ({speedup:.1}x hit, {raw_vs_wire:.1}x \
-         raw-vs-wire)\n\
-         http:    fast lane {http_cached_rps:.0} req/s | 304 {http_not_modified_rps:.0} req/s | \
-         PR4-baseline {http_legacy_rps:.0} req/s | uncached {http_uncached_rps:.0} req/s \
-         ({fastlane_vs_legacy:.1}x vs baseline, {not_modified_vs_full:.2}x for 304)\n\
-         telemetry: {telemetry_ratio:.2}x vs --no-telemetry ({http_quiet_rps:.0} req/s off) | \
-         /v1/query p50 {fast_lane_p50_ns} ns, p99 {fast_lane_p99_ns} ns (from the server's own \
-         histograms)\n\
-         overload: cached tier {overload_loaded_rps:.0} req/s under flood vs \
-         {overload_unloaded_rps:.0} req/s unloaded = {overload_ratio:.2}x while shedding \
-         {total_sheds} uncached requests\n\
-         swap:    {swap_loaded_rps:.0} req/s across {swaps_under_load} generation swaps vs \
-         {swap_unloaded_rps:.0} req/s unloaded = {swap_retention:.2}x with {swap_failures} \
-         failed requests\n\
-         batch:   {batch_ns_per_plan:.0} ns/plan batched vs {single_ns_per_plan:.0} ns/plan \
-         single ({batch_amortization:.3}x amortized over {BATCH_PLANS} plans)"
-    );
-
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"cores\": {cores},\n  \"records\": {records},\n  \"service\": {{\n    \"uncached_ns\": {uncached_ns:.0},\n    \
+        "{{\n  \"cores\": {cores},\n  \"records\": {records},\n  \"pairs\": {PAIRS},\n  \
+         \"service\": {{\n    \"uncached_ns\": {uncached_ns:.0},\n    \
          \"fingerprint_hit_wire_ns\": {wire_hit_ns:.0},\n    \
          \"fingerprint_hit_plan_ns\": {cached_ns:.0},\n    \
          \"raw_fast_lane_hit_ns\": {raw_hit_ns:.0},\n    \
@@ -1149,9 +1042,7 @@ fn bench_serve(c: &mut Criterion) {
          \"raw_vs_wire_speedup\": {raw_vs_wire:.2}\n  }},\n  \
          \"http\": {{\n    \"requests_per_sec_cached\": {http_cached_rps:.0},\n    \
          \"requests_per_sec_not_modified\": {http_not_modified_rps:.0},\n    \
-         \"requests_per_sec_pr4_baseline\": {http_legacy_rps:.0},\n    \
-         \"requests_per_sec_uncached\": {http_uncached_rps:.0},\n    \
-         \"fastlane_speedup_vs_pr4_baseline\": {fastlane_vs_legacy:.2},\n    \
+         \"not_modified_vs_full\": {not_modified_vs_full:.2},\n    \
          \"cache_hit_latency_ns\": {:.0}\n  }},\n  \
          \"telemetry\": {{\n    \
          \"requests_per_sec_no_telemetry\": {http_quiet_rps:.0},\n    \
@@ -1179,7 +1070,10 @@ fn bench_serve(c: &mut Criterion) {
         Ok(()) => println!("\nwrote {path}:\n{json}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
+    assert!(
+        gates.failed.is_empty(),
+        "{} gate(s) failed:\n  {}",
+        gates.failed.len(),
+        gates.failed.join("\n  ")
+    );
 }
-
-criterion_group!(benches, bench_serve);
-criterion_main!(benches);

@@ -8,10 +8,7 @@
 //! on a single-core runner the parallel sweeps degrade gracefully to
 //! roughly serial wall-clock (pool overhead is a few chunk handoffs).
 
-use std::time::Duration;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-
+use uops_bench::median_ns;
 use uops_core::{CharacterizationEngine, EngineConfig, Parallelism};
 use uops_isa::{Catalog, InstructionDesc};
 use uops_measure::SimBackend;
@@ -32,7 +29,7 @@ fn slice_uids(catalog: &Catalog, arch: MicroArch, limit: usize) -> Vec<usize> {
     uids
 }
 
-fn bench_sweep(c: &mut Criterion) {
+fn main() {
     let catalog = Catalog::intel_core();
     let arch = MicroArch::Skylake;
     let backend = SimBackend::new(arch);
@@ -47,38 +44,24 @@ fn bench_sweep(c: &mut Criterion) {
 
     let engine = CharacterizationEngine::with_config(&catalog, arch, EngineConfig::fast());
     // Build the one-time setup (blocking discovery + calibration) outside
-    // the timing loops so serial and parallel sweeps are measured alone.
+    // the timed runs so serial and parallel sweeps are measured alone.
     let warm = engine.characterize_matching(&backend, |d| d.uid == uids[0]);
     assert!(warm.characterized_count() <= 1);
 
-    let mut group = c.benchmark_group("sweep");
-    group.sample_size(3).measurement_time(Duration::from_secs(20));
-    group.bench_function(format!("serial/{}", uids.len()), |b| {
-        b.iter(|| engine.characterize_matching(&backend, filter))
-    });
-    for threads in [2usize, 4] {
-        group.bench_function(format!("parallel{threads}/{}", uids.len()), |b| {
-            b.iter(|| {
-                engine.characterize_matching_parallel(&backend, filter, Parallelism::Fixed(threads))
-            })
-        });
-    }
-    group.finish();
-
-    // A one-shot, self-reported comparison (the criterion stub reports
-    // medians above; this line gives the headline number in one place).
-    let t = std::time::Instant::now();
     let serial = engine.characterize_matching(&backend, filter);
-    let serial_time = t.elapsed();
-    let t = std::time::Instant::now();
     let parallel = engine.characterize_matching_parallel(&backend, filter, Parallelism::Fixed(4));
-    let parallel_time = t.elapsed();
     assert_eq!(serial.profiles, parallel.profiles, "sweeps must agree");
-    println!(
-        "sweep one-shot: serial {serial_time:.2?}, 4 threads {parallel_time:.2?} => {:.2}x",
-        serial_time.as_secs_f64() / parallel_time.as_secs_f64().max(1e-9)
-    );
-}
 
-criterion_group!(benches, bench_sweep);
-criterion_main!(benches);
+    let serial_ns = median_ns(3, || engine.characterize_matching(&backend, filter));
+    for threads in [2usize, 4] {
+        let parallel_ns = median_ns(3, || {
+            engine.characterize_matching_parallel(&backend, filter, Parallelism::Fixed(threads))
+        });
+        println!(
+            "sweep: serial {:.1} ms, {threads} threads {:.1} ms => {:.2}x",
+            serial_ns / 1e6,
+            parallel_ns / 1e6,
+            serial_ns / parallel_ns
+        );
+    }
+}

@@ -10,11 +10,19 @@
 //! | `paper` | the findings table, then Table 1: variants per microarchitecture and agreement with IACA |
 //! | `build_db` | §6.4: characterize a catalog slice on all generations, persist and query the `uops-db` snapshot |
 //! | `serve_smoke` | boot the serving stack on a segment and check HTTP answers against in-process ones |
+//!
+//! The benches under `benches/` (`db_query`, `sweep`, `serve`) are plain
+//! `harness = false` programs. Every number they gate or record comes from
+//! [`median_ns`], and every ratio the `serve` bench gates comes from
+//! [`median_ratio`] over interleaved pairs of rounds.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod findings;
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use uops_core::{CharacterizationEngine, CharacterizationReport, EngineConfig};
 use uops_iaca::MeasuredInstruction;
@@ -51,6 +59,62 @@ pub fn to_measured_instructions(
             ))
         })
         .collect()
+}
+
+/// The median of `values`: the middle value of an odd count, the mean of
+/// the middle two of an even one. NaN when `values` is empty or holds a
+/// NaN.
+#[must_use]
+pub fn median(values: &[f64]) -> f64 {
+    if values.is_empty() || values.iter().any(|v| v.is_nan()) {
+        return f64::NAN;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    }
+}
+
+/// The median wall-clock time of `runs` timed calls of `f`, after three
+/// untimed warm-up calls, in nanoseconds.
+pub fn median_ns<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
+    for _ in 0..3 {
+        black_box(f());
+    }
+    let samples: Vec<f64> = (0..runs)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64() * 1e9
+        })
+        .collect();
+    median(&samples)
+}
+
+/// The number a ratio gate compares with its bound: the median, over
+/// interleaved pairs of rounds, of `numerator[i] / denominator[i]`.
+///
+/// One disturbed round moves one pair's ratio and so cannot move the
+/// median past the clean pairs, in either direction. A pair with a zero
+/// denominator has no ratio: the result is then NaN, which fails every
+/// `>=` and `<=` bound instead of passing as an infinity.
+///
+/// # Panics
+///
+/// If the two series differ in length.
+#[must_use]
+pub fn median_ratio(numerator: &[f64], denominator: &[f64]) -> f64 {
+    assert_eq!(numerator.len(), denominator.len(), "a ratio gate compares pairs of rounds");
+    let ratios: Vec<f64> = numerator
+        .iter()
+        .zip(denominator)
+        .map(|(&n, &d)| if d == 0.0 { f64::NAN } else { n / d })
+        .collect();
+    median(&ratios)
 }
 
 /// Simple markdown-style table printer used by the experiment binaries.
@@ -110,6 +174,54 @@ mod tests {
         let rendered = t.render();
         assert!(rendered.contains("| uarch   | value |"));
         assert_eq!(rendered.lines().count(), 4);
+    }
+
+    #[test]
+    fn median_ratio_of_an_odd_number_of_pairs_is_the_middle_ratio() {
+        let loaded = [90.0, 120.0, 100.0, 80.0, 110.0];
+        let unloaded = [100.0; 5];
+        assert_eq!(median_ratio(&loaded, &unloaded), 1.0);
+    }
+
+    #[test]
+    fn median_ratio_of_an_even_number_of_pairs_averages_the_middle_two() {
+        let batch = [3.0, 1.0, 4.0, 2.0];
+        let single = [10.0, 10.0, 40.0, 10.0];
+        // Ratios 0.3, 0.1, 0.1, 0.2: the middle two are 0.1 and 0.2.
+        assert!((median_ratio(&batch, &single) - 0.15).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_zero_denominator_fails_the_gate_in_either_direction() {
+        let ratio = median_ratio(&[100.0, 100.0, 100.0], &[100.0, 0.0, 100.0]);
+        assert!(ratio.is_nan());
+        assert!(!(ratio >= 0.8), "a >= gate must fail");
+        assert!(!(ratio <= 0.10), "a <= gate must fail");
+    }
+
+    #[test]
+    fn one_outlier_pair_cannot_carry_the_gate() {
+        // Four pairs at ~0.7x and one disturbed unloaded round: the old
+        // best-paired-round rule read 2.0 and passed a >= 0.8 bound.
+        let loaded = [70.0, 72.0, 71.0, 69.0, 100.0];
+        let unloaded = [100.0, 100.0, 100.0, 100.0, 50.0];
+        let best_pair = loaded.iter().zip(&unloaded).map(|(l, u)| l / u).fold(0.0, f64::max);
+        assert_eq!(best_pair, 2.0);
+        assert!((median_ratio(&loaded, &unloaded) - 0.71).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "pairs of rounds")]
+    fn median_ratio_rejects_unpaired_series() {
+        let _ = median_ratio(&[1.0, 2.0], &[1.0]);
+    }
+
+    #[test]
+    fn median_ns_times_every_run() {
+        let mut calls = 0;
+        let ns = median_ns(5, || calls += 1);
+        assert_eq!(calls, 8, "three warm-up calls, then five timed ones");
+        assert!(ns >= 0.0);
     }
 
     #[test]

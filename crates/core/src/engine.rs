@@ -14,8 +14,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use uops_isa::{Catalog, InstructionDesc};
 use uops_measure::{MeasurementBackend, MeasurementConfig};
 use uops_pool::{parallel_map_indexed_with, Parallelism};
@@ -33,7 +31,7 @@ use crate::throughput::{measure_throughput, throughput_from_port_usage, Throughp
 /// Every profile carries the prior-work baseline (the naive port usage of
 /// §5.1) as well: it is read off the isolation measurement that Algorithm 1
 /// takes anyway, so it costs no simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// The measurement configuration used for all microbenchmarks, including
     /// the one-time setup (blocking instructions, chain calibration).
@@ -60,7 +58,7 @@ impl EngineConfig {
 /// The complete characterization of one instruction variant on one
 /// microarchitecture — the information the tool publishes in its
 /// machine-readable output (§6.4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstructionProfile {
     /// Catalog uid of the variant.
     pub uid: usize,
@@ -123,7 +121,7 @@ impl Clone for FindIndex {
 }
 
 /// The result of characterizing (a part of) the catalog.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CharacterizationReport {
     /// The microarchitecture.
     pub arch: Option<MicroArch>,
@@ -133,7 +131,6 @@ pub struct CharacterizationReport {
     pub skipped: Vec<(String, String)>,
     /// Wall-clock duration of the run.
     pub duration: Duration,
-    #[serde(skip)]
     pub(crate) index: FindIndex,
 }
 

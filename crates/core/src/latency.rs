@@ -35,8 +35,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use uops_asm::{variant_arc, CodeSequence, Inst, MemOperand, Op, RegisterPool};
 use uops_isa::{Catalog, InstructionDesc, OperandKind, RegClass, RegFile, Register, Width};
 use uops_measure::{measure, MeasurementBackend, MeasurementConfig, RunContext};
@@ -47,7 +45,7 @@ use crate::codegen::{
 use crate::error::CoreError;
 
 /// The measured latency for one (source, destination) operand pair.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencyValue {
     /// Latency in cycles (with operand values causing the *high* latency for
     /// divider instructions).
@@ -66,7 +64,7 @@ pub struct LatencyValue {
 
 /// The latency mapping of one instruction: `(source index, destination
 /// index) → latency`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencyMap {
     entries: BTreeMap<(usize, usize), LatencyValue>,
 }
@@ -155,7 +153,7 @@ impl fmt::Display for LatencyMap {
 }
 
 /// Calibrated latencies of the chain instructions used by the analyzer.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChainCalibration {
     /// Latency of `MOVSX r64, r16` (general-purpose chain instruction).
     pub movsx: f64,

@@ -10,8 +10,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use uops_asm::{CodeSequence, RegisterPool};
 use uops_isa::InstructionDesc;
 use uops_measure::{measure, measure_single, MeasurementBackend, MeasurementConfig, RunContext};
@@ -23,7 +21,7 @@ use crate::error::CoreError;
 
 /// The inferred port usage of an instruction: for each port combination, the
 /// number of µops that may execute exactly on those ports.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PortUsage {
     entries: Vec<(PortSet, u32)>,
     /// µops that could not be attributed to any combination (e.g. because no
@@ -135,7 +133,7 @@ impl fmt::Display for PortUsage {
 /// The result of running an instruction in isolation: total µop count and
 /// per-port averages (the raw observation that prior work interprets
 /// directly, §5.1).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IsolationProfile {
     /// Average total µops per instruction execution.
     pub uops_total: f64,

@@ -22,8 +22,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use uops_asm::{CodeSequence, Resource};
 use uops_isa::Catalog;
 use uops_uarch::{PortSet, UarchConfig};
@@ -32,7 +30,7 @@ use crate::engine::{CharacterizationReport, InstructionProfile};
 use crate::error::CoreError;
 
 /// The static prediction for a loop kernel.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Prediction {
     /// Predicted cycles per loop iteration (the maximum of the bounds below).
     pub block_throughput: f64,
@@ -77,7 +75,7 @@ impl Prediction {
 }
 
 /// What limits the predicted throughput of a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// Execution-port pressure.
     Ports,

@@ -18,8 +18,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use uops_asm::{CodeSequence, Inst, Op, RegisterPool};
 use uops_isa::{InstructionDesc, OperandKind};
 use uops_measure::{measure, MeasurementBackend, MeasurementConfig, RunContext};
@@ -29,7 +27,7 @@ use crate::error::CoreError;
 use crate::port_usage::{isolation_profile, IsolationProfile, PortUsage};
 
 /// The port usage that the run-in-isolation methodology concludes.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NaivePortUsage {
     /// Average µops observed per port.
     pub per_port: Vec<(u8, f64)>,
@@ -93,7 +91,7 @@ pub fn naive_from_isolation(profile: &IsolationProfile) -> NaivePortUsage {
 }
 
 /// A single-value latency measurement in the style of prior work.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NaiveLatency {
     /// Latency measured with the same register used for both operands
     /// (Granlund / AIDA64 style), if the instruction allows it.

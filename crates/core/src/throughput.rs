@@ -13,8 +13,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use uops_asm::{CodeSequence, Inst, Op, RegisterPool};
 use uops_isa::{InstructionDesc, OperandKind};
 use uops_measure::{measure, MeasurementBackend, MeasurementConfig, RunContext};
@@ -24,7 +22,7 @@ use crate::error::CoreError;
 use crate::port_usage::PortUsage;
 
 /// The measured and computed throughput of an instruction.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Throughput {
     /// Measured cycles per instruction: the minimum over sequences of 1, 2,
     /// 4, and 8 independent instances (implicit dependencies — e.g. on the

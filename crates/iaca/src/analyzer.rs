@@ -11,8 +11,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use uops_asm::{CodeSequence, Inst, RegisterPool};
 use uops_isa::InstructionDesc;
 use uops_uarch::{characterize, MicroArch, PortSet, TruthOptions, UarchConfig};
@@ -20,7 +18,7 @@ use uops_uarch::{characterize, MicroArch, PortSet, TruthOptions, UarchConfig};
 use crate::version::IacaVersion;
 
 /// IACA's view of one instruction variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IacaInstructionData {
     /// Total number of µops IACA reports for the instruction.
     pub uop_count: u32,
@@ -52,7 +50,7 @@ impl IacaInstructionData {
 }
 
 /// IACA's analysis of a loop kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IacaReport {
     /// Predicted block throughput (cycles per loop iteration).
     pub block_throughput: f64,

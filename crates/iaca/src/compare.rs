@@ -5,8 +5,6 @@
 //! same µop count and (2) — among the variants where the µop counts agree —
 //! whether the port usage also agrees.
 
-use serde::{Deserialize, Serialize};
-
 use uops_isa::InstructionDesc;
 use uops_uarch::{MicroArch, PortSet};
 
@@ -15,7 +13,7 @@ use crate::version::IacaVersion;
 
 /// A measured instruction characterization, in the minimal form needed for
 /// the comparison (produced from `uops-core`'s profiles by the caller).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredInstruction {
     /// Mnemonic.
     pub mnemonic: String,
@@ -49,7 +47,7 @@ impl MeasuredInstruction {
 
 /// Aggregate agreement statistics between measurements and IACA for one
 /// microarchitecture — one row of Table 1.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AgreementStats {
     /// The microarchitecture.
     pub arch: Option<MicroArch>,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use uops_uarch::MicroArch;
 
 /// A version of the Intel Architecture Code Analyzer.
@@ -11,7 +9,7 @@ use uops_uarch::MicroArch;
 /// The paper uses versions 2.1 through 3.0 (§6.3); newer versions add support
 /// for more recent microarchitectures and drop older ones, and different
 /// versions sometimes disagree about the same instruction (§7.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IacaVersion {
     /// IACA 2.1.
     V21,

@@ -9,8 +9,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::descriptor::InstructionDesc;
 use crate::extension::{Category, Extension};
 
@@ -26,10 +24,9 @@ use crate::extension::{Category, Extension};
 /// deep-cloning mnemonic and operand strings on every use — the
 /// characterization hot path does this once per generated microbenchmark
 /// instruction.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     descriptors: Vec<Arc<InstructionDesc>>,
-    #[serde(skip)]
     by_mnemonic: BTreeMap<String, Vec<usize>>,
 }
 

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::extension::{Category, Extension};
 use crate::flags::FlagSet;
 use crate::operand::{OperandDesc, OperandKind};
@@ -19,7 +17,7 @@ use crate::register::Width;
 
 /// Boolean attributes of an instruction variant that are relevant for
 /// microbenchmark generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Attributes {
     /// System/privileged instruction (excluded from blocking-instruction
     /// candidates and from characterization in user-mode-only backends).
@@ -65,7 +63,7 @@ impl Attributes {
 }
 
 /// A description of one instruction variant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstructionDesc {
     /// Unique identifier of the variant within its catalog.
     pub uid: usize,

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An x86 instruction-set extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Extension {
     /// Base integer instruction set (always available).
     Base,
@@ -115,7 +113,7 @@ impl fmt::Display for Extension {
 /// truth (which functional units / ports an instruction's µops use, and what
 /// their latencies are) and the algorithmic special cases of the inference
 /// engine (e.g. division handling, §5.2.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Category {
     /// Simple integer ALU operation (ADD, SUB, AND, OR, XOR, CMP, TEST, ...).
     IntAlu,

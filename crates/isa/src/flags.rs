@@ -10,10 +10,8 @@
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign, Not, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A single x86 status flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Flag {
     /// Carry flag.
     Cf,
@@ -67,7 +65,7 @@ impl fmt::Display for Flag {
 }
 
 /// A set of status flags, represented as a compact bitset.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FlagSet(u8);
 
 impl FlagSet {

@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::flags::FlagSet;
 use crate::register::{RegClass, Register, Width};
 
 /// The kind of value an operand denotes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperandKind {
     /// Any register of the given class; the concrete register is chosen when
     /// the instruction is instantiated.
@@ -100,7 +98,7 @@ impl fmt::Display for OperandKind {
 }
 
 /// Description of one operand of an instruction variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OperandDesc {
     /// What kind of value the operand is.
     pub kind: OperandKind,

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The width of a register access or memory/immediate operand, in bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Width {
     /// 8-bit access (e.g. `AL`).
     W8,
@@ -96,7 +94,7 @@ impl fmt::Display for Width {
 
 /// A register file: the physical storage pool an architectural register
 /// belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RegFile {
     /// General-purpose registers `RAX`–`R15` and their sub-registers.
     Gpr,
@@ -130,7 +128,7 @@ impl fmt::Display for RegFile {
 
 /// A class of registers an operand may use: a register file together with an
 /// access width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegClass {
     /// The register file.
     pub file: RegFile,
@@ -191,7 +189,7 @@ impl fmt::Display for RegClass {
 /// Registers are identified by their file, their index within the file, and
 /// the width at which they are accessed. `RAX`, `EAX`, `AX` and `AL` are the
 /// same index (0) in the [`RegFile::Gpr`] file at different widths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Register {
     /// The register file.
     pub file: RegFile,

@@ -14,8 +14,6 @@
 //! state after the first `base_unroll` iterations is the small run's
 //! result; the simulator does so.
 
-use serde::{Deserialize, Serialize};
-
 use uops_asm::CodeSequence;
 use uops_pipeline::PerfCounters;
 use uops_uarch::{PortSet, MAX_PORTS};
@@ -23,7 +21,7 @@ use uops_uarch::{PortSet, MAX_PORTS};
 use crate::backend::{MeasurementBackend, RunContext};
 
 /// Configuration of the measurement procedure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementConfig {
     /// The small unroll factor (`n = 10` in the paper).
     pub base_unroll: usize,
@@ -66,7 +64,7 @@ impl MeasurementConfig {
 
 /// The averaged result of measuring one code sequence: per-execution cycles
 /// and µop counts.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Measurement {
     /// Average core cycles per execution of the code sequence.
     pub cycles: f64,

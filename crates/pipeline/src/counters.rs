@@ -8,12 +8,10 @@
 use std::fmt;
 use std::ops::Sub;
 
-use serde::{Deserialize, Serialize};
-
 use uops_uarch::MAX_PORTS;
 
 /// A snapshot of the performance counters after executing a code sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PerfCounters {
     /// Elapsed core clock cycles.
     pub core_cycles: u64,
@@ -96,7 +94,7 @@ impl fmt::Display for PerfCounters {
 }
 
 /// Per-iteration averages of the performance counters (fractional values).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CounterAverages {
     /// Average core cycles per iteration.
     pub core_cycles: f64,

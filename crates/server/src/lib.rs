@@ -179,21 +179,10 @@ fn serve(service: &QueryService, target: &str, stream: bool) -> QueryReply {
     reply
 }
 
-/// Routes one parsed request to the service, without the raw fast lane
-/// and without streaming. Transport-independent (and directly testable):
-/// the HTTP layer only frames what this returns. `HEAD` routes exactly
-/// like `GET` (the transport suppresses the body).
-#[must_use]
-pub fn route(service: &QueryService, method: &str, path: &str, query: &str) -> ServiceResponse {
-    if method != "GET" && method != "HEAD" {
-        return ServiceResponse::error(405, "only GET and HEAD are supported");
-    }
-    dispatch(service, path, query, false).unwrap_or_else(QueryReply::Full).into_whole()
-}
-
-/// Maps a read request to its handler by [`Route::of`], after splitting
-/// the `format` selector off the query string (the remaining pairs belong
-/// to the endpoint, and `QueryPlan` parsing stays strict). `Err` is the
+/// [`serve`]'s router past the raw fast lane, and its only caller: maps
+/// a read request to its handler by [`Route::of`], after splitting the
+/// `format` selector off the query string (the remaining pairs belong to
+/// the endpoint, and `QueryPlan` parsing stays strict). `Err` is the
 /// router's own rejection (400 or 404), before any handler ran.
 fn dispatch(
     service: &QueryService,
@@ -1076,40 +1065,40 @@ mod tests {
     #[test]
     fn routes_dispatch_and_validate() {
         let service = service();
-        assert_eq!(route(&service, "GET", "/v1/query", "uarch=Skylake").status, 200);
-        assert_eq!(route(&service, "GET", "/v1/query", "uarhc=Skylake").status, 400);
-        assert_eq!(route(&service, "GET", "/v1/query", "format=yaml").status, 400);
+        assert_eq!(respond(&service, "GET", "/v1/query?uarch=Skylake").status, 200);
+        assert_eq!(respond(&service, "GET", "/v1/query?uarhc=Skylake").status, 400);
+        assert_eq!(respond(&service, "GET", "/v1/query?format=yaml").status, 400);
         assert_eq!(
-            route(&service, "GET", "/v1/query", "format=binary&format=json").status,
+            respond(&service, "GET", "/v1/query?format=binary&format=json").status,
             400,
             "duplicate format must be rejected, not last-win"
         );
-        assert_eq!(route(&service, "GET", "/v1/record/ADD", "").status, 200);
-        assert_eq!(route(&service, "GET", "/v1/record/ADD", "uarch=Skylake").status, 200);
-        assert_eq!(route(&service, "GET", "/v1/record/ADD", "variant=bogus").status, 400);
-        assert_eq!(route(&service, "GET", "/v1/record/", "").status, 404);
-        assert_eq!(route(&service, "GET", "/v1/diff", "base=Haswell&other=Skylake").status, 200);
-        assert_eq!(route(&service, "GET", "/v1/diff", "base=Haswell").status, 400);
+        assert_eq!(respond(&service, "GET", "/v1/record/ADD").status, 200);
+        assert_eq!(respond(&service, "GET", "/v1/record/ADD?uarch=Skylake").status, 200);
+        assert_eq!(respond(&service, "GET", "/v1/record/ADD?variant=bogus").status, 400);
+        assert_eq!(respond(&service, "GET", "/v1/record/").status, 404);
+        assert_eq!(respond(&service, "GET", "/v1/diff?base=Haswell&other=Skylake").status, 200);
+        assert_eq!(respond(&service, "GET", "/v1/diff?base=Haswell").status, 400);
         assert_eq!(
-            route(&service, "GET", "/v1/diff", "base=Haswell&base=Skylake&other=Skylake").status,
+            respond(&service, "GET", "/v1/diff?base=Haswell&base=Skylake&other=Skylake").status,
             400,
             "duplicate diff parameters must not last-win"
         );
         assert_eq!(
-            route(&service, "GET", "/v1/record/ADD", "uarch=Skylake&uarch=Haswell").status,
+            respond(&service, "GET", "/v1/record/ADD?uarch=Skylake&uarch=Haswell").status,
             400
         );
-        assert_eq!(route(&service, "GET", "/v1/stats", "").status, 200);
-        assert_eq!(route(&service, "GET", "/v1/stats", "x=1").status, 400);
+        assert_eq!(respond(&service, "GET", "/v1/stats").status, 200);
+        assert_eq!(respond(&service, "GET", "/v1/stats?x=1").status, 400);
         assert_eq!(
-            route(&service, "GET", "/v1/stats", "format=json").status,
+            respond(&service, "GET", "/v1/stats?format=json").status,
             400,
             "stats ignores no parameters, including format"
         );
-        assert_eq!(route(&service, "GET", "/nope", "").status, 404);
-        assert_eq!(route(&service, "POST", "/v1/query", "").status, 405);
-        assert_eq!(route(&service, "HEAD", "/v1/query", "uarch=Skylake").status, 200);
-        assert_eq!(route(&service, "HEAD", "/v1/stats", "").status, 200);
+        assert_eq!(respond(&service, "GET", "/nope").status, 404);
+        assert_eq!(respond(&service, "POST", "/v1/query").status, 405);
+        assert_eq!(respond(&service, "HEAD", "/v1/query?uarch=Skylake").status, 200);
+        assert_eq!(respond(&service, "HEAD", "/v1/stats").status, 200);
     }
 
     #[test]
@@ -1171,9 +1160,9 @@ mod tests {
     #[test]
     fn format_parameter_selects_the_encoder() {
         let service = service();
-        let json = route(&service, "GET", "/v1/query", "uarch=Skylake");
-        let binary = route(&service, "GET", "/v1/query", "uarch=Skylake&format=binary");
-        let xml = route(&service, "GET", "/v1/query", "uarch=Skylake&format=xml");
+        let json = respond(&service, "GET", "/v1/query?uarch=Skylake");
+        let binary = respond(&service, "GET", "/v1/query?uarch=Skylake&format=binary");
+        let xml = respond(&service, "GET", "/v1/query?uarch=Skylake&format=xml");
         assert_eq!(json.content_type, "application/json");
         assert_eq!(binary.content_type, "application/x-uops-result");
         assert_eq!(xml.content_type, "application/xml");
@@ -1185,20 +1174,20 @@ mod tests {
         let service = service();
         // "ADD" spelled with an escape still routes to the same mnemonic —
         // and hits the same cache entry as the plain spelling.
-        let plain = route(&service, "GET", "/v1/record/ADD", "");
-        let escaped = route(&service, "GET", "/v1/record/%41DD", "");
+        let plain = respond(&service, "GET", "/v1/record/ADD");
+        let escaped = respond(&service, "GET", "/v1/record/%41DD");
         assert_eq!(plain.body, escaped.body);
         assert_eq!(service.stats().cache.hits, 1);
         // Path segments are not query components: a literal '+' stays a
         // plus — "/v1/record/X+Y" must find the "X+Y" mnemonic, not look
         // up "X Y".
-        let plus = route(&service, "GET", "/v1/record/X+Y", "");
+        let plus = respond(&service, "GET", "/v1/record/X+Y");
         assert_eq!(plus.status, 200);
         let text = String::from_utf8(plus.body.to_vec()).expect("utf-8");
         assert!(text.contains("\"total_matches\": 1"), "{text}");
         assert!(text.contains("\"mnemonic\": \"X+Y\""), "{text}");
         // ...while %2B reaches the same record and the same cache entry.
-        let escaped_plus = route(&service, "GET", "/v1/record/X%2BY", "");
+        let escaped_plus = respond(&service, "GET", "/v1/record/X%2BY");
         assert_eq!(escaped_plus.body, plus.body);
     }
 

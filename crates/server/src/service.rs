@@ -330,23 +330,6 @@ impl QueryService {
     /// fingerprint tier, so the extra budget buys index entries only).
     #[must_use]
     pub fn from_segment(segment: Arc<Segment>, cache_capacity_bytes: usize) -> QueryService {
-        QueryService::from_segment_with_raw_cache(
-            segment,
-            cache_capacity_bytes,
-            cache_capacity_bytes / 4,
-        )
-    }
-
-    /// [`QueryService::from_segment`] with an explicit raw fast-lane
-    /// budget (0 disables the fast lane; every request then pays plan
-    /// parsing and fingerprinting — the pre-fast-lane behavior,
-    /// benchmarked as the baseline).
-    #[must_use]
-    pub fn from_segment_with_raw_cache(
-        segment: Arc<Segment>,
-        cache_capacity_bytes: usize,
-        raw_cache_capacity_bytes: usize,
-    ) -> QueryService {
         // The content hash pins ETags to the exact data being served.
         // Computed once per generation (at construction here, and in
         // `swap_segment` on every swap).
@@ -355,7 +338,7 @@ impl QueryService {
             live: SwapCell::new(Arc::new(LiveStore { segment, content_hash, id: 0 })),
             swap_lock: Mutex::new(()),
             cache: ResponseCache::new(cache_capacity_bytes, CACHE_SHARDS),
-            raw_cache: ResponseCache::new(raw_cache_capacity_bytes, CACHE_SHARDS),
+            raw_cache: ResponseCache::new(cache_capacity_bytes / 4, CACHE_SHARDS),
             swaps: Counter::new(),
             cache_flushes: Counter::new(),
             quarantined: Counter::new(),

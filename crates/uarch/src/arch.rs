@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use uops_isa::Extension;
 
 /// One generation of the Intel Core microarchitecture, from Nehalem (2008) to
 /// Coffee Lake (2017). These are the nine microarchitectures characterized in
 /// the paper (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MicroArch {
     /// Nehalem (2008), e.g. Core i5-750.
     Nehalem,

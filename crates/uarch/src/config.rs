@@ -9,13 +9,11 @@
 //! algorithms likewise know the set of port combinations to probe), but they
 //! never see the per-instruction ground truth.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::MicroArch;
 use crate::port::PortSet;
 
 /// Configuration of one microarchitecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UarchConfig {
     /// The microarchitecture this configuration describes.
     pub arch: MicroArch,

@@ -8,13 +8,11 @@
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// The maximum number of execution ports supported by the model.
 pub const MAX_PORTS: u8 = 10;
 
 /// One execution port, identified by its number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Port(pub u8);
 
 impl Port {
@@ -32,7 +30,7 @@ impl fmt::Display for Port {
 }
 
 /// A set of execution ports, stored as a bitmask.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PortSet(u16);
 
 impl PortSet {

@@ -13,12 +13,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::port::PortSet;
 
 /// The kind of functional unit a µop executes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuKind {
     /// Simple integer ALU.
     Alu,
@@ -67,7 +65,7 @@ impl FuKind {
 }
 
 /// Bypass domains for forwarding between µops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// General-purpose integer domain.
     Int,
@@ -78,7 +76,7 @@ pub enum Domain {
 }
 
 /// A dataflow input of a µop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UopInput {
     /// The value of the instruction operand with the given index (for memory
     /// operands this means the loaded value; use [`UopInput::Addr`] for the
@@ -92,7 +90,7 @@ pub enum UopInput {
 }
 
 /// A dataflow output of a µop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UopOutput {
     /// The instruction operand with the given index (a destination register,
     /// flag operand, or — for store-data µops — the stored memory value).
@@ -103,7 +101,7 @@ pub enum UopOutput {
 }
 
 /// Ground-truth description of one µop.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UopSpec {
     /// The ports this µop may be dispatched to.
     pub ports: PortSet,
@@ -140,7 +138,7 @@ impl fmt::Display for UopSpec {
 
 /// Ground-truth characterization of one instruction instance on one
 /// microarchitecture.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InstrChar {
     /// The µops the instruction decomposes into (in dataflow order).
     pub uops: Vec<UopSpec>,
