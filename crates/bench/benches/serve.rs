@@ -14,14 +14,17 @@
 //!   instrumentation keeps ≥ 0.9x of the telemetry-off throughput; 304s
 //!   beat full-body responses (> 1.0x). The report also extracts
 //!   `/v1/query` p50/p99 from the server's own latency histograms — the
-//!   numbers a scrape of `/metrics` would serve.
+//!   numbers a scrape of `/metrics` would serve. They cover fast-lane hits
+//!   only (the uncached HTTP battery is gone), so they do not compare with
+//!   ledgers that mixed in misses.
 //! * **reactor**: a 10k-idle-keep-alive battery — the connections are
 //!   parked on the shards' timer wheels while pipelined throughput is
 //!   re-measured through the crowd. Gate: idle-connection memory (process
 //!   RSS delta / connections) ≤ 16 KiB per parked connection.
 //! * **overload**: a paced uncached flood against a one-slot execution
-//!   ceiling. Gates: the flood sheds with 503 + Retry-After, and the
-//!   pre-warmed cached tier keeps ≥ 0.8x of its unloaded throughput.
+//!   ceiling. Gates: the flood sheds with 503 + Retry-After during every
+//!   loaded round, and the pre-warmed cached tier keeps ≥ 0.8x of its
+//!   unloaded throughput.
 //! * **swap**: zero-downtime generation swaps — pipelined cache-hit load
 //!   while a swapper thread alternates two live segments under a monotone
 //!   generation counter (each swap flushes both cache tiers). Gates: the
@@ -36,7 +39,9 @@
 //!   delta must stay ≤ 16 MiB.
 //!
 //! Every ratio gate is [`median_ratio`] over [`PAIRS`] interleaved pairs
-//! of rounds, the two rounds of a pair run in alternating order. The
+//! of rounds, the two rounds of a pair run in alternating order. Under a
+//! background load (flood, swapper) each round spans two whole load
+//! cycles, so it samples the busy and idle phases in proportion. The
 //! bench evaluates every gate and writes its ledger before it fails, and
 //! then names every gate that failed.
 //!
@@ -166,6 +171,14 @@ impl Load {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
+
+    /// A round condition for the pipelined clients: holds until the load
+    /// has run at least two whole cycles since the call, so a round covers
+    /// the load's busy and idle phases alike, not the gap after a burst.
+    fn two_cycles(&self) -> impl FnMut(usize) -> bool + '_ {
+        let end = self.cycles.load(Relaxed) + 3;
+        move |_| self.cycles.load(Relaxed) < end
+    }
 }
 
 /// Requests per connection, kept under the server's keep-alive budget
@@ -239,10 +252,15 @@ fn learn_response(stream: &mut TcpStream, request: &[u8]) -> Vec<u8> {
 /// batches of [`PIPELINE_BATCH`] requests go out in a single write, the
 /// concatenated responses come back in bulk `read_exact`s. This
 /// amortizes the client's syscalls and scheduler wakeups so the
-/// measurement tracks the *server's* per-request cost.
+/// measurement tracks the *server's* per-request cost. A round sends
+/// batches while `more(batches sent so far)` holds.
 const PIPELINE_BATCH: usize = 50;
 
-fn http_pipelined_rps(addr: &SocketAddr, request: &[u8], batches: usize) -> f64 {
+fn http_pipelined_rps(
+    addr: &SocketAddr,
+    request: &[u8],
+    mut more: impl FnMut(usize) -> bool,
+) -> f64 {
     let connect = || {
         let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
@@ -257,8 +275,9 @@ fn http_pipelined_rps(addr: &SocketAddr, request: &[u8], batches: usize) -> f64 
     let mut batch_response = vec![0u8; expected.len() * PIPELINE_BATCH];
     let mut served_on_connection = 2usize;
 
+    let mut batches = 0;
     let t = Instant::now();
-    for _ in 0..batches {
+    while more(batches) {
         if served_on_connection + PIPELINE_BATCH > REQUESTS_PER_CONNECTION {
             stream = connect();
             served_on_connection = 0;
@@ -266,6 +285,7 @@ fn http_pipelined_rps(addr: &SocketAddr, request: &[u8], batches: usize) -> f64 
         stream.write_all(&batch_request).expect("send batch");
         stream.read_exact(&mut batch_response).expect("read batch");
         served_on_connection += PIPELINE_BATCH;
+        batches += 1;
     }
     let elapsed = t.elapsed().as_secs_f64();
     assert!(
@@ -280,7 +300,11 @@ fn http_pipelined_rps(addr: &SocketAddr, request: &[u8], batches: usize) -> f64 
 /// a learned frame, so it stays correct while the served bytes change
 /// under it mid-run — the body *and* the content-derived ETag legitimately
 /// differ across a generation swap. Returns (requests/s, non-200 count).
-fn http_pipelined_parsed_rps(addr: &SocketAddr, request: &[u8], batches: usize) -> (f64, u64) {
+fn http_pipelined_parsed_rps(
+    addr: &SocketAddr,
+    request: &[u8],
+    mut more: impl FnMut(usize) -> bool,
+) -> (f64, u64) {
     fn read_parsed(reader: &mut BufReader<TcpStream>) -> bool {
         let mut ok = false;
         let mut content_length = 0usize;
@@ -319,8 +343,9 @@ fn http_pipelined_parsed_rps(addr: &SocketAddr, request: &[u8], batches: usize) 
     }
     let batch_request = request.repeat(PIPELINE_BATCH);
     let mut served_on_connection = 2usize;
+    let mut batches = 0;
     let t = Instant::now();
-    for _ in 0..batches {
+    while more(batches) {
         if served_on_connection + PIPELINE_BATCH > REQUESTS_PER_CONNECTION {
             (writer, reader) = connect();
             served_on_connection = 0;
@@ -332,6 +357,7 @@ fn http_pipelined_parsed_rps(addr: &SocketAddr, request: &[u8], batches: usize) 
             }
         }
         served_on_connection += PIPELINE_BATCH;
+        batches += 1;
     }
     let elapsed = t.elapsed().as_secs_f64();
     ((batches * PIPELINE_BATCH) as f64 / elapsed, failures)
@@ -426,12 +452,12 @@ fn main() {
     // Pipelined keep-alive: the fast lane with and without telemetry, and
     // 304 revalidation, same client, same database, same hot target.
     let (cached_rounds, quiet_rounds) = paired_rounds(
-        || http_pipelined_rps(&addr, &hot_request, 60),
-        || http_pipelined_rps(&quiet_addr, &hot_request, 60),
+        || http_pipelined_rps(&addr, &hot_request, |sent| sent < 60),
+        || http_pipelined_rps(&quiet_addr, &hot_request, |sent| sent < 60),
     );
     let (not_modified_rounds, full_rounds) = paired_rounds(
-        || http_pipelined_rps(&addr, &conditional_request, 60),
-        || http_pipelined_rps(&addr, &hot_request, 60),
+        || http_pipelined_rps(&addr, &conditional_request, |sent| sent < 60),
+        || http_pipelined_rps(&addr, &hot_request, |sent| sent < 60),
     );
     let http_cached_rps = median(&cached_rounds);
     let http_quiet_rps = median(&quiet_rounds);
@@ -531,7 +557,8 @@ fn main() {
         // Pipelined throughput again, now threading one busy connection
         // through the {idle_target}-connection crowd: epoll_wait is
         // O(ready), so the parked sockets must not tax the hot path.
-        let reactor_rps_with_idle = http_pipelined_rps(&reactor_addr, &hot_request, 30);
+        let reactor_rps_with_idle =
+            http_pipelined_rps(&reactor_addr, &hot_request, |sent| sent < 30);
         drop(idle);
         reactor_handle.shutdown();
 
@@ -575,26 +602,32 @@ fn main() {
     assert!(warm.starts_with(b"HTTP/1.1 200 "), "the hot target must warm with a 200");
 
     // Each flooder pipelines batches of distinct (never-repeated, so
-    // never-cached) plans down one connection. The two lanes fire each
-    // batch through a shared barrier, so every cycle the shards owning
-    // the two connections wake with a batch each and contend for the
-    // single execution slot: the batch is sized to outlast a scheduler
-    // tick, the kernel interleaves the two shards mid-batch, and whichever
+    // never-cached) plans down one connection. The four lanes, one per
+    // shard if the kernel spreads them, fire each batch through a shared
+    // barrier, so every cycle the shards owning the connections wake with
+    // a batch each and contend for the single execution slot: whichever
     // shard finds the slot taken sheds its requests with the cheap
-    // preformatted 503.
+    // preformatted 503. Lanes on one shard never contend (a shard serves
+    // its batches one after the other), so after a flooding cycle that
+    // shed nothing every lane but lane 0 reconnects and is re-hashed. Both
+    // are needed: on a 2-core host, a loaded round without a shed came up
+    // in 7 of 10 runs with two re-hashed lanes, in 3 of 9 with four lanes
+    // and no re-hash, and in none of 25 with four re-hashed lanes.
     // The pacing sleep bounds the flood's CPU theft — the gate measures
     // whether *shedding* protects the cached tier, not whether the host
     // has spare cores to absorb an unthrottled flood (an unpaced flood
     // starves the measured client at the scheduler, and no server policy
     // can win that back).
+    const FLOOD_LANES: usize = 4;
     const FLOOD_BATCH: usize = 64;
-    const FLOOD_PACE: Duration = Duration::from_millis(30);
+    const FLOOD_PACE: Duration = Duration::from_millis(60);
     let flood = Arc::new(Load::default());
-    let cycle_gate = Arc::new(std::sync::Barrier::new(2));
-    let flooders: Vec<_> = (0..2)
+    let cycle_gate = Arc::new(std::sync::Barrier::new(FLOOD_LANES));
+    let flooders: Vec<_> = (0..FLOOD_LANES)
         .map(|lane: usize| {
             let flood = Arc::clone(&flood);
             let gate = Arc::clone(&cycle_gate);
+            let service = Arc::clone(&overload_service);
             std::thread::Builder::new()
                 .name(format!("overload-flooder-{lane}"))
                 .spawn(move || {
@@ -605,6 +638,9 @@ fn main() {
                     let mut offset = lane * 10_000_000;
                     let mut conn: Option<(TcpStream, BufReader<TcpStream>)> = None;
                     let mut served = 0usize;
+                    // The server's shed count as this lane's last cycle
+                    // began, and whether that cycle flooded.
+                    let (mut server_sheds, mut flooded) = (0, false);
                     loop {
                         // Every path returns to the barrier, so neither
                         // lane can strand the other (reconnects, pauses and
@@ -616,7 +652,13 @@ fn main() {
                         if flood.stop.load(Relaxed) {
                             break;
                         }
-                        if !flood.on.load(Relaxed) {
+                        let sheds_now = service.shed_capacity_counter().get();
+                        if lane > 0 && flooded && sheds_now == server_sheds {
+                            conn = None;
+                        }
+                        server_sheds = sheds_now;
+                        flooded = flood.on.load(Relaxed);
+                        if !flooded {
                             std::thread::sleep(FLOOD_PACE);
                             continue;
                         }
@@ -700,23 +742,20 @@ fn main() {
         })
         .collect();
 
-    // A loaded round starts once the flood sheds: until then the two lanes
-    // may sit on one shard, which never contends with itself for the slot
-    // (a reconnect every ~15 cycles re-hashes them).
+    // Each round spans two whole flood cycles. A loaded round yields
+    // (requests/s, sheds during the round): a loaded round without a shed
+    // measured no overload at all.
     let shed_counter = overload_service.shed_capacity_counter();
-    let (loaded_rounds, unloaded_rounds) = paired_rounds(
+    let (loaded, unloaded) = paired_rounds(
         || {
             flood.set(true);
             let sheds = shed_counter.get();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while shed_counter.get() == sheds && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            http_pipelined_rps(&overload_addr, &hot_request, 40)
+            let rps = http_pipelined_rps(&overload_addr, &hot_request, flood.two_cycles());
+            (rps, shed_counter.get() - sheds)
         },
         || {
             flood.set(false);
-            http_pipelined_rps(&overload_addr, &hot_request, 40)
+            (http_pipelined_rps(&overload_addr, &hot_request, flood.two_cycles()), 0)
         },
     );
     flood.stop.store(true, Relaxed);
@@ -724,12 +763,22 @@ fn main() {
     let total_sheds = shed_counter.get();
     overload_handle.shutdown();
 
+    let loaded_rounds: Vec<f64> = loaded.iter().map(|r| r.0).collect();
+    let unloaded_rounds: Vec<f64> = unloaded.iter().map(|r| r.0).collect();
+    let shedless_rounds = loaded.iter().filter(|r| r.1 == 0).count();
     let overload_unloaded_rps = median(&unloaded_rounds);
     let overload_loaded_rps = median(&loaded_rounds);
     let overload_ratio = median_ratio(&loaded_rounds, &unloaded_rounds);
     gates.check(
         client_sheds > 0,
         format!("flooder clients must observe shed 503 responses (saw {client_sheds})"),
+    );
+    gates.check(
+        shedless_rounds == 0,
+        format!(
+            "the flood must shed during every loaded round \
+             ({shedless_rounds} of {PAIRS} loaded rounds saw no shed)"
+        ),
     );
     gates.check(
         overload_ratio >= 0.8,
@@ -811,12 +860,14 @@ fn main() {
         || {
             swaps.set(true);
             let generation = swap_service.generation();
-            let (rps, failed) = http_pipelined_parsed_rps(&swap_addr, &hot_request, 40);
+            let (rps, failed) =
+                http_pipelined_parsed_rps(&swap_addr, &hot_request, swaps.two_cycles());
             (rps, failed, swap_service.generation() - generation)
         },
         || {
             swaps.set(false);
-            let (rps, failed) = http_pipelined_parsed_rps(&swap_addr, &hot_request, 40);
+            let (rps, failed) =
+                http_pipelined_parsed_rps(&swap_addr, &hot_request, swaps.two_cycles());
             (rps, failed, 0)
         },
     );
