@@ -7,17 +7,27 @@
 //! * **query**: the galloping-intersection multi-filter planner vs the
 //!   legacy single-index+filter strategy it replaced (posting-list lookups
 //!   are checked against linear scans over the segment's record views);
-//! * **merge**: k-way merging of per-uarch segment shards.
+//! * **merge**: k-way merging of per-uarch segment shards;
+//! * **ingest**: what one `POST /v1/ingest` costs the db layer against
+//!   the size of the live generation — a 180-record shard that overwrites
+//!   live keys, merged into catalog-shaped live segments of ~2k, ~8k and
+//!   ~16.7k records (the whole catalog on every uarch that supports each
+//!   variant), plus the one content-hash pass the generation store makes
+//!   over the result.
 //!
 //! Every timed number is a [`median_ns`]. The run writes a machine-readable
 //! summary, with the machine's core count, to `BENCH_db.json` (override
 //! the path with the `BENCH_DB_JSON` environment variable) for CI
 //! artifact upload, and asserts the headline
 //! acceptance numbers: segment open ≥ 10x faster than TLV decode, and the
-//! galloping multi-filter query no slower than the legacy strategy.
+//! galloping multi-filter query no slower than the legacy strategy. Every
+//! merge it times is first checked byte for byte against the single-pass
+//! encode of the same records.
 
 use uops_bench::median_ns;
-use uops_db::{Query, Segment, SegmentDb, Snapshot, VariantRecord};
+use uops_db::{LatencyEdge, Query, Segment, SegmentDb, Snapshot, VariantRecord};
+use uops_isa::Catalog;
+use uops_uarch::MicroArch;
 
 /// Builds a synthetic snapshot with `per_uarch` variants on three
 /// microarchitectures, mimicking the shape of real characterization data
@@ -58,6 +68,134 @@ fn shard_snapshots(snapshot: &Snapshot) -> Vec<Snapshot> {
         shards.push(shard);
     }
     shards
+}
+
+/// Records in an ingested shard.
+const SHARD_RECORDS: usize = 180;
+
+/// A small deterministic generator (xorshift64*) for record values.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+    }
+}
+
+/// Plausible measured values: 1–4 µops over the uarch's ports, 1–3
+/// latency edges, an optional port-model throughput.
+fn randomize(record: &mut VariantRecord, ports: u8, rng: &mut Rng) {
+    let uops = 1 + rng.below(4) as u32;
+    let mut masks: Vec<(u16, u32)> = Vec::new();
+    for _ in 0..uops {
+        let mask = (rng.below(1 << ports) as u16).max(1);
+        match masks.iter_mut().find(|(m, _)| *m == mask) {
+            Some((_, n)) => *n += 1,
+            None => masks.push((mask, 1)),
+        }
+    }
+    masks.sort_unstable();
+    record.uop_count = uops;
+    record.ports = masks;
+    record.tp_measured = (1 + rng.below(400)) as f64 / 100.0;
+    record.tp_ports = (rng.below(5) > 0).then(|| (1 + rng.below(400)) as f64 / 100.0);
+    record.latency = (0..1 + rng.below(3))
+        .map(|i| LatencyEdge {
+            source: i as u32 + 1,
+            target: 0,
+            cycles: (1 + rng.below(30)) as f64,
+            upper_bound: rng.below(20) == 0,
+            same_reg_cycles: None,
+            low_value_cycles: None,
+        })
+        .collect();
+}
+
+/// The live generation of a server fed the whole catalog: every variant
+/// on every uarch that supports its extension, keeping every `keep_every`-th
+/// record, with µarch metadata.
+fn catalog_snapshot(catalog: &Catalog, keep_every: usize) -> Snapshot {
+    let mut rng = Rng(0x5e67_0001);
+    let mut snapshot = Snapshot::new("db_query bench");
+    for desc in catalog.iter() {
+        for arch in MicroArch::ALL {
+            if !arch.supports(desc.extension) {
+                continue;
+            }
+            let mut record = VariantRecord {
+                mnemonic: desc.mnemonic.clone(),
+                variant: desc.variant(),
+                extension: desc.extension.to_string(),
+                uarch: arch.name().to_string(),
+                ..VariantRecord::default()
+            };
+            randomize(&mut record, arch.port_count(), &mut rng);
+            snapshot.records.push(record);
+        }
+    }
+    // Canonical order and one record per key, as the live image holds them.
+    snapshot =
+        Segment::from_bytes(Segment::encode(&snapshot)).expect("valid").db().export_snapshot();
+    let mut i = 0;
+    snapshot.records.retain(|_| {
+        i += 1;
+        (i - 1) % keep_every == 0
+    });
+    for arch in MicroArch::ALL {
+        let n = snapshot.records.iter().filter(|r| r.uarch == arch.name()).count() as u32;
+        snapshot.upsert_uarch(uops_core::snapshot::uarch_meta(arch, n, 0));
+    }
+    snapshot
+}
+
+/// A shard of [`SHARD_RECORDS`] distinct live keys with new values.
+fn overwrite_shard(live: &Snapshot, rng: &mut Rng) -> Snapshot {
+    let mut shard = Snapshot::new(&*live.generator);
+    let mut picked = std::collections::BTreeSet::new();
+    while picked.len() < SHARD_RECORDS {
+        picked.insert(rng.below(live.records.len() as u64) as usize);
+    }
+    for i in picked {
+        let mut record = live.records[i].clone();
+        let arch = MicroArch::ALL.into_iter().find(|a| a.name() == record.uarch).expect("uarch");
+        randomize(&mut record, arch.port_count(), rng);
+        shard.records.push(record);
+    }
+    shard
+}
+
+/// One ingest row: the live size, the merge alone, and the merge plus the
+/// content hash of the new image (what the store's publish adds).
+struct IngestRow {
+    live_records: usize,
+    image_bytes: usize,
+    merge_ns: f64,
+    ingest_ns: f64,
+}
+
+fn ingest_row(catalog: &Catalog, keep_every: usize) -> IngestRow {
+    let live = catalog_snapshot(catalog, keep_every);
+    let shard = overwrite_shard(&live, &mut Rng(0x1a2b_3c4d ^ keep_every as u64));
+    let live_segment = Segment::from_bytes(Segment::encode(&live)).expect("valid live image");
+    let shard_segment = Segment::from_bytes(Segment::encode(&shard)).expect("valid shard");
+    let parts = [&live_segment, &shard_segment];
+    let merged = Segment::merge_refs(&parts);
+    let mut latest = live.clone();
+    latest.records.extend(shard.records.iter().cloned());
+    assert_eq!(
+        merged.as_bytes(),
+        Segment::encode(&latest).as_slice(),
+        "ingest merge must equal the single-pass encode"
+    );
+    IngestRow {
+        live_records: live_segment.len(),
+        image_bytes: merged.as_bytes().len(),
+        merge_ns: median_ns(15, || Segment::merge_refs(&parts).len()),
+        ingest_ns: median_ns(15, || Segment::merge_refs(&parts).content_hash()),
+    }
 }
 
 /// The hand-rolled baseline: filter by scanning every record view,
@@ -143,6 +281,9 @@ fn main() {
     let legacy_ns = median_ns(15, || legacy_multi_filter(&db, "Skylake", 5, 2).len());
     let merge_ns = median_ns(15, || Segment::merge(&shards).len());
     let merge_records_per_sec = merged.len() as f64 / (merge_ns / 1e9);
+    let catalog = Catalog::intel_core();
+    let ingest: Vec<IngestRow> =
+        [8, 2, 1].iter().map(|&every| ingest_row(&catalog, every)).collect();
 
     assert!(
         open_speedup >= 10.0,
@@ -162,7 +303,7 @@ fn main() {
          \"open_segment_ns\": {:.0},\n  \"open_speedup\": {:.1},\n  \"query_multi_filter_ns\": {{\n    \
          \"gallop\": {:.0},\n    \"legacy_single_index\": {:.0}\n  }},\n  \"merge\": {{\n    \
          \"shards\": {},\n    \"records\": {},\n    \"ns\": {:.0},\n    \"records_per_sec\": {:.0}\n  \
-         }}\n}}\n",
+         }},\n  \"ingest\": {{\n    \"shard_records\": {},\n    \"rows\": [\n{}\n    ]\n  }}\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         db.len(),
         open_tlv_ns,
@@ -174,6 +315,16 @@ fn main() {
         merged.len(),
         merge_ns,
         merge_records_per_sec,
+        SHARD_RECORDS,
+        ingest
+            .iter()
+            .map(|r| format!(
+                "      {{ \"live_records\": {}, \"image_bytes\": {}, \"merge_ns\": {:.0}, \
+                 \"merge_and_hash_ns\": {:.0} }}",
+                r.live_records, r.image_bytes, r.merge_ns, r.ingest_ns
+            ))
+            .collect::<Vec<_>>()
+            .join(",\n"),
     );
     let path = std::env::var("BENCH_DB_JSON").unwrap_or_else(|_| "BENCH_db.json".to_string());
     match std::fs::write(&path, &json) {

@@ -11,6 +11,7 @@
 //! identical reports (and therefore byte-identical snapshots downstream).
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -544,7 +545,10 @@ impl<'a> CharacterizationEngine<'a> {
         })
     }
 
-    /// Characterizes (or skips) one sweep item.
+    /// Characterizes (or skips) one sweep item. An item whose
+    /// characterization panics (PAUSE: the simulator refuses to dispatch a
+    /// µop with no execution port) becomes a skip entry carrying the panic
+    /// message, so one variant never costs the sweep its report.
     fn sweep_item<B: MeasurementBackend + ?Sized>(
         &self,
         backend: &B,
@@ -559,8 +563,19 @@ impl<'a> CharacterizationEngine<'a> {
         }
         let setup = setup.expect("setup exists for characterized items");
         let analyzer = analyzer.expect("analyzer exists for characterized items");
-        self.characterize_prepared(backend, arc, setup, analyzer)
-            .map_err(|e| (arc.full_name(), e.to_string()))
+        let characterize =
+            AssertUnwindSafe(|| self.characterize_prepared(backend, arc, setup, analyzer));
+        match std::panic::catch_unwind(characterize) {
+            Ok(result) => result.map_err(|e| (arc.full_name(), e.to_string())),
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "unknown panic payload".to_string());
+                Err((arc.full_name(), format!("characterization panicked: {message}")))
+            }
+        }
     }
 
     /// Scans for dependency-breaking idioms (§7.3.6): instructions with two
@@ -747,6 +762,32 @@ mod tests {
         assert_eq!(serial.arch, parallel.arch);
         assert_eq!(serial.profiles, parallel.profiles, "profiles must match in catalog order");
         assert_eq!(serial.skipped, parallel.skipped, "skip list must match in catalog order");
+    }
+
+    #[test]
+    fn a_panicking_variant_is_a_skip_entry_not_a_lost_sweep() {
+        let catalog = Catalog::intel_core();
+        let backend = SimBackend::new(MicroArch::Skylake);
+        let filter = |d: &InstructionDesc| {
+            d.mnemonic == "PAUSE" || (d.mnemonic == "ADD" && d.variant() == "R64, R64")
+        };
+        let engine =
+            CharacterizationEngine::with_config(&catalog, MicroArch::Skylake, EngineConfig::fast());
+        let serial = engine.characterize_matching(&backend, filter);
+        let parallel =
+            engine.characterize_matching_parallel(&backend, filter, Parallelism::Fixed(2));
+        for report in [&serial, &parallel] {
+            assert_eq!(report.characterized_count(), 1);
+            assert!(report.find("ADD", "R64, R64").is_some());
+            let (name, reason) = report
+                .skipped
+                .iter()
+                .find(|(name, _)| name.starts_with("PAUSE"))
+                .expect("PAUSE is a skip entry");
+            assert!(reason.contains("no execution port"), "{name}: {reason}");
+        }
+        assert_eq!(serial.profiles, parallel.profiles);
+        assert_eq!(serial.skipped, parallel.skipped);
     }
 
     /// A `!Sync` backend (interior mutability, as a perf-event/hardware

@@ -17,7 +17,9 @@
 //!   in O(header + section table) and queried in place from a `&[u8]`
 //!   through [`SegmentDb`] without decoding a single record, plus
 //!   **incremental merge ingestion** ([`Segment::merge`]) for
-//!   independently written shards;
+//!   independently written shards, which remaps the shards' symbols into
+//!   one string table and copies the surviving records' columns, so an
+//!   ingest never re-derives what the live image already holds;
 //! * a **layered query pipeline**: the source-compatible [`Query`] builder
 //!   produces a canonical, hashable [`QueryPlan`] ([`plan`]) — the cache
 //!   key and the wire request, with a strict query-string codec — which

@@ -17,8 +17,13 @@
 //!   [`crate::Query`], [`crate::RecordView`], the result encoders, and
 //!   [`crate::diff_uarches`] run over.
 //! * [`Segment::merge`] k-way-merges independently written shards
-//!   last-writer-wins by (mnemonic, variant, uarch) without re-decoding —
-//!   incremental ingestion for datasets produced arch-by-arch.
+//!   last-writer-wins by (mnemonic, variant, uarch) without re-decoding:
+//!   it remaps the shards' symbols into one merged string table and copies
+//!   the surviving records' columns across — incremental ingestion for
+//!   datasets produced arch-by-arch and for live ingests.
+//! * [`Segment::content_hash`] is the FNV-1a hash of the image, computed
+//!   at most once per segment: the generation store's manifest and the
+//!   server's ETags share it.
 //!
 //! Opening a segment costs O(header + section table) plus the tiny,
 //! record-count-independent string table and µarch metadata — benchmarked
@@ -64,8 +69,10 @@ mod read;
 mod writer;
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use crate::error::DbError;
+use crate::plan::fnv1a_64;
 use crate::snapshot::Snapshot;
 
 pub use read::SegmentDb;
@@ -74,12 +81,14 @@ pub use read::SegmentDb;
 ///
 /// Construction always validates ([`Segment::from_bytes`] /
 /// [`Segment::open`]) and caches the parse, so [`Segment::db`] hands out
-/// readers infallibly *and* without re-validating. Equality compares the
-/// image bytes only.
+/// readers infallibly *and* without re-validating. The content hash is
+/// cached too, on first use ([`Segment::content_hash`]). Equality compares
+/// the image bytes only.
 #[derive(Debug, Clone)]
 pub struct Segment {
     bytes: Vec<u8>,
     parsed: read::ParsedSegment,
+    content_hash: OnceLock<u64>,
 }
 
 impl PartialEq for Segment {
@@ -107,7 +116,25 @@ impl Segment {
     /// breaking schema version.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Segment, DbError> {
         let parsed = SegmentDb::open(&bytes)?.into_parsed();
-        Ok(Segment { bytes, parsed })
+        Ok(Segment { bytes, parsed, content_hash: OnceLock::new() })
+    }
+
+    /// [`Segment::from_bytes`] for an image whose [`fnv1a_64`] hash the
+    /// caller has just computed, so [`Segment::content_hash`] never hashes
+    /// it again.
+    pub(crate) fn from_hashed_bytes(bytes: Vec<u8>, content_hash: u64) -> Result<Segment, DbError> {
+        let segment = Segment::from_bytes(bytes)?;
+        segment.content_hash.get_or_init(|| content_hash);
+        Ok(segment)
+    }
+
+    /// The FNV-1a hash ([`fnv1a_64`]) of the image: what the generation
+    /// store records in its manifest and the server folds into every
+    /// ETag. Computed on the first call and cached, so each image is
+    /// hashed at most once however many layers ask.
+    #[must_use]
+    pub fn content_hash(&self) -> u64 {
+        *self.content_hash.get_or_init(|| fnv1a_64(&self.bytes))
     }
 
     /// Encodes `snapshot` and writes the image to `path`, returning the
@@ -145,13 +172,15 @@ impl Segment {
     /// K-way-merges segment shards into a new segment,
     /// last-writer-wins by (mnemonic, variant, uarch): on duplicate keys
     /// the shard latest in `parts` supplies the surviving record. No shard
-    /// is decoded into a snapshot — records stream from the borrowed
-    /// readers straight into the writer.
+    /// is decoded into a snapshot: the shards' string tables merge into
+    /// one, and the surviving records' columns are copied across with
+    /// their symbols remapped. The image equals [`Segment::encode`] of the
+    /// last-writer-wins snapshot of the shards: µarch metadata also keeps
+    /// the last entry per name, the generator is the last non-empty one
+    /// and the schema version the highest.
     #[must_use]
     pub fn merge(parts: &[Segment]) -> Segment {
-        let dbs: Vec<SegmentDb<'_>> = parts.iter().map(Segment::db).collect();
-        let bytes = merge::merge_images(&dbs);
-        Segment::from_bytes(bytes).expect("merge emits valid segments")
+        Segment::merge_refs(&parts.iter().collect::<Vec<_>>())
     }
 
     /// [`Segment::merge`] over borrowed segments — same semantics, for
@@ -161,6 +190,12 @@ impl Segment {
         let dbs: Vec<SegmentDb<'_>> = parts.iter().map(|s| s.db()).collect();
         let bytes = merge::merge_images(&dbs);
         Segment::from_bytes(bytes).expect("merge emits valid segments")
+    }
+
+    /// Whether [`Segment::content_hash`] is already cached.
+    #[cfg(test)]
+    pub(crate) fn is_hashed(&self) -> bool {
+        self.content_hash.get().is_some()
     }
 
     /// The zero-copy reader for this image. Cheap: the validated parse is
@@ -356,6 +391,71 @@ mod tests {
         assert_eq!(db.uop_count(id), 2);
         assert_eq!(db.port_union(id), 0b1111);
         assert_eq!(db.generator(), "fix");
+    }
+
+    #[test]
+    fn merge_drops_strings_only_overwritten_records_used() {
+        let mut base = Snapshot::new("base");
+        let mut old = record("ADD", "R64, R64 (old form)", "Skylake", 0b11);
+        old.extension = "RETIRED_EXT".into();
+        base.records.push(old);
+        base.records.push(record("SUB", "R64, R64", "Skylake", 0b11));
+        base.uarches.push(UarchMeta {
+            name: "Skylake".into(),
+            processor: "Old CPU".into(),
+            year: 2015,
+            ..Default::default()
+        });
+        let mut fix = Snapshot::new("fix");
+        fix.records.push(record("ADD", "R64, R64 (old form)", "Skylake", 0b1111));
+        fix.uarches.push(UarchMeta {
+            name: "Skylake".into(),
+            processor: "New CPU".into(),
+            year: 2015,
+            ..Default::default()
+        });
+        let merged = Segment::merge(&[
+            Segment::from_bytes(Segment::encode(&base)).unwrap(),
+            Segment::from_bytes(Segment::encode(&fix)).unwrap(),
+        ]);
+        let db = merged.db();
+        assert_eq!(db.lookup_sym("RETIRED_EXT"), None, "overwritten extension must vanish");
+        assert_eq!(db.lookup_sym("Old CPU"), None, "overwritten processor must vanish");
+        assert!(db.lookup_sym("New CPU").is_some());
+        let id = db.find_id("ADD", "R64, R64 (old form)", "Skylake").expect("present");
+        assert_eq!(db.resolve(db.extension_sym(id)), "BASE");
+
+        let mut latest = Snapshot::new("fix");
+        latest.records = [base.records, fix.records].concat();
+        latest.uarches = [base.uarches, fix.uarches].concat();
+        assert_eq!(merged.as_bytes(), Segment::encode(&latest).as_slice());
+    }
+
+    #[test]
+    fn merge_reads_out_of_range_symbols_as_empty_strings() {
+        // Open validates the string table, not every record's symbols (that
+        // would cost O(records)), so an ingested image can name a string
+        // that does not exist. The reader resolves it to "", and the merge
+        // must treat it the same way, not panic.
+        let mut image = Segment::encode(&sample());
+        let count = super::layout::u32_at(&image, 16) as usize;
+        let column = (0..count)
+            .map(|i| super::layout::HEADER_LEN + i * super::layout::SECTION_ENTRY_LEN)
+            .find(|&e| super::layout::u32_at(&image, e) == super::layout::section::COL_EXTENSION)
+            .map(|e| super::layout::u64_at(&image, e + 8) as usize)
+            .expect("extension column");
+        image[column..column + 4].copy_from_slice(&999u32.to_le_bytes());
+        let crafted = Segment::from_bytes(image).expect("structurally valid");
+        assert_eq!(crafted.db().resolve(crafted.db().extension_sym(0)), "");
+
+        let merged = Segment::merge(&[crafted.clone()]);
+        let db = merged.db();
+        assert_eq!(db.resolve(db.extension_sym(0)), "");
+        assert!(db.lookup_sym("").is_some());
+        assert_eq!(
+            merged,
+            Segment::from_bytes(Segment::encode(&crafted.db().export_snapshot())).unwrap()
+        );
     }
 
     #[test]

@@ -494,17 +494,42 @@ impl<'a> SegmentDb<'a> {
     /// string table).
     #[must_use]
     pub fn resolve(&self, sym: Sym) -> &'a str {
-        let i = sym.index();
+        std::str::from_utf8(self.str_bytes(sym.0)).unwrap_or("")
+    }
+
+    /// The raw bytes of string `sym` (empty for a symbol outside the
+    /// string table). Byte order equals string order, so the merge
+    /// compares these without re-checking UTF-8.
+    pub(crate) fn str_bytes(&self, sym: u32) -> &'a [u8] {
+        let i = sym as usize;
         if i >= self.string_count as usize {
-            return "";
+            return &[];
         }
         let offsets = self.sect(section::STR_OFFSETS);
         let start = u32_at(offsets, i * 4) as usize;
         let end = u32_at(offsets, i * 4 + 4) as usize;
-        self.sect(section::STR_BYTES)
-            .get(start..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
-            .unwrap_or("")
+        self.sect(section::STR_BYTES).get(start..end).unwrap_or(&[])
+    }
+
+    /// Number of strings in the string table.
+    pub(crate) fn string_count(&self) -> usize {
+        self.string_count as usize
+    }
+
+    /// The raw (mnemonic, variant, uarch) key of record `id`.
+    pub(crate) fn key_bytes(&self, id: u32) -> (&'a [u8], &'a [u8], &'a [u8]) {
+        let (m, v, u) = self.record_key(id);
+        (self.str_bytes(m), self.str_bytes(v), self.str_bytes(u))
+    }
+
+    /// The µarch metadata entries with the symbols of their name and
+    /// processor strings, in stored order.
+    pub(crate) fn uarch_meta_entries(&self) -> impl Iterator<Item = (u32, u32, &UarchMeta)> {
+        let table = self.sect(section::UARCH_META);
+        self.uarch_meta.iter().enumerate().map(move |(i, meta)| {
+            let at = i * UARCH_META_LEN;
+            (u32_at(table, at), u32_at(table, at + 4), meta)
+        })
     }
 
     /// Looks up the symbol for `s` (`None` if the string never occurs in
@@ -610,9 +635,13 @@ impl<'a> SegmentDb<'a> {
     #[must_use]
     pub fn port_entry(&self, id: u32, i: usize) -> (u16, u32) {
         let (start, _) = self.range(section::PORTS_RANGE, id);
+        self.port_at(start + i)
+    }
+
+    fn port_at(&self, at: usize) -> (u16, u32) {
         (
-            u16_at(self.sect(section::PORTS_MASK), (start + i) * 2),
-            u32_at(self.sect(section::PORTS_UOPS), (start + i) * 4),
+            u16_at(self.sect(section::PORTS_MASK), at * 2),
+            u32_at(self.sect(section::PORTS_UOPS), at * 4),
         )
     }
 
@@ -626,7 +655,10 @@ impl<'a> SegmentDb<'a> {
     #[must_use]
     pub fn latency_edge(&self, id: u32, i: usize) -> LatencyEdge {
         let (start, _) = self.range(section::LAT_RANGE, id);
-        let at = start + i;
+        self.edge_at(start + i)
+    }
+
+    fn edge_at(&self, at: usize) -> LatencyEdge {
         let flags = self.sect(section::LAT_FLAGS).get(at).copied().unwrap_or(0);
         LatencyEdge {
             source: u32_at(self.sect(section::LAT_SOURCE), at * 4),
@@ -640,16 +672,28 @@ impl<'a> SegmentDb<'a> {
         }
     }
 
+    /// The `(port mask, µops)` entries of record `id`, in order.
+    pub(crate) fn port_entries(&self, id: u32) -> impl Iterator<Item = (u16, u32)> + '_ {
+        let (start, len) = self.range(section::PORTS_RANGE, id);
+        (start..start + len).map(|at| self.port_at(at))
+    }
+
+    /// The latency edges of record `id`, in order.
+    pub(crate) fn latency_edges(&self, id: u32) -> impl Iterator<Item = LatencyEdge> + '_ {
+        let (start, len) = self.range(section::LAT_RANGE, id);
+        (start..start + len).map(|at| self.edge_at(at))
+    }
+
     /// The `(port mask, µops)` entries of record `id`, materialized.
     #[must_use]
     pub fn ports_vec(&self, id: u32) -> Vec<(u16, u32)> {
-        (0..self.ports_len(id)).map(|i| self.port_entry(id, i)).collect()
+        self.port_entries(id).collect()
     }
 
     /// The latency edges of record `id`, materialized.
     #[must_use]
     pub fn latency_vec(&self, id: u32) -> Vec<LatencyEdge> {
-        (0..self.latency_len(id)).map(|i| self.latency_edge(id, i)).collect()
+        self.latency_edges(id).collect()
     }
 
     /// Posting list of records with the given mnemonic symbol.

@@ -1,10 +1,25 @@
-//! Building segment images.
+//! Building segment images: two string-table builders, one column writer.
 //!
-//! The writer is shared by the two producers — snapshot encoding
-//! ([`crate::Segment::encode`]) and incremental merge
-//! ([`crate::Segment::merge`]) — via the [`SourceRecord`] abstraction, so
-//! merged shards go through exactly the same emission path as a single-pass
-//! build and produce byte-identical images for identical logical content.
+//! Both producers — snapshot encoding ([`crate::Segment::encode`]) and
+//! incremental merge ([`crate::Segment::merge`], in `merge.rs`) — reduce
+//! their input to the same three things before anything is written:
+//!
+//! * a [`StringTable`] of unique, sorted strings. [`encode_snapshot`]
+//!   builds it by sort + dedup of the records' strings; the merge builds
+//!   it by k-way merging the symbols its inputs still use out of their
+//!   already sorted tables;
+//! * one [`RowKeys`] per record: the record's symbols in that table, its
+//!   port-mask union and its side-array lengths;
+//! * the µarch metadata entries, with symbols.
+//!
+//! [`ImageWriter::new`] turns those into the whole layout: every section's
+//! size is known at that point, so the image is one buffer allocated once,
+//! and the string table, key columns, side-array ranges and posting lists
+//! are written into it straight away. The producer then hands the
+//! numeric payload of each record, in id order, to [`ImageWriter::record`].
+//! Merged shards and a single-pass build therefore go through the same
+//! emission path and give byte-identical images for identical logical
+//! content.
 //!
 //! Writer invariants (the reader and query planner rely on all of them):
 //!
@@ -12,81 +27,93 @@
 //! * records are deduplicated last-writer-wins by (mnemonic, variant,
 //!   uarch) and stored in canonical key order, so record id order equals
 //!   canonical name order (`name_rank(id) == id`) and every posting list —
-//!   emitted in id order — is sorted ascending;
+//!   filled in id order — is sorted ascending;
 //! * µarch metadata is sorted by (year, name), matching
 //!   [`crate::Snapshot::canonicalize`];
 //! * sections are emitted in ascending id order, 8-aligned, with zeroed
 //!   padding, making the encoding deterministic.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
 use super::layout::{
-    align8, section, HEADER_LEN, LAT_FLAG_LOW_VALUE, LAT_FLAG_SAME_REG, LAT_FLAG_UPPER_BOUND,
-    MAGIC, SECTION_ENTRY_LEN,
+    align8, section, FORMAT_VERSION, HEADER_LEN, IDX_ENTRY_LEN, IDX_PORT_ENTRY_LEN,
+    LAT_FLAG_LOW_VALUE, LAT_FLAG_SAME_REG, LAT_FLAG_UPPER_BOUND, MAGIC, MAX_SECTION_ID,
+    SECTION_ENTRY_LEN, UARCH_META_LEN,
 };
 use crate::snapshot::{LatencyEdge, Snapshot, UarchMeta, VariantRecord};
 
-/// Field access for one record being written, regardless of where it
-/// currently lives (a [`VariantRecord`] or another segment).
-pub(crate) trait SourceRecord {
-    fn mnemonic(&self) -> &str;
-    fn variant(&self) -> &str;
-    fn uarch(&self) -> &str;
-    fn extension(&self) -> &str;
-    fn uop_count(&self) -> u32;
-    fn unattributed(&self) -> u32;
-    fn tp_measured(&self) -> f64;
-    fn tp_ports(&self) -> Option<f64>;
-    fn tp_low_values(&self) -> Option<f64>;
-    fn tp_breaking(&self) -> Option<f64>;
-    fn ports_len(&self) -> usize;
-    fn port_entry(&self, i: usize) -> (u16, u32);
-    fn latency_len(&self) -> usize;
-    fn latency_edge(&self, i: usize) -> LatencyEdge;
+/// A string table under construction: strings pushed in ascending order,
+/// each once, so a string's push index is its symbol.
+#[derive(Debug, Default)]
+pub(crate) struct StringTable {
+    /// `len() + 1` end offsets into `bytes`, leading with 0.
+    offsets: Vec<u32>,
+    bytes: Vec<u8>,
 }
 
-impl SourceRecord for &VariantRecord {
-    fn mnemonic(&self) -> &str {
-        &self.mnemonic
+impl StringTable {
+    pub(crate) fn with_capacity(strings: usize, bytes: usize) -> StringTable {
+        let mut offsets = Vec::with_capacity(strings + 1);
+        offsets.push(0);
+        StringTable { offsets, bytes: Vec::with_capacity(bytes) }
     }
-    fn variant(&self) -> &str {
-        &self.variant
+
+    /// Appends the next string; returns its symbol.
+    pub(crate) fn push(&mut self, s: &[u8]) -> u32 {
+        self.bytes.extend_from_slice(s);
+        self.offsets.push(self.bytes.len() as u32);
+        (self.offsets.len() - 2) as u32
     }
-    fn uarch(&self) -> &str {
-        &self.uarch
+
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
     }
-    fn extension(&self) -> &str {
-        &self.extension
-    }
-    fn uop_count(&self) -> u32 {
-        self.uop_count
-    }
-    fn unattributed(&self) -> u32 {
-        self.unattributed
-    }
-    fn tp_measured(&self) -> f64 {
-        self.tp_measured
-    }
-    fn tp_ports(&self) -> Option<f64> {
-        self.tp_ports
-    }
-    fn tp_low_values(&self) -> Option<f64> {
-        self.tp_low_values
-    }
-    fn tp_breaking(&self) -> Option<f64> {
-        self.tp_breaking
-    }
-    fn ports_len(&self) -> usize {
-        self.ports.len()
-    }
-    fn port_entry(&self, i: usize) -> (u16, u32) {
-        self.ports[i]
-    }
-    fn latency_len(&self) -> usize {
-        self.latency.len()
-    }
-    fn latency_edge(&self, i: usize) -> LatencyEdge {
-        self.latency[i].clone()
+}
+
+/// What the writer needs of a record before its payload: the symbols of
+/// its mnemonic, variant, extension and uarch, the union of its port
+/// masks (for the (µarch, port) index) and its side-array lengths.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowKeys {
+    pub(crate) mnemonic: u32,
+    pub(crate) variant: u32,
+    pub(crate) extension: u32,
+    pub(crate) uarch: u32,
+    pub(crate) port_union: u16,
+    pub(crate) ports: u32,
+    pub(crate) edges: u32,
+}
+
+/// The numeric payload of one record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Numbers {
+    pub(crate) uop_count: u32,
+    pub(crate) unattributed: u32,
+    pub(crate) tp_measured: f64,
+    pub(crate) tp_ports: Option<f64>,
+    pub(crate) tp_low_values: Option<f64>,
+    pub(crate) tp_breaking: Option<f64>,
+}
+
+/// One µarch metadata entry with its strings as symbols.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MetaEntry {
+    pub(crate) name: u32,
+    pub(crate) processor: u32,
+    pub(crate) year: u32,
+    pub(crate) ports: u8,
+    pub(crate) characterized: u32,
+    pub(crate) skipped: u32,
+}
+
+impl MetaEntry {
+    fn words(&self) -> [u32; 6] {
+        [
+            self.name,
+            self.processor,
+            self.year,
+            u32::from(self.ports),
+            self.characterized,
+            self.skipped,
+        ]
     }
 }
 
@@ -95,112 +122,420 @@ impl SourceRecord for &VariantRecord {
 /// [`crate::Snapshot::merge`] replacement semantics.
 #[must_use]
 pub(crate) fn encode_snapshot(snapshot: &Snapshot) -> Vec<u8> {
-    // Last-writer-wins dedup, then canonical (mnemonic, variant, uarch)
-    // order.
-    let mut by_key: HashMap<(&str, &str, &str), &VariantRecord> = HashMap::new();
-    for record in &snapshot.records {
-        by_key.insert((&record.mnemonic, &record.variant, &record.uarch), record);
+    // A stable sort keeps duplicates in input order, so the last of each
+    // run of equal keys is the last writer.
+    fn key(r: &VariantRecord) -> (&str, &str, &str) {
+        (&r.mnemonic, &r.variant, &r.uarch)
     }
-    let mut records: Vec<&VariantRecord> = by_key.into_values().collect();
-    records.sort_unstable_by_key(|r| (&r.mnemonic, &r.variant, &r.uarch));
-    emit(&snapshot.generator, snapshot.schema_version, &snapshot.uarches, &records)
+    let mut records: Vec<&VariantRecord> = snapshot.records.iter().collect();
+    records.sort_by(|a, b| key(a).cmp(&key(b)));
+    let records = last_of_each_run(records, |a, b| key(a) == key(b));
+    let metas = canonical_metas(snapshot.uarches.iter().collect(), |m| *m);
+
+    let mut all: Vec<&str> = Vec::with_capacity(records.len() * 4 + metas.len() * 2);
+    for r in &records {
+        all.extend([&*r.mnemonic, &*r.variant, &*r.extension, &*r.uarch]);
+    }
+    for m in &metas {
+        all.extend([&*m.name, &*m.processor]);
+    }
+    all.sort_unstable();
+    all.dedup();
+    let mut strings = StringTable::with_capacity(all.len(), all.iter().map(|s| s.len()).sum());
+    for s in &all {
+        strings.push(s.as_bytes());
+    }
+    let sym = |s: &str| all.binary_search(&s).expect("every string is in the table") as u32;
+
+    let rows: Vec<RowKeys> = records
+        .iter()
+        .map(|r| RowKeys {
+            mnemonic: sym(&r.mnemonic),
+            variant: sym(&r.variant),
+            extension: sym(&r.extension),
+            uarch: sym(&r.uarch),
+            port_union: r.ports.iter().fold(0, |acc, &(mask, _)| acc | mask),
+            ports: r.ports.len() as u32,
+            edges: r.latency.len() as u32,
+        })
+        .collect();
+    let metas: Vec<MetaEntry> = metas
+        .iter()
+        .map(|m| MetaEntry {
+            name: sym(&m.name),
+            processor: sym(&m.processor),
+            year: m.year,
+            ports: m.ports,
+            characterized: m.characterized,
+            skipped: m.skipped,
+        })
+        .collect();
+
+    let mut writer = ImageWriter::new(
+        snapshot.generator.as_bytes(),
+        snapshot.schema_version,
+        &strings,
+        &metas,
+        rows,
+    );
+    for r in &records {
+        let numbers = Numbers {
+            uop_count: r.uop_count,
+            unattributed: r.unattributed,
+            tp_measured: r.tp_measured,
+            tp_ports: r.tp_ports,
+            tp_low_values: r.tp_low_values,
+            tp_breaking: r.tp_breaking,
+        };
+        writer.record(&numbers, r.ports.iter().copied(), r.latency.iter().cloned());
+    }
+    writer.finish()
 }
 
-/// Emits a segment image from deduplicated records already in canonical
-/// (mnemonic, variant, uarch) order.
-pub(crate) fn emit<R: SourceRecord>(
-    generator: &str,
-    schema_version: u32,
-    uarches: &[UarchMeta],
-    records: &[R],
-) -> Vec<u8> {
-    // ---- string table: unique + sorted, so sym order == string order ----
-    let mut strings: BTreeSet<&str> = BTreeSet::new();
-    for r in records {
-        strings.insert(r.mnemonic());
-        strings.insert(r.variant());
-        strings.insert(r.extension());
-        strings.insert(r.uarch());
-    }
-    // Deduplicate metadata by name (last wins), then canonical order.
-    let mut meta_by_name: HashMap<&str, &UarchMeta> = HashMap::new();
-    for meta in uarches {
-        meta_by_name.insert(&meta.name, meta);
-    }
-    let mut metas: Vec<&UarchMeta> = meta_by_name.into_values().collect();
-    metas.sort_unstable_by_key(|m| (m.year, &m.name));
-    for meta in &metas {
-        strings.insert(&meta.name);
-        strings.insert(&meta.processor);
-    }
-    let ordered: Vec<&str> = strings.into_iter().collect();
-    let sym_of: HashMap<&str, u32> =
-        ordered.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect();
-    let sym = |s: &str| sym_of[s];
+/// Deduplicates µarch metadata by name, the last entry winning, and puts
+/// the survivors in canonical (year, name) order.
+pub(crate) fn canonical_metas<T: Copy>(
+    mut metas: Vec<T>,
+    meta: impl Fn(&T) -> &UarchMeta,
+) -> Vec<T> {
+    metas.sort_by(|a, b| meta(a).name.cmp(&meta(b).name));
+    let mut metas = last_of_each_run(metas, |a, b| meta(a).name == meta(b).name);
+    metas.sort_unstable_by(|a, b| {
+        let (a, b) = (meta(a), meta(b));
+        (a.year, &a.name).cmp(&(b.year, &b.name))
+    });
+    metas
+}
 
-    let mut str_offsets = Vec::with_capacity((ordered.len() + 1) * 4);
-    let mut str_bytes = Vec::new();
-    str_offsets.extend_from_slice(&0u32.to_le_bytes());
-    for s in &ordered {
-        str_bytes.extend_from_slice(s.as_bytes());
-        str_offsets.extend_from_slice(&(str_bytes.len() as u32).to_le_bytes());
+/// Keeps the last element of every run of `same` neighbours.
+fn last_of_each_run<T: Copy>(items: Vec<T>, same: impl Fn(&T, &T) -> bool) -> Vec<T> {
+    let mut kept = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        if items.get(i + 1).is_none_or(|next| !same(item, next)) {
+            kept.push(*item);
+        }
+    }
+    kept
+}
+
+/// One secondary index: record counts per key slot, from which the key
+/// table and the index's run of the flat posting array are laid out.
+struct Index {
+    /// Records per slot; a slot is a symbol, or `uarch rank * 16 + port`
+    /// for the (µarch, port) index.
+    counts: Vec<u32>,
+    /// Slots holding at least one record — the key-table entries.
+    keys: usize,
+    /// Where this index's lists start in the flat posting array (in ids).
+    base: u32,
+}
+
+impl Index {
+    fn count(slots: usize, base: u32, ids: impl Iterator<Item = usize>) -> Index {
+        let mut counts = vec![0u32; slots];
+        for slot in ids {
+            counts[slot] += 1;
+        }
+        let keys = counts.iter().filter(|&&c| c > 0).count();
+        Index { counts, keys, base }
     }
 
-    // ---- µarch metadata ----
-    let mut uarch_meta = Vec::with_capacity(metas.len() * 24);
-    for meta in &metas {
-        for v in [
-            sym(&meta.name),
-            sym(&meta.processor),
-            meta.year,
-            u32::from(meta.ports),
-            meta.characterized,
-            meta.skipped,
+    /// Writes the key table (`key_of(slot)`, start, len per used slot, in
+    /// slot order) at `table`, and returns each slot's first free
+    /// position in the posting array.
+    fn write_keys(
+        &self,
+        out: &mut [u8],
+        table: usize,
+        wide: bool,
+        key_of: impl Fn(usize) -> u64,
+    ) -> Vec<u32> {
+        let mut next = Vec::with_capacity(self.counts.len());
+        let (mut start, mut at) = (self.base, table);
+        for (slot, &len) in self.counts.iter().enumerate() {
+            next.push(start);
+            if len == 0 {
+                continue;
+            }
+            if wide {
+                put(out, at, &key_of(slot).to_le_bytes());
+                at += 8;
+            } else {
+                put(out, at, &(key_of(slot) as u32).to_le_bytes());
+                at += 4;
+            }
+            put(out, at, &start.to_le_bytes());
+            put(out, at + 4, &len.to_le_bytes());
+            at += 8;
+            start += len;
+        }
+        next
+    }
+}
+
+/// The four secondary indexes. Mnemonic, extension and uarch lists are
+/// indexed by symbol; the (µarch, port) lists by the uarch's rank among the
+/// used uarch symbols, times 16, plus the port — so slot order is the
+/// on-disk key order `(sym << 8) | port`. The flat posting array holds the
+/// four runs in that order.
+struct Postings {
+    mnemonic: Index,
+    extension: Index,
+    uarch: Index,
+    uarch_port: Index,
+    /// The uarch symbols that have records, ascending.
+    uarch_syms: Vec<u32>,
+    /// Rank of each uarch symbol in `uarch_syms`.
+    rank: Vec<u32>,
+}
+
+impl Postings {
+    fn count(rows: &[RowKeys], symbols: usize) -> Postings {
+        let n = rows.len() as u32;
+        let mnemonic = Index::count(symbols, 0, rows.iter().map(|r| r.mnemonic as usize));
+        let extension = Index::count(symbols, n, rows.iter().map(|r| r.extension as usize));
+        let uarch = Index::count(symbols, 2 * n, rows.iter().map(|r| r.uarch as usize));
+        let uarch_syms: Vec<u32> =
+            (0..symbols as u32).filter(|&s| uarch.counts[s as usize] > 0).collect();
+        let mut rank = vec![0u32; symbols];
+        for (i, &s) in uarch_syms.iter().enumerate() {
+            rank[s as usize] = i as u32;
+        }
+        let port_slots = rows.iter().flat_map(|r| {
+            let base = rank[r.uarch as usize] as usize * 16;
+            ports(r.port_union).map(move |p| base + p)
+        });
+        let uarch_port = Index::count(uarch_syms.len() * 16, 3 * n, port_slots);
+        Postings { mnemonic, extension, uarch, uarch_port, uarch_syms, rank }
+    }
+
+    /// Length of the flat posting array, in ids.
+    fn ids(&self) -> usize {
+        (self.uarch_port.base + self.uarch_port.counts.iter().sum::<u32>()) as usize
+    }
+
+    /// Writes the key tables, then the ids: rows arrive in id order, so
+    /// every list fills ascending.
+    fn write(&self, out: &mut [u8], at: &[usize], rows: &[RowKeys]) {
+        let sym = |s: usize| s as u64;
+        let mut next_m =
+            self.mnemonic.write_keys(out, at[section::IDX_MNEMONIC as usize], false, sym);
+        let mut next_e =
+            self.extension.write_keys(out, at[section::IDX_EXTENSION as usize], false, sym);
+        let mut next_u = self.uarch.write_keys(out, at[section::IDX_UARCH as usize], false, sym);
+        let mut next_up =
+            self.uarch_port.write_keys(out, at[section::IDX_UARCH_PORT as usize], true, |slot| {
+                (u64::from(self.uarch_syms[slot / 16]) << 8) | (slot % 16) as u64
+            });
+        let postings_at = at[section::POSTINGS as usize];
+        let post = |out: &mut [u8], next: &mut u32, id: usize| {
+            put(out, postings_at + *next as usize * 4, &(id as u32).to_le_bytes());
+            *next += 1;
+        };
+        for (id, r) in rows.iter().enumerate() {
+            post(out, &mut next_m[r.mnemonic as usize], id);
+            post(out, &mut next_e[r.extension as usize], id);
+            post(out, &mut next_u[r.uarch as usize], id);
+            let base = self.rank[r.uarch as usize] as usize * 16;
+            for port in ports(r.port_union) {
+                post(out, &mut next_up[base + port], id);
+            }
+        }
+    }
+}
+
+/// The ports set in a port mask, ascending.
+fn ports(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let port = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+        mask &= mask - 1;
+        Some(port)
+    })
+}
+
+fn put(out: &mut [u8], at: usize, bytes: &[u8]) {
+    out[at..at + bytes.len()].copy_from_slice(bytes);
+}
+
+/// Writes one image into a buffer sized up front: the layout, string
+/// table, metadata, key columns, ranges and posting lists in
+/// [`ImageWriter::new`], then one [`ImageWriter::record`] per record in id
+/// order for the numeric columns and side arrays.
+pub(crate) struct ImageWriter {
+    out: Vec<u8>,
+    /// Byte offset of each section (index = section id).
+    at: [usize; MAX_SECTION_ID as usize + 1],
+    rows: Vec<RowKeys>,
+    row: usize,
+    port: usize,
+    edge: usize,
+}
+
+impl ImageWriter {
+    pub(crate) fn new(
+        generator: &[u8],
+        schema_version: u32,
+        strings: &StringTable,
+        metas: &[MetaEntry],
+        rows: Vec<RowKeys>,
+    ) -> ImageWriter {
+        let n = rows.len();
+        let symbols = strings.len();
+        let ports: usize = rows.iter().map(|r| r.ports as usize).sum();
+        let edges: usize = rows.iter().map(|r| r.edges as usize).sum();
+
+        let postings = Postings::count(&rows, symbols);
+        let mut lens = [0usize; MAX_SECTION_ID as usize + 1];
+        for (id, len) in [
+            (section::STR_OFFSETS, (symbols + 1) * 4),
+            (section::STR_BYTES, strings.bytes.len()),
+            (section::GENERATOR, generator.len()),
+            (section::UARCH_META, metas.len() * UARCH_META_LEN),
+            (section::COL_MNEMONIC, n * 4),
+            (section::COL_VARIANT, n * 4),
+            (section::COL_EXTENSION, n * 4),
+            (section::COL_UARCH, n * 4),
+            (section::COL_UOPS, n * 4),
+            (section::COL_UNATTRIBUTED, n * 4),
+            (section::COL_PORT_UNION, n * 2),
+            (section::COL_TP_MEASURED, n * 8),
+            (section::COL_TP_PORTS, n * 8),
+            (section::BITS_TP_PORTS, n.div_ceil(8)),
+            (section::COL_TP_LOW, n * 8),
+            (section::BITS_TP_LOW, n.div_ceil(8)),
+            (section::COL_TP_BREAKING, n * 8),
+            (section::BITS_TP_BREAKING, n.div_ceil(8)),
+            (section::COL_MAX_LATENCY, n * 8),
+            (section::BITS_MAX_LATENCY, n.div_ceil(8)),
+            (section::PORTS_RANGE, (n + 1) * 4),
+            (section::PORTS_MASK, ports * 2),
+            (section::PORTS_UOPS, ports * 4),
+            (section::LAT_RANGE, (n + 1) * 4),
+            (section::LAT_SOURCE, edges * 4),
+            (section::LAT_TARGET, edges * 4),
+            (section::LAT_CYCLES, edges * 8),
+            (section::LAT_FLAGS, edges),
+            (section::LAT_SAME_REG, edges * 8),
+            (section::LAT_LOW_VALUE, edges * 8),
+            (section::IDX_MNEMONIC, postings.mnemonic.keys * IDX_ENTRY_LEN),
+            (section::IDX_EXTENSION, postings.extension.keys * IDX_ENTRY_LEN),
+            (section::IDX_UARCH, postings.uarch.keys * IDX_ENTRY_LEN),
+            (section::IDX_UARCH_PORT, postings.uarch_port.keys * IDX_PORT_ENTRY_LEN),
+            (section::POSTINGS, postings.ids() * 4),
         ] {
-            uarch_meta.extend_from_slice(&v.to_le_bytes());
+            lens[id as usize] = len;
+        }
+
+        // Header, section table, then each section 8-aligned in id order.
+        let sections = MAX_SECTION_ID as usize;
+        let mut at = [0usize; MAX_SECTION_ID as usize + 1];
+        let mut end = align8(HEADER_LEN + sections * SECTION_ENTRY_LEN);
+        for id in 1..=sections {
+            at[id] = end;
+            end = align8(end + lens[id]);
+        }
+        let mut out = vec![0u8; end];
+        put(&mut out, 0, &MAGIC);
+        for (i, v) in [FORMAT_VERSION, schema_version, sections as u32, n as u32, symbols as u32, 0]
+            .into_iter()
+            .enumerate()
+        {
+            put(&mut out, MAGIC.len() + i * 4, &v.to_le_bytes());
+        }
+        for id in 1..=sections {
+            let entry = HEADER_LEN + (id - 1) * SECTION_ENTRY_LEN;
+            put(&mut out, entry, &(id as u32).to_le_bytes());
+            put(&mut out, entry + 8, &(at[id] as u64).to_le_bytes());
+            put(&mut out, entry + 16, &(lens[id] as u64).to_le_bytes());
+        }
+
+        let sect = |id: u32| at[id as usize];
+        for (i, offset) in strings.offsets.iter().enumerate() {
+            put(&mut out, sect(section::STR_OFFSETS) + i * 4, &offset.to_le_bytes());
+        }
+        put(&mut out, sect(section::STR_BYTES), &strings.bytes);
+        put(&mut out, sect(section::GENERATOR), generator);
+        for (i, meta) in metas.iter().enumerate() {
+            for (k, v) in meta.words().into_iter().enumerate() {
+                put(
+                    &mut out,
+                    sect(section::UARCH_META) + i * UARCH_META_LEN + k * 4,
+                    &v.to_le_bytes(),
+                );
+            }
+        }
+
+        let (mut ports_end, mut edges_end) = (0u32, 0u32);
+        for (id, r) in rows.iter().enumerate() {
+            for (col, v) in [
+                (section::COL_MNEMONIC, r.mnemonic),
+                (section::COL_VARIANT, r.variant),
+                (section::COL_EXTENSION, r.extension),
+                (section::COL_UARCH, r.uarch),
+            ] {
+                put(&mut out, sect(col) + id * 4, &v.to_le_bytes());
+            }
+            put(&mut out, sect(section::COL_PORT_UNION) + id * 2, &r.port_union.to_le_bytes());
+            ports_end += r.ports;
+            edges_end += r.edges;
+            put(&mut out, sect(section::PORTS_RANGE) + (id + 1) * 4, &ports_end.to_le_bytes());
+            put(&mut out, sect(section::LAT_RANGE) + (id + 1) * 4, &edges_end.to_le_bytes());
+        }
+
+        postings.write(&mut out, &at, &rows);
+
+        ImageWriter { out, at, rows, row: 0, port: 0, edge: 0 }
+    }
+
+    fn sect(&self, id: u32) -> usize {
+        self.at[id as usize]
+    }
+
+    fn put_opt_f64(&mut self, col: u32, bits: u32, v: Option<f64>) {
+        let (id, col, bits) = (self.row, self.sect(col), self.sect(bits));
+        put(&mut self.out, col + id * 8, &v.unwrap_or(0.0).to_le_bytes());
+        if v.is_some() {
+            self.out[bits + id / 8] |= 1 << (id % 8);
         }
     }
 
-    // ---- columnar record arrays + side arrays + posting lists ----
-    let n = records.len();
-    let mut col = Columns::with_capacity(n);
-    let mut postings = Postings::default();
-    for (id, r) in records.iter().enumerate() {
-        let id = id as u32;
-        let (m, v, u) = (sym(r.mnemonic()), sym(r.variant()), sym(r.uarch()));
-        let e = sym(r.extension());
-        col.push_u32(Col::Mnemonic, m);
-        col.push_u32(Col::Variant, v);
-        col.push_u32(Col::Extension, e);
-        col.push_u32(Col::Uarch, u);
-        col.push_u32(Col::Uops, r.uop_count());
-        col.push_u32(Col::Unattributed, r.unattributed());
-        col.push_f64(Col::TpMeasured, r.tp_measured());
-        col.push_opt_f64(Col::TpPorts, id, r.tp_ports());
-        col.push_opt_f64(Col::TpLow, id, r.tp_low_values());
-        col.push_opt_f64(Col::TpBreaking, id, r.tp_breaking());
+    /// Writes the next record's numeric columns, port entries and latency
+    /// edges. `ports` and `edges` must yield exactly as many items as its
+    /// [`RowKeys`] declared.
+    pub(crate) fn record(
+        &mut self,
+        numbers: &Numbers,
+        ports: impl Iterator<Item = (u16, u32)>,
+        edges: impl Iterator<Item = LatencyEdge>,
+    ) {
+        let (id, keys, at) = (self.row, self.rows[self.row], self.at);
+        let sect = |id: u32| at[id as usize];
+        let out = &mut self.out;
+        put(out, sect(section::COL_UOPS) + id * 4, &numbers.uop_count.to_le_bytes());
+        put(out, sect(section::COL_UNATTRIBUTED) + id * 4, &numbers.unattributed.to_le_bytes());
+        put(out, sect(section::COL_TP_MEASURED) + id * 8, &numbers.tp_measured.to_le_bytes());
+        self.put_opt_f64(section::COL_TP_PORTS, section::BITS_TP_PORTS, numbers.tp_ports);
+        self.put_opt_f64(section::COL_TP_LOW, section::BITS_TP_LOW, numbers.tp_low_values);
+        self.put_opt_f64(section::COL_TP_BREAKING, section::BITS_TP_BREAKING, numbers.tp_breaking);
 
-        let mut union = 0u16;
-        for i in 0..r.ports_len() {
-            let (mask, uops) = r.port_entry(i);
-            union |= mask;
-            col.ports_mask.extend_from_slice(&mask.to_le_bytes());
-            col.ports_uops.extend_from_slice(&uops.to_le_bytes());
-            col.ports_total += 1;
+        let out = &mut self.out;
+        let first_port = self.port;
+        for (mask, uops) in ports {
+            let p = self.port;
+            put(out, sect(section::PORTS_MASK) + p * 2, &mask.to_le_bytes());
+            put(out, sect(section::PORTS_UOPS) + p * 4, &uops.to_le_bytes());
+            self.port += 1;
         }
-        col.port_union.extend_from_slice(&union.to_le_bytes());
-        col.ports_range.extend_from_slice(&col.ports_total.to_le_bytes());
+        assert_eq!(self.port - first_port, keys.ports as usize, "record {id}: port entry count");
 
+        let first_edge = self.edge;
         let mut max_latency: Option<f64> = None;
-        for i in 0..r.latency_len() {
-            let edge = r.latency_edge(i);
+        for edge in edges {
+            let e = self.edge;
             max_latency = Some(match max_latency {
                 Some(acc) if acc >= edge.cycles => acc,
                 _ => edge.cycles,
             });
-            col.lat_source.extend_from_slice(&edge.source.to_le_bytes());
-            col.lat_target.extend_from_slice(&edge.target.to_le_bytes());
-            col.lat_cycles.extend_from_slice(&edge.cycles.to_le_bytes());
             let mut flags = 0u8;
             if edge.upper_bound {
                 flags |= LAT_FLAG_UPPER_BOUND;
@@ -211,244 +546,24 @@ pub(crate) fn emit<R: SourceRecord>(
             if edge.low_value_cycles.is_some() {
                 flags |= LAT_FLAG_LOW_VALUE;
             }
-            col.lat_flags.push(flags);
-            col.lat_same_reg.extend_from_slice(&edge.same_reg_cycles.unwrap_or(0.0).to_le_bytes());
-            col.lat_low_value
-                .extend_from_slice(&edge.low_value_cycles.unwrap_or(0.0).to_le_bytes());
-            col.lat_total += 1;
+            put(out, sect(section::LAT_SOURCE) + e * 4, &edge.source.to_le_bytes());
+            put(out, sect(section::LAT_TARGET) + e * 4, &edge.target.to_le_bytes());
+            put(out, sect(section::LAT_CYCLES) + e * 8, &edge.cycles.to_le_bytes());
+            out[sect(section::LAT_FLAGS) + e] = flags;
+            let same_reg = edge.same_reg_cycles.unwrap_or(0.0);
+            put(out, sect(section::LAT_SAME_REG) + e * 8, &same_reg.to_le_bytes());
+            let low_value = edge.low_value_cycles.unwrap_or(0.0);
+            put(out, sect(section::LAT_LOW_VALUE) + e * 8, &low_value.to_le_bytes());
+            self.edge += 1;
         }
-        col.push_opt_f64(Col::MaxLatency, id, max_latency);
-        col.lat_range.extend_from_slice(&col.lat_total.to_le_bytes());
-
-        postings.mnemonic.entry(m).or_default().push(id);
-        postings.extension.entry(e).or_default().push(id);
-        postings.uarch.entry(u).or_default().push(id);
-        for port in 0..16u16 {
-            if union & (1 << port) != 0 {
-                postings
-                    .uarch_port
-                    .entry((u64::from(u) << 8) | u64::from(port))
-                    .or_default()
-                    .push(id);
-            }
-        }
+        assert_eq!(self.edge - first_edge, keys.edges as usize, "record {id}: latency edge count");
+        self.put_opt_f64(section::COL_MAX_LATENCY, section::BITS_MAX_LATENCY, max_latency);
+        self.row += 1;
     }
 
-    // ---- posting-list serialization: keys sorted, ids ascending ----
-    let mut flat = Vec::new();
-    let mut serialize_u32_keys = |lists: &BTreeMap<u32, Vec<u32>>| -> Vec<u8> {
-        let mut table = Vec::with_capacity(lists.len() * 12);
-        for (&key, ids) in lists {
-            table.extend_from_slice(&key.to_le_bytes());
-            table.extend_from_slice(&((flat.len() / 4) as u32).to_le_bytes());
-            table.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-            for &id in ids {
-                flat.extend_from_slice(&id.to_le_bytes());
-            }
-        }
-        table
-    };
-    let idx_mnemonic = serialize_u32_keys(&postings.mnemonic);
-    let idx_extension = serialize_u32_keys(&postings.extension);
-    let idx_uarch = serialize_u32_keys(&postings.uarch);
-    let mut idx_uarch_port = Vec::with_capacity(postings.uarch_port.len() * 16);
-    for (&key, ids) in &postings.uarch_port {
-        idx_uarch_port.extend_from_slice(&key.to_le_bytes());
-        idx_uarch_port.extend_from_slice(&((flat.len() / 4) as u32).to_le_bytes());
-        idx_uarch_port.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-        for &id in ids {
-            flat.extend_from_slice(&id.to_le_bytes());
-        }
+    /// The finished image. Every record must have been written.
+    pub(crate) fn finish(self) -> Vec<u8> {
+        assert_eq!(self.row, self.rows.len(), "every record is written");
+        self.out
     }
-
-    // ---- assemble: header, section table, 8-aligned sections ----
-    let sections: Vec<(u32, Vec<u8>)> = vec![
-        (section::STR_OFFSETS, str_offsets),
-        (section::STR_BYTES, str_bytes),
-        (section::GENERATOR, generator.as_bytes().to_vec()),
-        (section::UARCH_META, uarch_meta),
-        (section::COL_MNEMONIC, col.take(Col::Mnemonic)),
-        (section::COL_VARIANT, col.take(Col::Variant)),
-        (section::COL_EXTENSION, col.take(Col::Extension)),
-        (section::COL_UARCH, col.take(Col::Uarch)),
-        (section::COL_UOPS, col.take(Col::Uops)),
-        (section::COL_UNATTRIBUTED, col.take(Col::Unattributed)),
-        (section::COL_PORT_UNION, std::mem::take(&mut col.port_union)),
-        (section::COL_TP_MEASURED, col.take(Col::TpMeasured)),
-        (section::COL_TP_PORTS, col.take(Col::TpPorts)),
-        (section::BITS_TP_PORTS, col.take_bits(Col::TpPorts)),
-        (section::COL_TP_LOW, col.take(Col::TpLow)),
-        (section::BITS_TP_LOW, col.take_bits(Col::TpLow)),
-        (section::COL_TP_BREAKING, col.take(Col::TpBreaking)),
-        (section::BITS_TP_BREAKING, col.take_bits(Col::TpBreaking)),
-        (section::COL_MAX_LATENCY, col.take(Col::MaxLatency)),
-        (section::BITS_MAX_LATENCY, col.take_bits(Col::MaxLatency)),
-        (section::PORTS_RANGE, std::mem::take(&mut col.ports_range)),
-        (section::PORTS_MASK, std::mem::take(&mut col.ports_mask)),
-        (section::PORTS_UOPS, std::mem::take(&mut col.ports_uops)),
-        (section::LAT_RANGE, std::mem::take(&mut col.lat_range)),
-        (section::LAT_SOURCE, std::mem::take(&mut col.lat_source)),
-        (section::LAT_TARGET, std::mem::take(&mut col.lat_target)),
-        (section::LAT_CYCLES, std::mem::take(&mut col.lat_cycles)),
-        (section::LAT_FLAGS, std::mem::take(&mut col.lat_flags)),
-        (section::LAT_SAME_REG, std::mem::take(&mut col.lat_same_reg)),
-        (section::LAT_LOW_VALUE, std::mem::take(&mut col.lat_low_value)),
-        (section::IDX_MNEMONIC, idx_mnemonic),
-        (section::IDX_EXTENSION, idx_extension),
-        (section::IDX_UARCH, idx_uarch),
-        (section::IDX_UARCH_PORT, idx_uarch_port),
-        (section::POSTINGS, flat),
-    ];
-
-    let table_end = HEADER_LEN + sections.len() * SECTION_ENTRY_LEN;
-    let mut out = Vec::with_capacity(
-        align8(table_end) + sections.iter().map(|(_, b)| align8(b.len())).sum::<usize>(),
-    );
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&super::layout::FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&schema_version.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    out.extend_from_slice(&(ordered.len() as u32).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    // Section table with placeholder offsets, patched after placement.
-    let mut offset = align8(table_end);
-    for (id, bytes) in &sections {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&(offset as u64).to_le_bytes());
-        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        offset = align8(offset + bytes.len());
-    }
-    out.resize(align8(table_end), 0);
-    for (_, bytes) in &sections {
-        out.extend_from_slice(bytes);
-        out.resize(align8(out.len()), 0);
-    }
-    out
-}
-
-/// Per-record optional/required column identifiers within [`Columns`].
-#[derive(Clone, Copy)]
-enum Col {
-    Mnemonic,
-    Variant,
-    Extension,
-    Uarch,
-    Uops,
-    Unattributed,
-    TpMeasured,
-    TpPorts,
-    TpLow,
-    TpBreaking,
-    MaxLatency,
-}
-
-/// Accumulators for every per-record column and side array.
-#[derive(Default)]
-struct Columns {
-    u32s: [Vec<u8>; 6],
-    f64s: [Vec<u8>; 5],
-    bits: [Vec<u8>; 4],
-    port_union: Vec<u8>,
-    ports_range: Vec<u8>,
-    ports_mask: Vec<u8>,
-    ports_uops: Vec<u8>,
-    ports_total: u32,
-    lat_range: Vec<u8>,
-    lat_source: Vec<u8>,
-    lat_target: Vec<u8>,
-    lat_cycles: Vec<u8>,
-    lat_flags: Vec<u8>,
-    lat_same_reg: Vec<u8>,
-    lat_low_value: Vec<u8>,
-    lat_total: u32,
-}
-
-impl Columns {
-    fn with_capacity(n: usize) -> Columns {
-        let mut col = Columns::default();
-        for buf in &mut col.u32s {
-            buf.reserve(n * 4);
-        }
-        for buf in &mut col.f64s {
-            buf.reserve(n * 8);
-        }
-        for buf in &mut col.bits {
-            buf.resize(n.div_ceil(8), 0);
-        }
-        col.port_union.reserve(n * 2);
-        // Prefix-sum arrays lead with the initial 0.
-        col.ports_range.extend_from_slice(&0u32.to_le_bytes());
-        col.lat_range.extend_from_slice(&0u32.to_le_bytes());
-        col
-    }
-
-    fn u32_slot(col: Col) -> usize {
-        match col {
-            Col::Mnemonic => 0,
-            Col::Variant => 1,
-            Col::Extension => 2,
-            Col::Uarch => 3,
-            Col::Uops => 4,
-            Col::Unattributed => 5,
-            _ => unreachable!("not a u32 column"),
-        }
-    }
-
-    fn f64_slot(col: Col) -> usize {
-        match col {
-            Col::TpMeasured => 0,
-            Col::TpPorts => 1,
-            Col::TpLow => 2,
-            Col::TpBreaking => 3,
-            Col::MaxLatency => 4,
-            _ => unreachable!("not an f64 column"),
-        }
-    }
-
-    fn bits_slot(col: Col) -> usize {
-        Columns::f64_slot(col) - 1
-    }
-
-    fn push_u32(&mut self, col: Col, v: u32) {
-        self.u32s[Columns::u32_slot(col)].extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn push_f64(&mut self, col: Col, v: f64) {
-        self.f64s[Columns::f64_slot(col)].extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn push_opt_f64(&mut self, col: Col, id: u32, v: Option<f64>) {
-        self.push_f64(col, v.unwrap_or(0.0));
-        if v.is_some() {
-            self.bits[Columns::bits_slot(col)][id as usize / 8] |= 1 << (id % 8);
-        }
-    }
-
-    fn take(&mut self, col: Col) -> Vec<u8> {
-        match col {
-            Col::Mnemonic
-            | Col::Variant
-            | Col::Extension
-            | Col::Uarch
-            | Col::Uops
-            | Col::Unattributed => std::mem::take(&mut self.u32s[Columns::u32_slot(col)]),
-            _ => std::mem::take(&mut self.f64s[Columns::f64_slot(col)]),
-        }
-    }
-
-    fn take_bits(&mut self, col: Col) -> Vec<u8> {
-        std::mem::take(&mut self.bits[Columns::bits_slot(col)])
-    }
-}
-
-/// Posting-list accumulators, keyed so BTreeMap iteration order matches the
-/// on-disk sorted key order.
-#[derive(Default)]
-struct Postings {
-    mnemonic: BTreeMap<u32, Vec<u32>>,
-    extension: BTreeMap<u32, Vec<u32>>,
-    uarch: BTreeMap<u32, Vec<u32>>,
-    uarch_port: BTreeMap<u64, Vec<u32>>,
 }

@@ -21,6 +21,12 @@
 //! segment rename and the manifest rename — are quarantined too, and
 //! leftover temp files are deleted.
 //!
+//! The manifest records each image's FNV-1a content hash. The store takes
+//! it from [`Segment::content_hash`], which caches it on the segment, so a
+//! published generation is hashed once for the manifest, the server's
+//! ETags and anyone else; recovery seeds the cache with the hash it just
+//! verified.
+//!
 //! All filesystem mutations route through the [`StoreIo`] trait so callers
 //! (notably the server's `--features fault-injection` shim) can script
 //! write/fsync/rename faults against the publish path without patching
@@ -155,17 +161,16 @@ impl StoreIo for RealStoreIo {
     }
 }
 
-/// One durable generation: the id, its validated segment image, and the
-/// FNV-1a content hash recorded in the manifest (doubles as the ETag seed
-/// when a server serves this generation).
+/// One durable generation: the id and its validated segment image. The
+/// FNV-1a hash recorded in the manifest is the segment's cached
+/// [`Segment::content_hash`], which also seeds the ETags when a server
+/// serves this generation.
 #[derive(Debug)]
 pub struct Generation {
     /// Monotonic generation id; manifest file names are `gen-<id>.seg`.
     pub id: u64,
     /// The validated, immutable segment image.
     pub segment: Arc<Segment>,
-    /// `fnv1a_64` over the segment bytes, as recorded in the manifest.
-    pub content_hash: u64,
 }
 
 /// One manifest line: a generation the store still retains on disk.
@@ -259,9 +264,7 @@ impl GenerationStore {
                 message: "directory already holds a manifest; open it instead".to_string(),
             });
         }
-        let hash = fnv1a_64(segment.as_bytes());
-        let placeholder =
-            Arc::new(Generation { id: 0, segment: Arc::clone(&segment), content_hash: hash });
+        let placeholder = Arc::new(Generation { id: 0, segment: Arc::clone(&segment) });
         let store = GenerationStore {
             dir: dir.to_path_buf(),
             current: SwapCell::new(placeholder),
@@ -309,14 +312,7 @@ impl GenerationStore {
             let path = dir.join(&entry.file);
             match Self::validate_image(&path, entry) {
                 Ok(segment) => {
-                    recovered = Some((
-                        Generation {
-                            id: entry.id,
-                            segment: Arc::new(segment),
-                            content_hash: entry.hash,
-                        },
-                        at,
-                    ));
+                    recovered = Some((Generation { id: entry.id, segment: Arc::new(segment) }, at));
                     break;
                 }
                 Err(_) => {
@@ -386,13 +382,16 @@ impl GenerationStore {
                 ),
             });
         }
-        if fnv1a_64(&bytes) != entry.hash {
+        let hash = fnv1a_64(&bytes);
+        if hash != entry.hash {
             return Err(DbError::Io {
                 path: path.display().to_string(),
                 message: "content hash mismatch".to_string(),
             });
         }
-        Segment::from_bytes(bytes)
+        // The hash just verified seeds the segment's cache: recovery hashes
+        // the image once, not again for the first ETag.
+        Segment::from_hashed_bytes(bytes, hash)
     }
 
     /// The directory this store publishes into.
@@ -463,7 +462,7 @@ impl GenerationStore {
         let entry = ManifestEntry {
             id,
             file: file.clone(),
-            hash: fnv1a_64(bytes),
+            hash: segment.content_hash(),
             len: bytes.len() as u64,
         };
 
@@ -504,10 +503,9 @@ impl GenerationStore {
                 let _ = fs::remove_file(self.dir.join(&dropped.file));
             }
         }
-        let hash = retained.last().expect("just pushed").hash;
         state.retained = retained;
         state.next_id = id + 1;
-        let generation = Arc::new(Generation { id, segment, content_hash: hash });
+        let generation = Arc::new(Generation { id, segment });
         self.current.swap(Arc::clone(&generation));
         Ok(generation)
     }
@@ -638,6 +636,30 @@ mod tests {
         let current = recovered.store.current();
         assert_eq!(current.id, 2);
         assert_eq!(current.segment.as_bytes(), gen2.segment.as_bytes());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_published_or_recovered_image_carries_its_manifest_hash() {
+        let dir = scratch_dir("hash");
+        let store =
+            GenerationStore::bootstrap(&dir, segment(&[("ADD", "Skylake", 1)]), &RealStoreIo)
+                .unwrap();
+        let incoming = segment(&[("SUB", "Skylake", 2)]);
+        let published = store.publish_merged(&incoming, &RealStoreIo).unwrap();
+        // Publishing hashed the image for the manifest; the segment keeps
+        // that hash, so a server swapping it in does not hash it again.
+        assert!(published.segment.is_hashed());
+        assert_eq!(published.segment.content_hash(), fnv1a_64(published.segment.as_bytes()));
+        let manifest = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        let entry = manifest.lines().rev().find_map(ManifestEntry::parse).unwrap();
+        assert_eq!(entry.hash, published.segment.content_hash());
+
+        // Recovery seeds the cache from the hash it verified.
+        let recovered = GenerationStore::open(&dir).unwrap().expect("manifest exists");
+        let current = recovered.store.current();
+        assert!(current.segment.is_hashed());
+        assert_eq!(current.segment.content_hash(), entry.hash);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -170,8 +170,9 @@ impl ServiceResponse {
     }
 }
 
-/// One live generation of the served data: the segment, the content hash
-/// that seeds every ETag, and the generation id (0 until the first swap).
+/// One live generation of the served data: the segment, whose cached
+/// content hash seeds every ETag, and the generation id (0 until the first
+/// swap).
 /// Held behind a [`SwapCell`] so each request pins exactly one coherent
 /// generation at entry — body, ETag, and cache stamp all come from it —
 /// while a [`QueryService::swap_segment`] replaces the cell for new
@@ -181,9 +182,6 @@ struct LiveStore {
     /// emission can re-view records after the response has left the
     /// service.
     segment: Arc<Segment>,
-    /// FNV-1a over the segment image; ⊕ the plan fingerprint it forms the
-    /// strong ETag of every cacheable response.
-    content_hash: u64,
     id: u64,
 }
 
@@ -330,12 +328,12 @@ impl QueryService {
     /// fingerprint tier, so the extra budget buys index entries only).
     #[must_use]
     pub fn from_segment(segment: Arc<Segment>, cache_capacity_bytes: usize) -> QueryService {
-        // The content hash pins ETags to the exact data being served.
-        // Computed once per generation (at construction here, and in
-        // `swap_segment` on every swap).
-        let content_hash = fnv1a_64(segment.as_bytes());
+        // The content hash pins ETags to the exact data being served. The
+        // segment caches it, so an image the generation store already
+        // hashed for its manifest is not hashed again here or on a swap.
+        let _ = segment.content_hash();
         QueryService {
-            live: SwapCell::new(Arc::new(LiveStore { segment, content_hash, id: 0 })),
+            live: SwapCell::new(Arc::new(LiveStore { segment, id: 0 })),
             swap_lock: Mutex::new(()),
             cache: ResponseCache::new(cache_capacity_bytes, CACHE_SHARDS),
             raw_cache: ResponseCache::new(cache_capacity_bytes / 4, CACHE_SHARDS),
@@ -366,8 +364,10 @@ impl QueryService {
         if generation <= self.live.load().id {
             return false;
         }
-        let content_hash = fnv1a_64(segment.as_bytes());
-        self.live.swap(Arc::new(LiveStore { segment, content_hash, id: generation }));
+        // Warm the hash cache before the swap, so no request pays for it; a
+        // generation the store published is already hashed.
+        let _ = segment.content_hash();
+        self.live.swap(Arc::new(LiveStore { segment, id: generation }));
         self.cache.advance_epoch(generation);
         self.raw_cache.advance_epoch(generation);
         self.swaps.inc();
@@ -500,7 +500,7 @@ impl QueryService {
     /// (including on every generation swap).
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        self.live.load().content_hash
+        self.live.load().segment.content_hash()
     }
 
     /// Looks up the raw fast lane: the response cached under the verbatim
@@ -790,7 +790,7 @@ impl QueryService {
         // swap lands mid-request.
         let cached = CachedResponse {
             content_type: encoding.content_type(),
-            etag: key ^ live.content_hash,
+            etag: key ^ live.segment.content_hash(),
             body,
             generation: live.id,
         };

@@ -365,6 +365,45 @@ proptest! {
         prop_assert_eq!(merged.as_bytes(), single.as_slice());
     }
 
+    /// Merging 2–4 parts whose keys overlap (one of them possibly empty)
+    /// is byte-identical to encoding the last-writer-wins snapshot: later
+    /// parts overwrite records and µarch metadata of earlier ones, the
+    /// generator is the last non-empty one, and the schema version is the
+    /// highest. Strings only overwritten records or metadata used vanish.
+    #[test]
+    fn overlapping_merge_equals_last_writer_wins_encode(
+        parts in prop::collection::vec((arb_snapshot(), 0u8..3, 0u32..2, 0u8..4), 2..5),
+    ) {
+        let parts: Vec<Snapshot> = parts
+            .into_iter()
+            .map(|(mut part, generator, schema_version, empty)| {
+                if empty == 0 {
+                    part.records.clear();
+                    part.uarches.clear();
+                }
+                part.generator = ["", "shard-a", "shard-b"][generator as usize].to_string();
+                part.schema_version = schema_version;
+                part
+            })
+            .collect();
+        let segments: Vec<Segment> = parts
+            .iter()
+            .map(|part| Segment::from_bytes(Segment::encode(part)).expect("valid part"))
+            .collect();
+        let mut latest = Snapshot::new(
+            parts.iter().rev().map(|p| p.generator.as_str()).find(|g| !g.is_empty()).unwrap_or(""),
+        );
+        latest.schema_version = parts.iter().map(|p| p.schema_version).max().unwrap_or(0);
+        for part in &parts {
+            latest.uarches.extend(part.uarches.iter().cloned());
+            latest.records.extend(part.records.iter().cloned());
+        }
+        let merged = Segment::merge(&segments);
+        prop_assert_eq!(merged.as_bytes(), Segment::encode(&latest).as_slice());
+        let refs: Vec<&Segment> = segments.iter().collect();
+        prop_assert_eq!(Segment::merge_refs(&refs), merged);
+    }
+
     /// Truncating a valid image anywhere below its payload end yields an
     /// error — never a panic, never a silently shorter database.
     #[test]
