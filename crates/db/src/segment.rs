@@ -259,6 +259,21 @@ mod tests {
         }
     }
 
+    /// The `(offset, len)` of section `id` in `image`.
+    fn section_range(image: &[u8], id: u32) -> (usize, usize) {
+        let count = super::layout::u32_at(image, 16) as usize;
+        (0..count)
+            .map(|i| super::layout::HEADER_LEN + i * super::layout::SECTION_ENTRY_LEN)
+            .find(|&e| super::layout::u32_at(image, e) == id)
+            .map(|e| {
+                (
+                    super::layout::u64_at(image, e + 8) as usize,
+                    super::layout::u64_at(image, e + 16) as usize,
+                )
+            })
+            .expect("section present")
+    }
+
     fn sample() -> Snapshot {
         let mut s = Snapshot::new("segment tests");
         s.uarches.push(UarchMeta {
@@ -438,12 +453,7 @@ mod tests {
         // that does not exist. The reader resolves it to "", and the merge
         // must treat it the same way, not panic.
         let mut image = Segment::encode(&sample());
-        let count = super::layout::u32_at(&image, 16) as usize;
-        let column = (0..count)
-            .map(|i| super::layout::HEADER_LEN + i * super::layout::SECTION_ENTRY_LEN)
-            .find(|&e| super::layout::u32_at(&image, e) == super::layout::section::COL_EXTENSION)
-            .map(|e| super::layout::u64_at(&image, e + 8) as usize)
-            .expect("extension column");
+        let (column, _) = section_range(&image, super::layout::section::COL_EXTENSION);
         image[column..column + 4].copy_from_slice(&999u32.to_le_bytes());
         let crafted = Segment::from_bytes(image).expect("structurally valid");
         assert_eq!(crafted.db().resolve(crafted.db().extension_sym(0)), "");
@@ -512,21 +522,8 @@ mod tests {
         assert!(Segment::from_bytes(bad).is_err());
         // Posting key entry pointing outside the posting array: must be an
         // open error, never a silently empty posting list.
-        let section_table = |image: &[u8], id: u32| -> (usize, usize) {
-            let count = super::layout::u32_at(image, 16) as usize;
-            (0..count)
-                .map(|i| super::layout::HEADER_LEN + i * super::layout::SECTION_ENTRY_LEN)
-                .find(|&e| super::layout::u32_at(image, e) == id)
-                .map(|e| {
-                    (
-                        super::layout::u64_at(image, e + 8) as usize,
-                        super::layout::u64_at(image, e + 16) as usize,
-                    )
-                })
-                .expect("section present")
-        };
         let mut bad = image.clone();
-        let (idx_off, idx_len) = section_table(&bad, super::layout::section::IDX_MNEMONIC);
+        let (idx_off, idx_len) = section_range(&bad, super::layout::section::IDX_MNEMONIC);
         assert!(idx_len >= super::layout::IDX_ENTRY_LEN, "sample has mnemonic keys");
         bad[idx_off + 4..idx_off + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         match Segment::from_bytes(bad) {
@@ -539,7 +536,7 @@ mod tests {
         // final total is validated there) but must degrade to a short
         // range on access — never an oversized allocation or a panic.
         let mut bad = image.clone();
-        let (ranges_off, _) = section_table(&bad, super::layout::section::PORTS_RANGE);
+        let (ranges_off, _) = section_range(&bad, super::layout::section::PORTS_RANGE);
         bad[ranges_off..ranges_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let segment = Segment::from_bytes(bad).expect("final total still consistent");
         let db = segment.db();
@@ -552,6 +549,88 @@ mod tests {
         let mut bad = image;
         bad[12..16].copy_from_slice(&(crate::snapshot::SCHEMA_VERSION + 1).to_le_bytes());
         assert!(matches!(Segment::from_bytes(bad), Err(DbError::UnsupportedSchema { .. })));
+    }
+
+    #[test]
+    fn string_blob_must_be_utf8_cut_on_character_boundaries() {
+        let mut snapshot = sample();
+        snapshot.uarches[0].processor = "Core™ i7".into();
+        let image = Segment::encode(&snapshot);
+        let segment = Segment::from_bytes(image.clone()).expect("valid");
+        let db = segment.db();
+        let sym = db.lookup_sym("Core™ i7").expect("interned");
+        assert_eq!(db.resolve(sym), "Core™ i7");
+        assert_eq!(db.resolve(crate::intern::Sym(u32::MAX)), "");
+
+        let (offsets, _) = section_range(&image, super::layout::section::STR_OFFSETS);
+        let (blob, _) = section_range(&image, super::layout::section::STR_BYTES);
+        let start = super::layout::u32_at(&image, offsets + sym.0 as usize * 4) as usize;
+        // One byte into "™" (three bytes at offset 4 of the string).
+        let mut split = image.clone();
+        let at = offsets + sym.0 as usize * 4 + 4;
+        split[at..at + 4].copy_from_slice(&(start as u32 + 5).to_le_bytes());
+        match Segment::from_bytes(split) {
+            Err(DbError::Segment { message, .. }) => {
+                assert!(message.contains("splits a UTF-8 character"), "{message}");
+            }
+            other => panic!("expected a split-character error, got {other:?}"),
+        }
+        let mut invalid = image;
+        invalid[blob + start + 4] = 0xff;
+        match Segment::from_bytes(invalid) {
+            Err(DbError::Segment { message, offset }) => {
+                assert!(message.contains("not UTF-8"), "{message}");
+                assert_eq!(offset, blob + start + 4);
+            }
+            other => panic!("expected a UTF-8 error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn check_records_rejects_disorder_repeats_and_unknown_symbols() {
+        let image = Segment::encode(&sample());
+        let segment = Segment::from_bytes(image.clone()).expect("valid");
+        assert!(segment.db().check_records().is_ok());
+        assert!(Segment::from_bytes(Segment::encode(&Snapshot::new("")))
+            .expect("valid")
+            .db()
+            .check_records()
+            .is_ok());
+
+        // Records 0 and 1 are (ADD, Haswell) and (ADD, Skylake).
+        let (uarch, _) = section_range(&image, super::layout::section::COL_UARCH);
+        let (first, second) = (uarch..uarch + 4, uarch + 4..uarch + 8);
+        let mut swapped = image.clone();
+        swapped[first.clone()].copy_from_slice(&image[second.clone()]);
+        swapped[second.clone()].copy_from_slice(&image[first.clone()]);
+        let mut repeated = image.clone();
+        repeated[second.clone()].copy_from_slice(&image[first]);
+        for (what, bad, record) in [("swapped", swapped, 1), ("repeated", repeated, 1)] {
+            let segment = Segment::from_bytes(bad).expect("structurally valid");
+            match segment.db().check_records() {
+                Err(DbError::Segment { message, .. }) => {
+                    assert!(message.starts_with(&format!("record {record} ")), "{what}: {message}");
+                }
+                other => panic!("{what}: expected a key-order error, got {other:?}"),
+            }
+        }
+        for column in [
+            super::layout::section::COL_MNEMONIC,
+            super::layout::section::COL_VARIANT,
+            super::layout::section::COL_EXTENSION,
+            super::layout::section::COL_UARCH,
+        ] {
+            let mut bad = image.clone();
+            let (at, _) = section_range(&bad, column);
+            bad[at + 8..at + 12].copy_from_slice(&999u32.to_le_bytes());
+            let segment = Segment::from_bytes(bad).expect("structurally valid");
+            match segment.db().check_records() {
+                Err(DbError::Segment { message, .. }) => {
+                    assert!(message.contains("outside the string table"), "{column}: {message}");
+                }
+                other => panic!("column {column}: expected a symbol error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

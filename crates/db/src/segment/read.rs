@@ -40,6 +40,9 @@ pub struct SegmentDb<'a> {
     string_count: u32,
     schema_version: u32,
     generator: &'a str,
+    /// The string blob (section `STR_BYTES`), validated as UTF-8 once, so
+    /// resolving a symbol is a slice by offset.
+    strings: &'a str,
     /// Owned when opened from bytes; borrowed from the cached parse when
     /// rebuilt by [`SegmentDb::reopen_trusted`], so that costs no allocation.
     uarch_meta: Cow<'a, [UarchMeta]>,
@@ -64,6 +67,9 @@ pub(crate) struct ParsedSegment {
     record_count: u32,
     string_count: u32,
     schema_version: u32,
+    /// A copy of the validated string blob, which readers rebuilt by
+    /// [`SegmentDb::reopen_trusted`] borrow instead of re-checking UTF-8.
+    strings: Box<str>,
     uarch_meta: Vec<UarchMeta>,
     open_cost_bytes: usize,
     ports_total: usize,
@@ -249,12 +255,14 @@ impl<'a> SegmentDb<'a> {
             return Err(corrupt(off, "uarch metadata is not whole entries"));
         }
 
-        // String table: offsets ascending, in range, each slice valid
-        // UTF-8, and strings strictly sorted (symbol order == string
-        // order; lookups binary-search on that). O(strings), not
-        // O(records).
+        // String table: the blob valid UTF-8, offsets ascending, in range
+        // and on character boundaries, and strings strictly sorted (symbol
+        // order == string order; lookups binary-search on that).
+        // O(strings), not O(records).
         let (str_off, _) = sections[section::STR_OFFSETS as usize];
         let (blob_off, blob_len) = sections[section::STR_BYTES as usize];
+        let strings = std::str::from_utf8(&bytes[blob_off..blob_off + blob_len])
+            .map_err(|e| corrupt(blob_off + e.valid_up_to(), "string blob is not UTF-8"))?;
         let mut prev_end = 0usize;
         let mut prev_str: Option<&str> = None;
         for i in 0..string_count as usize {
@@ -263,8 +271,9 @@ impl<'a> SegmentDb<'a> {
             if start != prev_end || end < start || end > blob_len {
                 return Err(corrupt(str_off + i * 4, format!("string {i} range is malformed")));
             }
-            let s = std::str::from_utf8(&bytes[blob_off + start..blob_off + end])
-                .map_err(|_| corrupt(blob_off + start, format!("string {i} is not UTF-8")))?;
+            let s = strings.get(start..end).ok_or_else(|| {
+                corrupt(blob_off + start, format!("string {i} splits a UTF-8 character"))
+            })?;
             if let Some(prev) = prev_str {
                 if prev >= s {
                     return Err(corrupt(str_off + i * 4, "string table is not strictly sorted"));
@@ -288,6 +297,7 @@ impl<'a> SegmentDb<'a> {
             string_count,
             schema_version,
             generator,
+            strings,
             uarch_meta: Cow::Borrowed(&[]),
             open_cost_bytes: 0,
             ports_total,
@@ -331,6 +341,7 @@ impl<'a> SegmentDb<'a> {
             record_count: self.record_count,
             string_count: self.string_count,
             schema_version: self.schema_version,
+            strings: self.strings.into(),
             uarch_meta: self.uarch_meta.into_owned(),
             open_cost_bytes: self.open_cost_bytes,
             ports_total: self.ports_total,
@@ -352,6 +363,7 @@ impl<'a> SegmentDb<'a> {
             schema_version: parsed.schema_version,
             generator: std::str::from_utf8(&bytes[gen_off..gen_off + gen_len])
                 .expect("validated at open"),
+            strings: &parsed.strings,
             uarch_meta: Cow::Borrowed(&parsed.uarch_meta),
             open_cost_bytes: parsed.open_cost_bytes,
             ports_total: parsed.ports_total,
@@ -494,21 +506,21 @@ impl<'a> SegmentDb<'a> {
     /// string table).
     #[must_use]
     pub fn resolve(&self, sym: Sym) -> &'a str {
-        std::str::from_utf8(self.str_bytes(sym.0)).unwrap_or("")
-    }
-
-    /// The raw bytes of string `sym` (empty for a symbol outside the
-    /// string table). Byte order equals string order, so the merge
-    /// compares these without re-checking UTF-8.
-    pub(crate) fn str_bytes(&self, sym: u32) -> &'a [u8] {
-        let i = sym as usize;
+        let i = sym.0 as usize;
         if i >= self.string_count as usize {
-            return &[];
+            return "";
         }
         let offsets = self.sect(section::STR_OFFSETS);
         let start = u32_at(offsets, i * 4) as usize;
         let end = u32_at(offsets, i * 4 + 4) as usize;
-        self.sect(section::STR_BYTES).get(start..end).unwrap_or(&[])
+        self.strings.get(start..end).unwrap_or("")
+    }
+
+    /// The raw bytes of string `sym` (empty for a symbol outside the
+    /// string table). Byte order equals string order, so the merge
+    /// compares these.
+    pub(crate) fn str_bytes(&self, sym: u32) -> &'a [u8] {
+        self.resolve(Sym(sym)).as_bytes()
     }
 
     /// Number of strings in the string table.
@@ -740,6 +752,46 @@ impl<'a> SegmentDb<'a> {
             }
         }
         (lo < self.record_count && self.record_key(lo) == target).then_some(lo)
+    }
+
+    /// Checks what [`SegmentDb::open`] leaves out to stay independent of
+    /// the record count: every record's symbols name strings of the table,
+    /// and the (mnemonic, variant, uarch) keys strictly ascend, i.e. are in
+    /// canonical order without a repeat. Point lookups and
+    /// [`crate::Segment::merge`] rely on that order, so an image from
+    /// outside the program must pass this before it is merged. O(records).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbError::Segment`] naming the first record that breaks
+    /// either rule.
+    pub fn check_records(&self) -> Result<(), DbError> {
+        let mut previous = None;
+        for id in 0..self.record_count {
+            for column in [
+                section::COL_MNEMONIC,
+                section::COL_VARIANT,
+                section::COL_EXTENSION,
+                section::COL_UARCH,
+            ] {
+                let sym = self.u32_col(column, id);
+                if sym >= self.string_count {
+                    return Err(corrupt(
+                        self.sections[column as usize].0 + id as usize * 4,
+                        format!("record {id} names string {sym}, outside the string table"),
+                    ));
+                }
+            }
+            let key = self.record_key(id);
+            if previous.is_some_and(|previous| previous >= key) {
+                return Err(corrupt(
+                    self.sections[section::COL_MNEMONIC as usize].0 + id as usize * 4,
+                    format!("record {id} repeats or precedes the key of record {}", id - 1),
+                ));
+            }
+            previous = Some(key);
+        }
+        Ok(())
     }
 
     /// Metadata of the contributing microarchitectures.

@@ -17,7 +17,9 @@
 //! sequence's body is decoded through the ground truth once per run, with
 //! the registers, flags and memory cells it touches interned into dense
 //! slots, and the renamer and scheduler then loop over the decoded body as
-//! many times as the sequence is unrolled. The run can also hand back the
+//! many times as the sequence is unrolled. The arrays belong to one buffer
+//! set per thread that each run clears and reuses, so once they have grown
+//! a run allocates nothing of its own, and no state survives it. The run can also hand back the
 //! counters as they stood when a given iteration began
 //! ([`Pipeline::execute_with_checkpoint`]), which equal a separate run of
 //! the body unrolled that many times. Each port keeps a frontier below

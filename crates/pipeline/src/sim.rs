@@ -17,12 +17,22 @@
 //! The observable output is a set of [`PerfCounters`]: elapsed core cycles
 //! and µops executed per port — exactly what the real hardware exposes.
 //!
-//! ## One pass over flat arrays
+//! ## One pass over flat arrays, in reused buffers
 //!
 //! [`Pipeline::execute`] walks the code sequence once. Each µop is renamed
 //! and scheduled in program order, so every producer's completion cycle is
 //! known by the time a consumer reads it.
 //!
+//! * **Per-thread buffers.** Everything a run builds besides its counters
+//!   lives in one buffer set per thread, which every run on that thread
+//!   reuses and clears when it starts: the decode memo and slot map, the
+//!   decoded instructions, the renamer state, the ports' busy cycles and
+//!   the decoded body. Once the buffers have grown to the largest run the
+//!   thread has seen, the simulator's own state allocates nothing (the
+//!   ground truth still builds its description of each instruction the run
+//!   decodes). Nothing in them outlives the run that wrote it (they are cleared, not kept as
+//!   a cache), and a run that panicked part-way leaves nothing for the next
+//!   one to see.
 //! * **Body decoded once per run, unroll loop over indices.** A
 //!   [`CodeSequence`] is a body plus an unroll count. Each run decodes the
 //!   body's positions once into indices of decoded instructions (identical
@@ -33,7 +43,9 @@
 //!   divider occupancy, the move-elimination source, intra-instruction
 //!   temporaries (as indices of earlier µops of the same instruction), and
 //!   every register, flag and memory cell a µop reads or writes, interned
-//!   into a dense *slot* index.
+//!   into a dense *slot* index. Decoded instructions and µops address their
+//!   reads, temporaries and writes as index ranges of flat arrays, not as a
+//!   vector each.
 //! * **Checkpoint.** [`Pipeline::execute_with_checkpoint`] also returns the
 //!   counters as they stood when a given iteration of the body began. A run
 //!   is deterministic and in program order, so that checkpoint is exactly
@@ -55,18 +67,20 @@
 //!   cycle therefore starts at `max(ready, dense[p])` rather than at
 //!   `ready`: a body that saturates one port (what the blocking sequences of
 //!   Algorithm 1 are built to do) is scheduled in linear rather than
-//!   quadratic time. A µop goes to the earliest free cycle over its ports,
-//!   then to the least-loaded of the ports free in that cycle, then to the
-//!   first of those in port order.
+//!   quadratic time. A µop goes to the earliest free cycle over its ports
+//!   (walked as the set bits of its [`PortSet`]), then to the least-loaded
+//!   of the ports free in that cycle, then to the first of those in port
+//!   order.
 //!
 //! A µop none of whose ports exists on the microarchitecture could never be
 //! dispatched; decoding it panics with the mnemonic and uarch.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use uops_asm::{CodeSequence, Inst, Op, Resource};
-use uops_isa::{InstructionDesc, OperandKind, RegFile, Width};
+use uops_isa::{OperandKind, RegFile, Width};
 use uops_uarch::{
     characterize, Domain, FuKind, MicroArch, PortSet, TruthOptions, UarchConfig, UopInput,
     UopOutput, MAX_PORTS,
@@ -165,8 +179,30 @@ impl SlotRead {
     }
 }
 
+/// A range of indices into one of the flat arrays of [`Tables`].
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    /// The entries pushed onto `items` since it was `start` long.
+    fn since<T>(start: usize, items: &[T]) -> Span {
+        Span { start, end: items.len() }
+    }
+
+    fn of<T>(self, items: &[T]) -> &[T] {
+        &items[self.start..self.end]
+    }
+
+    fn len(self) -> usize {
+        self.end - self.start
+    }
+}
+
 /// One µop of a decoded instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct DecodedUop {
     /// The allowed ports that exist on the microarchitecture (never empty).
     ports: PortSet,
@@ -174,25 +210,31 @@ struct DecodedUop {
     latency: u32,
     /// Cycles the divider stays busy, for µops on the divider.
     divider_occupancy: Option<u32>,
-    reads: Vec<SlotRead>,
-    /// Earlier µops of the same instruction whose temporaries this one reads.
-    temps: Vec<usize>,
-    /// Written slots and widths.
-    writes: Vec<(usize, Option<Width>)>,
+    /// Read resources, in [`Tables::reads`].
+    reads: Span,
+    /// Earlier µops of the same instruction (counted from its first µop)
+    /// whose temporaries this one reads, in [`Tables::temps`].
+    temps: Span,
+    /// Written slots and widths, in [`Tables::writes`].
+    writes: Span,
 }
 
 /// A static instruction as the renamer needs it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Decoded {
+    /// The body position this entry was decoded from.
+    first: usize,
     /// Handled entirely by the renamer.
     eliminated: bool,
     /// A move the renamer may eliminate.
     mov_elim_candidate: bool,
     /// The register a move elimination renames the destination to.
     mov_source: Option<usize>,
-    /// Every slot the instruction writes, for the two renamer-only paths.
-    writes: Vec<usize>,
-    uops: Vec<DecodedUop>,
+    /// Every slot the instruction writes, for the two renamer-only paths, in
+    /// [`Tables::inst_writes`].
+    writes: Span,
+    /// The µops, in [`Tables::uops`].
+    uops: Span,
 }
 
 /// A multiply-rotate hasher for the per-run maps. Their keys are small and
@@ -233,60 +275,145 @@ impl Hasher for FxHasher {
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Decodes each static instruction of one run once and interns the
+/// The decoded body of one run. Every instruction and µop addresses its
+/// share of the flat arrays by a [`Span`], so decoding allocates nothing once
+/// the arrays have grown to the largest body seen.
+#[derive(Default)]
+struct Tables {
+    /// Hash of (descriptor, operands) → index in `decoded`.
+    memo: FxMap<u64, usize>,
+    /// Resource → dense slot index.
+    slots: FxMap<Resource, usize>,
+    decoded: Vec<Decoded>,
+    uops: Vec<DecodedUop>,
+    reads: Vec<SlotRead>,
+    temps: Vec<usize>,
+    writes: Vec<(usize, Option<Width>)>,
+    inst_writes: Vec<usize>,
+}
+
+/// Everything a run needs beyond its counters. One set per thread is reused
+/// by every run on that thread and cleared when a run starts, so a run that
+/// panicked part-way leaves nothing behind for the next one.
+#[derive(Default)]
+struct Buffers {
+    tables: Tables,
+    /// The body as indices into `tables.decoded`.
+    body: Vec<usize>,
+    /// The renamer state, indexed by slot.
+    writers: Vec<Option<WriterInfo>>,
+    /// `busy[p][c]`: port `p` accepted a µop in cycle `c`.
+    busy: [Vec<bool>; MAX_PORTS as usize],
+    /// Completion cycles of the current instruction's µops.
+    done: Vec<u64>,
+}
+
+impl Buffers {
+    /// Empties every buffer and keeps its capacity. Destructured, so a
+    /// field added later cannot be left out.
+    fn clear(&mut self) {
+        let Buffers { tables, body, writers, busy, done } = self;
+        let Tables { memo, slots, decoded, uops, reads, temps, writes, inst_writes } = tables;
+        memo.clear();
+        slots.clear();
+        decoded.clear();
+        uops.clear();
+        reads.clear();
+        temps.clear();
+        writes.clear();
+        inst_writes.clear();
+        body.clear();
+        writers.clear();
+        busy.iter_mut().for_each(Vec::clear);
+        done.clear();
+    }
+}
+
+thread_local! {
+    /// The buffer set of every run on this thread.
+    static BUFFERS: RefCell<Buffers> = RefCell::new(Buffers::default());
+}
+
+/// The memo key of an instruction: a hash of its descriptor's address and
+/// its operands. Equal keys are confirmed by comparing the instructions.
+fn memo_key(inst: &Inst) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write_usize(std::ptr::from_ref(inst.desc()) as usize);
+    inst.operands().hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Decodes each static instruction of one run's body once and interns the
 /// resources it touches into dense slots.
 struct Decoder<'a> {
     cfg: &'a UarchConfig,
     truth_opts: TruthOptions,
     /// The ports that exist on the microarchitecture.
     usable: PortSet,
-    memo: FxMap<(*const InstructionDesc, &'a [Op]), usize>,
-    decoded: Vec<Decoded>,
-    slots: FxMap<Resource, usize>,
+    body: &'a [Inst],
+    tables: &'a mut Tables,
 }
 
 impl<'a> Decoder<'a> {
-    fn new(cfg: &'a UarchConfig, opts: SimOptions) -> Decoder<'a> {
-        let ports: Vec<u8> = (0..cfg.port_count).collect();
+    fn new(
+        cfg: &'a UarchConfig,
+        opts: SimOptions,
+        body: &'a [Inst],
+        tables: &'a mut Tables,
+    ) -> Decoder<'a> {
         Decoder {
             cfg,
             truth_opts: TruthOptions { divider_low_latency: opts.divider_low_latency },
-            usable: PortSet::of(&ports),
-            memo: FxMap::default(),
-            decoded: Vec::new(),
-            slots: FxMap::default(),
+            usable: (0..cfg.port_count).collect(),
+            body,
+            tables,
         }
     }
 
     fn slot(&mut self, res: Resource) -> usize {
-        let next = self.slots.len();
-        *self.slots.entry(res).or_insert(next)
+        let next = self.tables.slots.len();
+        *self.tables.slots.entry(res).or_insert(next)
     }
 
-    /// The index in `decoded` of `inst`, decoding it on first sight.
-    fn decode(&mut self, inst: &'a Inst) -> usize {
-        let key = (std::ptr::from_ref(inst.desc()), inst.operands());
-        if let Some(&index) = self.memo.get(&key) {
-            return index;
+    /// The index in `decoded` of the instruction at body position `pos`,
+    /// decoding it unless an identical one (same descriptor and operands)
+    /// was decoded before.
+    fn decode(&mut self, pos: usize) -> usize {
+        let inst = &self.body[pos];
+        let key = memo_key(inst);
+        match self.tables.memo.get(&key) {
+            Some(&index) => {
+                let seen = &self.body[self.tables.decoded[index].first];
+                if std::ptr::eq(seen.desc(), inst.desc()) && seen.operands() == inst.operands() {
+                    return index;
+                }
+                // A hash collision between different instructions: decode
+                // this one without a memo entry.
+            }
+            None => {
+                self.tables.memo.insert(key, self.tables.decoded.len());
+            }
         }
-        let decoded = self.decode_new(inst);
-        self.decoded.push(decoded);
-        self.memo.insert(key, self.decoded.len() - 1);
-        self.decoded.len() - 1
+        self.decode_new(pos);
+        self.tables.decoded.len() - 1
     }
 
-    fn decode_new(&mut self, inst: &Inst) -> Decoded {
+    fn decode_new(&mut self, pos: usize) {
+        let body = self.body;
+        let inst = &body[pos];
         let truth = characterize(inst, self.cfg, self.truth_opts);
         let mov_source = if truth.mov_elim_candidate && !truth.eliminated {
             inst.reads().into_iter().find(|r| matches!(r, Resource::Reg(..))).map(|r| self.slot(r))
         } else {
             None
         };
-        let writes = if truth.eliminated || truth.mov_elim_candidate {
-            inst.writes().into_iter().map(|r| self.slot(r)).collect()
-        } else {
-            Vec::new()
-        };
+        let inst_writes_start = self.tables.inst_writes.len();
+        if truth.eliminated || truth.mov_elim_candidate {
+            for res in inst.writes() {
+                let slot = self.slot(res);
+                self.tables.inst_writes.push(slot);
+            }
+        }
         let divider_cycles = truth
             .divider_occupancy
             .map(|(low, high)| if self.truth_opts.divider_low_latency { low } else { high })
@@ -294,8 +421,10 @@ impl<'a> Decoder<'a> {
 
         // The µops of an eliminated instruction never execute.
         let specs = if truth.eliminated { &[][..] } else { &truth.uops[..] };
-        let mut temp_producer: HashMap<u8, usize> = HashMap::new();
-        let mut uops = Vec::with_capacity(specs.len());
+        // The µop (counted from the instruction's first) producing each
+        // temporary.
+        let mut temp_producer = [None; 1 << u8::BITS];
+        let uops_start = self.tables.uops.len();
         for (index, spec) in specs.iter().enumerate() {
             let ports = spec.ports & self.usable;
             if ports.is_empty() {
@@ -305,30 +434,21 @@ impl<'a> Decoder<'a> {
                     self.cfg.arch.name()
                 );
             }
-            let mut reads = Vec::new();
-            let mut temps = Vec::new();
+            let bypass_delay = self.cfg.bypass_delay;
+            let (reads_start, temps_start) = (self.tables.reads.len(), self.tables.temps.len());
             for input in &spec.inputs {
                 match *input {
-                    UopInput::Temp(t) => temps.extend(temp_producer.get(&t)),
+                    UopInput::Temp(t) => self.tables.temps.extend(temp_producer[usize::from(t)]),
                     UopInput::Addr(i) => {
                         if let Some(mem) = inst.operand(i).memory() {
-                            reads.push(SlotRead {
-                                slot: self.slot(Resource::of_register(mem.base)),
-                                width: None,
-                                bypass_delay: self.cfg.bypass_delay,
-                            });
+                            let slot = self.slot(Resource::of_register(mem.base));
+                            self.tables.reads.push(SlotRead { slot, width: None, bypass_delay });
                         }
                     }
-                    UopInput::Op(i) => {
-                        for (res, width) in operand_read_resources(inst, i) {
-                            let slot = self.slot(res);
-                            reads.push(SlotRead {
-                                slot,
-                                width,
-                                bypass_delay: self.cfg.bypass_delay,
-                            });
-                        }
-                    }
+                    UopInput::Op(i) => operand_resources(inst, i, false, |res, width| {
+                        let slot = self.slot(res);
+                        self.tables.reads.push(SlotRead { slot, width, bypass_delay });
+                    }),
                 }
             }
             // Store-to-load forwarding: a load additionally depends on the
@@ -338,49 +458,49 @@ impl<'a> Decoder<'a> {
                     if let UopInput::Addr(i) = *input {
                         if let Some(mem) = inst.operand(i).memory() {
                             let slot = self.slot(Resource::Mem(mem.cell()));
-                            reads.push(SlotRead { slot, width: None, bypass_delay: 0 });
+                            self.tables.reads.push(SlotRead { slot, width: None, bypass_delay: 0 });
                         }
                     }
                 }
             }
-            let mut writes = Vec::new();
+            let writes_start = self.tables.writes.len();
             for output in &spec.outputs {
                 match *output {
-                    UopOutput::Temp(t) => {
-                        temp_producer.insert(t, index);
-                    }
-                    UopOutput::Op(i) => {
-                        for (res, width) in operand_write_resources(inst, i) {
-                            writes.push((self.slot(res), width));
-                        }
-                    }
+                    UopOutput::Temp(t) => temp_producer[usize::from(t)] = Some(index),
+                    UopOutput::Op(i) => operand_resources(inst, i, true, |res, width| {
+                        let slot = self.slot(res);
+                        self.tables.writes.push((slot, width));
+                    }),
                 }
             }
-            uops.push(DecodedUop {
+            let uop = DecodedUop {
                 ports,
                 domain: spec.fu.domain(),
                 latency: spec.latency,
                 divider_occupancy: (spec.fu == FuKind::Div)
                     .then(|| divider_cycles.max(spec.latency).max(1)),
-                reads,
-                temps,
-                writes,
-            });
+                reads: Span::since(reads_start, &self.tables.reads),
+                temps: Span::since(temps_start, &self.tables.temps),
+                writes: Span::since(writes_start, &self.tables.writes),
+            };
+            self.tables.uops.push(uop);
         }
-        Decoded {
+        let decoded = Decoded {
+            first: pos,
             eliminated: truth.eliminated,
             mov_elim_candidate: truth.mov_elim_candidate,
             mov_source,
-            writes,
-            uops,
-        }
+            writes: Span::since(inst_writes_start, &self.tables.inst_writes),
+            uops: Span::since(uops_start, &self.tables.uops),
+        };
+        self.tables.decoded.push(decoded);
     }
 }
 
 /// Which port accepted a µop in which cycle.
-struct PortFrontier {
+struct PortFrontier<'a> {
     /// `busy[p][c]`: port `p` accepted a µop in cycle `c`.
-    busy: Vec<Vec<bool>>,
+    busy: &'a mut [Vec<bool>],
     /// Port `p` is busy in every cycle from the dispatch floor (the earliest
     /// cycle any µop still to come can be ready in) up to `dense[p]`.
     dense: [u64; MAX_PORTS as usize],
@@ -388,28 +508,25 @@ struct PortFrontier {
     counts: [u64; MAX_PORTS as usize],
 }
 
-impl PortFrontier {
-    fn new(port_count: u8) -> PortFrontier {
-        PortFrontier {
-            busy: vec![Vec::new(); usize::from(port_count)],
-            dense: [0; MAX_PORTS as usize],
-            counts: [0; MAX_PORTS as usize],
-        }
+impl<'a> PortFrontier<'a> {
+    /// A frontier over the (cleared) `busy` vectors of the machine's ports.
+    fn new(busy: &'a mut [Vec<bool>]) -> PortFrontier<'a> {
+        PortFrontier { busy, dense: [0; MAX_PORTS as usize], counts: [0; MAX_PORTS as usize] }
     }
 
     /// The first cycle at or after `ready` in which port `p` is free, for a
     /// µop of the instruction that sets the dispatch `floor` (`floor <=
     /// ready`, and no later µop is ready before `floor` either).
     fn first_free(&mut self, p: usize, ready: u64, floor: u64) -> u64 {
-        let busy = &self.busy[p];
-        let is_busy = |cycle: u64| busy.get(cycle as usize).copied().unwrap_or(false);
+        let busy = &self.busy[p][..];
+        let end = busy.len() as u64;
         let mut dense = self.dense[p].max(floor);
-        while is_busy(dense) {
+        while dense < end && busy[dense as usize] {
             dense += 1;
         }
         self.dense[p] = dense;
         let mut cycle = ready.max(dense);
-        while is_busy(cycle) {
+        while cycle < end && busy[cycle as usize] {
             cycle += 1;
         }
         cycle
@@ -501,15 +618,28 @@ impl Pipeline {
             "checkpoint at iteration {at} of a body unrolled {} times",
             code.unroll()
         );
+        BUFFERS.with_borrow_mut(|buffers| {
+            buffers.clear();
+            self.run(code, at, buffers)
+        })
+    }
+
+    /// The run behind [`Pipeline::execute_with_checkpoint`], over cleared
+    /// `buffers`.
+    fn run(
+        &self,
+        code: &CodeSequence,
+        at: usize,
+        buffers: &mut Buffers,
+    ) -> (PerfCounters, PerfCounters) {
+        let Buffers { tables, body, writers, busy, done } = buffers;
+        let mut decoder = Decoder::new(&self.cfg, self.opts, code.body(), tables);
+        body.extend((0..code.body().len()).map(|pos| decoder.decode(pos)));
+        let Tables { slots, decoded, uops, reads, temps, writes, inst_writes, .. } = &*tables;
+        writers.resize(slots.len(), None);
+        let mut ports = PortFrontier::new(&mut busy[..usize::from(self.cfg.port_count)]);
         let issue_width = u64::from(self.cfg.issue_width);
         let mut rng = SplitMix64::new(self.opts.seed);
-        let mut decoder = Decoder::new(&self.cfg, self.opts);
-        let body: Vec<usize> = code.body().iter().map(|inst| decoder.decode(inst)).collect();
-        let decoded = &decoder.decoded;
-        let mut writers: Vec<Option<WriterInfo>> = vec![None; decoder.slots.len()];
-        let mut ports = PortFrontier::new(self.cfg.port_count);
-        // Completion cycles of the current instruction's µops.
-        let mut done: Vec<u64> = Vec::new();
         let mut divider_free: u64 = 0;
         let mut last_cycle: u64 = 0;
         let mut issue_slots: u64 = 0;
@@ -526,7 +656,7 @@ impl Pipeline {
                     at * body.len(),
                 ));
             }
-            for &index in &body {
+            for &index in body.iter() {
                 let d = &decoded[index];
                 let issue_cycle = issue_slots / issue_width;
 
@@ -541,7 +671,7 @@ impl Pipeline {
                         .mov_source
                         .and_then(|s| writers[s])
                         .unwrap_or(WriterInfo::at(issue_cycle));
-                    for &slot in &d.writes {
+                    for &slot in d.writes.of(inst_writes) {
                         writers[slot] = Some(info);
                     }
                     issue_slots += 1;
@@ -549,15 +679,15 @@ impl Pipeline {
                 }
 
                 done.clear();
-                for uop in &d.uops {
+                for uop in d.uops.of(uops) {
                     let mut ready = issue_cycle + 1;
-                    for read in &uop.reads {
+                    for read in uop.reads.of(reads) {
                         if let Some(w) = &writers[read.slot] {
                             ready =
                                 ready.max(w.ready + u64::from(read.extra_latency(w, uop.domain)));
                         }
                     }
-                    for &t in &uop.temps {
+                    for &t in uop.temps.of(temps) {
                         ready = ready.max(done[t]);
                     }
                     if uop.divider_occupancy.is_some() {
@@ -571,7 +701,7 @@ impl Pipeline {
                     let finish = cycle + u64::from(uop.latency);
                     done.push(finish);
                     last_cycle = last_cycle.max(finish);
-                    for &(slot, width) in &uop.writes {
+                    for &(slot, width) in uop.writes.of(writes) {
                         writers[slot] =
                             Some(WriterInfo { ready: finish, width, domain: uop.domain });
                     }
@@ -610,45 +740,35 @@ impl Pipeline {
     }
 }
 
-/// The architectural resources (and access widths) read through operand `i`.
-fn operand_read_resources(inst: &Inst, i: usize) -> Vec<(Resource, Option<Width>)> {
-    let desc = inst.desc();
-    let od = &desc.operands[i];
-    match (od.kind, inst.operand(i)) {
-        (OperandKind::Reg(class), Op::Reg(r)) => {
-            vec![(Resource::of_register(r), Some(class.width))]
-        }
-        (OperandKind::FixedReg(f), Op::Reg(r)) => vec![(Resource::of_register(r), Some(f.width))],
-        (OperandKind::Mem(_), Op::Mem(m)) => vec![(Resource::Mem(m.cell()), None)],
-        (OperandKind::Flags(_), Op::Flags(set)) => {
-            set.iter().map(|f| (Resource::Flag(f), None)).collect()
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// The architectural resources (and written widths) written through operand
-/// `i`.
-fn operand_write_resources(inst: &Inst, i: usize) -> Vec<(Resource, Option<Width>)> {
+/// Calls `f` with each architectural resource (and access width) read
+/// through operand `i`, or written through it if `write`.
+fn operand_resources(
+    inst: &Inst,
+    i: usize,
+    write: bool,
+    mut f: impl FnMut(Resource, Option<Width>),
+) {
     let desc = inst.desc();
     let od = &desc.operands[i];
     match (od.kind, inst.operand(i)) {
         (OperandKind::Reg(class), Op::Reg(r)) => {
             // Writes to 32-bit GPRs zero the upper half (full-width writes);
             // 8/16-bit writes are partial.
-            let effective = if r.file == RegFile::Gpr && class.width == Width::W32 {
+            let width = if write && r.file == RegFile::Gpr && class.width == Width::W32 {
                 Width::W64
             } else {
                 class.width
             };
-            vec![(Resource::of_register(r), Some(effective))]
+            f(Resource::of_register(r), Some(width));
         }
-        (OperandKind::FixedReg(f), Op::Reg(r)) => vec![(Resource::of_register(r), Some(f.width))],
-        (OperandKind::Mem(_), Op::Mem(m)) => vec![(Resource::Mem(m.cell()), None)],
+        (OperandKind::FixedReg(fixed), Op::Reg(r)) => {
+            f(Resource::of_register(r), Some(fixed.width));
+        }
+        (OperandKind::Mem(_), Op::Mem(m)) => f(Resource::Mem(m.cell()), None),
         (OperandKind::Flags(_), Op::Flags(set)) => {
-            set.iter().map(|f| (Resource::Flag(f), None)).collect()
+            set.iter().for_each(|flag| f(Resource::Flag(flag), None));
         }
-        _ => Vec::new(),
+        _ => {}
     }
 }
 
@@ -721,6 +841,81 @@ mod tests {
             seq.push(Inst::bind(&desc, &assign, &mut pool).unwrap());
         }
         seq
+    }
+
+    /// `len` dependent `MOV r64, r64` instructions alternating between two
+    /// registers (move-elimination candidates).
+    fn mov_chain(c: &Catalog, len: usize) -> CodeSequence {
+        let mov = variant_arc(c, "MOV", "R64, R64").unwrap();
+        let rbx = Register::gpr(gpr::RBX, Width::W64);
+        let rcx = Register::gpr(gpr::RCX, Width::W64);
+        let mut pool = RegisterPool::new();
+        let mut seq = CodeSequence::new();
+        for i in 0..len {
+            let (dst, src) = if i % 2 == 0 { (rbx, rcx) } else { (rcx, rbx) };
+            let mut a = BTreeMap::new();
+            a.insert(0, uops_asm::Op::Reg(dst));
+            a.insert(1, uops_asm::Op::Reg(src));
+            seq.push(Inst::bind(&mov, &a, &mut pool).unwrap());
+        }
+        seq
+    }
+
+    /// `n` copies of `DIV r32` by EBX.
+    fn divisions(c: &Catalog, n: usize) -> CodeSequence {
+        let div = variant_arc(c, "DIV", "R32").unwrap();
+        let mut pool = RegisterPool::new();
+        let mut seq = CodeSequence::new();
+        let divisor = Register::gpr(gpr::RBX, Width::W32);
+        for _ in 0..n {
+            let mut a = BTreeMap::new();
+            a.insert(0, uops_asm::Op::Reg(divisor));
+            seq.push(Inst::bind(&div, &a, &mut pool).unwrap());
+        }
+        seq
+    }
+
+    /// A run of `PAUSE`, whose µop has no port: decoding it panics.
+    fn pause(c: &Catalog) -> CodeSequence {
+        let pause = variant_arc(c, "PAUSE", "").unwrap();
+        let mut pool = RegisterPool::new();
+        [Inst::bind(&pause, &BTreeMap::new(), &mut pool).unwrap()].into_iter().collect()
+    }
+
+    #[test]
+    fn reused_buffers_leak_no_state_between_runs() {
+        let c = catalog();
+        let mut skylake_body = movsx_chain(&c, 3);
+        for inst in independent_adds(&c, 4).body().iter().chain(divisions(&c, 1).body()) {
+            skylake_body.push(inst.clone());
+        }
+        let low_latency = SimOptions { divider_low_latency: true, ..SimOptions::default() };
+        let runs: [(Pipeline, CodeSequence); 5] = [
+            (Pipeline::new(MicroArch::Skylake), skylake_body.repeat(6)),
+            (Pipeline::new(MicroArch::Skylake), pause(&c)),
+            (Pipeline::with_options(MicroArch::Haswell, low_latency), divisions(&c, 4).repeat(5)),
+            (Pipeline::new(MicroArch::IvyBridge), mov_chain(&c, 30).repeat(4)),
+            (Pipeline::new(MicroArch::Skylake), skylake_body.repeat(6)),
+        ];
+        // Each run on this one thread, in order, then each alone on a fresh
+        // thread; a panic is compared as its message.
+        let run = |(sim, code): &(Pipeline, CodeSequence)| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.execute_with_checkpoint(code, code.unroll() / 2)
+            }))
+            .map_err(|panic| panic.downcast_ref::<String>().cloned())
+        };
+        let reused: Vec<_> = runs.iter().map(run).collect();
+        std::thread::scope(|scope| {
+            for (index, (pair, reused)) in runs.iter().zip(&reused).enumerate() {
+                let fresh = scope.spawn(|| run(pair)).join().expect("the run's panic is caught");
+                assert_eq!(reused, &fresh, "run {index}");
+            }
+        });
+        assert!(reused[1].as_ref().is_err_and(|message| message
+            .as_deref()
+            .is_some_and(|m| m.starts_with("PAUSE has a µop with no execution port"))));
+        assert_eq!(reused[0], reused[4]);
     }
 
     #[test]
@@ -908,18 +1103,7 @@ mod tests {
     #[test]
     fn move_elimination_is_probabilistic_and_seeded() {
         let c = catalog();
-        let mov = variant_arc(&c, "MOV", "R64, R64").unwrap();
-        let rbx = Register::gpr(gpr::RBX, Width::W64);
-        let rcx = Register::gpr(gpr::RCX, Width::W64);
-        let mut pool = RegisterPool::new();
-        let mut seq = CodeSequence::new();
-        for i in 0..300 {
-            let (dst, src) = if i % 2 == 0 { (rbx, rcx) } else { (rcx, rbx) };
-            let mut a = BTreeMap::new();
-            a.insert(0, uops_asm::Op::Reg(dst));
-            a.insert(1, uops_asm::Op::Reg(src));
-            seq.push(Inst::bind(&mov, &a, &mut pool).unwrap());
-        }
+        let seq = mov_chain(&c, 300);
         let ivb = Pipeline::new(MicroArch::IvyBridge);
         let counters = ivb.execute(&seq);
         let executed = counters.uops_total - SimOptions::default().overhead_uops;
@@ -938,21 +1122,9 @@ mod tests {
     #[test]
     fn divider_is_not_pipelined() {
         let c = catalog();
-        let div = variant_arc(&c, "DIV", "R32").unwrap();
-        let build = |n: usize| {
-            let mut pool = RegisterPool::new();
-            let mut seq = CodeSequence::new();
-            let divisor = Register::gpr(gpr::RBX, Width::W32);
-            for _ in 0..n {
-                let mut a = BTreeMap::new();
-                a.insert(0, uops_asm::Op::Reg(divisor));
-                seq.push(Inst::bind(&div, &a, &mut pool).unwrap());
-            }
-            seq
-        };
         let sim = Pipeline::new(MicroArch::Skylake);
-        let short = sim.execute(&build(5));
-        let long = sim.execute(&build(25));
+        let short = sim.execute(&divisions(&c, 5));
+        let long = sim.execute(&divisions(&c, 25));
         let per_div = (long.core_cycles - short.core_cycles) as f64 / 20.0;
         // Each division occupies the divider for many cycles even though the
         // divisions are "independent" (they share implicit RAX/RDX anyway).
@@ -994,11 +1166,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "PAUSE has a µop with no execution port on Skylake")]
     fn portless_uop_panics_instead_of_spinning() {
-        let c = catalog();
-        let pause = variant_arc(&c, "PAUSE", "").unwrap();
-        let mut pool = RegisterPool::new();
-        let inst = Inst::bind(&pause, &BTreeMap::new(), &mut pool).unwrap();
-        let _ = Pipeline::new(MicroArch::Skylake).execute(&[inst].into_iter().collect());
+        let _ = Pipeline::new(MicroArch::Skylake).execute(&pause(&catalog()));
     }
 
     #[test]

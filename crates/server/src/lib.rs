@@ -758,16 +758,21 @@ fn spawn_ingest_thread(
 
 /// Publishes one `POST /v1/ingest` body: the live data plane's write
 /// path. The body is either a raw [`Segment`] image (`UOPSSEG\x01`
-/// magic) or a TLV snapshot (`UDB\x01` magic); it is validated **fully**
-/// before anything is published — a malformed byte anywhere rejects the
-/// request with no effect on the served store. On success the incoming
+/// magic) or a TLV snapshot (`UDB\x01` magic). Before anything is
+/// published, a snapshot is decoded and re-encoded, and an image is checked
+/// for structure, canonical key order and symbol range; a body that fails
+/// is rejected with no effect on the served store. On success the incoming
 /// records are last-writer-wins merged with the live generation, durably
 /// published through the store's manifest protocol (temp + fsync +
 /// rename + dir-fsync), and atomically swapped live, flushing both cache
 /// tiers.
 fn publish_ingest(service: &QueryService, store: &GenerationStore, body: &[u8]) -> ServiceResponse {
     let incoming = if body.starts_with(&uops_db::segment::layout::MAGIC) {
-        match Segment::from_bytes(body.to_vec()) {
+        // Open checks structure only; the merge also needs the records in
+        // canonical key order with symbols inside the string table.
+        let checked = Segment::from_bytes(body.to_vec())
+            .and_then(|segment| segment.db().check_records().map(|()| segment));
+        match checked {
             Ok(segment) => segment,
             Err(err) => {
                 return ServiceResponse::error(400, &format!("segment image rejected: {err}"));
@@ -1042,6 +1047,10 @@ mod tests {
     use uops_db::{Segment, Snapshot, VariantRecord};
 
     fn service() -> QueryService {
+        QueryService::from_segment(Arc::new(segment()), 1 << 20)
+    }
+
+    fn segment() -> Segment {
         let mut s = Snapshot::new("router test");
         // "X+Y" exercises path-segment decoding: '+' is literal in paths.
         for (m, uarch) in
@@ -1058,8 +1067,75 @@ mod tests {
                 ..Default::default()
             });
         }
-        let segment = Segment::from_bytes(Segment::encode(&s)).expect("segment");
-        QueryService::from_segment(Arc::new(segment), 1 << 20)
+        Segment::from_bytes(Segment::encode(&s)).expect("segment")
+    }
+
+    /// The record-level checks of a raw segment body: the probe is a
+    /// two-record image (ADD, SUB) with its mnemonic symbols swapped, with
+    /// a repeated key, and with a symbol outside the string table. Each is
+    /// refused with the generation unchanged, and the live records still
+    /// answer; the untouched image is then published.
+    #[test]
+    fn ingest_checks_segment_records_before_publishing() {
+        use uops_db::segment::layout::{section, u32_at, u64_at, HEADER_LEN, SECTION_ENTRY_LEN};
+
+        let dir = std::env::temp_dir()
+            .join(format!("uops_serve_ingest_records_{}.d", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = service();
+        let store = GenerationStore::bootstrap(&dir, Arc::new(segment()), fault::store_io())
+            .expect("bootstrap");
+        let generation = store.current();
+        assert!(service.swap_segment(Arc::clone(&generation.segment), generation.id));
+
+        let mut probe = Snapshot::new("ingest probe");
+        for mnemonic in ["ADD", "SUB"] {
+            probe.records.push(VariantRecord {
+                mnemonic: mnemonic.into(),
+                variant: "R64, R64".into(),
+                extension: "BASE".into(),
+                uarch: "Skylake".into(),
+                uop_count: 1,
+                ports: vec![(0b0100_0001, 1)],
+                tp_measured: 0.25,
+                ..Default::default()
+            });
+        }
+        let image = Segment::encode(&probe);
+        let sections = u32_at(&image, 16) as usize;
+        let mnemonics = (0..sections)
+            .map(|i| HEADER_LEN + i * SECTION_ENTRY_LEN)
+            .find(|&entry| u32_at(&image, entry) == section::COL_MNEMONIC)
+            .map(|entry| u64_at(&image, entry + 8) as usize)
+            .expect("mnemonic column");
+        let (add, sub) = (mnemonics..mnemonics + 4, mnemonics + 4..mnemonics + 8);
+        let mut swapped = image.clone();
+        swapped[add.clone()].copy_from_slice(&image[sub.clone()]);
+        swapped[sub.clone()].copy_from_slice(&image[add.clone()]);
+        let mut repeated = image.clone();
+        repeated[sub.clone()].copy_from_slice(&image[add]);
+        let mut out_of_range = image.clone();
+        out_of_range[sub].copy_from_slice(&999u32.to_le_bytes());
+
+        let add = respond(&service, "GET", "/v1/record/ADD");
+        let sub = respond(&service, "GET", "/v1/record/SUB");
+        for (what, body) in
+            [("swapped", swapped), ("repeated key", repeated), ("out of range", out_of_range)]
+        {
+            assert!(Segment::from_bytes(body.clone()).is_ok(), "{what}: structurally valid");
+            let response = publish_ingest(&service, &store, &body);
+            assert_eq!(response.status, 400, "{what}");
+            assert_eq!(store.current().id, generation.id, "{what}");
+            assert_eq!(service.generation(), generation.id, "{what}");
+            let after = respond(&service, "GET", "/v1/record/ADD");
+            assert_eq!((after.status, &after.body), (200, &add.body), "{what}");
+        }
+        assert_eq!(publish_ingest(&service, &store, &image).status, 200);
+        assert_eq!(store.current().id, generation.id + 1);
+        let found = respond(&service, "GET", "/v1/record/SUB");
+        assert_eq!(found.status, 200);
+        assert_ne!(found.body, sub.body, "the published SUB record must be found");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

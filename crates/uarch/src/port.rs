@@ -127,7 +127,14 @@ impl PortSet {
 
     /// Iterates over the port numbers in ascending order.
     pub fn iter(self) -> impl Iterator<Item = u8> {
-        (0..MAX_PORTS).filter(move |p| self.contains(*p))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let port = bits.trailing_zeros() as u8;
+                bits &= bits - 1;
+                port
+            })
+        })
     }
 
     /// The lowest-numbered port in the set, if any.
@@ -242,6 +249,16 @@ mod tests {
         assert_eq!(v, vec![0, 1, 5]);
         assert_eq!(s.first(), Some(0));
         assert_eq!(PortSet::EMPTY.first(), None);
+    }
+
+    #[test]
+    fn iter_yields_exactly_the_members_in_ascending_order() {
+        for bits in 0..1u16 << MAX_PORTS {
+            let set = PortSet(bits);
+            let expected: Vec<u8> = (0..MAX_PORTS).filter(|p| set.contains(*p)).collect();
+            assert_eq!(set.iter().collect::<Vec<u8>>(), expected, "{set}");
+            assert_eq!(set.first(), expected.first().copied(), "{set}");
+        }
     }
 
     #[test]
