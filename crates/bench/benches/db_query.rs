@@ -12,15 +12,18 @@
 //!   the size of the live generation — a 180-record shard that overwrites
 //!   live keys, merged into catalog-shaped live segments of ~2k, ~8k and
 //!   ~16.7k records (the whole catalog on every uarch that supports each
-//!   variant), plus the one content-hash pass the generation store makes
-//!   over the result.
+//!   variant), plus the one content-hash pass ([`uops_db::image_hash`])
+//!   the generation store makes over the result, and the
+//!   `SegmentDb::check_records` pass `POST /v1/ingest` makes over the
+//!   shard before it merges it.
 //!
 //! Every timed number is a [`median_ns`]. The run writes a machine-readable
 //! summary, with the machine's core count, to `BENCH_db.json` (override
 //! the path with the `BENCH_DB_JSON` environment variable) for CI
 //! artifact upload, and asserts the headline
-//! acceptance numbers: segment open ≥ 10x faster than TLV decode, and the
-//! galloping multi-filter query no slower than the legacy strategy. Every
+//! acceptance numbers: segment open ≥ 10x faster than TLV decode, the
+//! galloping multi-filter query no slower than the legacy strategy, and,
+//! at 16.7k live records, merge plus hash ≤ 1.25x the merge alone. Every
 //! merge it times is first checked byte for byte against the single-pass
 //! encode of the same records.
 
@@ -167,11 +170,13 @@ fn overwrite_shard(live: &Snapshot, rng: &mut Rng) -> Snapshot {
     shard
 }
 
-/// One ingest row: the live size, the merge alone, and the merge plus the
-/// content hash of the new image (what the store's publish adds).
+/// One ingest row: the live size, the record check of the ingested shard,
+/// the merge alone, and the merge plus the content hash of the new image
+/// (what the store's publish adds).
 struct IngestRow {
     live_records: usize,
     image_bytes: usize,
+    check_records_ns: f64,
     merge_ns: f64,
     ingest_ns: f64,
 }
@@ -193,6 +198,7 @@ fn ingest_row(catalog: &Catalog, keep_every: usize) -> IngestRow {
     IngestRow {
         live_records: live_segment.len(),
         image_bytes: merged.as_bytes().len(),
+        check_records_ns: median_ns(15, || shard_segment.db().check_records().is_ok()),
         merge_ns: median_ns(15, || Segment::merge_refs(&parts).len()),
         ingest_ns: median_ns(15, || Segment::merge_refs(&parts).content_hash()),
     }
@@ -284,6 +290,7 @@ fn main() {
     let catalog = Catalog::intel_core();
     let ingest: Vec<IngestRow> =
         [8, 2, 1].iter().map(|&every| ingest_row(&catalog, every)).collect();
+    let whole_catalog = ingest.last().expect("the 16.7k-record row");
 
     assert!(
         open_speedup >= 10.0,
@@ -296,6 +303,16 @@ fn main() {
         gallop_ns <= legacy_ns * 1.25,
         "galloping multi-filter query must not be slower than the legacy path \
          (gallop {gallop_ns:.0} ns vs legacy {legacy_ns:.0} ns)"
+    );
+    // The image hash runs at close to memory speed: hashing the merged
+    // image must cost at most a quarter of the merge that built it.
+    assert!(
+        whole_catalog.ingest_ns <= whole_catalog.merge_ns * 1.25,
+        "merge + image hash must be <= 1.25x the merge alone at {} live records \
+         (merge {:.0} ns vs merge + hash {:.0} ns)",
+        whole_catalog.live_records,
+        whole_catalog.merge_ns,
+        whole_catalog.ingest_ns
     );
 
     let json = format!(
@@ -319,9 +336,9 @@ fn main() {
         ingest
             .iter()
             .map(|r| format!(
-                "      {{ \"live_records\": {}, \"image_bytes\": {}, \"merge_ns\": {:.0}, \
-                 \"merge_and_hash_ns\": {:.0} }}",
-                r.live_records, r.image_bytes, r.merge_ns, r.ingest_ns
+                "      {{ \"live_records\": {}, \"image_bytes\": {}, \"check_records_ns\": {:.0}, \
+                 \"merge_ns\": {:.0}, \"merge_and_hash_ns\": {:.0} }}",
+                r.live_records, r.image_bytes, r.check_records_ns, r.merge_ns, r.ingest_ns
             ))
             .collect::<Vec<_>>()
             .join(",\n"),

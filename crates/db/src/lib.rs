@@ -97,6 +97,7 @@ pub mod diff;
 pub mod encode;
 pub mod error;
 pub mod exec;
+pub mod hash;
 pub mod intern;
 pub mod json;
 pub mod plan;
@@ -111,6 +112,7 @@ pub use diff::{diff_uarches, Change, DiffReport, VariantDelta, CYCLE_TOLERANCE};
 pub use encode::{BinaryEncoder, JsonEncoder, ResultEncoder, XmlEncoder};
 pub use error::DbError;
 pub use exec::{BatchExec, ExecStageMetrics, QueryExec};
+pub use hash::image_hash;
 pub use intern::Sym;
 pub use plan::{fnv1a_64, fnv1a_64_parts, QueryPlan};
 pub use query::{Query, QueryResult, SortKey};

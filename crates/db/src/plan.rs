@@ -463,16 +463,17 @@ pub fn decode_component(s: &str) -> Result<String, DbError> {
     String::from_utf8(out).map_err(|_| plan_error(format!("invalid UTF-8 after decoding {s:?}")))
 }
 
+/// FNV-1a's 64-bit offset basis: the hash of the empty input.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV's 64-bit prime.
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit hash: tiny, dependency-free, and stable across processes —
 /// what the canonical plan fingerprint and the response-cache keys use.
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a_extend(FNV_OFFSET, bytes)
 }
 
 /// [`fnv1a_64`] over the logical concatenation of `parts`, byte-identical
@@ -480,12 +481,16 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// (prefix + encoding + plan) without materializing it.
 #[must_use]
 pub fn fnv1a_64_parts(parts: &[&[u8]]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for part in parts {
-        for &byte in *part {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    parts.iter().fold(FNV_OFFSET, |hash, part| fnv1a_extend(hash, part))
+}
+
+/// Continues an FNV-1a hash `hash` over `bytes`: one xor and one multiply
+/// per byte.
+#[inline]
+pub(crate) fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }

@@ -21,9 +21,10 @@
 //!   it remaps the shards' symbols into one merged string table and copies
 //!   the surviving records' columns across — incremental ingestion for
 //!   datasets produced arch-by-arch and for live ingests.
-//! * [`Segment::content_hash`] is the FNV-1a hash of the image, computed
-//!   at most once per segment: the generation store's manifest and the
-//!   server's ETags share it.
+//! * [`Segment::content_hash`] is the [`image_hash`] of the image (four
+//!   interleaved FNV-style lanes over 64-bit words), computed at most once
+//!   per segment: the generation store's manifest, recovery's check and
+//!   the server's ETags share it.
 //!
 //! Opening a segment costs O(header + section table) plus the tiny,
 //! record-count-independent string table and µarch metadata — benchmarked
@@ -72,7 +73,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use crate::error::DbError;
-use crate::plan::fnv1a_64;
+use crate::hash::image_hash;
 use crate::snapshot::Snapshot;
 
 pub use read::SegmentDb;
@@ -119,22 +120,24 @@ impl Segment {
         Ok(Segment { bytes, parsed, content_hash: OnceLock::new() })
     }
 
-    /// [`Segment::from_bytes`] for an image whose [`fnv1a_64`] hash the
+    /// [`Segment::from_bytes`] for an image whose [`image_hash`] the
     /// caller has just computed, so [`Segment::content_hash`] never hashes
-    /// it again.
+    /// it again. Only an [`image_hash`] may seed the cache: the generation
+    /// store's recovery of a `v1` manifest, which checks images with
+    /// FNV-1a, opens them with [`Segment::from_bytes`] instead.
     pub(crate) fn from_hashed_bytes(bytes: Vec<u8>, content_hash: u64) -> Result<Segment, DbError> {
         let segment = Segment::from_bytes(bytes)?;
         segment.content_hash.get_or_init(|| content_hash);
         Ok(segment)
     }
 
-    /// The FNV-1a hash ([`fnv1a_64`]) of the image: what the generation
-    /// store records in its manifest and the server folds into every
-    /// ETag. Computed on the first call and cached, so each image is
-    /// hashed at most once however many layers ask.
+    /// The [`image_hash`] of the image: what the generation store records
+    /// in its `v2` manifest and checks on recovery, and what the server
+    /// folds into every ETag. Computed on the first call and cached, so
+    /// each image is hashed at most once however many layers ask.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        *self.content_hash.get_or_init(|| fnv1a_64(&self.bytes))
+        *self.content_hash.get_or_init(|| image_hash(&self.bytes))
     }
 
     /// Encodes `snapshot` and writes the image to `path`, returning the

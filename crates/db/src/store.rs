@@ -21,11 +21,22 @@
 //! segment rename and the manifest rename — are quarantined too, and
 //! leftover temp files are deleted.
 //!
-//! The manifest records each image's FNV-1a content hash. The store takes
-//! it from [`Segment::content_hash`], which caches it on the segment, so a
+//! The manifest (`uops-manifest v2`) records each image's
+//! [`image_hash`]: four interleaved FNV-style lanes over 64-bit words,
+//! ~0.2 ms over a 3.2 MB image. The store takes it from
+//! [`Segment::content_hash`], which caches it on the segment, so a
 //! published generation is hashed once for the manifest, the server's
 //! ETags and anyone else; recovery seeds the cache with the hash it just
 //! verified.
+//!
+//! Stores written before the image hash have a `uops-manifest v1`
+//! manifest, whose lines hold byte-wise FNV-1a ([`fnv1a_64`]) hashes.
+//! [`GenerationStore::open`] still reads them: it checks each image with
+//! [`fnv1a_64`], does not seed the segment's cache with that value, and
+//! records the recovered generation under its [`image_hash`], so the first
+//! publish after the upgrade writes a complete `v2` manifest (the older
+//! `v1` fallback line falls off the retention horizon with it). Nothing
+//! writes `v1`.
 //!
 //! All filesystem mutations route through the [`StoreIo`] trait so callers
 //! (notably the server's `--features fault-injection` shim) can script
@@ -40,6 +51,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::error::DbError;
+use crate::hash::image_hash;
 use crate::plan::fnv1a_64;
 use crate::segment::Segment;
 
@@ -53,9 +65,17 @@ const SWAP_SLOTS: usize = 8;
 /// images are deleted once a publish pushes them past the horizon.
 const RETAIN_GENERATIONS: usize = 2;
 
+// Recovery from a `v1` manifest rehashes only the recovered generation, so
+// its older `v1` lines must all fall off at the first publish.
+const _: () = assert!(RETAIN_GENERATIONS <= 2);
+
 /// First line of a `MANIFEST` file; bump the trailing version on format
 /// changes.
-const MANIFEST_HEADER: &str = "uops-manifest v1";
+const MANIFEST_HEADER: &str = "uops-manifest v2";
+
+/// First line of a manifest whose hashes are [`fnv1a_64`]: read on
+/// recovery, never written.
+const MANIFEST_HEADER_V1: &str = "uops-manifest v1";
 
 /// Name of the manifest file inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -162,9 +182,11 @@ impl StoreIo for RealStoreIo {
 }
 
 /// One durable generation: the id and its validated segment image. The
-/// FNV-1a hash recorded in the manifest is the segment's cached
+/// [`image_hash`] recorded in the `v2` manifest is the segment's cached
 /// [`Segment::content_hash`], which also seeds the ETags when a server
-/// serves this generation.
+/// serves this generation. A generation recovered from a `v1` manifest
+/// was checked with [`fnv1a_64`]; its segment computes the
+/// [`image_hash`] once, at recovery, for the next manifest.
 #[derive(Debug)]
 pub struct Generation {
     /// Monotonic generation id; manifest file names are `gen-<id>.seg`.
@@ -288,12 +310,18 @@ impl GenerationStore {
             Err(e) => return Err(io_error(&manifest_path, &e)),
         };
         let mut lines = manifest.lines();
-        if lines.next().map(str::trim) != Some(MANIFEST_HEADER) {
-            return Err(DbError::Io {
-                path: manifest_path.display().to_string(),
-                message: format!("bad manifest header (want `{MANIFEST_HEADER}`)"),
-            });
-        }
+        let v1 = match lines.next().map(str::trim) {
+            Some(MANIFEST_HEADER) => false,
+            Some(MANIFEST_HEADER_V1) => true,
+            _ => {
+                return Err(DbError::Io {
+                    path: manifest_path.display().to_string(),
+                    message: format!(
+                        "bad manifest header (want `{MANIFEST_HEADER}` or `{MANIFEST_HEADER_V1}`)"
+                    ),
+                })
+            }
+        };
         // Malformed lines are skipped rather than fatal: the manifest is
         // published atomically, so a bad line means bit rot, and the
         // recovery sweep below decides what is still servable.
@@ -310,7 +338,7 @@ impl GenerationStore {
         // Newest entry last in the file; validate newest-first.
         for (at, entry) in entries.iter().enumerate().rev() {
             let path = dir.join(&entry.file);
-            match Self::validate_image(&path, entry) {
+            match Self::validate_image(&path, entry, v1) {
                 Ok(segment) => {
                     recovered = Some((Generation { id: entry.id, segment: Arc::new(segment) }, at));
                     break;
@@ -331,7 +359,10 @@ impl GenerationStore {
             });
         };
 
-        let retained: Vec<ManifestEntry> = entries[..=keep_from].to_vec();
+        let mut retained: Vec<ManifestEntry> = entries[..=keep_from].to_vec();
+        if v1 {
+            retained[keep_from].hash = generation.segment.content_hash();
+        }
         let mut max_id = entries.iter().map(|e| e.id).max().unwrap_or(generation.id);
 
         // Sweep the directory: temp files die, orphan images newer than
@@ -370,7 +401,10 @@ impl GenerationStore {
         Ok(Some(RecoveredStore { store, quarantined }))
     }
 
-    fn validate_image(path: &Path, entry: &ManifestEntry) -> Result<Segment, DbError> {
+    /// Reads the image `entry` names and checks its length, its hash
+    /// ([`fnv1a_64`] for a `v1` manifest, else [`image_hash`]) and its
+    /// structure.
+    fn validate_image(path: &Path, entry: &ManifestEntry, v1: bool) -> Result<Segment, DbError> {
         let bytes = fs::read(path).map_err(|e| io_error(path, &e))?;
         if bytes.len() as u64 != entry.len {
             return Err(DbError::Io {
@@ -382,16 +416,21 @@ impl GenerationStore {
                 ),
             });
         }
-        let hash = fnv1a_64(&bytes);
+        let hash = if v1 { fnv1a_64(&bytes) } else { image_hash(&bytes) };
         if hash != entry.hash {
             return Err(DbError::Io {
                 path: path.display().to_string(),
                 message: "content hash mismatch".to_string(),
             });
         }
-        // The hash just verified seeds the segment's cache: recovery hashes
-        // the image once, not again for the first ETag.
-        Segment::from_hashed_bytes(bytes, hash)
+        // An image hash just verified seeds the segment's cache: recovery
+        // hashes the image once, not again for the first ETag. A `v1`
+        // FNV-1a value must not stand in for it.
+        if v1 {
+            Segment::from_bytes(bytes)
+        } else {
+            Segment::from_hashed_bytes(bytes, hash)
+        }
     }
 
     /// The directory this store publishes into.
@@ -650,7 +689,7 @@ mod tests {
         // Publishing hashed the image for the manifest; the segment keeps
         // that hash, so a server swapping it in does not hash it again.
         assert!(published.segment.is_hashed());
-        assert_eq!(published.segment.content_hash(), fnv1a_64(published.segment.as_bytes()));
+        assert_eq!(published.segment.content_hash(), image_hash(published.segment.as_bytes()));
         let manifest = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
         let entry = manifest.lines().rev().find_map(ManifestEntry::parse).unwrap();
         assert_eq!(entry.hash, published.segment.content_hash());
@@ -792,6 +831,135 @@ mod tests {
         assert_eq!(images.len(), RETAIN_GENERATIONS, "kept: {images:?}");
         assert!(images.contains(&"gen-5.seg".to_string()));
         assert!(images.contains(&"gen-4.seg".to_string()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes a store as it was before the image hash: `images` as
+    /// generations 1, 2, … under a `v1` manifest of [`fnv1a_64`] hashes.
+    fn write_v1_store(dir: &Path, images: &[&Segment]) {
+        fs::create_dir_all(dir).unwrap();
+        let mut manifest = format!("{MANIFEST_HEADER_V1}\n");
+        for (at, image) in images.iter().enumerate() {
+            let id = at as u64 + 1;
+            let file = generation_file(id);
+            let bytes = image.as_bytes();
+            fs::write(dir.join(&file), bytes).unwrap();
+            ManifestEntry { id, file, hash: fnv1a_64(bytes), len: bytes.len() as u64 }
+                .render(&mut manifest);
+        }
+        fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+    }
+
+    /// The manifest's header and its entries.
+    fn read_manifest(dir: &Path) -> (String, Vec<ManifestEntry>) {
+        let manifest = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        let mut lines = manifest.lines();
+        let header = lines.next().unwrap().to_string();
+        (header, lines.filter_map(ManifestEntry::parse).collect())
+    }
+
+    #[test]
+    fn v1_store_opens_and_serves_the_same_image() {
+        let dir = scratch_dir("v1_open");
+        let first = segment(&[("ADD", "Skylake", 1)]);
+        let second = segment(&[("ADD", "Skylake", 2), ("SUB", "Skylake", 1)]);
+        write_v1_store(&dir, &[&first, &second]);
+        let before = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+
+        let recovered = GenerationStore::open(&dir).unwrap().expect("manifest exists");
+        assert_eq!(recovered.quarantined, 0);
+        let current = recovered.store.current();
+        assert_eq!(current.id, 2);
+        assert_eq!(current.segment.as_bytes(), second.as_bytes());
+        // The segment's hash is the image hash, never the FNV-1a value the
+        // v1 manifest was checked with.
+        assert_eq!(current.segment.content_hash(), image_hash(second.as_bytes()));
+        // Opening reads the old manifest; it does not rewrite it.
+        assert_eq!(fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap(), before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_store_quarantines_a_flipped_newest_image() {
+        let dir = scratch_dir("v1_corrupt");
+        let first = segment(&[("ADD", "Skylake", 1)]);
+        let second = segment(&[("ADD", "Skylake", 2)]);
+        write_v1_store(&dir, &[&first, &second]);
+        let newest = dir.join("gen-2.seg");
+        let mut bytes = fs::read(&newest).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0xff;
+        fs::write(&newest, bytes).unwrap();
+
+        let recovered = GenerationStore::open(&dir).unwrap().expect("manifest exists");
+        assert_eq!(recovered.quarantined, 1);
+        assert!(dir.join("gen-2.seg.quarantined").exists());
+        let current = recovered.store.current();
+        assert_eq!(current.id, 1);
+        assert_eq!(current.segment.as_bytes(), first.as_bytes());
+
+        // The v2 manifest the next publish writes keeps the recovered
+        // generation as the fallback, under its image hash: when the new
+        // image is corrupted too, generation 1 still recovers.
+        let next = recovered.store.publish(segment(&[("MUL", "Skylake", 3)]), &RealStoreIo);
+        let next = next.unwrap();
+        let (header, entries) = read_manifest(&dir);
+        assert_eq!(header, MANIFEST_HEADER);
+        assert_eq!(entries.iter().map(|e| e.id).collect::<Vec<_>>(), [1, next.id]);
+        let newest = dir.join(generation_file(next.id));
+        let mut bytes = fs::read(&newest).unwrap();
+        bytes[0] ^= 0x01;
+        fs::write(&newest, bytes).unwrap();
+        let again = GenerationStore::open(&dir).unwrap().expect("manifest exists");
+        assert_eq!(again.quarantined, 1);
+        assert_eq!(again.store.current().id, 1);
+        assert_eq!(again.store.current().segment.as_bytes(), first.as_bytes());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn first_publish_after_a_v1_open_writes_a_v2_manifest() {
+        let dir = scratch_dir("v1_upgrade");
+        let first = segment(&[("ADD", "Skylake", 1)]);
+        let second = segment(&[("ADD", "Skylake", 2)]);
+        write_v1_store(&dir, &[&first, &second]);
+        let recovered = GenerationStore::open(&dir).unwrap().expect("manifest exists");
+        let incoming = segment(&[("SUB", "Skylake", 4)]);
+        let published = recovered.store.publish_merged(&incoming, &RealStoreIo).unwrap();
+        assert_eq!(published.id, 3);
+
+        // A complete v2 manifest: the v1 fallback (generation 1) is gone,
+        // and every line holds the image hash of the file it names.
+        let (header, entries) = read_manifest(&dir);
+        assert_eq!(header, MANIFEST_HEADER);
+        assert_eq!(entries.iter().map(|e| e.id).collect::<Vec<_>>(), [2, 3]);
+        for entry in &entries {
+            assert_eq!(entry.hash, image_hash(&fs::read(dir.join(&entry.file)).unwrap()));
+        }
+        assert!(!dir.join("gen-1.seg").exists());
+
+        let reopened = GenerationStore::open(&dir).unwrap().expect("manifest exists");
+        assert_eq!(reopened.quarantined, 0);
+        let current = reopened.store.current();
+        assert_eq!(current.id, 3);
+        assert_eq!(current.segment.as_bytes(), published.segment.as_bytes());
+        let expected = Segment::merge_refs(&[&second, &incoming]);
+        assert_eq!(current.segment.as_bytes(), expected.as_bytes());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_manifest_header_is_an_error() {
+        let dir = scratch_dir("v3");
+        let first = segment(&[("ADD", "Skylake", 1)]);
+        write_v1_store(&dir, &[&first]);
+        let manifest = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        let v3 = manifest.replacen(MANIFEST_HEADER_V1, "uops-manifest v3", 1);
+        fs::write(dir.join(MANIFEST_FILE), v3).unwrap();
+        let err = GenerationStore::open(&dir).unwrap_err();
+        assert!(err.to_string().contains("bad manifest header"), "{err}");
+        // Nothing was quarantined or deleted.
+        assert!(dir.join("gen-1.seg").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -495,8 +495,8 @@ impl QueryService {
         &self.encodes
     }
 
-    /// The FNV-1a hash of the live segment image — the second
-    /// half of every response ETag. Changes iff the served data changes
+    /// The image hash ([`uops_db::image_hash`]) of the live segment image
+    /// — the second half of every response ETag. Changes iff the served data changes
     /// (including on every generation swap).
     #[must_use]
     pub fn content_hash(&self) -> u64 {
