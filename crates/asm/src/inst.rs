@@ -7,7 +7,7 @@ use std::sync::Arc;
 use uops_isa::{InstructionDesc, OperandKind, Width};
 
 use crate::error::AsmError;
-use crate::operand::{MemOperand, Op, Resource};
+use crate::operand::{Op, Resource};
 use crate::pool::RegisterPool;
 
 /// A concrete instruction instance: a variant descriptor together with one
@@ -79,12 +79,6 @@ impl Inst {
         &self.desc
     }
 
-    /// Shared handle to the descriptor.
-    #[must_use]
-    pub fn desc_arc(&self) -> Arc<InstructionDesc> {
-        Arc::clone(&self.desc)
-    }
-
     /// The bound operands (one per descriptor operand, explicit and implicit).
     #[must_use]
     pub fn operands(&self) -> &[Op] {
@@ -99,15 +93,6 @@ impl Inst {
     #[must_use]
     pub fn operand(&self, i: usize) -> Op {
         self.operands[i]
-    }
-
-    /// Replaces the operand at index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_operand(&mut self, i: usize, op: Op) {
-        self.operands[i] = op;
     }
 
     /// The mnemonic of the instruction.
@@ -188,12 +173,6 @@ impl Inst {
             (Some(Op::Reg(ra)), Some(Op::Reg(rb))) => ra.aliases(*rb),
             _ => false,
         }
-    }
-
-    /// The memory operands of the instruction.
-    #[must_use]
-    pub fn memory_operands(&self) -> Vec<MemOperand> {
-        self.operands.iter().filter_map(Op::memory).collect()
     }
 
     /// Formats the instruction in Intel syntax (explicit operands only).

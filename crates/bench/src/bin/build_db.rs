@@ -12,8 +12,8 @@
 //!
 //! Two persistent formats are written and compared:
 //!
-//! * **TLV** (`PREFIX.bin` + `PREFIX.json`): the compact interchange
-//!   encoding — loading decodes every record.
+//! * **TLV** (`PREFIX.bin`, with an export-only `PREFIX.json` beside it):
+//!   the compact interchange encoding — loading decodes every record.
 //! * **Segment** (`PREFIX.seg`): the zero-copy query format — opening
 //!   validates the header and section table only; queries read the image
 //!   in place. The run prints both open times and the bytes each path

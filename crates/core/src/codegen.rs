@@ -169,13 +169,6 @@ pub fn register_dependency_breaker(
     }
 }
 
-/// The register class of an operand, if it is an (explicit or fixed) register
-/// operand.
-#[must_use]
-pub fn operand_reg_class(desc: &InstructionDesc, idx: usize) -> Option<RegClass> {
-    desc.operands.get(idx).and_then(|od| od.kind.reg_class())
-}
-
 /// Classification of an operand for the latency algorithm's case analysis
 /// (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

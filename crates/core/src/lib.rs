@@ -15,10 +15,9 @@
 //! * a **characterization engine** that orchestrates all of the above over
 //!   the instruction catalog ([`engine`]),
 //! * the **ingestion bridge** into the `uops-db` snapshot/database layer
-//!   ([`snapshot`]), and
-//! * **machine-readable output** in XML, JSON, and a compact binary
-//!   encoding ([`output`], §6.4), all backed by the canonical
-//!   [`uops_db::Snapshot`] representation.
+//!   ([`snapshot`]): reports become a [`uops_db::Snapshot`], which `uops-db`
+//!   writes as the machine-readable output of §6.4 (XML, JSON, and a compact
+//!   binary encoding).
 //!
 //! The algorithms interact with the processor **only** through the
 //! [`uops_measure::MeasurementBackend`] interface (generated code in,
@@ -51,7 +50,6 @@ pub mod codegen;
 pub mod engine;
 pub mod error;
 pub mod latency;
-pub mod output;
 pub mod port_usage;
 pub mod predict;
 pub mod prior;
@@ -64,9 +62,6 @@ pub use engine::{
 };
 pub use error::CoreError;
 pub use latency::{ChainCalibration, LatencyAnalyzer, LatencyMap, LatencyValue};
-pub use output::{
-    report_to_json, report_to_xml, reports_to_binary, reports_to_json, reports_to_xml,
-};
 pub use port_usage::{
     infer_port_usage, infer_port_usage_from, isolation_profile, IsolationProfile, PortUsage,
 };

@@ -161,9 +161,6 @@ mod tests {
         let bytes = uops_db::codec::encode(&snapshot);
         let decoded = uops_db::codec::decode(&bytes).expect("binary decode");
         assert_eq!(decoded, snapshot);
-        let parsed =
-            uops_db::json::from_json(&uops_db::json::to_json(&snapshot)).expect("json parse");
-        assert_eq!(parsed, snapshot);
 
         let segment = Segment::from_bytes(Segment::encode(&snapshot)).expect("valid segment");
         let db = segment.db();
@@ -176,5 +173,50 @@ mod tests {
             .postings_by_uarch_port(skylake, 6)
             .iter()
             .any(|id| db.view(id).mnemonic() == "ADD"));
+    }
+
+    #[test]
+    fn xml_output_contains_measurements_and_latencies() {
+        let report = small_report(MicroArch::Skylake);
+        let xml = uops_db::xml::to_xml(&report_to_snapshot(&report));
+        assert!(xml.contains("<instruction mnemonic=\"ADD\" variant=\"R64, R64\""));
+        assert!(xml.contains("<architecture name=\"Skylake\">"));
+        assert!(xml.contains("ports=\"1*p0156\""));
+        assert!(xml.contains("<latency start_op="));
+        assert!(xml.contains("same_reg_cycles="), "SHLD must include the same-register value");
+    }
+
+    #[test]
+    fn xml_groups_multiple_architectures_under_one_instruction() {
+        let a = small_report(MicroArch::Skylake);
+        let b = small_report(MicroArch::Nehalem);
+        let xml = uops_db::xml::to_xml(&reports_to_snapshot(&[a, b]));
+        let instruction_count = xml.matches("<instruction mnemonic=\"ADD\"").count();
+        assert_eq!(instruction_count, 1, "each variant must appear exactly once");
+        assert!(xml.contains("name=\"Skylake\""));
+        assert!(xml.contains("name=\"Nehalem\""));
+    }
+
+    #[test]
+    fn json_output_is_structurally_sound() {
+        let report = small_report(MicroArch::Haswell);
+        let json = uops_db::json::to_json(&report_to_snapshot(&report));
+        assert!(json.contains("\"architecture\": \"Haswell\""));
+        assert!(json.contains("\"mnemonic\": \"ADD\""));
+        assert!(json.contains("\"latency_pairs\""));
+        // Balanced braces and brackets.
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        // One record object per characterized variant.
+        assert_eq!(json.matches("{\"mnemonic\": ").count(), report.profiles.len());
+    }
+
+    #[test]
+    fn binary_output_decodes() {
+        let report = small_report(MicroArch::Skylake);
+        let bytes = uops_db::codec::encode(&reports_to_snapshot(std::slice::from_ref(&report)));
+        let snapshot = uops_db::codec::decode(&bytes).expect("decode");
+        assert_eq!(snapshot.records.len(), report.profiles.len());
+        assert_eq!(snapshot.uarches[0].name, "Skylake");
     }
 }

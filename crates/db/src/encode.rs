@@ -467,22 +467,22 @@ mod tests {
     }
 
     #[test]
-    fn json_rows_parse_as_snapshot_records() {
+    fn json_rows_are_snapshot_records() {
         let segment = segment();
         let db = segment.db();
         let result = Query::new().uarch("Skylake").run(&db);
         let bytes = JsonEncoder.encode_result(&result);
         let text = String::from_utf8(bytes).expect("utf-8");
-        assert!(text.contains("\"total_matches\": 3"));
-        // The rows embed the snapshot record shape: wrapping them in a
-        // snapshot document must parse back to the same records.
-        let rows_start = text.find('[').expect("rows array");
-        let rows = &text[rows_start..text.rfind(']').expect("rows array end") + 1];
-        let doc = format!("{{\"records\": {rows}}}");
-        let parsed = crate::json::from_json(&doc).expect("rows are snapshot records");
-        assert_eq!(parsed.records.len(), 3);
-        assert_eq!(parsed.records[0].mnemonic, "ADC");
-        assert_eq!(parsed.records[0], result.rows[0].to_variant_record());
+        // Each row is exactly the snapshot document's record object.
+        let mut expected = String::from("{\n  \"total_matches\": 3,\n  \"rows\": [");
+        for (i, row) in result.rows.iter().enumerate() {
+            expected.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            json::write_record(&mut expected, &row.to_variant_record());
+        }
+        expected.push_str("\n  ]\n}\n");
+        assert_eq!(text, expected);
+        assert_eq!(result.rows.len(), 3);
+        assert_eq!(result.rows[0].mnemonic(), "ADC");
     }
 
     #[test]

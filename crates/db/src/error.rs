@@ -13,13 +13,6 @@ pub enum DbError {
         /// Human-readable description.
         message: String,
     },
-    /// The JSON snapshot document is malformed.
-    Json {
-        /// Byte offset of the failure.
-        offset: usize,
-        /// Human-readable description.
-        message: String,
-    },
     /// The snapshot was written under a newer, breaking schema version.
     /// (Additive changes never bump the version — decoders skip unknown
     /// fields — so a higher version means the layout itself changed.)
@@ -68,9 +61,6 @@ impl fmt::Display for DbError {
         match self {
             DbError::Decode { offset, message } => {
                 write!(f, "binary snapshot decode error at byte {offset}: {message}")
-            }
-            DbError::Json { offset, message } => {
-                write!(f, "JSON snapshot parse error at byte {offset}: {message}")
             }
             DbError::UnsupportedSchema { found, supported } => {
                 write!(

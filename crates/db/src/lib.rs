@@ -6,10 +6,11 @@
 //! across microarchitectures. This crate turns characterization output into
 //! exactly that:
 //!
-//! * a **versioned snapshot format** ([`Snapshot`]) with two lossless,
-//!   forward-compatible encodings — a compact binary stream ([`codec`]) and
-//!   JSON ([`json`]) — so datasets can be written, shipped, merged, and read
-//!   back by newer and older tools alike;
+//! * a **versioned snapshot format** ([`Snapshot`]) with one lossless,
+//!   forward-compatible encoding — a compact binary stream ([`codec`]) — so
+//!   datasets can be written, shipped, merged, and read back by newer and
+//!   older tools alike, plus export-only JSON ([`json`]) and XML ([`xml`])
+//!   documents for tools that consume the results;
 //! * a **zero-copy segment format** ([`segment`]) — the query store: a
 //!   single-file, columnar, alignment-padded image — string table, SoA
 //!   record columns, side arrays, sorted posting lists by mnemonic, ISA
@@ -118,7 +119,6 @@ pub use plan::{fnv1a_64, fnv1a_64_parts, QueryPlan};
 pub use query::{Query, QueryResult, SortKey};
 pub use segment::{Segment, SegmentDb};
 pub use snapshot::{
-    notation_to_ports, ports_to_notation, LatencyEdge, Snapshot, UarchMeta, VariantRecord,
-    SCHEMA_VERSION,
+    ports_to_notation, LatencyEdge, Snapshot, UarchMeta, VariantRecord, SCHEMA_VERSION,
 };
 pub use store::{Generation, GenerationStore, RealStoreIo, RecoveredStore, StoreIo, SwapCell};

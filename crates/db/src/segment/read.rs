@@ -663,13 +663,6 @@ impl<'a> SegmentDb<'a> {
         self.range(section::LAT_RANGE, id).1
     }
 
-    /// The `i`-th latency edge of record `id`.
-    #[must_use]
-    pub fn latency_edge(&self, id: u32, i: usize) -> LatencyEdge {
-        let (start, _) = self.range(section::LAT_RANGE, id);
-        self.edge_at(start + i)
-    }
-
     fn edge_at(&self, at: usize) -> LatencyEdge {
         let flags = self.sect(section::LAT_FLAGS).get(at).copied().unwrap_or(0);
         LatencyEdge {

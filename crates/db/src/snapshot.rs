@@ -2,11 +2,11 @@
 //! a set of instruction characterizations across microarchitectures.
 //!
 //! A [`Snapshot`] is what the characterization pipeline exports and what the
-//! database ingests. It is a plain-old-data tree with two encodings that are
-//! guaranteed to round-trip losslessly: a compact binary format
-//! ([`crate::codec`]) and JSON ([`crate::json`]). Both are
-//! forward-compatible: decoders skip fields they do not know, so snapshots
-//! written by newer tools remain readable.
+//! database ingests. Its one lossless, read-back encoding is the compact
+//! binary format ([`crate::codec`]), which is forward-compatible: the decoder
+//! skips fields it does not know, so snapshots written by newer tools remain
+//! readable. JSON ([`crate::json`]) and XML ([`crate::xml`]) are export-only
+//! views of the same tree.
 
 use std::fmt::Write as _;
 
@@ -203,12 +203,6 @@ impl VariantRecord {
             _ => Some(c),
         })
     }
-
-    /// The union of all ports this record's µops may execute on.
-    #[must_use]
-    pub fn port_mask_union(&self) -> u16 {
-        self.ports.iter().fold(0, |m, (mask, _)| m | mask)
-    }
 }
 
 /// Formats `(mask, µops)` pairs in the paper's notation (`"2*p05"`). An
@@ -241,38 +235,6 @@ pub fn ports_to_notation(ports: &[(u16, u32)], unattributed: u32) -> String {
     out
 }
 
-/// Parses the paper's port-usage notation back into `(mask, µops)` pairs and
-/// an unattributed count. Accepts the output of [`ports_to_notation`].
-#[must_use]
-pub fn notation_to_ports(s: &str) -> Option<(Vec<(u16, u32)>, u32)> {
-    let s = s.trim();
-    let (body, unattributed) = match s.split_once(" (+") {
-        Some((body, rest)) => {
-            let n: u32 = rest.strip_suffix(" unattributed)")?.parse().ok()?;
-            (body, n)
-        }
-        None => (s, 0),
-    };
-    if body == "0" {
-        return Some((Vec::new(), unattributed));
-    }
-    let mut ports = Vec::new();
-    for part in body.split('+') {
-        let (count, mask_str) = part.trim().split_once('*')?;
-        let count: u32 = count.trim().parse().ok()?;
-        let digits = mask_str.trim().strip_prefix('p')?;
-        let mut mask = 0u16;
-        for d in digits.chars() {
-            // One hex digit per port: 0–9 plus A–F for ports 10–15.
-            let port = d.to_digit(16)?;
-            mask |= 1 << port;
-        }
-        ports.push((mask, count));
-    }
-    ports.sort_unstable();
-    Some((ports, unattributed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,25 +253,22 @@ mod tests {
     }
 
     #[test]
-    fn notation_roundtrip() {
-        let ports = vec![(0b0000_0011u16, 1u32), (0b0010_0000, 2)];
-        let s = ports_to_notation(&ports, 0);
-        assert_eq!(s, "1*p01+2*p5");
-        assert_eq!(notation_to_ports(&s), Some((ports, 0)));
-        assert_eq!(notation_to_ports("0"), Some((Vec::new(), 0)));
-        let with_un = ports_to_notation(&[(0b1, 1)], 2);
-        assert_eq!(with_un, "1*p0 (+2 unattributed)");
-        assert_eq!(notation_to_ports(&with_un), Some((vec![(1, 1)], 2)));
+    fn notation_known_answers() {
+        assert_eq!(ports_to_notation(&[(0b0000_0011, 1), (0b0010_0000, 2)], 0), "1*p01+2*p5");
+        assert_eq!(ports_to_notation(&[], 0), "0");
+        assert_eq!(ports_to_notation(&[], 3), "0 (+3 unattributed)");
+        assert_eq!(ports_to_notation(&[(0b1, 1)], 2), "1*p0 (+2 unattributed)");
     }
 
     #[test]
-    fn notation_roundtrip_high_ports() {
-        // Ports 10–15 use hex digits so the notation stays lossless for the
-        // full u16 mask (a future uarch with more than 10 ports).
-        let ports = vec![(1u16 << 9 | 1 << 11, 3u32), (1 << 10 | 1 << 15, 1)];
-        let s = ports_to_notation(&ports, 0);
-        assert_eq!(s, "3*p9B+1*pAF");
-        assert_eq!(notation_to_ports(&s), Some((ports, 0)));
+    fn notation_high_ports_are_hex_digits() {
+        // Ports 10–15 use hex digits so each port stays one character for
+        // the full u16 mask (a future uarch with more than 10 ports).
+        assert_eq!(
+            ports_to_notation(&[(1 << 9 | 1 << 11, 3), (1 << 10 | 1 << 15, 1)], 0),
+            "3*p9B+1*pAF"
+        );
+        assert_eq!(ports_to_notation(&[(0xfc00, 1)], 0), "1*pABCDEF");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! characterized it.
 //!
 //! XML is an *export-only* view for downstream consumers (simulators,
-//! compilers); the lossless interchange formats are [`crate::codec`] and
-//! [`crate::json`].
+//! compilers), as is [`crate::json`]; the lossless interchange format is
+//! [`crate::codec`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

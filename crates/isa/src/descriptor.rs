@@ -190,16 +190,6 @@ impl InstructionDesc {
     pub fn max_width(&self) -> Option<Width> {
         self.operands.iter().filter_map(|o| o.kind.width()).max()
     }
-
-    /// Returns the operand kind of the `i`-th operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn operand_kind(&self, i: usize) -> OperandKind {
-        self.operands[i].kind
-    }
 }
 
 impl fmt::Display for InstructionDesc {

@@ -17,8 +17,8 @@
 //!   [`Catalog::intel_core`] generating a catalog of a few thousand variants
 //!   covering the base instruction set, MMX, SSE–SSE4.2, AES-NI, AVX/AVX2,
 //!   FMA, and the BMI/ADX extensions.
-//! * [`xml`]: a machine-readable XML representation of the catalog, playing
-//!   the role of the XED-derived XML file of the paper (§6.1).
+//! * [`xml`]: a machine-readable XML export of the catalog, playing the role
+//!   of the XED-derived XML file of the paper (§6.1).
 //!
 //! ## Example
 //!
@@ -36,7 +36,6 @@
 
 pub mod catalog;
 pub mod descriptor;
-pub mod error;
 pub mod extension;
 pub mod flags;
 pub mod gen;
@@ -46,7 +45,6 @@ pub mod xml;
 
 pub use catalog::Catalog;
 pub use descriptor::{Attributes, DescBuilder, InstructionDesc};
-pub use error::IsaError;
 pub use extension::{Category, Extension};
 pub use flags::{Flag, FlagSet};
 pub use operand::{OperandDesc, OperandKind};

@@ -3,8 +3,10 @@
 //! The paper converts Intel XED's configuration files into "a simpler XML
 //! representation that contains enough information for generating assembler
 //! code for each instruction variant, and that also includes information on
-//! implicit operands" (§6.1). This module provides the same capability for
-//! this repository's catalog: a small, dependency-free XML writer and reader.
+//! implicit operands" (§6.1). This module writes the same representation of
+//! this repository's catalog, with a small, dependency-free XML writer. It
+//! is an export: the catalog itself is generated in code ([`crate::gen`]),
+//! never read back from XML.
 //!
 //! The format looks like:
 //!
@@ -22,10 +24,7 @@ use std::fmt::Write as _;
 
 use crate::catalog::Catalog;
 use crate::descriptor::InstructionDesc;
-use crate::error::IsaError;
-use crate::flags::{Flag, FlagSet};
 use crate::operand::{OperandDesc, OperandKind};
-use crate::register::{RegClass, RegFile, Register, Width};
 
 /// Serializes a catalog to XML.
 #[must_use]
@@ -93,341 +92,36 @@ fn escape(s: &str) -> String {
     s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;")
 }
 
-fn unescape(s: &str) -> String {
-    s.replace("&quot;", "\"").replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
-}
-
-/// Parses a catalog from the XML produced by [`catalog_to_xml`].
-///
-/// # Errors
-///
-/// Returns an [`IsaError`] if the XML is malformed or contains unknown
-/// operand kinds, categories, or extensions.
-pub fn catalog_from_xml(xml: &str) -> Result<Catalog, IsaError> {
-    let mut catalog = Catalog::new();
-    let mut current: Option<PendingInstruction> = None;
-    for (line_no, raw_line) in xml.lines().enumerate() {
-        let line = raw_line.trim();
-        if line.starts_with("<?xml")
-            || line == "<catalog>"
-            || line == "</catalog>"
-            || line.is_empty()
-        {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("<instruction ") {
-            let attrs = parse_attrs(rest)?;
-            current = Some(PendingInstruction::from_attrs(&attrs, line_no)?);
-        } else if line.starts_with("<operand ") {
-            let rest = line.trim_start_matches("<operand ");
-            let attrs = parse_attrs(rest)?;
-            let op = parse_operand(&attrs, line_no)?;
-            match current.as_mut() {
-                Some(pending) => pending.operands.push(op),
-                None => {
-                    return Err(IsaError::Parse {
-                        line: line_no + 1,
-                        message: "operand outside of instruction".to_string(),
-                    })
-                }
-            }
-        } else if line == "</instruction>" {
-            match current.take() {
-                Some(pending) => {
-                    catalog.add(pending.into_desc());
-                }
-                None => {
-                    return Err(IsaError::Parse {
-                        line: line_no + 1,
-                        message: "unmatched </instruction>".to_string(),
-                    })
-                }
-            }
-        } else {
-            return Err(IsaError::Parse {
-                line: line_no + 1,
-                message: format!("unrecognized XML line: {line}"),
-            });
-        }
-    }
-    Ok(catalog)
-}
-
-struct PendingInstruction {
-    mnemonic: String,
-    extension: crate::extension::Extension,
-    category: crate::extension::Category,
-    attrs: crate::descriptor::Attributes,
-    operands: Vec<OperandDesc>,
-}
-
-impl PendingInstruction {
-    fn from_attrs(
-        attrs: &[(String, String)],
-        line_no: usize,
-    ) -> Result<PendingInstruction, IsaError> {
-        let get = |name: &str| attrs.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
-        let mnemonic = get("mnemonic")
-            .ok_or_else(|| IsaError::Parse {
-                line: line_no + 1,
-                message: "missing mnemonic".to_string(),
-            })?
-            .to_string();
-        let extension = parse_extension(get("extension").unwrap_or("BASE"), line_no)?;
-        let category = parse_category(get("category").unwrap_or("IntAlu"), line_no)?;
-        let flag = |name: &str| get(name) == Some("1");
-        let attrs = crate::descriptor::Attributes {
-            system: flag("system"),
-            serializing: flag("serializing"),
-            may_be_zero_latency: flag("zeroLatency"),
-            zero_idiom: flag("zeroIdiom"),
-            dependency_breaking_same_reg: flag("depBreaking"),
-            control_flow: flag("controlFlow"),
-            locked: flag("locked"),
-            rep_prefix: flag("rep"),
-            uses_divider: flag("divider"),
-            pause: flag("pause"),
-        };
-        Ok(PendingInstruction {
-            mnemonic: unescape(&mnemonic),
-            extension,
-            category,
-            attrs,
-            operands: Vec::new(),
-        })
-    }
-
-    fn into_desc(self) -> InstructionDesc {
-        let mut flags_read = FlagSet::EMPTY;
-        let mut flags_written = FlagSet::EMPTY;
-        for op in &self.operands {
-            if let OperandKind::Flags(set) = op.kind {
-                if op.read {
-                    flags_read |= set;
-                }
-                if op.write {
-                    flags_written |= set;
-                }
-            }
-        }
-        InstructionDesc {
-            uid: usize::MAX,
-            mnemonic: self.mnemonic,
-            operands: self.operands,
-            extension: self.extension,
-            category: self.category,
-            attrs: self.attrs,
-            flags_read,
-            flags_written,
-        }
-    }
-}
-
-/// Parses `key="value"` attribute pairs from the inside of an XML tag.
-fn parse_attrs(rest: &str) -> Result<Vec<(String, String)>, IsaError> {
-    let mut attrs = Vec::new();
-    let body = rest.trim_end_matches('>').trim_end_matches('/').trim();
-    let mut remaining = body;
-    while !remaining.is_empty() {
-        let eq = match remaining.find('=') {
-            Some(i) => i,
-            None => break,
-        };
-        let key = remaining[..eq].trim().to_string();
-        let after_eq = &remaining[eq + 1..];
-        let after_quote = after_eq.strip_prefix('"').ok_or_else(|| IsaError::Parse {
-            line: 0,
-            message: format!("malformed attribute near '{after_eq}'"),
-        })?;
-        let end_quote = after_quote.find('"').ok_or_else(|| IsaError::Parse {
-            line: 0,
-            message: "unterminated attribute value".to_string(),
-        })?;
-        let value = after_quote[..end_quote].to_string();
-        attrs.push((key, value));
-        remaining = after_quote[end_quote + 1..].trim_start();
-    }
-    Ok(attrs)
-}
-
-fn parse_operand(attrs: &[(String, String)], line_no: usize) -> Result<OperandDesc, IsaError> {
-    let get = |name: &str| attrs.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
-    let kind_str = get("kind").ok_or_else(|| IsaError::Parse {
-        line: line_no + 1,
-        message: "operand without kind".to_string(),
-    })?;
-    let flags_str = get("flags");
-    let kind = parse_kind(kind_str, flags_str, line_no)?;
-    Ok(OperandDesc {
-        kind,
-        read: get("read") == Some("1"),
-        write: get("write") == Some("1"),
-        implicit: get("implicit") == Some("1"),
-    })
-}
-
-fn parse_kind(s: &str, flags: Option<&str>, line_no: usize) -> Result<OperandKind, IsaError> {
-    if s == "FLAGS" {
-        let set = match flags {
-            Some(f) => parse_flagset(f),
-            None => FlagSet::ALL,
-        };
-        return Ok(OperandKind::Flags(set));
-    }
-    if let Some(rest) = s.strip_prefix('M') {
-        if let Ok(bits) = rest.parse::<u32>() {
-            if let Some(w) = Width::from_bits(bits) {
-                return Ok(OperandKind::Mem(w));
-            }
-        }
-    }
-    if let Some(rest) = s.strip_prefix('I') {
-        if let Ok(bits) = rest.parse::<u32>() {
-            if let Some(w) = Width::from_bits(bits) {
-                return Ok(OperandKind::Imm(w));
-            }
-        }
-    }
-    match s {
-        "R8" => return Ok(OperandKind::Reg(RegClass::gpr(Width::W8))),
-        "R16" => return Ok(OperandKind::Reg(RegClass::gpr(Width::W16))),
-        "R32" => return Ok(OperandKind::Reg(RegClass::gpr(Width::W32))),
-        "R64" => return Ok(OperandKind::Reg(RegClass::gpr(Width::W64))),
-        "XMM" => return Ok(OperandKind::Reg(RegClass::vec(Width::W128))),
-        "YMM" => return Ok(OperandKind::Reg(RegClass::vec(Width::W256))),
-        "MM" => return Ok(OperandKind::Reg(RegClass { file: RegFile::Mmx, width: Width::W64 })),
-        _ => {}
-    }
-    // Fixed registers are written with their concrete name (e.g. "CL", "RAX",
-    // "XMM0").
-    if let Some(reg) = Register::from_name(s) {
-        return Ok(OperandKind::FixedReg(reg));
-    }
-    Err(IsaError::Parse { line: line_no + 1, message: format!("unknown operand kind '{s}'") })
-}
-
-fn parse_flagset(s: &str) -> FlagSet {
-    if s == "-" {
-        return FlagSet::EMPTY;
-    }
-    let mut set = FlagSet::EMPTY;
-    for part in s.split('|') {
-        for f in Flag::ALL {
-            if f.name() == part {
-                set |= FlagSet::single(f);
-            }
-        }
-    }
-    set
-}
-
-fn parse_extension(s: &str, line_no: usize) -> Result<crate::extension::Extension, IsaError> {
-    use crate::extension::Extension as E;
-    let ext = match s {
-        "BASE" => E::Base,
-        "MMX" => E::Mmx,
-        "SSE" => E::Sse,
-        "SSE2" => E::Sse2,
-        "SSE3" => E::Sse3,
-        "SSSE3" => E::Ssse3,
-        "SSE4.1" => E::Sse41,
-        "SSE4.2" => E::Sse42,
-        "AES" => E::Aes,
-        "PCLMULQDQ" => E::Pclmulqdq,
-        "AVX" => E::Avx,
-        "AVX2" => E::Avx2,
-        "FMA" => E::Fma,
-        "BMI1" => E::Bmi1,
-        "BMI2" => E::Bmi2,
-        "POPCNT" => E::Popcnt,
-        "MOVBE" => E::Movbe,
-        "ADX" => E::Adx,
-        _ => {
-            return Err(IsaError::Parse {
-                line: line_no + 1,
-                message: format!("unknown extension '{s}'"),
-            })
-        }
-    };
-    Ok(ext)
-}
-
-fn parse_category(s: &str, line_no: usize) -> Result<crate::extension::Category, IsaError> {
-    use crate::extension::Category as C;
-    let all = [
-        ("IntAlu", C::IntAlu),
-        ("IntAluCarry", C::IntAluCarry),
-        ("IncDec", C::IncDec),
-        ("NegNot", C::NegNot),
-        ("Mov", C::Mov),
-        ("MovExtend", C::MovExtend),
-        ("CMov", C::CMov),
-        ("SetCC", C::SetCC),
-        ("Xchg", C::Xchg),
-        ("Xadd", C::Xadd),
-        ("Bswap", C::Bswap),
-        ("Shift", C::Shift),
-        ("Rotate", C::Rotate),
-        ("DoubleShift", C::DoubleShift),
-        ("BitScan", C::BitScan),
-        ("BitField", C::BitField),
-        ("IntMul", C::IntMul),
-        ("IntDiv", C::IntDiv),
-        ("Lea", C::Lea),
-        ("FlagOp", C::FlagOp),
-        ("Branch", C::Branch),
-        ("CallRet", C::CallRet),
-        ("Stack", C::Stack),
-        ("Nop", C::Nop),
-        ("StringOp", C::StringOp),
-        ("Crc32", C::Crc32),
-        ("VecIntAlu", C::VecIntAlu),
-        ("VecIntMul", C::VecIntMul),
-        ("VecIntCmp", C::VecIntCmp),
-        ("VecShift", C::VecShift),
-        ("VecShuffle", C::VecShuffle),
-        ("VecBlend", C::VecBlend),
-        ("VecFpAdd", C::VecFpAdd),
-        ("VecFpMul", C::VecFpMul),
-        ("VecFma", C::VecFma),
-        ("VecFpDiv", C::VecFpDiv),
-        ("VecFpLogic", C::VecFpLogic),
-        ("VecHorizontal", C::VecHorizontal),
-        ("VecConvert", C::VecConvert),
-        ("VecMov", C::VecMov),
-        ("VecMovCross", C::VecMovCross),
-        ("VecInsertExtract", C::VecInsertExtract),
-        ("AesOp", C::AesOp),
-        ("ClmulOp", C::ClmulOp),
-        ("System", C::System),
-    ];
-    all.iter().find(|(name, _)| *name == s).map(|(_, c)| *c).ok_or_else(|| IsaError::Parse {
-        line: line_no + 1,
-        message: format!("unknown category '{s}'"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_small_catalog() {
+    fn one_instruction_is_known_answer() {
+        let full = Catalog::intel_core();
         let mut catalog = Catalog::new();
-        crate::gen::populate(&mut catalog);
-        let xml = catalog_to_xml(&catalog);
-        let parsed = catalog_from_xml(&xml).expect("roundtrip parse");
-        assert_eq!(parsed.len(), catalog.len());
-        for (a, b) in catalog.iter().zip(parsed.iter()) {
-            assert_eq!(a.mnemonic, b.mnemonic);
-            assert_eq!(a.variant(), b.variant(), "variant mismatch for {}", a.mnemonic);
-            assert_eq!(a.extension, b.extension);
-            assert_eq!(a.category, b.category);
-            assert_eq!(a.attrs, b.attrs);
-            assert_eq!(a.flags_read, b.flags_read);
-            assert_eq!(a.flags_written, b.flags_written);
-            assert_eq!(a.operands.len(), b.operands.len());
+        for (mnemonic, variant) in [("ADD", "R64, R64"), ("DIV", "R32")] {
+            catalog.add(full.find_variant(mnemonic, variant).expect("variant exists").clone());
         }
+        let expected = [
+            r#"<?xml version="1.0" encoding="UTF-8"?>"#,
+            r#"<catalog>"#,
+            r#"  <instruction mnemonic="ADD" extension="BASE" category="IntAlu" uid="0">"#,
+            r#"    <operand kind="R64" read="1" write="1" implicit="0"/>"#,
+            r#"    <operand kind="R64" read="1" write="0" implicit="0"/>"#,
+            r#"    <operand kind="FLAGS" read="0" write="1" implicit="1" flags="CF|PF|AF|ZF|SF|OF"/>"#,
+            r#"  </instruction>"#,
+            r#"  <instruction mnemonic="DIV" extension="BASE" category="IntDiv" uid="1" divider="1">"#,
+            r#"    <operand kind="R32" read="1" write="0" implicit="0"/>"#,
+            r#"    <operand kind="EAX" read="1" write="1" implicit="1"/>"#,
+            r#"    <operand kind="EDX" read="1" write="1" implicit="1"/>"#,
+            r#"    <operand kind="FLAGS" read="0" write="1" implicit="1" flags="CF|PF|AF|ZF|SF|OF"/>"#,
+            r#"  </instruction>"#,
+            r#"</catalog>"#,
+            "",
+        ]
+        .join("\n");
+        assert_eq!(catalog_to_xml(&catalog), expected);
     }
 
     #[test]
@@ -441,32 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn malformed_xml_is_rejected() {
-        assert!(catalog_from_xml("<garbage/>").is_err());
-        assert!(catalog_from_xml("<operand kind=\"R64\"/>").is_err());
-        let missing_kind = "<instruction mnemonic=\"X\" extension=\"BASE\" category=\"IntAlu\" uid=\"0\">\n<operand read=\"1\"/>\n</instruction>";
-        assert!(catalog_from_xml(missing_kind).is_err());
-        let bad_ext = "<instruction mnemonic=\"X\" extension=\"WAT\" category=\"IntAlu\" uid=\"0\">\n</instruction>";
-        assert!(catalog_from_xml(bad_ext).is_err());
-    }
-
-    #[test]
-    fn escape_roundtrip() {
-        assert_eq!(unescape(&escape("a<b>&\"c\"")), "a<b>&\"c\"");
-    }
-
-    #[test]
-    fn parse_kind_handles_fixed_registers() {
-        let kind = parse_kind("CL", None, 0).unwrap();
-        match kind {
-            OperandKind::FixedReg(reg) => assert_eq!(reg.name(), "CL"),
-            other => panic!("unexpected kind {other:?}"),
-        }
-        let kind = parse_kind("XMM0", None, 0).unwrap();
-        match kind {
-            OperandKind::FixedReg(reg) => assert_eq!(reg.name(), "XMM0"),
-            other => panic!("unexpected kind {other:?}"),
-        }
-        assert!(parse_kind("BOGUS", None, 0).is_err());
+    fn escape_is_known_answer() {
+        assert_eq!(escape("a<b>&\"c\""), "a&lt;b&gt;&amp;&quot;c&quot;");
+        assert_eq!(escape("&lt;"), "&amp;lt;");
+        assert_eq!(escape("R64, R64"), "R64, R64");
     }
 }

@@ -70,41 +70,19 @@ pub trait MeasurementBackend {
 #[derive(Debug, Clone)]
 pub struct SimBackend {
     arch: MicroArch,
-    seed: u64,
-    overhead_cycles: u64,
-    overhead_uops: u64,
 }
 
 impl SimBackend {
     /// Creates a backend for the given microarchitecture.
     #[must_use]
     pub fn new(arch: MicroArch) -> SimBackend {
-        let defaults = SimOptions::default();
-        SimBackend {
-            arch,
-            seed: defaults.seed,
-            overhead_cycles: defaults.overhead_cycles,
-            overhead_uops: defaults.overhead_uops,
-        }
-    }
-
-    /// Sets the seed used for the simulator's probabilistic renamer
-    /// decisions.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> SimBackend {
-        self.seed = seed;
-        self
+        SimBackend { arch }
     }
 
     fn pipeline(&self, ctx: RunContext) -> Pipeline {
         Pipeline::with_options(
             self.arch,
-            SimOptions {
-                seed: self.seed,
-                divider_low_latency: ctx.divider_low_latency,
-                overhead_cycles: self.overhead_cycles,
-                overhead_uops: self.overhead_uops,
-            },
+            SimOptions { divider_low_latency: ctx.divider_low_latency, ..SimOptions::default() },
         )
     }
 }

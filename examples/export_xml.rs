@@ -31,8 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // XML goes to stdout; a JSON summary of the first architecture to stderr.
-    print!("{}", uops_info::core_::reports_to_xml(&reports));
+    print!("{}", uops_info::db::xml::to_xml(&uops_info::core_::reports_to_snapshot(&reports)));
     eprintln!("\nJSON summary for {}:", reports[0].arch.map(|a| a.name()).unwrap_or("?"));
-    eprintln!("{}", uops_info::core_::report_to_json(&reports[0]));
+    eprintln!(
+        "{}",
+        uops_info::db::json::to_json(&uops_info::core_::report_to_snapshot(&reports[0]))
+    );
     Ok(())
 }

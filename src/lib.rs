@@ -59,8 +59,9 @@
 //! ## Quickstart: persist and query the database
 //!
 //! Characterization results become a [`uops_db::Snapshot`] — the canonical
-//! serialized representation, with lossless binary and JSON encodings — and
-//! are queried from a zero-copy [`uops_db::Segment`]:
+//! serialized representation, with a lossless binary encoding and
+//! export-only JSON and XML documents — and are queried from a zero-copy
+//! [`uops_db::Segment`]:
 //!
 //! ```rust
 //! use uops_info::prelude::*;

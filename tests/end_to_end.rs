@@ -169,7 +169,7 @@ fn xml_output_for_multiple_architectures() {
             d.mnemonic == "AESDEC" && d.variant() == "XMM, XMM"
         }));
     }
-    let xml = uops_info::core_::reports_to_xml(&reports);
+    let xml = uops_info::db::xml::to_xml(&uops_info::core_::reports_to_snapshot(&reports));
     assert_eq!(xml.matches("<instruction ").count(), 1);
     assert!(xml.contains("Sandy Bridge"));
     assert!(xml.contains("Skylake"));
