@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: the LP solver, port sets, flag sets, registers, the catalog's
-//! XML roundtrip, code sequences, the simulator's counters, and the
+//! XML export, code sequences, the simulator's counters, and the
 //! `uops-db` snapshot encodings.
 
 use proptest::prelude::*;
@@ -353,8 +353,237 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
         })
 }
 
+/// One scalar member of a JSON document: its key and value.
+#[derive(Debug, PartialEq)]
+enum Member {
+    Str(String, String),
+    Num(String, f64),
+    Bool(String, bool),
+}
+
+/// A strict RFC 8259 checker for the JSON export. It accepts exactly one
+/// value plus whitespace and lists every scalar object member in document
+/// order, with strings unescaped. Nested objects and arrays add no member
+/// of their own.
+struct JsonMembers<'a> {
+    text: &'a str,
+    pos: usize,
+    members: Vec<Member>,
+}
+
+impl JsonMembers<'_> {
+    fn read(text: &str) -> Result<Vec<Member>, String> {
+        let mut json = JsonMembers { text, pos: 0, members: Vec::new() };
+        json.value(None)?;
+        json.skip_ws();
+        if json.pos != text.len() {
+            return Err(format!("trailing bytes at {}", json.pos));
+        }
+        Ok(json.members)
+    }
+
+    fn peek(&self) -> Option<char> {
+        self.text[self.pos..].chars().next()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(' ' | '\n' | '\r' | '\t')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, c: char) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() != Some(c) {
+            return Err(format!("expected {c:?} at {}", self.pos));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn value(&mut self, key: Option<String>) -> Result<(), String> {
+        self.skip_ws();
+        match self.peek() {
+            Some('{') => self.sequence('}', |json| {
+                let key = json.string()?;
+                json.expect(':')?;
+                json.value(Some(key))
+            }),
+            Some('[') => self.sequence(']', |json| json.value(None)),
+            Some('"') => {
+                let s = self.string()?;
+                self.members.extend(key.map(|k| Member::Str(k, s)));
+                Ok(())
+            }
+            Some('t' | 'f') => {
+                let b = self.text[self.pos..].starts_with("true");
+                let word = if b { "true" } else { "false" };
+                if !self.text[self.pos..].starts_with(word) {
+                    return Err(format!("bad literal at {}", self.pos));
+                }
+                self.pos += word.len();
+                self.members.extend(key.map(|k| Member::Bool(k, b)));
+                Ok(())
+            }
+            _ => {
+                let n = self.number()?;
+                self.members.extend(key.map(|k| Member::Num(k, n)));
+                Ok(())
+            }
+        }
+    }
+
+    /// An object or array body after its opening bracket.
+    fn sequence(
+        &mut self,
+        close: char,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(',') => self.pos += 1,
+                Some(c) if c == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("expected ',' or {close:?} at {}", self.pos)),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect('"')?;
+        let mut out = String::new();
+        loop {
+            let c = self.peek().ok_or("unterminated string")?;
+            self.pos += c.len_utf8();
+            match c {
+                '"' => return Ok(out),
+                '\\' => {
+                    let e = self.peek().ok_or("unterminated escape")?;
+                    self.pos += 1;
+                    out.push(match e {
+                        '"' | '\\' | '/' => e,
+                        'b' => '\u{8}',
+                        'f' => '\u{c}',
+                        'n' => '\n',
+                        'r' => '\r',
+                        't' => '\t',
+                        'u' => {
+                            let hex = self.text.get(self.pos..self.pos + 4).ok_or("short \\u")?;
+                            self.pos += 4;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            char::from_u32(code).ok_or("surrogate \\u escape")?
+                        }
+                        _ => return Err(format!("bad escape {e:?}")),
+                    });
+                }
+                c if (c as u32) < 0x20 => return Err(format!("raw control {c:?} in string")),
+                c => out.push(c),
+            }
+        }
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
+    fn number(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        let bytes = self.text.as_bytes();
+        let digits = |pos: &mut usize| {
+            let from = *pos;
+            while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+                *pos += 1;
+            }
+            *pos - from
+        };
+        let mut pos = self.pos;
+        if bytes.get(pos) == Some(&b'-') {
+            pos += 1;
+        }
+        let int = digits(&mut pos);
+        let ok_int = int == 1 || (int > 1 && bytes[pos - int] != b'0');
+        let ok_frac = bytes.get(pos) != Some(&b'.') || {
+            pos += 1;
+            digits(&mut pos) > 0
+        };
+        let ok_exp = !matches!(bytes.get(pos), Some(b'e' | b'E')) || {
+            pos += 1;
+            if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+                pos += 1;
+            }
+            digits(&mut pos) > 0
+        };
+        if !(ok_int && ok_frac && ok_exp) {
+            return Err(format!("bad number at {start}"));
+        }
+        self.pos = pos;
+        self.text[start..pos].parse().map_err(|e| format!("{e} at {start}"))
+    }
+}
+
+/// Every scalar field of `snapshot`, in the order the JSON export writes
+/// them; absent optional fields and `upper_bound: false` are omitted.
+fn expected_json_members(snapshot: &Snapshot) -> Vec<Member> {
+    let s = |k: &str, v: &str| Member::Str(k.to_string(), v.to_string());
+    let n = |k: &str, v: f64| Member::Num(k.to_string(), v);
+    let mut out = vec![
+        n("schema_version", f64::from(snapshot.schema_version)),
+        s("generator", &snapshot.generator),
+    ];
+    for meta in &snapshot.uarches {
+        out.push(s("architecture", &meta.name));
+        out.push(s("processor", &meta.processor));
+        out.push(n("year", f64::from(meta.year)));
+        out.push(n("ports", f64::from(meta.ports)));
+        out.push(n("characterized", f64::from(meta.characterized)));
+        out.push(n("skipped", f64::from(meta.skipped)));
+    }
+    for r in &snapshot.records {
+        out.push(s("mnemonic", &r.mnemonic));
+        out.push(s("variant", &r.variant));
+        out.push(s("extension", &r.extension));
+        out.push(s("architecture", &r.uarch));
+        out.push(n("uops", f64::from(r.uop_count)));
+        out.push(s("ports", &r.ports_notation()));
+        out.push(n("tp_measured", r.tp_measured));
+        out.extend(r.tp_ports.map(|v| n("tp_ports", v)));
+        out.extend(r.tp_low_values.map(|v| n("tp_low_values", v)));
+        out.extend(r.tp_breaking.map(|v| n("tp_breaking", v)));
+        for e in &r.latency {
+            out.push(n("source", f64::from(e.source)));
+            out.push(n("target", f64::from(e.target)));
+            out.push(n("cycles", e.cycles));
+            if e.upper_bound {
+                out.push(Member::Bool("upper_bound".to_string(), true));
+            }
+            out.extend(e.same_reg_cycles.map(|v| n("same_reg_cycles", v)));
+            out.extend(e.low_value_cycles.map(|v| n("low_value_cycles", v)));
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// JSON export: the document is well-formed JSON and carries every
+    /// field of the snapshot in order, strings unescaped to the same text
+    /// and floats parsing back to the same value; writing is deterministic.
+    #[test]
+    fn snapshot_json_export_carries_every_field(snapshot in arb_snapshot()) {
+        let text = uops_info::db::json::to_json(&snapshot);
+        let members = JsonMembers::read(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        prop_assert_eq!(members, expected_json_members(&snapshot), "{}", text);
+        prop_assert_eq!(uops_info::db::json::to_json(&snapshot.clone()), text);
+    }
 
     /// Binary encoding: decode(encode(s)) == s, and re-encoding the decoded
     /// snapshot is byte-identical.
